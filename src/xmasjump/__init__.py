@@ -27,7 +27,6 @@ from .errors import (
     MissingFixing,
     ParseError,
     RankDeficient,
-    SingularSystem,
     TooFewRows,
     WindowTooShort,
     XmasJumpError,
@@ -64,7 +63,6 @@ from .regression_core import (
     fit_bilinear,
     fit_intercept_fixed_slope,
     fit_simple_ols,
-    solve_linear_system,
 )
 from .stat_inference import (
     CoefficientInference,
@@ -99,7 +97,6 @@ __all__ = [
     "MissingFixing",
     "ParseError",
     "RankDeficient",
-    "SingularSystem",
     "SyntheticSpec",
     "TooFewRows",
     "WindowSample",
@@ -126,7 +123,6 @@ __all__ = [
     "predict_next",
     "regularized_incomplete_beta",
     "serialize_rate_series",
-    "solve_linear_system",
     "student_t_two_sided_p",
     "synthetic_spec_from_json",
     "trend_mean_rate",

@@ -21,22 +21,19 @@ from .data_io import (
 )
 from .errors import XmasJumpError
 from .jump_pipeline import (
-    _listify,
+    MIN_WINDOW_YEARS,
     backtest,
     fit_window_model,
     predict_next,
     yearly_observation,
 )
-from .market_calendar import HolidayCalendar, calendar_from_lines
+from .market_calendar import PRE_WINDOW_MIN, HolidayCalendar, calendar_from_lines
 
 DATA_ENV_VAR = "XMASJUMP_DATA"
 
 EXIT_OK = 0
 EXIT_DATA_ERROR = 1
 EXIT_USAGE = 2
-
-MIN_WINDOW_LEN = 5
-MIN_PRE_DAYS = 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,10 +151,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _validate_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    if getattr(args, "window_len", MIN_WINDOW_LEN) < MIN_WINDOW_LEN:
-        parser.error(f"--window-len must be at least {MIN_WINDOW_LEN}")
-    if getattr(args, "pre_days", MIN_PRE_DAYS) < MIN_PRE_DAYS:
-        parser.error(f"--pre-days must be at least {MIN_PRE_DAYS}")
+    if getattr(args, "window_len", MIN_WINDOW_YEARS) < MIN_WINDOW_YEARS:
+        parser.error(f"--window-len must be at least {MIN_WINDOW_YEARS}")
+    if getattr(args, "pre_days", PRE_WINDOW_MIN) < PRE_WINDOW_MIN:
+        parser.error(f"--pre-days must be at least {PRE_WINDOW_MIN}")
     if getattr(args, "model_years", None) is not None:
         try:
             first, last = _parse_year_range(args.model_years)
@@ -165,6 +162,8 @@ def _validate_args(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
             parser.error("--model-years must look like FIRST-LAST, e.g. 2004-2018")
         if last < first:
             parser.error("--model-years range is reversed")
+        if last - first + 1 < MIN_WINDOW_YEARS:
+            parser.error(f"--model-years must span at least {MIN_WINDOW_YEARS} years")
 
 
 def _parse_year_range(text: str) -> tuple[int, int]:
@@ -290,7 +289,7 @@ def _cmd_predict(args, series, cal) -> int:
     model = fit_window_model(first, last, series, cal, pre_days=args.pre_days)
     forecast = predict_next(series, cal, args.target_year, model, pre_days=args.pre_days)
     if args.format == "json-like":
-        doc = {"model": _listify(asdict(model)), "forecast": asdict(forecast)}
+        doc = {"model": model.to_dict(), "forecast": asdict(forecast)}
         print(json.dumps(doc, indent=2))
         return EXIT_OK
     _print_kv(

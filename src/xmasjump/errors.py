@@ -33,10 +33,6 @@ class TooFewRows(XmasJumpError):
     """A regression was given fewer rows than it needs."""
 
 
-class SingularSystem(XmasJumpError):
-    """Gaussian elimination met a pivot below tolerance."""
-
-
 class DomainError(XmasJumpError):
     """An argument lies outside the function's domain."""
 

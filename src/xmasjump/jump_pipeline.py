@@ -69,6 +69,14 @@ class JumpModel:
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
         object.__setattr__(self, "inference", tuple(self.inference))
 
+    def to_dict(self) -> dict:
+        """Key/value tree with fields named exactly as the dataclasses.
+
+        Tuples become lists so the tree round-trips through JSON
+        unchanged.
+        """
+        return _listify(asdict(self))
+
 
 @dataclass(frozen=True)
 class BacktestRow:
@@ -105,18 +113,13 @@ class BacktestReport:
     window_len: int
 
     def to_dict(self) -> dict:
-        """Key/value tree with fields named exactly as the dataclasses.
-
-        Tuples become lists so the tree round-trips through JSON
-        unchanged.
-        """
-        return _listify(
-            {
-                "window_len": self.window_len,
-                "rows": [asdict(row) for row in self.rows],
-                "models": [asdict(model) for model in self.models],
-            }
-        )
+        """Key/value tree with fields named exactly as the dataclasses,
+        models as in ``JumpModel.to_dict``."""
+        return {
+            "window_len": self.window_len,
+            "rows": [asdict(row) for row in self.rows],
+            "models": [model.to_dict() for model in self.models],
+        }
 
 
 def _listify(value):
@@ -187,7 +190,7 @@ def fit_window_model(
         [obs.jump_delta for obs in observations],
     )
     fit = fit_bilinear(design)
-    report = inference_for_fit(design, fit.coefficients, fit.residual_sum_squares)
+    report = inference_for_fit(design, fit)
     return JumpModel(
         window_years=(first_year, last_year),
         coefficients=fit.coefficients,

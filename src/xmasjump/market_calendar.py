@@ -23,6 +23,8 @@ SUNDAY = 6
 DEFAULT_RECURRING_HOLIDAYS = frozenset({(12, 25), (12, 26), (1, 1)})
 
 PRE_WINDOW_DAYS = 15
+# Fewest banking days a pre-window may be asked for: a line needs two points.
+PRE_WINDOW_MIN = 2
 # A 15-banking-day window nominally covers 21 calendar days; other spans are
 # legal but flagged.
 NOMINAL_PRE_SPAN_DAYS = 21
@@ -172,8 +174,8 @@ def pre_window(
     no rate. With the default ``n`` the sample is flagged when its
     calendar span differs from the nominal 21 days.
     """
-    if n < 2:
-        raise DomainError("pre-window needs at least 2 banking days")
+    if n < PRE_WINDOW_MIN:
+        raise DomainError(f"pre-window needs at least {PRE_WINDOW_MIN} banking days")
     if len(series) == 0:
         raise InsufficientData(
             f"series is empty; need {n} fixings before Dec 25 {year}"

@@ -1,8 +1,9 @@
 """Least-squares machinery behind the jump pipeline.
 
-Everything here is a closed form or a small dense solve over a handful of
-points, so plain 64-bit floats with exactly-rounded sums (``math.fsum``)
-are enough; results are bit-identical across runs and platforms.
+Everything here is a closed form or a small dense factorization over a
+handful of points, so plain 64-bit floats with exactly-rounded sums
+(``math.fsum``) are enough; results are bit-identical across runs and
+platforms.
 """
 
 from __future__ import annotations
@@ -11,16 +12,13 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import (
-    DegenerateDesign,
-    DomainError,
-    RankDeficient,
-    SingularSystem,
-    TooFewRows,
-)
+from .errors import DegenerateDesign, DomainError, RankDeficient, TooFewRows
 
-PIVOT_TOLERANCE = 1e-12
+N_PARAMETERS = 4
 MIN_DESIGN_ROWS = 5
+# Smallest admissible |R_jj| on unit-norm columns: the square root of a
+# 1e-12 relative pivot bound on X'X.
+RANK_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -88,8 +86,10 @@ class DesignMatrix:
         if len(rows) != len(targets):
             raise DomainError("rows and targets differ in length")
         for row in rows:
-            if len(row) != 4:
-                raise DomainError("each design row must have exactly 4 entries")
+            if len(row) != N_PARAMETERS:
+                raise DomainError(
+                    f"each design row must have exactly {N_PARAMETERS} entries"
+                )
             if row[0] != 1.0:
                 raise DomainError("the first entry of each design row must be 1")
         object.__setattr__(self, "rows", rows)
@@ -108,111 +108,82 @@ class DesignMatrix:
 
 @dataclass(frozen=True)
 class BilinearFit:
-    """Least-squares coefficients for targets ~ ``[1, a, b, a*b]``."""
+    """Least-squares coefficients for targets ~ ``[1, a, b, a*b]``.
+
+    ``variance_factors`` is diag((X'X)^-1): each coefficient's variance is
+    the residual variance times its factor.
+    """
 
     coefficients: tuple[float, float, float, float]
     residual_sum_squares: float
-
-
-def solve_linear_system(
-    matrix: Sequence[Sequence[float]], rhs: Sequence[float]
-) -> list[float]:
-    """Solve ``A x = b`` by Gaussian elimination with scaled partial pivoting.
-
-    Raises SingularSystem when the best available pivot falls below
-    PIVOT_TOLERANCE relative to its row's largest entry.
-    """
-    n = len(matrix)
-    a = [list(map(float, row)) for row in matrix]
-    for row in a:
-        if len(row) != n:
-            raise DomainError("matrix must be square")
-    if len(rhs) != n:
-        raise DomainError("rhs length must match the matrix size")
-    b = list(map(float, rhs))
-    scales = [max(abs(v) for v in row) for row in a]
-    if any(s == 0.0 for s in scales):
-        raise SingularSystem("matrix has an all-zero row")
-    for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: abs(a[r][col]) / scales[r])
-        if abs(a[pivot_row][col]) / scales[pivot_row] < PIVOT_TOLERANCE:
-            raise SingularSystem(f"pivot below tolerance in column {col}")
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            b[col], b[pivot_row] = b[pivot_row], b[col]
-            scales[col], scales[pivot_row] = scales[pivot_row], scales[col]
-        pivot = a[col][col]
-        for r in range(col + 1, n):
-            factor = a[r][col] / pivot
-            if factor == 0.0:
-                continue
-            for c in range(col, n):
-                a[r][c] -= factor * a[col][c]
-            b[r] -= factor * b[col]
-    x = [0.0] * n
-    for i in range(n - 1, -1, -1):
-        tail = math.fsum(a[i][j] * x[j] for j in range(i + 1, n))
-        x[i] = (b[i] - tail) / a[i][i]
-    return x
-
-
-def normal_system(
-    rows: Sequence[Sequence[float]], targets: Sequence[float]
-) -> tuple[list[list[float]], list[float]]:
-    """The normal equations ``(X'X, X'y)`` of a design, exactly-rounded sums."""
-    k = len(rows[0])
-    xtx = [
-        [math.fsum(row[i] * row[j] for row in rows) for j in range(k)]
-        for i in range(k)
-    ]
-    xty = [
-        math.fsum(row[i] * t for row, t in zip(rows, targets)) for i in range(k)
-    ]
-    return xtx, xty
+    variance_factors: tuple[float, float, float, float]
 
 
 def fit_bilinear(design: DesignMatrix) -> BilinearFit:
     """Least-squares coefficients of the four-term bilinear surface.
 
-    Solves the normal equations after symmetric diagonal equilibration;
-    the regressor columns carry very different magnitudes (1 vs. a small
-    slope), which the scaling neutralizes before pivoting.
+    One Householder QR of the design with every column scaled to unit norm
+    first; the regressor columns carry very different magnitudes (1 vs. a
+    small slope), which the scaling neutralizes. Beta comes from
+    back-substitution on R, and diag((X'X)^-1) from the squared row norms
+    of R^-1 divided by the squared column scales. Raises RankDeficient when
+    a column is all zero or a diagonal entry of R falls below
+    RANK_TOLERANCE.
     """
     rows = design.rows
     m = len(rows)
     if m < MIN_DESIGN_ROWS:
         raise TooFewRows(f"{m} design rows; need at least {MIN_DESIGN_ROWS}")
-    xtx, xty = normal_system(rows, design.targets)
-    try:
-        solution = solve_spd_equilibrated(xtx, xty)
-    except SingularSystem as exc:
-        raise RankDeficient("design matrix is numerically rank-deficient") from exc
-    beta = (solution[0], solution[1], solution[2], solution[3])
+    scales = [math.sqrt(math.fsum(row[j] ** 2 for row in rows)) for j in range(N_PARAMETERS)]
+    if 0.0 in scales:
+        raise RankDeficient(f"design column {scales.index(0.0)} is all zero")
+    # Columns of the scaled design, then the targets; reduced in place to
+    # R (upper triangle) and Q'y.
+    columns = [[row[j] / scales[j] for row in rows] for j in range(N_PARAMETERS)]
+    columns.append(list(design.targets))
+    for j in range(N_PARAMETERS):
+        pivot = columns[j]
+        norm = math.sqrt(math.fsum(v * v for v in pivot[j:]))
+        if norm < RANK_TOLERANCE:
+            raise RankDeficient("design matrix is numerically rank-deficient")
+        diagonal = -math.copysign(norm, pivot[j])
+        # Reflector v = pivot[j:] - diagonal * e_1, with v'v / 2 = 1 / tau.
+        v = pivot[j:]
+        v[0] -= diagonal
+        tau = 1.0 / (norm * (norm + abs(pivot[j])))
+        for column in columns[j + 1 :]:
+            factor = tau * math.fsum(vi * ci for vi, ci in zip(v, column[j:]))
+            for i, vi in enumerate(v, start=j):
+                column[i] -= factor * vi
+        pivot[j] = diagonal
+    r = [[columns[c][i] for c in range(N_PARAMETERS)] for i in range(N_PARAMETERS)]
+    z = _back_substitute(r, columns[N_PARAMETERS][:N_PARAMETERS])
+    beta = tuple(z[j] / scales[j] for j in range(N_PARAMETERS))
     rss = math.fsum(
         (math.fsum(c * v for c, v in zip(beta, row)) - t) ** 2
         for row, t in zip(rows, design.targets)
     )
-    return BilinearFit(coefficients=beta, residual_sum_squares=rss)
+    # Column k of R^-1 solves R x = e_k; the row norms run across them.
+    r_inverse_columns = [
+        _back_substitute(r, [float(i == k) for i in range(N_PARAMETERS)])
+        for k in range(N_PARAMETERS)
+    ]
+    variance_factors = tuple(
+        math.fsum(col[i] ** 2 for col in r_inverse_columns) / scales[i] ** 2
+        for i in range(N_PARAMETERS)
+    )
+    return BilinearFit(
+        coefficients=beta,
+        residual_sum_squares=rss,
+        variance_factors=variance_factors,
+    )
 
 
-def solve_spd_equilibrated(
-    matrix: Sequence[Sequence[float]], rhs: Sequence[float]
-) -> list[float]:
-    """Solve a symmetric positive-definite system with Jacobi scaling.
-
-    Rescales to ``D A D z = D b`` with ``D = diag(1/sqrt(A_ii))`` so unit
-    mismatch between columns does not inflate the condition number, then
-    eliminates. Raises SingularSystem when a diagonal entry is not
-    positive or a pivot degenerates.
-    """
-    n = len(matrix)
-    d = []
-    for i in range(n):
-        diag = matrix[i][i]
-        if diag <= 0.0:
-            raise SingularSystem(f"non-positive diagonal entry in row {i}")
-        d.append(1.0 / math.sqrt(diag))
-    scaled = [[matrix[i][j] * d[i] * d[j] for j in range(n)] for i in range(n)]
-    scaled_rhs = [rhs[i] * d[i] for i in range(n)]
-    z = solve_linear_system(scaled, scaled_rhs)
-    return [z[i] * d[i] for i in range(n)]
+def _back_substitute(r: list[list[float]], rhs: list[float]) -> list[float]:
+    """Solve ``R x = rhs`` for upper-triangular ``R``."""
+    n = len(rhs)
+    x = [0.0] * n
+    for i in range(n - 1, -1, -1):
+        tail = math.fsum(r[i][j] * x[j] for j in range(i + 1, n))
+        x[i] = (rhs[i] - tail) / r[i][i]
+    return x

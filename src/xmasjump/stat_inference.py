@@ -11,9 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateVariance, DomainError, TooFewRows
-from .regression_core import DesignMatrix, normal_system, solve_spd_equilibrated
-
-N_PARAMETERS = 4
+from .regression_core import N_PARAMETERS, BilinearFit, DesignMatrix
 
 _LENTZ_EPS = 1e-14
 _LENTZ_TINY = 1e-300
@@ -88,7 +86,10 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
 def student_t_two_sided_p(t: float, df: int) -> float:
     """P(|T| >= |t|) for Student's t with ``df`` degrees of freedom.
 
-    Computed as I_x(df/2, 1/2) at x = df / (df + t^2).
+    Computed as I_x(df/2, 1/2) at x = df / (df + t^2). When t^2 < df it is
+    evaluated as the complement 1 - I_y(1/2, df/2) at y = t^2 / (df + t^2)
+    instead: at large df, x rounds to 1 and the p-value would come out as
+    exactly 1.
     """
     if df < 1:
         raise DomainError("degrees of freedom must be at least 1")
@@ -96,8 +97,10 @@ def student_t_two_sided_p(t: float, df: int) -> float:
         raise DomainError("t statistic is NaN")
     if math.isinf(t):
         return 0.0
-    x = df / (df + t * t)
-    return regularized_incomplete_beta(df / 2.0, 0.5, x)
+    t2 = t * t
+    if t2 < df:
+        return 1.0 - regularized_incomplete_beta(0.5, df / 2.0, t2 / (df + t2))
+    return regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t2))
 
 
 @dataclass(frozen=True)
@@ -130,14 +133,13 @@ class InferenceReport:
     adjusted_r2: float
 
 
-def inference_for_fit(
-    design: DesignMatrix, beta: tuple[float, ...], rss: float
-) -> InferenceReport:
+def inference_for_fit(design: DesignMatrix, fit: BilinearFit) -> InferenceReport:
     """Standard errors, t statistics, p-values and adjusted R^2 of a fit.
 
-    s^2 = rss / (n - 4); standard errors are sqrt(s^2 * diag((X'X)^-1));
-    p-values are two-sided Student-t with n - 4 degrees of freedom;
-    adjusted R^2 applies the (n - 1)/(n - 4) correction to 1 - rss/TSS,
+    s^2 = rss / (n - 4); standard errors are sqrt(s^2 * diag((X'X)^-1)),
+    the diagonal read from the fit's variance factors; p-values are
+    two-sided Student-t with n - 4 degrees of freedom; adjusted R^2
+    applies the (n - 1)/(n - 4) correction to 1 - rss/TSS,
     TSS taken about the target mean.
     """
     n = len(design.rows)
@@ -151,14 +153,11 @@ def inference_for_fit(
     tss = math.fsum((t - target_mean) ** 2 for t in targets)
     if tss == 0.0:
         raise DegenerateVariance("targets have zero variance")
-    xtx, _ = normal_system(design.rows, targets)
-    inverse_diag = _inverse_diagonal(xtx)
+    rss = fit.residual_sum_squares
     s2 = rss / df
     coefficients = []
-    for i in range(N_PARAMETERS):
-        estimate = float(beta[i])
-        variance = s2 * max(inverse_diag[i], 0.0)
-        se = math.sqrt(variance)
+    for estimate, factor in zip(fit.coefficients, fit.variance_factors):
+        se = math.sqrt(s2 * factor)
         if se > 0.0:
             t_stat = estimate / se
         elif estimate > 0.0:
@@ -177,14 +176,3 @@ def inference_for_fit(
     adjusted = 1.0 - (1.0 - r2) * (n - 1) / (n - N_PARAMETERS)
     return InferenceReport(coefficients=tuple(coefficients), adjusted_r2=adjusted)
 
-
-def _inverse_diagonal(matrix: list[list[float]]) -> list[float]:
-    """Diagonal of the inverse, one unit-vector solve per entry."""
-    n = len(matrix)
-    diag = []
-    for i in range(n):
-        unit = [0.0] * n
-        unit[i] = 1.0
-        column = solve_spd_equilibrated(matrix, unit)
-        diag.append(column[i])
-    return diag

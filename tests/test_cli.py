@@ -242,6 +242,11 @@ class TestUsageErrors:
             == EXIT_USAGE
         )
 
+    def test_model_years_span_too_short(self, fixture_csv, capsys):
+        argv = ["predict", "2019", "--data", str(fixture_csv), "--model-years", "2016-2018"]
+        assert main(argv) == EXIT_USAGE
+        assert "at least 5 years" in capsys.readouterr().err
+
     def test_window_len_too_small(self, fixture_csv):
         assert (
             main(["backtest", "2015", "2018", "--data", str(fixture_csv), "--window-len", "4"])

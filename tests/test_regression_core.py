@@ -11,12 +11,10 @@ from xmasjump import (
     DesignMatrix,
     DomainError,
     RankDeficient,
-    SingularSystem,
     TooFewRows,
     fit_bilinear,
     fit_intercept_fixed_slope,
     fit_simple_ols,
-    solve_linear_system,
 )
 
 
@@ -154,55 +152,6 @@ class TestDesignMatrix:
             DesignMatrix(rows=((1.0, 1.0, 1.0, 1.0),), targets=(0.1, 0.2))
 
 
-class TestSolveLinearSystem:
-    def test_identity(self):
-        matrix = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-        assert solve_linear_system(matrix, [3, -1, 2, 7]) == [3, -1, 2, 7]
-
-    def test_diagonal(self):
-        matrix = [[2, 0, 0, 0], [0, 4, 0, 0], [0, 0, 5, 0], [0, 0, 0, 10]]
-        assert solve_linear_system(matrix, [2, 4, 5, 10]) == [1, 1, 1, 1]
-
-    def test_construct_then_solve(self):
-        rng = random.Random(21)
-        for _ in range(100):
-            a = [[rng.uniform(-2, 2) for _ in range(4)] for _ in range(4)]
-            for i in range(4):
-                a[i][i] += 4.0  # diagonally dominant, so well-conditioned
-            x_true = [rng.uniform(-5, 5) for _ in range(4)]
-            rhs = [math.fsum(a[i][j] * x_true[j] for j in range(4)) for i in range(4)]
-            x = solve_linear_system(a, rhs)
-            assert all(abs(xi - ti) < 1e-10 for xi, ti in zip(x, x_true))
-
-    def test_residual_bound(self):
-        rng = random.Random(22)
-        for _ in range(50):
-            a = [[rng.uniform(-1, 1) for _ in range(4)] for _ in range(4)]
-            for i in range(4):
-                a[i][i] += 3.0
-            rhs = [rng.uniform(-10, 10) for _ in range(4)]
-            x = solve_linear_system(a, rhs)
-            residual = max(
-                abs(math.fsum(a[i][j] * x[j] for j in range(4)) - rhs[i])
-                for i in range(4)
-            )
-            assert residual <= 1e-10 * (1.0 + max(abs(v) for v in rhs))
-
-    def test_singular_matrix(self):
-        matrix = [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 0], [0, 0, 1, 0]]
-        with pytest.raises(SingularSystem):
-            solve_linear_system(matrix, [1, 2, 3, 4])
-
-    def test_zero_row(self):
-        matrix = [[0, 0], [1, 1]]
-        with pytest.raises(SingularSystem):
-            solve_linear_system(matrix, [0, 1])
-
-    def test_non_square(self):
-        with pytest.raises(DomainError):
-            solve_linear_system([[1, 2]], [1])
-
-
 class TestFitBilinear:
     @staticmethod
     def _distinct_pairs(count, seed=20231225):
@@ -236,10 +185,14 @@ class TestFitBilinear:
             assert abs(c0 + c1 * a + c2 * b + c3 * a * b - t) <= 1e-9
 
     def test_collinear_design_is_rank_deficient(self):
-        pairs = [(0.01, 2.0)] * 6
-        targets = [0.1] * 6
-        with pytest.raises(RankDeficient):
-            fit_bilinear(DesignMatrix.from_trends(pairs, targets))
+        cases = (
+            [(0.01, 2.0)] * 6,  # one repeated row
+            [(0.0, 1.0 + 0.5 * k) for k in range(6)],  # all-zero a column
+            [(0.001 * k - 0.002, 2.0) for k in range(6)],  # constant b: rank 2
+        )
+        for pairs in cases:
+            with pytest.raises(RankDeficient):
+                fit_bilinear(DesignMatrix.from_trends(pairs, [0.1] * 6))
 
     def test_too_few_rows(self):
         pairs = self._distinct_pairs(4)

@@ -5,9 +5,10 @@ import random
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from xmasjump import (
+    BilinearFit,
     CoefficientInference,
     DegenerateVariance,
     DesignMatrix,
@@ -129,6 +130,13 @@ class TestStudentTTwoSidedP:
                 normal = math.erfc(t / math.sqrt(2.0))
                 assert abs(student_t_two_sided_p(t, df) - normal) < 2e-3
 
+    def test_matches_scipy_at_large_df(self):
+        # t^2 / df this small rounds df / (df + t^2) to 1, so the p-value
+        # has to come from the complementary tail.
+        for t, df in ((1e-6, 10**7), (1e-6, 10**8)):
+            want = 2.0 * stats.t.sf(t, df)
+            assert abs(student_t_two_sided_p(t, df) - want) < 1e-12
+
     def test_df_below_one_rejected(self):
         with pytest.raises(DomainError):
             student_t_two_sided_p(1.0, 0)
@@ -169,7 +177,7 @@ class TestInferenceForFit:
     def test_perfect_fit_has_unit_adjusted_r2_and_zero_p(self):
         design = self._noisy_design(noise=0.0)
         fit = fit_bilinear(design)
-        report = inference_for_fit(design, fit.coefficients, fit.residual_sum_squares)
+        report = inference_for_fit(design, fit)
         assert abs(report.adjusted_r2 - 1.0) < 1e-9
         for ci in report.coefficients:
             if abs(ci.estimate) > 1e-6:
@@ -180,35 +188,38 @@ class TestInferenceForFit:
             (0.001 * k, 1.0 + 0.5 * k) for k in range(8)
         ]
         design = DesignMatrix.from_trends(pairs, [0.125] * 8)
+        fit = BilinearFit((0.125, 0.0, 0.0, 0.0), 0.0, (1.0, 1.0, 1.0, 1.0))
         with pytest.raises(DegenerateVariance):
-            inference_for_fit(design, (0.125, 0.0, 0.0, 0.0), 0.0)
+            inference_for_fit(design, fit)
 
     def test_too_few_rows(self):
         pairs = [(0.001 * k, 1.0 + k) for k in range(4)]
         design = DesignMatrix.from_trends(pairs, [0.1, 0.2, 0.3, 0.4])
+        fit = BilinearFit((0.0, 0.0, 0.0, 0.0), 0.1, (1.0, 1.0, 1.0, 1.0))
         with pytest.raises(TooFewRows):
-            inference_for_fit(design, (0.0, 0.0, 0.0, 0.0), 0.1)
+            inference_for_fit(design, fit)
 
     def test_standard_errors_match_numpy_closed_form(self):
-        design = self._noisy_design()
-        fit = fit_bilinear(design)
-        report = inference_for_fit(design, fit.coefficients, fit.residual_sum_squares)
-        x = np.asarray(design.rows)
-        y = np.asarray(design.targets)
-        beta = np.linalg.solve(x.T @ x, x.T @ y)
-        rss = float(((x @ beta - y) ** 2).sum())
-        n = len(design.rows)
-        s2 = rss / (n - 4)
-        se_ref = np.sqrt(s2 * np.diag(np.linalg.inv(x.T @ x)))
-        for ci, se, b_ref in zip(report.coefficients, se_ref, beta):
-            assert abs(ci.standard_error - se) < 1e-9 * max(1.0, se)
-            assert abs(ci.t_statistic - b_ref / se) < 1e-6 * max(1.0, abs(b_ref / se))
-            assert 0.0 <= ci.p_value <= 1.0
+        for seed in (11, 12, 13, 29, 47, 101):
+            design = self._noisy_design(seed=seed)
+            fit = fit_bilinear(design)
+            report = inference_for_fit(design, fit)
+            x = np.asarray(design.rows)
+            y = np.asarray(design.targets)
+            beta = np.linalg.solve(x.T @ x, x.T @ y)
+            rss = float(((x @ beta - y) ** 2).sum())
+            n = len(design.rows)
+            s2 = rss / (n - 4)
+            se_ref = np.sqrt(s2 * np.diag(np.linalg.inv(x.T @ x)))
+            for ci, se, b_ref in zip(report.coefficients, se_ref, beta):
+                assert abs(ci.standard_error - se) < 1e-9 * max(1.0, se)
+                assert abs(ci.t_statistic - b_ref / se) < 1e-6 * max(1.0, abs(b_ref / se))
+                assert 0.0 <= ci.p_value <= 1.0
 
     def test_adjusted_r2_formula_and_bound(self):
         design = self._noisy_design(seed=29)
         fit = fit_bilinear(design)
-        report = inference_for_fit(design, fit.coefficients, fit.residual_sum_squares)
+        report = inference_for_fit(design, fit)
         y = np.asarray(design.targets)
         tss = float(((y - y.mean()) ** 2).sum())
         r2 = 1.0 - fit.residual_sum_squares / tss
