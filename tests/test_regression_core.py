@@ -184,20 +184,38 @@ class TestFitBilinear:
         for (a, b), t in zip(pairs, targets):
             assert abs(c0 + c1 * a + c2 * b + c3 * a * b - t) <= 1e-9
 
-    def test_collinear_design_is_rank_deficient(self):
-        cases = (
-            [(0.01, 2.0)] * 6,  # one repeated row
-            [(0.0, 1.0 + 0.5 * k) for k in range(6)],  # all-zero a column
-            [(0.001 * k - 0.002, 2.0) for k in range(6)],  # constant b: rank 2
-        )
-        for pairs in cases:
-            with pytest.raises(RankDeficient):
-                fit_bilinear(DesignMatrix.from_trends(pairs, [0.1] * 6))
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(0.01, 2.0)] * 6,
+            [(0.0, 1.0 + 0.5 * k) for k in range(6)],
+            [(0.001 * k - 0.002, 2.0) for k in range(6)],
+        ],
+        ids=["repeated_row", "zero_a_column", "constant_b_rank_2"],
+    )
+    def test_collinear_design_is_rank_deficient(self, pairs):
+        with pytest.raises(RankDeficient):
+            fit_bilinear(DesignMatrix.from_trends(pairs, [0.1] * 6))
 
     def test_too_few_rows(self):
         pairs = self._distinct_pairs(4)
         with pytest.raises(TooFewRows):
             fit_bilinear(DesignMatrix.from_trends(pairs, [0.0] * 4))
+
+    def test_variance_factors_match_numpy_inverse_gram(self):
+        rng = random.Random(53)
+        for _ in range(50):
+            count = rng.randint(6, 20)
+            pairs = [
+                (rng.uniform(-0.03, 0.03), rng.uniform(0.2, 6.0))
+                for _ in range(count)
+            ]
+            design = DesignMatrix.from_trends(pairs, [0.0] * count)
+            fit = fit_bilinear(design)
+            x = np.asarray(design.rows)
+            ref = np.diag(np.linalg.inv(x.T @ x))
+            for got, want in zip(fit.variance_factors, ref):
+                assert abs(got - want) < 1e-8 * max(1.0, abs(want))
 
     def test_matches_numpy_lstsq_on_noisy_targets(self):
         rng = random.Random(31)

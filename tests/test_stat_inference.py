@@ -199,22 +199,22 @@ class TestInferenceForFit:
         with pytest.raises(TooFewRows):
             inference_for_fit(design, fit)
 
-    def test_standard_errors_match_numpy_closed_form(self):
-        for seed in (11, 12, 13, 29, 47, 101):
-            design = self._noisy_design(seed=seed)
-            fit = fit_bilinear(design)
-            report = inference_for_fit(design, fit)
-            x = np.asarray(design.rows)
-            y = np.asarray(design.targets)
-            beta = np.linalg.solve(x.T @ x, x.T @ y)
-            rss = float(((x @ beta - y) ** 2).sum())
-            n = len(design.rows)
-            s2 = rss / (n - 4)
-            se_ref = np.sqrt(s2 * np.diag(np.linalg.inv(x.T @ x)))
-            for ci, se, b_ref in zip(report.coefficients, se_ref, beta):
-                assert abs(ci.standard_error - se) < 1e-9 * max(1.0, se)
-                assert abs(ci.t_statistic - b_ref / se) < 1e-6 * max(1.0, abs(b_ref / se))
-                assert 0.0 <= ci.p_value <= 1.0
+    @pytest.mark.parametrize("seed", [11, 12, 13, 29, 47, 101])
+    def test_standard_errors_match_numpy_closed_form(self, seed):
+        design = self._noisy_design(seed=seed)
+        fit = fit_bilinear(design)
+        report = inference_for_fit(design, fit)
+        x = np.asarray(design.rows)
+        y = np.asarray(design.targets)
+        beta = np.linalg.solve(x.T @ x, x.T @ y)
+        rss = float(((x @ beta - y) ** 2).sum())
+        n = len(design.rows)
+        s2 = rss / (n - 4)
+        se_ref = np.sqrt(s2 * np.diag(np.linalg.inv(x.T @ x)))
+        for ci, se, b_ref in zip(report.coefficients, se_ref, beta):
+            assert abs(ci.standard_error - se) < 1e-9 * max(1.0, se)
+            assert abs(ci.t_statistic - b_ref / se) < 1e-6 * max(1.0, abs(b_ref / se))
+            assert 0.0 <= ci.p_value <= 1.0
 
     def test_adjusted_r2_formula_and_bound(self):
         design = self._noisy_design(seed=29)
