@@ -123,6 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="holiday override file for banking-day layout",
     )
+    for command_parser in sub.choices.values():
+        # errors found after parsing print the subcommand's usage line
+        command_parser.set_defaults(command_parser=command_parser)
     return parser
 
 
@@ -133,11 +136,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already printed its message
         return int(exc.code or 0)
     try:
-        _validate_args(parser, args)
+        _validate_args(args.command_parser, args)
         cal = _load_calendar(args)
         if args.command == "generate":
             return _cmd_generate(args, cal)
-        series = _load_series(parser, args)
+        series = _load_series(args.command_parser, args)
         if args.command == "fit-year":
             return _cmd_fit_year(args, series, cal)
         if args.command == "backtest":

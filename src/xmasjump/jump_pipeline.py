@@ -37,7 +37,9 @@ class YearObservation:
 
     ``jump_delta`` is ``post_intercept - intercept_b`` by construction:
     how far the rate level stepped across the holiday once the shared
-    trend is accounted for.
+    trend is accounted for. ``post_offsets`` and ``post_mean`` are the
+    post window's banking-day offsets and its mean rate, so a backtest
+    can score the year without cutting the window again.
     """
 
     year: int
@@ -45,6 +47,8 @@ class YearObservation:
     intercept_b: float
     post_intercept: float
     jump_delta: float
+    post_offsets: tuple[int, ...]
+    post_mean: float
     pre_warning: str | None = None
     post_warning: str | None = None
 
@@ -163,6 +167,8 @@ def yearly_observation(
         intercept_b=trend.intercept,
         post_intercept=post_intercept,
         jump_delta=post_intercept - trend.intercept,
+        post_offsets=post.offsets,
+        post_mean=math.fsum(post.rates) / len(post.rates),
         pre_warning=pre.warning,
         post_warning=post.warning,
     )
@@ -176,15 +182,25 @@ def fit_window_model(
     pre_days: int = PRE_WINDOW_DAYS,
 ) -> JumpModel:
     """Fit the bilinear jump surface over [first_year, last_year]."""
+    _check_window_span(first_year, last_year)
+    return _fit_observations(
+        [
+            yearly_observation(year, series, cal, pre_days)
+            for year in range(first_year, last_year + 1)
+        ]
+    )
+
+
+def _check_window_span(first_year: int, last_year: int) -> None:
     if last_year - first_year + 1 < MIN_WINDOW_YEARS:
         raise WindowTooShort(
             f"window {first_year}-{last_year} spans fewer than"
             f" {MIN_WINDOW_YEARS} years"
         )
-    observations = [
-        yearly_observation(year, series, cal, pre_days)
-        for year in range(first_year, last_year + 1)
-    ]
+
+
+def _fit_observations(observations: Sequence[YearObservation]) -> JumpModel:
+    """Fit the bilinear jump surface to consecutive years' observations."""
     design = DesignMatrix.from_trends(
         [(obs.slope_a, obs.intercept_b) for obs in observations],
         [obs.jump_delta for obs in observations],
@@ -192,7 +208,7 @@ def fit_window_model(
     fit = fit_bilinear(design)
     report = inference_for_fit(design, fit)
     return JumpModel(
-        window_years=(first_year, last_year),
+        window_years=(observations[0].year, observations[-1].year),
         coefficients=fit.coefficients,
         inference=report.coefficients,
         adjusted_r2=report.adjusted_r2,
@@ -236,31 +252,55 @@ def backtest(
 
     Each target year T is predicted by a model fitted on the window_len
     years immediately before it, [T - window_len, T - 1]; the window never
-    touches T itself.
+    touches T itself. Each year is extracted once, in ascending order, into
+    a table whose last window_len entries are the next target's window.
     """
     if last_target < first_target:
         raise DomainError("last_target precedes first_target")
+    _check_window_span(first_target - window_len, first_target - 1)
+    table = [
+        yearly_observation(year, series, cal, pre_days)
+        for year in range(first_target - window_len, first_target)
+    ]
     rows = []
     models = []
     for target in range(first_target, last_target + 1):
-        model = fit_window_model(target - window_len, target - 1, series, cal, pre_days)
+        model = _fit_observations(table[-window_len:])
         obs = yearly_observation(target, series, cal, pre_days)
-        post = post_window(target, series, cal)
-        predicted = predict_jump(model, obs.slope_a, obs.intercept_b)
-        corrected = predict_mean_rate(obs.slope_a, obs.intercept_b, post.offsets, predicted)
-        realized_mean = math.fsum(post.rates) / len(post.rates)
+        table.append(obs)
+        forecast = _forecast(model, target, obs.slope_a, obs.intercept_b, obs.post_offsets)
         rows.append(
             BacktestRow(
                 target_year=target,
-                predicted_jump=predicted,
+                predicted_jump=forecast.predicted_jump,
                 realized_jump=obs.jump_delta,
-                corrected_mean_estimate=corrected,
-                realized_mean=realized_mean,
-                error=predicted - obs.jump_delta,
+                corrected_mean_estimate=forecast.corrected_mean_estimate,
+                realized_mean=obs.post_mean,
+                error=forecast.predicted_jump - obs.jump_delta,
             )
         )
         models.append(model)
     return BacktestReport(rows=tuple(rows), models=tuple(models), window_len=window_len)
+
+
+def _forecast(
+    model: JumpModel,
+    target_year: int,
+    slope_a: float,
+    intercept_b: float,
+    post_offsets: Sequence[int],
+) -> JumpForecast:
+    """Trend, then the predicted jump, then the jump-corrected mean."""
+    predicted = predict_jump(model, slope_a, intercept_b)
+    return JumpForecast(
+        target_year=target_year,
+        slope_a=slope_a,
+        intercept_b=intercept_b,
+        predicted_jump=predicted,
+        corrected_mean_estimate=predict_mean_rate(
+            slope_a, intercept_b, post_offsets, predicted
+        ),
+    )
 
 
 def predict_next(
@@ -285,15 +325,12 @@ def predict_next(
         )
     pre = pre_window(target_year, series, cal, n=pre_days)
     trend = fit_simple_ols(pre.offsets, pre.rates)
-    predicted = predict_jump(model, trend.slope, trend.intercept)
-    offsets = post_window_offsets(target_year, cal)
-    corrected = predict_mean_rate(trend.slope, trend.intercept, offsets, predicted)
-    return JumpForecast(
-        target_year=target_year,
-        slope_a=trend.slope,
-        intercept_b=trend.intercept,
-        predicted_jump=predicted,
-        corrected_mean_estimate=corrected,
+    return _forecast(
+        model,
+        target_year,
+        trend.slope,
+        trend.intercept,
+        post_window_offsets(target_year, cal),
     )
 
 

@@ -245,13 +245,16 @@ class TestUsageErrors:
     def test_model_years_span_too_short(self, fixture_csv, capsys):
         argv = ["predict", "2019", "--data", str(fixture_csv), "--model-years", "2016-2018"]
         assert main(argv) == EXIT_USAGE
-        assert "at least 5 years" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "at least 5 years" in err
+        assert "usage: xmasjump predict" in err
 
-    def test_window_len_too_small(self, fixture_csv):
+    def test_window_len_too_small(self, fixture_csv, capsys):
         assert (
             main(["backtest", "2015", "2018", "--data", str(fixture_csv), "--window-len", "4"])
             == EXIT_USAGE
         )
+        assert "usage: xmasjump backtest" in capsys.readouterr().err
 
     def test_pre_days_too_small(self, fixture_csv):
         assert (
@@ -262,9 +265,10 @@ class TestUsageErrors:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == EXIT_USAGE
 
-    def test_no_data_source(self, monkeypatch):
+    def test_no_data_source(self, monkeypatch, capsys):
         monkeypatch.delenv("XMASJUMP_DATA", raising=False)
         assert main(["fit-year", "2018"]) == EXIT_USAGE
+        assert "usage: xmasjump fit-year" in capsys.readouterr().err
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == EXIT_OK

@@ -8,6 +8,7 @@ from datetime import date
 import pytest
 
 from helpers import linear_series, planted_series
+from xmasjump import jump_pipeline
 from xmasjump import (
     BilinearJump,
     DailyRateSeries,
@@ -221,6 +222,21 @@ class TestBacktest:
             "inference",
             "adjusted_r2",
         }
+
+    def test_each_year_is_extracted_once(self, planted, cal, monkeypatch):
+        series, _ = planted
+        extracted = []
+        extract = jump_pipeline.yearly_observation
+
+        def counting(year, *args, **kwargs):
+            extracted.append(year)
+            return extract(year, *args, **kwargs)
+
+        monkeypatch.setattr(jump_pipeline, "yearly_observation", counting)
+        report = backtest(series, cal, 2015, 2018, window_len=15)
+        assert extracted == list(range(2000, 2019))
+        for target, model in zip(range(2015, 2019), report.models):
+            assert model == fit_window_model(target - 15, target - 1, series, cal)
 
     def test_reversed_targets_rejected(self, planted, cal):
         series, _ = planted
