@@ -5,6 +5,12 @@ December 25 holiday. This package extracts that step year by year with
 trend-constrained windowed regressions, models it as a bilinear function
 of each year's pre-holiday trend, and evaluates the model with a
 walk-forward backtest.
+
+The package root exports the pipeline: series input and output, the
+holiday calendar, the synthetic generator, the four pipeline steps with
+their records, and the base error. Layer functions, constants and the
+specific error types are imported from their modules (``market_calendar``,
+``regression_core``, ``stat_inference``, ``jump_pipeline``, ``errors``).
 """
 
 from .data_io import (
@@ -17,20 +23,7 @@ from .data_io import (
     serialize_rate_series,
     synthetic_spec_from_json,
 )
-from .errors import (
-    DegenerateDesign,
-    DegenerateVariance,
-    DomainError,
-    DuplicateDate,
-    IncompleteWindow,
-    InsufficientData,
-    MissingFixing,
-    ParseError,
-    RankDeficient,
-    TooFewRows,
-    WindowTooShort,
-    XmasJumpError,
-)
+from .errors import XmasJumpError
 from .jump_pipeline import (
     BacktestReport,
     BacktestRow,
@@ -39,92 +32,32 @@ from .jump_pipeline import (
     YearObservation,
     backtest,
     fit_window_model,
-    predict_jump,
-    predict_mean_rate,
     predict_next,
-    trend_mean_rate,
     yearly_observation,
 )
-from .market_calendar import (
-    HolidayCalendar,
-    WindowSample,
-    banking_days,
-    calendar_from_lines,
-    day_offset,
-    is_banking_day,
-    post_window,
-    post_window_offsets,
-    pre_window,
-)
-from .regression_core import (
-    BilinearFit,
-    DesignMatrix,
-    LineFit,
-    fit_bilinear,
-    fit_intercept_fixed_slope,
-    fit_simple_ols,
-)
-from .stat_inference import (
-    CoefficientInference,
-    InferenceReport,
-    inference_for_fit,
-    regularized_incomplete_beta,
-    student_t_two_sided_p,
-)
+from .market_calendar import HolidayCalendar, calendar_from_lines
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BacktestReport",
     "BacktestRow",
-    "BilinearFit",
     "BilinearJump",
-    "CoefficientInference",
     "DailyRateSeries",
-    "DegenerateDesign",
-    "DegenerateVariance",
-    "DesignMatrix",
-    "DomainError",
-    "DuplicateDate",
     "FixedJump",
     "HolidayCalendar",
-    "IncompleteWindow",
-    "InferenceReport",
-    "InsufficientData",
     "JumpForecast",
     "JumpModel",
-    "LineFit",
-    "MissingFixing",
-    "ParseError",
-    "RankDeficient",
     "SyntheticSpec",
-    "TooFewRows",
-    "WindowSample",
-    "WindowTooShort",
     "XmasJumpError",
     "YearObservation",
     "backtest",
-    "banking_days",
     "calendar_from_lines",
-    "day_offset",
-    "fit_bilinear",
-    "fit_intercept_fixed_slope",
-    "fit_simple_ols",
     "fit_window_model",
     "generate_synthetic_series",
-    "inference_for_fit",
-    "is_banking_day",
     "parse_rate_series",
-    "post_window",
-    "post_window_offsets",
-    "pre_window",
-    "predict_jump",
-    "predict_mean_rate",
     "predict_next",
-    "regularized_incomplete_beta",
     "serialize_rate_series",
-    "student_t_two_sided_p",
     "synthetic_spec_from_json",
-    "trend_mean_rate",
     "yearly_observation",
 ]

@@ -19,15 +19,22 @@ from .data_io import (
     serialize_rate_series,
     synthetic_spec_from_json,
 )
-from .errors import XmasJumpError
+from .errors import WindowTooShort, XmasJumpError
 from .jump_pipeline import (
     MIN_WINDOW_YEARS,
+    WINDOW_YEARS,
     backtest,
+    check_window_span,
     fit_window_model,
     predict_next,
     yearly_observation,
 )
-from .market_calendar import PRE_WINDOW_MIN, HolidayCalendar, calendar_from_lines
+from .market_calendar import (
+    PRE_WINDOW_DAYS,
+    PRE_WINDOW_MIN,
+    HolidayCalendar,
+    calendar_from_lines,
+)
 
 DATA_ENV_VAR = "XMASJUMP_DATA"
 
@@ -63,16 +70,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--pre-days",
-        type=int,
-        default=15,
+        type=_at_least(PRE_WINDOW_MIN),
+        default=PRE_WINDOW_DAYS,
         metavar="N",
-        help="banking days in the pre-event trend window (default 15)",
+        help="banking days in the pre-event trend window (default %(default)s)",
     )
     common.add_argument(
         "--format",
         choices=("table", "json-like"),
         default="table",
         help="output rendering (default table)",
+    )
+    windowed = argparse.ArgumentParser(add_help=False)
+    windowed.add_argument(
+        "--window-len",
+        type=_at_least(MIN_WINDOW_YEARS),
+        default=WINDOW_YEARS,
+        metavar="N",
+        help="years in each fitting window (default %(default)s)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -82,33 +97,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("year", type=int)
 
     p = sub.add_parser(
-        "backtest", parents=[common], help="walk-forward backtest over target years"
+        "backtest",
+        parents=[common, windowed],
+        help="walk-forward backtest over target years",
     )
     p.add_argument("first_target", type=int)
     p.add_argument("last_target", type=int)
-    p.add_argument(
-        "--window-len",
-        type=int,
-        default=15,
-        metavar="N",
-        help="years in each fitting window (default 15)",
-    )
 
     p = sub.add_parser(
         "predict",
-        parents=[common],
+        parents=[common, windowed],
         help="predict a year's jump from its pre-event window alone",
     )
     p.add_argument("target_year", type=int)
     p.add_argument(
-        "--window-len",
-        type=int,
-        default=15,
-        metavar="N",
-        help="years in the fitting window (default 15)",
-    )
-    p.add_argument(
         "--model-years",
+        type=_year_range,
         metavar="FIRST-LAST",
         default=None,
         help="pin the fitting window, e.g. 2004-2018 (reuse an older model)",
@@ -129,6 +133,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}")
+        return value
+
+    return integer
+
+
+def _year_range(text: str) -> tuple[int, int]:
+    """The argparse type of --model-years: FIRST-LAST, a valid model window."""
+    try:
+        first, last = map(int, text.split("-", 1))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "must look like FIRST-LAST, e.g. 2004-2018"
+        ) from None
+    try:
+        check_window_span(first, last)
+    except WindowTooShort as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return first, last
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -136,7 +167,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already printed its message
         return int(exc.code or 0)
     try:
-        _validate_args(args.command_parser, args)
         cal = _load_calendar(args)
         if args.command == "generate":
             return _cmd_generate(args, cal)
@@ -146,32 +176,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "backtest":
             return _cmd_backtest(args, series, cal)
         return _cmd_predict(args, series, cal)
-    except SystemExit as exc:  # parser.error() inside validation
+    except SystemExit as exc:  # parser.error() from _load_series
         return int(exc.code or 0)
-    except (XmasJumpError, OSError) as exc:
+    except (XmasJumpError, OSError, UnicodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
-
-
-def _validate_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    if getattr(args, "window_len", MIN_WINDOW_YEARS) < MIN_WINDOW_YEARS:
-        parser.error(f"--window-len must be at least {MIN_WINDOW_YEARS}")
-    if getattr(args, "pre_days", PRE_WINDOW_MIN) < PRE_WINDOW_MIN:
-        parser.error(f"--pre-days must be at least {PRE_WINDOW_MIN}")
-    if getattr(args, "model_years", None) is not None:
-        try:
-            first, last = _parse_year_range(args.model_years)
-        except ValueError:
-            parser.error("--model-years must look like FIRST-LAST, e.g. 2004-2018")
-        if last < first:
-            parser.error("--model-years range is reversed")
-        if last - first + 1 < MIN_WINDOW_YEARS:
-            parser.error(f"--model-years must span at least {MIN_WINDOW_YEARS} years")
-
-
-def _parse_year_range(text: str) -> tuple[int, int]:
-    first_text, last_text = text.split("-", 1)
-    return int(first_text), int(last_text)
 
 
 def _load_series(parser, args):
@@ -285,10 +294,8 @@ def _print_backtest_table(report) -> None:
 
 
 def _cmd_predict(args, series, cal) -> int:
-    if args.model_years is not None:
-        first, last = _parse_year_range(args.model_years)
-    else:
-        first, last = args.target_year - args.window_len, args.target_year - 1
+    default_years = (args.target_year - args.window_len, args.target_year - 1)
+    first, last = args.model_years or default_years
     model = fit_window_model(first, last, series, cal, pre_days=args.pre_days)
     forecast = predict_next(series, cal, args.target_year, model, pre_days=args.pre_days)
     if args.format == "json-like":

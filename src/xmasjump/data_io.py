@@ -28,7 +28,7 @@ from datetime import date
 from typing import Iterable, Mapping
 
 from .errors import DomainError, DuplicateDate, ParseError
-from .market_calendar import HolidayCalendar, banking_days, day_offset
+from .market_calendar import HolidayCalendar, banking_days, event_date
 
 CSV_HEADER = "date,rate"
 _TENOR_COMMENT = re.compile(r"^#\s*tenor:\s*(.+?)\s*$")
@@ -43,7 +43,11 @@ _LCG_MASK = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class DailyRateSeries:
-    """Date-ordered banking-day fixings, rates in percent per annum."""
+    """Date-ordered banking-day fixings, rates in percent per annum.
+
+    The tenor label is a single line without surrounding whitespace, so
+    that it survives serialization.
+    """
 
     entries: tuple[tuple[date, float], ...]
     tenor_label: str = ""
@@ -58,6 +62,11 @@ class DailyRateSeries:
         for (d0, _), (d1, _) in zip(entries, entries[1:]):
             if d1 <= d0:
                 raise DomainError("fixing dates must be strictly increasing")
+        label = self.tenor_label
+        if label != label.strip() or len(label.splitlines()) > 1:
+            raise DomainError(
+                f"tenor label {label!r} has surrounding whitespace or a line break"
+            )
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_by_date", {d: r for d, r in entries})
 
@@ -117,7 +126,10 @@ def parse_rate_series(text: str, tenor_label: str | None = None) -> DailyRateSer
             raise ParseError(lineno, f"bad date {fields[0]!r}") from exc
         if not _RATE_FIELD.match(fields[1]):
             raise ParseError(lineno, f"bad rate {fields[1]!r}")
-        rows.append((d, float(fields[1])))
+        rate = float(fields[1])
+        if not math.isfinite(rate):
+            raise ParseError(lineno, f"rate {fields[1]!r} overflows")
+        rows.append((d, rate))
     if not seen_header:
         raise ParseError(None, f"missing {CSV_HEADER!r} header")
     rows.sort(key=lambda item: item[0])
@@ -218,9 +230,10 @@ def generate_synthetic_series(
     for year in year_list:
         slope, intercept = spec.year_trends[year]
         jump = spec.jump.jump_for(slope, intercept)
+        event = event_date(year)
         start = date(year, *GENERATION_START)
         for d in banking_days(start, date(year, 12, 31), cal):
-            x = day_offset(d, year)
+            x = (d - event).days
             noise = spec.noise_amplitude * (2.0 * rng.uniform() - 1.0)
             rate = slope * x + intercept + noise
             if x >= 1:
@@ -245,6 +258,8 @@ def synthetic_spec_from_json(text: str) -> tuple[SyntheticSpec, list[int]]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, f"invalid JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # over-long integers, deep nesting
+        raise ParseError(None, f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(None, "spec document must be a JSON object")
     years_doc = doc.get("years")
@@ -254,35 +269,23 @@ def synthetic_spec_from_json(text: str) -> tuple[SyntheticSpec, list[int]]:
     for key, value in years_doc.items():
         try:
             year = int(key)
-        except ValueError:
+            event_date(year)
+        except (ValueError, DomainError):
             raise ParseError(None, f"bad year key {key!r}") from None
-        if (
-            not isinstance(value, (list, tuple))
-            or len(value) != 2
-            or not all(isinstance(v, (int, float)) for v in value)
-        ):
-            raise ParseError(None, f"year {key}: expected [slope, intercept]")
-        year_trends[year] = (float(value[0]), float(value[1]))
+        year_trends[year] = _floats(value, 2, f"year {key}: expected [slope, intercept]")
     jump_doc = doc.get("jump", {"fixed": 0.0})
     if not isinstance(jump_doc, dict) or len(jump_doc) != 1:
         raise ParseError(None, "'jump' must hold exactly one of 'fixed' or 'coefficients'")
     if "fixed" in jump_doc:
-        if not isinstance(jump_doc["fixed"], (int, float)):
-            raise ParseError(None, "'jump.fixed' must be a number")
-        jump: FixedJump | BilinearJump = FixedJump(float(jump_doc["fixed"]))
+        (fixed,) = _floats([jump_doc["fixed"]], 1, "'jump.fixed' must be a number")
+        jump: FixedJump | BilinearJump = FixedJump(fixed)
     elif "coefficients" in jump_doc:
         coeffs = jump_doc["coefficients"]
-        if (
-            not isinstance(coeffs, (list, tuple))
-            or len(coeffs) != 4
-            or not all(isinstance(v, (int, float)) for v in coeffs)
-        ):
-            raise ParseError(None, "'jump.coefficients' must be four numbers")
-        jump = BilinearJump(tuple(float(v) for v in coeffs))
+        jump = BilinearJump(_floats(coeffs, 4, "'jump.coefficients' must be four numbers"))
     else:
         raise ParseError(None, "'jump' must hold 'fixed' or 'coefficients'")
-    noise = doc.get("noise", 0.0)
-    if not isinstance(noise, (int, float)) or noise < 0:
+    (noise,) = _floats([doc.get("noise", 0.0)], 1, "'noise' must be a non-negative number")
+    if noise < 0:
         raise ParseError(None, "'noise' must be a non-negative number")
     seed = doc.get("seed", 0)
     if not isinstance(seed, int):
@@ -293,8 +296,19 @@ def synthetic_spec_from_json(text: str) -> tuple[SyntheticSpec, list[int]]:
     spec = SyntheticSpec(
         year_trends=year_trends,
         jump=jump,
-        noise_amplitude=float(noise),
+        noise_amplitude=noise,
         seed=seed,
         tenor_label=tenor,
     )
     return spec, sorted(year_trends)
+
+
+def _floats(values, count: int, message: str) -> tuple[float, ...]:
+    """A JSON array of ``count`` numbers as floats, else ParseError(message)."""
+    if isinstance(values, list) and len(values) == count:
+        try:
+            if all(isinstance(v, (int, float)) for v in values):
+                return tuple(float(v) for v in values)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ParseError(None, message)

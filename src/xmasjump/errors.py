@@ -46,7 +46,7 @@ class WindowTooShort(XmasJumpError):
 
 
 class IncompleteWindow(XmasJumpError):
-    """The target year's pre-event window extends past the last fixing."""
+    """A year's pre-event window runs past the last fixing of the series."""
 
 
 class ParseError(XmasJumpError):

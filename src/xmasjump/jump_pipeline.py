@@ -12,23 +12,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from datetime import date, timedelta
 from typing import Sequence
 
 from .data_io import DailyRateSeries
-from .errors import DomainError, IncompleteWindow, WindowTooShort
+from .errors import DomainError, WindowTooShort
 from .market_calendar import (
     HolidayCalendar,
     PRE_WINDOW_DAYS,
-    is_banking_day,
     post_window,
     post_window_offsets,
     pre_window,
 )
-from .regression_core import DesignMatrix, fit_bilinear, fit_intercept_fixed_slope, fit_simple_ols
+from .regression_core import (
+    MIN_DESIGN_ROWS,
+    DesignMatrix,
+    fit_bilinear,
+    fit_intercept_fixed_slope,
+    fit_simple_ols,
+)
 from .stat_inference import CoefficientInference, inference_for_fit
 
-MIN_WINDOW_YEARS = 5
+# Years in a model's fitting window by default; one design row per year,
+# so the fewest allowed is the bilinear fit's minimum.
+WINDOW_YEARS = 15
+MIN_WINDOW_YEARS = MIN_DESIGN_ROWS
 
 
 @dataclass(frozen=True)
@@ -64,11 +71,7 @@ class JumpModel:
 
     def __post_init__(self):
         first, last = self.window_years
-        if last - first + 1 < MIN_WINDOW_YEARS:
-            raise WindowTooShort(
-                f"model window {first}-{last} spans fewer than"
-                f" {MIN_WINDOW_YEARS} years"
-            )
+        check_window_span(first, last)
         object.__setattr__(self, "window_years", (int(first), int(last)))
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
         object.__setattr__(self, "inference", tuple(self.inference))
@@ -182,7 +185,7 @@ def fit_window_model(
     pre_days: int = PRE_WINDOW_DAYS,
 ) -> JumpModel:
     """Fit the bilinear jump surface over [first_year, last_year]."""
-    _check_window_span(first_year, last_year)
+    check_window_span(first_year, last_year)
     return _fit_observations(
         [
             yearly_observation(year, series, cal, pre_days)
@@ -191,10 +194,12 @@ def fit_window_model(
     )
 
 
-def _check_window_span(first_year: int, last_year: int) -> None:
+def check_window_span(first_year: int, last_year: int) -> None:
+    """Raise WindowTooShort unless [first_year, last_year] holds at least
+    MIN_WINDOW_YEARS years."""
     if last_year - first_year + 1 < MIN_WINDOW_YEARS:
         raise WindowTooShort(
-            f"window {first_year}-{last_year} spans fewer than"
+            f"window {first_year}-{last_year} must span at least"
             f" {MIN_WINDOW_YEARS} years"
         )
 
@@ -245,7 +250,7 @@ def backtest(
     cal: HolidayCalendar,
     first_target: int,
     last_target: int,
-    window_len: int = 15,
+    window_len: int = WINDOW_YEARS,
     pre_days: int = PRE_WINDOW_DAYS,
 ) -> BacktestReport:
     """Walk-forward evaluation over the target years.
@@ -257,7 +262,7 @@ def backtest(
     """
     if last_target < first_target:
         raise DomainError("last_target precedes first_target")
-    _check_window_span(first_target - window_len, first_target - 1)
+    check_window_span(first_target - window_len, first_target - 1)
     table = [
         yearly_observation(year, series, cal, pre_days)
         for year in range(first_target - window_len, first_target)
@@ -312,17 +317,11 @@ def predict_next(
 ) -> JumpForecast:
     """Predict the target year's jump from its pre-event window alone.
 
-    Runnable on or after the last pre-event banking day; the post-event
-    mean estimate uses the calendar's banking-day offsets, so no
-    post-event fixings are needed.
+    Runnable on or after the last pre-event banking day (before that,
+    ``pre_window`` raises IncompleteWindow); the post-event mean estimate
+    uses the calendar's banking-day offsets, so no post-event fixings are
+    needed.
     """
-    last_pre = _last_banking_day_before_event(target_year, cal)
-    if len(series) == 0 or series.last_date < last_pre:
-        have = series.last_date.isoformat() if len(series) else "no fixings"
-        raise IncompleteWindow(
-            f"pre-window for {target_year} runs through {last_pre.isoformat()},"
-            f" but the series ends at {have}"
-        )
     pre = pre_window(target_year, series, cal, n=pre_days)
     trend = fit_simple_ols(pre.offsets, pre.rates)
     return _forecast(
@@ -332,13 +331,3 @@ def predict_next(
         trend.intercept,
         post_window_offsets(target_year, cal),
     )
-
-
-def _last_banking_day_before_event(year: int, cal: HolidayCalendar) -> date:
-    d = date(year, 12, 24)
-    floor = date(year, 1, 1)
-    while d >= floor:
-        if is_banking_day(d, cal):
-            return d
-        d -= timedelta(days=1)
-    raise DomainError(f"calendar admits no banking day before Dec 25 {year}")

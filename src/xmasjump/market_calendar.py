@@ -7,16 +7,15 @@ handling. A banking day is a weekday that is not listed as a holiday.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import MAXYEAR, MINYEAR, date, timedelta
 from typing import TYPE_CHECKING, Iterator
 
-from .errors import DomainError, InsufficientData, MissingFixing, ParseError
+from .errors import DomainError, IncompleteWindow, InsufficientData, MissingFixing, ParseError
 
 if TYPE_CHECKING:
     from .data_io import DailyRateSeries
 
-SATURDAY = 5
-SUNDAY = 6
+SATURDAY = 5  # weekday() of the first weekend day; Sunday is 6
 
 # Recurring closures relevant around the turn of the year. Approximates the
 # interbank fixing calendar; one-off closures go in a calendar override file.
@@ -36,7 +35,7 @@ POST_WINDOW_MIN = 2
 
 @dataclass(frozen=True)
 class HolidayCalendar:
-    """Weekend days plus holiday entries, recurring or year-specific.
+    """Saturdays and Sundays plus holiday entries, recurring or year-specific.
 
     ``holidays`` holds ``datetime.date`` entries for one-off closures and
     ``(month, day)`` pairs for closures recurring every year. December 25 is
@@ -45,7 +44,6 @@ class HolidayCalendar:
     """
 
     holidays: frozenset = DEFAULT_RECURRING_HOLIDAYS
-    weekend_days: frozenset = frozenset({SATURDAY, SUNDAY})
 
     def __post_init__(self):
         entries = set(self.holidays)
@@ -56,18 +54,14 @@ class HolidayCalendar:
                 month, day = entry
                 try:
                     date(2000, month, day)  # leap year, so (2, 29) is legal
-                except (TypeError, ValueError):
+                except (TypeError, ValueError, OverflowError):
                     raise DomainError(f"invalid recurring holiday {entry!r}") from None
             else:
                 raise DomainError(
                     f"holiday entries must be a date or a (month, day) pair, got {entry!r}"
                 )
-        for weekday in self.weekend_days:
-            if weekday not in range(7):
-                raise DomainError(f"weekday numbers run 0..6, got {weekday!r}")
         entries.add((12, 25))
         object.__setattr__(self, "holidays", frozenset(entries))
-        object.__setattr__(self, "weekend_days", frozenset(self.weekend_days))
         object.__setattr__(
             self, "_recurring", frozenset(e for e in entries if isinstance(e, tuple))
         )
@@ -99,24 +93,30 @@ def calendar_from_lines(text: str) -> HolidayCalendar:
                 date(2000, *entry)
             else:
                 entry = date.fromisoformat(line)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(lineno, f"bad calendar entry {line!r}") from exc
         entries.add(entry)
     return HolidayCalendar(holidays=frozenset(entries))
 
 
 def is_banking_day(d: date, cal: HolidayCalendar) -> bool:
-    """True when ``d`` is neither a weekend day nor a holiday."""
-    return d.weekday() not in cal.weekend_days and not cal.is_holiday(d)
+    """True when ``d`` is neither a Saturday, a Sunday nor a holiday."""
+    return d.weekday() < SATURDAY and not cal.is_holiday(d)
 
 
 def banking_days(start: date, end: date, cal: HolidayCalendar) -> Iterator[date]:
     """Banking days from ``start`` through ``end`` inclusive, ascending."""
-    d = start
-    while d <= end:
+    for i in range((end - start).days + 1):
+        d = start + timedelta(days=i)
         if is_banking_day(d, cal):
             yield d
-        d += timedelta(days=1)
+
+
+def event_date(year: int) -> date:
+    """December 25 of ``year``, for years ``datetime.date`` can hold."""
+    if not MINYEAR <= year <= MAXYEAR:
+        raise DomainError(f"year {year} lies outside {MINYEAR}..{MAXYEAR}")
+    return date(year, 12, 25)
 
 
 def day_offset(d: date, year: int) -> int:
@@ -124,7 +124,7 @@ def day_offset(d: date, year: int) -> int:
 
     For December dates of the same year this is day-of-month minus 25.
     """
-    return (d - date(year, 12, 25)).days
+    return (d - event_date(year)).days
 
 
 @dataclass(frozen=True)
@@ -169,9 +169,10 @@ def pre_window(
 
     Walks backward from December 24; every banking day inside the series
     coverage must carry a rate (no interpolation). Returns exactly ``n``
-    observations or raises: InsufficientData when the series does not
-    reach back far enough, MissingFixing when a covered banking day has
-    no rate. With the default ``n`` the sample is flagged when its
+    observations or raises: IncompleteWindow when a banking day of the
+    walk lies after the last fixing, InsufficientData when the series
+    does not reach back far enough, MissingFixing when a covered banking
+    day has no rate. With the default ``n`` the sample is flagged when its
     calendar span differs from the nominal 21 days.
     """
     if n < PRE_WINDOW_MIN:
@@ -180,20 +181,28 @@ def pre_window(
         raise InsufficientData(
             f"series is empty; need {n} fixings before Dec 25 {year}"
         )
+    event = event_date(year)
     picked: list[tuple[int, float]] = []
-    d = date(year, 12, 25) - timedelta(days=1)
-    while len(picked) < n:
-        if d < series.first_date:
-            raise InsufficientData(
-                f"only {len(picked)} banking-day fixings before Dec 25 {year},"
-                f" need {n}"
+    for back in range(1, (event - series.first_date).days + 1):
+        d = event - timedelta(days=back)
+        if not is_banking_day(d, cal):
+            continue
+        if d > series.last_date:
+            raise IncompleteWindow(
+                f"pre-window for {year} runs through {d.isoformat()},"
+                f" but the series ends at {series.last_date.isoformat()}"
             )
-        if is_banking_day(d, cal):
-            rate = series.rate_on(d)
-            if rate is None:
-                raise MissingFixing(d)
-            picked.append((day_offset(d, year), rate))
-        d -= timedelta(days=1)
+        rate = series.rate_on(d)
+        if rate is None:
+            raise MissingFixing(d)
+        picked.append((-back, rate))
+        if len(picked) == n:
+            break
+    else:
+        raise InsufficientData(
+            f"only {len(picked)} banking-day fixings before Dec 25 {year},"
+            f" need {n}"
+        )
     picked.reverse()
     offsets = tuple(x for x, _ in picked)
     rates = tuple(r for _, r in picked)
@@ -213,9 +222,10 @@ def post_window_offsets(year: int, cal: HolidayCalendar) -> tuple[int, ...]:
     Needs no rate data, so it also serves prediction for years whose
     post-event fixings do not exist yet.
     """
-    start = date(year, 12, 27)
-    end = date(year, 12, 31)
-    return tuple(day_offset(d, year) for d in banking_days(start, end, cal))
+    event = event_date(year)
+    start = event + timedelta(days=2)
+    end = event + timedelta(days=6)
+    return tuple((d - event).days for d in banking_days(start, end, cal))
 
 
 def post_window(year: int, series: "DailyRateSeries", cal: HolidayCalendar) -> WindowSample:
@@ -225,7 +235,7 @@ def post_window(year: int, series: "DailyRateSeries", cal: HolidayCalendar) -> W
     warning. Fewer than two is InsufficientData; a banking day inside the
     series coverage without a rate is MissingFixing.
     """
-    event = date(year, 12, 25)
+    event = event_date(year)
     picked: list[tuple[int, float]] = []
     for x in post_window_offsets(year, cal):
         d = event + timedelta(days=x)

@@ -22,6 +22,11 @@ _LENTZ_MAX_ITER = 300
 # df <= 1000 (h = df/2) keeps the lgamma difference.
 _HALF_STEP_SERIES_MIN = 500.0
 _LGAMMA_HALF = math.lgamma(0.5)
+# Above _HALF_STEP_SERIES_MIN, Student-t p-values with t^2 below this bound
+# evaluate the continued fraction for I_y(1/2, df/2) directly, even past
+# its usual switch point near t^2 = 3: the flipped fraction, evaluated
+# near x = 1 with a = df/2 large, cancels in every other step.
+_DIRECT_T2_MAX = 16.0
 
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
@@ -40,11 +45,19 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
-    ln_front = _log_inverse_beta(a, b) + a * math.log(x) + b * math.log1p(-x)
-    front = math.exp(ln_front)
     if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_continued_fraction(a, b, x) / a
-    return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
+        return _lower_fraction(a, b, x)
+    return 1.0 - _beta_front(a, b, x) * _beta_continued_fraction(b, a, 1.0 - x) / b
+
+
+def _beta_front(a: float, b: float, x: float) -> float:
+    """x^a (1 - x)^b / B(a, b), for 0 < x < 1."""
+    return math.exp(_log_inverse_beta(a, b) + a * math.log(x) + b * math.log1p(-x))
+
+
+def _lower_fraction(a: float, b: float, x: float) -> float:
+    """I_x(a, b) from the continued fraction at x itself, for 0 < x < 1."""
+    return _beta_front(a, b, x) * _beta_continued_fraction(a, b, x) / a
 
 
 def _log_inverse_beta(a: float, b: float) -> float:
@@ -106,7 +119,8 @@ def student_t_two_sided_p(t: float, df: int) -> float:
     Computed as I_x(df/2, 1/2) at x = df / (df + t^2). When t^2 < df it is
     evaluated as the complement 1 - I_y(1/2, df/2) at y = t^2 / (df + t^2)
     instead: at large df, x rounds to 1 and the p-value would come out as
-    exactly 1.
+    exactly 1. For df > 1000 and 0 < t^2 < 16, I_y comes from the
+    continued fraction at y itself (see ``_DIRECT_T2_MAX``).
     """
     if df < 1:
         raise DomainError("degrees of freedom must be at least 1")
@@ -115,9 +129,12 @@ def student_t_two_sided_p(t: float, df: int) -> float:
     if math.isinf(t):
         return 0.0
     t2 = t * t
+    h = df / 2.0
+    if h > _HALF_STEP_SERIES_MIN and 0.0 < t2 < _DIRECT_T2_MAX:
+        return 1.0 - _lower_fraction(0.5, h, t2 / (df + t2))
     if t2 < df:
-        return 1.0 - regularized_incomplete_beta(0.5, df / 2.0, t2 / (df + t2))
-    return regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t2))
+        return 1.0 - regularized_incomplete_beta(0.5, h, t2 / (df + t2))
+    return regularized_incomplete_beta(h, 0.5, df / (df + t2))
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ from xmasjump import (
     DailyRateSeries,
     HolidayCalendar,
     SyntheticSpec,
-    day_offset,
     generate_synthetic_series,
 )
+from xmasjump.market_calendar import day_offset
 
 
 def distinct_trends(first_year, last_year, seed=20231225):

@@ -19,15 +19,9 @@ import pytest
 from scipy import integrate
 
 from helpers import distinct_trends, planted_series
-from xmasjump import (
-    BilinearJump,
-    backtest,
-    fit_intercept_fixed_slope,
-    fit_simple_ols,
-    fit_window_model,
-    parse_rate_series,
-    student_t_two_sided_p,
-)
+from xmasjump import BilinearJump, backtest, fit_window_model, parse_rate_series
+from xmasjump.regression_core import fit_intercept_fixed_slope, fit_simple_ols
+from xmasjump.stat_inference import student_t_two_sided_p
 
 LIBOR_ENV_VAR = "XMASJUMP_LIBOR_CSV"
 

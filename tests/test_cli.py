@@ -90,6 +90,17 @@ class TestFitYear:
         err = capsys.readouterr().err
         assert "error:" in err
 
+    @pytest.mark.parametrize("year", ["0", "10000"])
+    def test_year_outside_the_date_range(self, year, fixture_csv, capsys):
+        assert main(["fit-year", year, "--data", str(fixture_csv)]) == EXIT_DATA_ERROR
+        assert capsys.readouterr().err == f"error: year {year} lies outside 1..9999\n"
+
+    def test_data_file_that_is_not_utf8(self, tmp_path, capsys):
+        data = tmp_path / "rates.csv"
+        data.write_bytes(b"date,rate\n2018-12-24,\xff\n")
+        assert main(["fit-year", "2018", "--data", str(data)]) == EXIT_DATA_ERROR
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_json_like_format(self, fixture_csv, capsys):
         assert (
             main(["fit-year", "2018", "--data", str(fixture_csv), "--format", "json-like"])
@@ -218,6 +229,24 @@ class TestPredictCommand:
         short.write_text("\n".join(kept) + "\n")
         assert main(["predict", "2019", "--data", str(short)]) == EXIT_DATA_ERROR
         assert "error:" in capsys.readouterr().err
+
+    def test_truncated_series_same_error_for_backtest(self, tmp_path, fixture_csv, capsys):
+        kept = [
+            line
+            for line in fixture_csv.read_text().splitlines()
+            if not line.startswith("2019-12") or line[5:10] <= "12-09"
+        ]
+        short = tmp_path / "short.csv"
+        short.write_text("\n".join(kept) + "\n")
+        errors = []
+        for argv in (["predict", "2019"], ["backtest", "2019", "2019"], ["fit-year", "2019"]):
+            assert main(argv + ["--data", str(short)]) == EXIT_DATA_ERROR
+            errors.append(capsys.readouterr().err)
+        want = (
+            "error: pre-window for 2019 runs through 2019-12-24,"
+            " but the series ends at 2019-12-09\n"
+        )
+        assert errors == [want] * 3
 
 
 class TestUsageErrors:

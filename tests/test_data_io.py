@@ -9,18 +9,15 @@ import pytest
 from xmasjump import (
     BilinearJump,
     DailyRateSeries,
-    DomainError,
-    DuplicateDate,
     FixedJump,
-    ParseError,
     SyntheticSpec,
-    banking_days,
-    day_offset,
     generate_synthetic_series,
     parse_rate_series,
     serialize_rate_series,
     synthetic_spec_from_json,
 )
+from xmasjump.errors import DomainError, DuplicateDate, ParseError
+from xmasjump.market_calendar import banking_days, day_offset
 
 LCG_MULTIPLIER = 6364136223846793005
 LCG_INCREMENT = 1442695040888963407
@@ -80,6 +77,12 @@ class TestParseRateSeries:
             with pytest.raises(ParseError):
                 parse_rate_series(f"date,rate\n2018-12-24,{bad}\n")
 
+    def test_overflowing_rate_reports_its_line(self):
+        text = "date,rate\n2018-12-24,2.70\n2018-12-27,1e999\n"
+        with pytest.raises(ParseError) as exc_info:
+            parse_rate_series(text)
+        assert exc_info.value.line_number == 3
+
     def test_scientific_notation_accepted(self):
         series = parse_rate_series("date,rate\n2018-12-24,2.7e-1\n")
         assert series.rate_on(date(2018, 12, 24)) == 0.27
@@ -137,6 +140,11 @@ class TestDailyRateSeriesValidation:
             DailyRateSeries(entries=((date(2018, 1, 2), math.nan),))
         with pytest.raises(DomainError):
             DailyRateSeries(entries=((date(2018, 1, 2), math.inf),))
+
+    @pytest.mark.parametrize("label", [" USD", "USD ", "a\nb", "a\rb", "a\u2028b"])
+    def test_tenor_label_that_cannot_round_trip_rejected(self, label):
+        with pytest.raises(DomainError):
+            DailyRateSeries(entries=(), tenor_label=label)
 
     def test_datetime_rejected(self):
         with pytest.raises(DomainError):
@@ -296,8 +304,28 @@ class TestSyntheticSpecFromJson:
             '{"years": {"2018": [0, 1]}, "noise": -1}',
             '{"years": {"2018": [0, 1]}, "seed": "x"}',
             '{"years": {"2018": [0, 1]}, "tenor": 5}',
+            '{"years": {"0": [0, 1]}}',
+            '{"years": {"10000": [0, 1]}}',
+            '{"years": {"99999": [0, 1]}}',
+            pytest.param("[" * 100000, id="deep_nesting"),
+            pytest.param('{"years": {"2018": [1%s, 1]}}' % ("0" * 400), id="huge_trend"),
+            pytest.param(
+                '{"years": {"2018": [0, 1]}, "noise": 1%s}' % ("0" * 400), id="huge_noise"
+            ),
+            pytest.param(
+                '{"years": {"2018": [0, 1]}, "jump": {"fixed": 1%s}}' % ("0" * 400),
+                id="huge_fixed_jump",
+            ),
+            pytest.param(
+                '{"years": {"2018": [0, 1]}, "seed": 1%s}' % ("0" * 5000), id="long_integer"
+            ),
         ],
     )
     def test_malformed_documents(self, text):
         with pytest.raises(ParseError):
             synthetic_spec_from_json(text)
+
+    def test_last_representable_year_generates(self, cal):
+        spec, years = synthetic_spec_from_json('{"years": {"9999": [0.001, 1.0]}}')
+        series = generate_synthetic_series(spec, years, cal)
+        assert series.last_date == date(9999, 12, 31)

@@ -8,25 +8,21 @@ from datetime import date
 import pytest
 
 from helpers import linear_series, planted_series
-from xmasjump import jump_pipeline
 from xmasjump import (
     BilinearJump,
     DailyRateSeries,
-    DomainError,
     FixedJump,
-    IncompleteWindow,
     JumpModel,
-    WindowTooShort,
     backtest,
-    fit_intercept_fixed_slope,
     fit_window_model,
-    post_window_offsets,
-    predict_jump,
-    predict_mean_rate,
+    jump_pipeline,
     predict_next,
-    trend_mean_rate,
     yearly_observation,
 )
+from xmasjump.errors import DomainError, IncompleteWindow, WindowTooShort
+from xmasjump.jump_pipeline import predict_jump, predict_mean_rate, trend_mean_rate
+from xmasjump.market_calendar import post_window_offsets
+from xmasjump.regression_core import MIN_DESIGN_ROWS, fit_intercept_fixed_slope
 
 # the published 2019 prediction surface, used as a hand-checkable model
 SURFACE_2019 = JumpModel(
@@ -108,6 +104,26 @@ class TestFitWindowModel:
     def test_model_type_enforces_minimum_span(self):
         with pytest.raises(WindowTooShort):
             JumpModel(window_years=(2015, 2018), coefficients=(0.0, 0.0, 0.0, 0.0))
+
+    def test_one_span_rule_for_models_fits_and_backtests(self, cal):
+        series, _ = planted_series(2010, 2014, FixedJump(0.1))
+        raised = []
+        for attempt in (
+            lambda: JumpModel(window_years=(2011, 2014), coefficients=(0.0,) * 4),
+            lambda: fit_window_model(2011, 2014, series, cal),
+            lambda: backtest(series, cal, 2015, 2015, window_len=4),
+        ):
+            with pytest.raises(WindowTooShort) as exc_info:
+                attempt()
+            raised.append(str(exc_info.value))
+        assert raised == ["window 2011-2014 must span at least 5 years"] * 3
+        assert jump_pipeline.MIN_WINDOW_YEARS == MIN_DESIGN_ROWS
+
+    @pytest.mark.parametrize("year", [0, 10000])
+    def test_year_outside_the_date_range(self, year, cal):
+        series, _ = planted_series(2010, 2014, FixedJump(0.1))
+        with pytest.raises(DomainError):
+            yearly_observation(year, series, cal)
 
 
 class TestPredictJump:
@@ -279,6 +295,26 @@ class TestPredictNext:
         model = fit_window_model(2004, 2018, truncated, cal)
         with pytest.raises(IncompleteWindow):
             predict_next(truncated, cal, 2019, model)
+
+    def test_truncated_series_gives_one_error_on_every_path(self, cal):
+        series, _ = planted_series(2004, 2019, FixedJump(0.0))
+        truncated = DailyRateSeries(
+            entries=tuple(e for e in series.entries if e[0] <= date(2019, 12, 9))
+        )
+        model = fit_window_model(2004, 2018, truncated, cal)
+        messages = set()
+        for attempt in (
+            lambda: predict_next(truncated, cal, 2019, model),
+            lambda: yearly_observation(2019, truncated, cal),
+            lambda: backtest(truncated, cal, 2019, 2019),
+        ):
+            with pytest.raises(IncompleteWindow) as exc_info:
+                attempt()
+            messages.add(str(exc_info.value))
+        assert messages == {
+            "pre-window for 2019 runs through 2019-12-24,"
+            " but the series ends at 2019-12-09"
+        }
 
     def test_zero_trend_year_returns_the_constant_term(self, cal):
         # a degenerate all-zero pre-window gives a = b = 0

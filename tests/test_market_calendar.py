@@ -5,16 +5,19 @@ from datetime import date, timedelta
 import pytest
 
 from helpers import flat_series
-from xmasjump import (
+from xmasjump import HolidayCalendar, calendar_from_lines
+from xmasjump.errors import (
     DomainError,
-    HolidayCalendar,
+    IncompleteWindow,
     InsufficientData,
     MissingFixing,
     ParseError,
+)
+from xmasjump.market_calendar import (
     WindowSample,
     banking_days,
-    calendar_from_lines,
     day_offset,
+    event_date,
     is_banking_day,
     post_window,
     post_window_offsets,
@@ -93,6 +96,8 @@ class TestCalendarValidation:
             HolidayCalendar(holidays=frozenset({(13, 1)}))
         with pytest.raises(DomainError):
             HolidayCalendar(holidays=frozenset({(2, 30)}))
+        with pytest.raises(DomainError):  # beyond the C int range
+            HolidayCalendar(holidays=frozenset({(10**20, 1)}))
 
     def test_feb_29_is_a_valid_recurring_entry(self):
         leap = HolidayCalendar(holidays=frozenset({(2, 29)}))
@@ -101,10 +106,6 @@ class TestCalendarValidation:
     def test_bad_entry_type(self):
         with pytest.raises(DomainError):
             HolidayCalendar(holidays=frozenset({"2018-12-25"}))
-
-    def test_bad_weekend_day(self):
-        with pytest.raises(DomainError):
-            HolidayCalendar(weekend_days=frozenset({7}))
 
 
 class TestCalendarFromLines:
@@ -136,6 +137,8 @@ class TestCalendarFromLines:
     def test_bad_recurring_month(self):
         with pytest.raises(ParseError):
             calendar_from_lines("--13-01\n")
+        with pytest.raises(ParseError):  # beyond the C int range
+            calendar_from_lines("--99999999999999999999-01\n")
 
 
 class TestDayOffset:
@@ -153,6 +156,13 @@ class TestDayOffset:
         for year in (1997, 2004, 2016, 2024):
             for day in range(1, 32):
                 assert day_offset(date(year, 12, day), year) == day - 25
+
+    @pytest.mark.parametrize("year", [0, -1, 10000])
+    def test_year_outside_the_date_range(self, year):
+        with pytest.raises(DomainError):
+            event_date(year)
+        with pytest.raises(DomainError):
+            day_offset(date(2018, 12, 25), year)
 
     def test_crosses_month_boundary(self):
         assert day_offset(date(2018, 11, 30), 2018) == -25
@@ -201,6 +211,27 @@ class TestPreWindow:
         with pytest.raises(MissingFixing) as exc_info:
             pre_window(2018, gappy, cal)
         assert exc_info.value.fixing_date == date(2018, 12, 12)
+
+    def test_series_ending_before_the_window_is_incomplete(self, cal):
+        series = flat_series(date(2018, 11, 1), date(2018, 12, 9))
+        with pytest.raises(IncompleteWindow) as exc_info:
+            pre_window(2018, series, cal)
+        assert "2018-12-24" in str(exc_info.value)
+        assert "2018-12-09" in str(exc_info.value)
+
+    def test_series_ending_on_a_closure_before_the_window_end(self, cal):
+        # Dec 22-23 2018 is a weekend, so a series ending on Dec 21 lacks
+        # only Dec 24: still incomplete
+        series = flat_series(date(2018, 11, 1), date(2018, 12, 21))
+        with pytest.raises(IncompleteWindow):
+            pre_window(2018, series, cal)
+        closed = HolidayCalendar(holidays=frozenset({date(2018, 12, 24)}))
+        assert pre_window(2018, series, closed).offsets[-1] == -4
+
+    def test_walk_stops_at_the_first_representable_day(self, cal):
+        series = flat_series(date(1, 1, 1), date(1, 12, 31))
+        with pytest.raises(InsufficientData):
+            pre_window(1, series, cal, n=300)
 
     def test_span_warning_for_2016(self, cal):
         # Dec 25 2016 is a Sunday: 15 banking days reach back only 20 days
@@ -290,6 +321,9 @@ class TestWindowProperties:
         assert days == sorted(days)
         assert all(oracle_is_banking_day(d) for d in days)
         assert date(2018, 12, 25) not in days
+
+    def test_banking_days_through_the_last_representable_day(self, cal):
+        assert post_window_offsets(9999, cal) == (2, 3, 4, 5, 6)
 
 
 class TestWindowSampleValidation:

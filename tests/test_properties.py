@@ -1,24 +1,35 @@
-"""Property tests for the walk-forward backtest.
+"""Property tests for the pipeline, fuzzing of the input parsers, and the
+package root's export list.
 
 The backtest must never let data from a target year's own post-event
 window, or from any later year, into that target's model or prediction;
 and on a complete series its target step must agree with ``predict_next``.
+Serializing a series and parsing it back returns the same series. The
+parsers, given any text, return a value or raise an ``XmasJumpError``
+subclass, never anything else.
 """
 
+import json
 from datetime import date
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import xmasjump
 from helpers import distinct_trends
 from xmasjump import (
     BilinearJump,
     DailyRateSeries,
     HolidayCalendar,
     SyntheticSpec,
+    XmasJumpError,
     backtest,
+    calendar_from_lines,
     generate_synthetic_series,
+    parse_rate_series,
     predict_next,
+    serialize_rate_series,
+    synthetic_spec_from_json,
 )
 
 FIRST_YEAR, LAST_YEAR = 2000, 2012
@@ -87,3 +98,163 @@ def test_predict_next_agrees_with_the_backtest_row(trend_seed, noise_seed, targe
     forecast = predict_next(series, cal, target, report.models[k])
     assert forecast.predicted_jump == report.rows[k].predicted_jump
     assert forecast.corrected_mean_estimate == report.rows[k].corrected_mean_estimate
+
+
+# --- round trip ----------------------------------------------------------
+
+tenor_labels = st.text().filter(lambda s: s == s.strip() and len(s.splitlines()) <= 1)
+series_entries = st.lists(
+    st.tuples(st.dates(), st.floats(allow_nan=False, allow_infinity=False)),
+    unique_by=lambda entry: entry[0],
+).map(lambda entries: tuple(sorted(entries)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=series_entries, label=tenor_labels)
+def test_parse_inverts_serialize(entries, label):
+    series = DailyRateSeries(entries=entries, tenor_label=label)
+    assert parse_rate_series(serialize_rate_series(series)) == series
+
+
+# --- fuzzing: only XmasJumpError subclasses escape -------------------------
+
+
+def texts_from(fragments):
+    """Lines joined from input-like fragments and arbitrary short text."""
+    pieces = st.sampled_from(fragments) | st.text(max_size=6)
+    return st.lists(pieces, max_size=40).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=texts_from(
+        [
+            "date,rate\n",
+            "# tenor: ",
+            "#",
+            "2018-12-24",
+            "9999-12-31",
+            "0001-01-01",
+            "2018-02-30",
+            ",",
+            "2.70",
+            "-0.0",
+            "1e999",
+            "1e-999",
+            ".5",
+            "nan",
+            "\n",
+            "\r\n",
+            "\u2028",
+            " ",
+        ]
+    ),
+    tenor=st.none() | st.text(max_size=6),
+)
+def test_fuzz_parse_rate_series(text, tenor):
+    try:
+        parse_rate_series(text, tenor_label=tenor)
+    except XmasJumpError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=texts_from(
+        [
+            "--",
+            "--12-26",
+            "--02-29",
+            "--13-01",
+            "-",
+            "12",
+            "99999999999999999999",
+            "2018-12-24",
+            "0000-01-01",
+            "#",
+            "\n",
+            " ",
+        ]
+    )
+)
+def test_fuzz_calendar_from_lines(text):
+    try:
+        calendar_from_lines(text)
+    except XmasJumpError:
+        pass
+
+
+big_integers = st.integers(min_value=10**300, max_value=10**320)
+numbers = st.integers() | big_integers | st.floats() | st.booleans()
+json_values = st.recursive(
+    st.none() | numbers | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=8,
+)
+spec_documents = st.fixed_dictionaries(
+    {
+        "years": st.dictionaries(
+            st.integers(min_value=-2, max_value=10001).map(str) | st.text(max_size=6),
+            st.lists(numbers, min_size=2, max_size=2) | json_values,
+            max_size=3,
+        )
+        | json_values
+    },
+    optional={
+        "jump": st.fixed_dictionaries(
+            {},
+            optional={
+                "fixed": numbers,
+                "coefficients": st.lists(numbers, min_size=4, max_size=4) | json_values,
+            },
+        )
+        | json_values,
+        "noise": numbers | json_values,
+        "seed": numbers | json_values,
+        "tenor": st.text(max_size=8) | json_values,
+    },
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=spec_documents.map(json.dumps) | st.text(max_size=40))
+def test_fuzz_spec_then_generate(text):
+    cal = HolidayCalendar()
+    try:
+        spec, years = synthetic_spec_from_json(text)
+        generate_synthetic_series(spec, years, cal)
+    except XmasJumpError:
+        pass
+
+
+# --- the package root ------------------------------------------------------
+
+ROOT_EXPORTS = [
+    "BacktestReport",
+    "BacktestRow",
+    "BilinearJump",
+    "DailyRateSeries",
+    "FixedJump",
+    "HolidayCalendar",
+    "JumpForecast",
+    "JumpModel",
+    "SyntheticSpec",
+    "XmasJumpError",
+    "YearObservation",
+    "backtest",
+    "calendar_from_lines",
+    "fit_window_model",
+    "generate_synthetic_series",
+    "parse_rate_series",
+    "predict_next",
+    "serialize_rate_series",
+    "synthetic_spec_from_json",
+    "yearly_observation",
+]
+
+
+def test_package_root_exports_the_pipeline_surface():
+    assert sorted(xmasjump.__all__) == ROOT_EXPORTS
+    namespace = {}
+    exec("from xmasjump import *", namespace)
+    assert all(name in namespace for name in ROOT_EXPORTS)

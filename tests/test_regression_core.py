@@ -6,12 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from xmasjump import (
-    DegenerateDesign,
+from xmasjump.errors import DegenerateDesign, DomainError, RankDeficient, TooFewRows
+from xmasjump.regression_core import (
     DesignMatrix,
-    DomainError,
-    RankDeficient,
-    TooFewRows,
     fit_bilinear,
     fit_intercept_fixed_slope,
     fit_simple_ols,
