@@ -1,9 +1,9 @@
 """Rate-series ingestion, serialization, and a seeded synthetic generator.
 
 File format: a ``date,rate`` header, then one ``YYYY-MM-DD,<decimal>`` row
-per line. Blank lines and ``#`` comments are ignored; a ``# tenor: <label>``
-comment carries the tenor label through serialization. Rates are percent
-per annum (2.70 means 2.70%).
+per line, in ASCII digits. Blank lines and ``#`` comments are ignored; a
+``# tenor: <label>`` comment carries the tenor label through serialization.
+Rates are percent per annum (2.70 means 2.70%).
 
 The synthetic generator's noise stream is a fully specified 64-bit linear
 congruential generator, so fixtures are bit-identical on every platform:
@@ -22,23 +22,34 @@ from __future__ import annotations
 import datetime
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
 from datetime import date
 from typing import Iterable, Mapping
 
 from .errors import DomainError, DuplicateDate, ParseError
-from .market_calendar import HolidayCalendar, banking_days, event_date
+from .market_calendar import ISO_DATE, HolidayCalendar, banking_days, event_date, iso_date
 
 CSV_HEADER = "date,rate"
 _TENOR_COMMENT = re.compile(r"^#\s*tenor:\s*(.+?)\s*$")
-_RATE_FIELD = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$")
+# A data row: a date, a comma and a rate, each field with any whitespace
+# around it, then an optional ``#`` comment. The rate may hold only ASCII
+# digits, ``.``, ``e``/``E`` and signs; float() rejects every such string
+# that is not a decimal with an optional exponent (``1.2.3``, ``e5``), so
+# ``nan``, ``inf``, ``_`` and non-ASCII digits never become a rate.
+_ROW = re.compile(rf"\s*({ISO_DATE})\s*,\s*([0-9.eE+-]+)\s*(?:#.*)?")
+_FIRST = operator.itemgetter(0)
 
 GENERATION_START = (11, 25)  # rates are emitted from Nov 25 through Dec 31
 
 _LCG_MULTIPLIER = 6364136223846793005
 _LCG_INCREMENT = 1442695040888963407
 _LCG_MASK = (1 << 64) - 1
+
+
+def _is_fixing_date_type(kind: type) -> bool:
+    return issubclass(kind, date) and not issubclass(kind, datetime.datetime)
 
 
 @dataclass(frozen=True)
@@ -53,22 +64,29 @@ class DailyRateSeries:
     tenor_label: str = ""
 
     def __post_init__(self):
-        entries = tuple((d, float(r)) for d, r in self.entries)
-        for d, r in entries:
-            if not isinstance(d, date) or isinstance(d, datetime.datetime):
-                raise DomainError(f"fixing dates must be datetime.date, got {d!r}")
-            if not math.isfinite(r):
-                raise DomainError(f"rate on {d.isoformat()} is not finite")
-        for (d0, _), (d1, _) in zip(entries, entries[1:]):
-            if d1 <= d0:
-                raise DomainError("fixing dates must be strictly increasing")
+        entries = tuple(self.entries)
+        dates = [d for d, _ in entries]
+        rates = [r for _, r in entries]
+        if not all(map(_is_fixing_date_type, set(map(type, dates)))):
+            bad = next(d for d in dates if not _is_fixing_date_type(type(d)))
+            raise DomainError(f"fixing dates must be datetime.date, got {bad!r}")
+        # Exact (date, float) tuples, as the parser and the generator build
+        # them, are kept; other pairs and rate types are rebuilt that way.
+        if set(map(type, entries)) != {tuple} or set(map(type, rates)) != {float}:
+            rates = list(map(float, rates))
+            entries = tuple(zip(dates, rates))
+        if not all(map(math.isfinite, rates)):
+            bad = next(d for d, r in zip(dates, rates) if not math.isfinite(r))
+            raise DomainError(f"rate on {bad.isoformat()} is not finite")
+        if not all(map(operator.lt, dates, dates[1:])):
+            raise DomainError("fixing dates must be strictly increasing")
         label = self.tenor_label
         if label != label.strip() or len(label.splitlines()) > 1:
             raise DomainError(
                 f"tenor label {label!r} has surrounding whitespace or a line break"
             )
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_by_date", {d: r for d, r in entries})
+        object.__setattr__(self, "_by_date", dict(entries))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -95,6 +113,9 @@ class DailyRateSeries:
 def parse_rate_series(text: str, tenor_label: str | None = None) -> DailyRateSeries:
     """Parse delimited rate-series text into a DailyRateSeries.
 
+    Each line is matched once against ``_ROW``: a data row is converted
+    where it stands; any other line is a comment, a blank line, the header
+    or an error.
     Tolerates blank lines and ``#`` comments, rejects malformed rows with
     their line number, sorts by date, then rejects duplicates. An explicit
     ``tenor_label`` overrides any ``# tenor:`` comment in the text.
@@ -103,6 +124,21 @@ def parse_rate_series(text: str, tenor_label: str | None = None) -> DailyRateSer
     seen_header = False
     parsed_tenor = ""
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        row = _ROW.fullmatch(raw)
+        if row is not None and seen_header:
+            date_text, rate_text = row.groups()
+            try:
+                day = date.fromisoformat(date_text)
+            except ValueError:
+                raise ParseError(lineno, f"bad date {date_text!r}") from None
+            try:
+                rate = float(rate_text)
+            except ValueError:
+                raise ParseError(lineno, f"bad rate {rate_text!r}") from None
+            if not math.isfinite(rate):
+                raise ParseError(lineno, f"rate {rate_text!r} overflows")
+            rows.append((day, rate))
+            continue
         stripped = raw.strip()
         if stripped.startswith("#"):
             match = _TENOR_COMMENT.match(stripped)
@@ -112,32 +148,32 @@ def parse_rate_series(text: str, tenor_label: str | None = None) -> DailyRateSer
         line = stripped.split("#", 1)[0].strip()
         if not line:
             continue
-        if not seen_header:
-            if line.replace(" ", "").lower() != CSV_HEADER:
-                raise ParseError(lineno, f"expected header {CSV_HEADER!r}, got {line!r}")
-            seen_header = True
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != 2:
-            raise ParseError(lineno, "expected exactly two comma-separated fields")
-        try:
-            d = date.fromisoformat(fields[0])
-        except ValueError as exc:
-            raise ParseError(lineno, f"bad date {fields[0]!r}") from exc
-        if not _RATE_FIELD.match(fields[1]):
-            raise ParseError(lineno, f"bad rate {fields[1]!r}")
-        rate = float(fields[1])
-        if not math.isfinite(rate):
-            raise ParseError(lineno, f"rate {fields[1]!r} overflows")
-        rows.append((d, rate))
+        if seen_header:
+            raise ParseError(lineno, _row_problem(line))
+        if line.replace(" ", "").lower() != CSV_HEADER:
+            raise ParseError(lineno, f"expected header {CSV_HEADER!r}, got {line!r}")
+        seen_header = True
     if not seen_header:
         raise ParseError(None, f"missing {CSV_HEADER!r} header")
-    rows.sort(key=lambda item: item[0])
-    for (d0, _), (d1, _) in zip(rows, rows[1:]):
-        if d0 == d1:
-            raise DuplicateDate(d0)
+    rows.sort(key=_FIRST)  # a single pass when the rows are already in order
+    if not all(map(operator.lt, map(_FIRST, rows), map(_FIRST, rows[1:]))):
+        neighbours = zip(rows, rows[1:])
+        raise DuplicateDate(next(d for (d, _), (e, _) in neighbours if d == e))
     label = tenor_label if tenor_label is not None else parsed_tenor
     return DailyRateSeries(entries=tuple(rows), tenor_label=label)
+
+
+def _row_problem(line: str) -> str:
+    """Why a line after the header, comment stripped, is not a data row."""
+    fields = [f.strip() for f in line.split(",")]
+    if len(fields) != 2:
+        return "expected exactly two comma-separated fields"
+    date_text, rate_text = fields
+    try:
+        iso_date(date_text)
+    except ValueError:
+        return f"bad date {date_text!r}"
+    return f"bad rate {rate_text!r}"
 
 
 def serialize_rate_series(series: DailyRateSeries) -> str:
@@ -195,8 +231,8 @@ class SyntheticSpec:
             "year_trends",
             {int(y): (float(a), float(b)) for y, (a, b) in self.year_trends.items()},
         )
-        if self.noise_amplitude < 0.0:
-            raise DomainError("noise amplitude must be non-negative")
+        if not (math.isfinite(self.noise_amplitude) and self.noise_amplitude >= 0.0):
+            raise DomainError("noise amplitude must be a finite non-negative number")
 
 
 class _Lcg:
@@ -304,11 +340,17 @@ def synthetic_spec_from_json(text: str) -> tuple[SyntheticSpec, list[int]]:
 
 
 def _floats(values, count: int, message: str) -> tuple[float, ...]:
-    """A JSON array of ``count`` numbers as floats, else ParseError(message)."""
+    """A JSON array of ``count`` finite numbers as floats, else ParseError(message).
+
+    ``json.loads`` reads ``NaN`` and ``Infinity`` as floats; they are rejected
+    here, like integers beyond the float range.
+    """
     if isinstance(values, list) and len(values) == count:
         try:
             if all(isinstance(v, (int, float)) for v in values):
-                return tuple(float(v) for v in values)
+                floats = tuple(float(v) for v in values)
+                if all(map(math.isfinite, floats)):
+                    return floats
         except OverflowError:  # an integer beyond the float range
             pass
     raise ParseError(None, message)

@@ -6,6 +6,7 @@ handling. A banking day is a weekday that is not listed as a holiday.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from datetime import MAXYEAR, MINYEAR, date, timedelta
 from typing import TYPE_CHECKING, Iterator
@@ -31,6 +32,12 @@ NOMINAL_PRE_SPAN_DAYS = 21
 # flagged, fewer than two is an error.
 NOMINAL_POST_COUNT = 3
 POST_WINDOW_MIN = 2
+
+# Date patterns of input files: ASCII ``YYYY-MM-DD``, and ``--MM-DD`` for a
+# closure recurring every year. Left as text for ``re``'s cache, so that
+# importing the package compiles neither.
+ISO_DATE = r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
+_RECURRING_DATE = r"--([0-9]{2})-([0-9]{2})"
 
 
 @dataclass(frozen=True)
@@ -86,17 +93,28 @@ def calendar_from_lines(text: str) -> HolidayCalendar:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        recurring = re.fullmatch(_RECURRING_DATE, line)
         try:
-            if line.startswith("--"):
-                month_text, day_text = line[2:].split("-", 1)
-                entry = (int(month_text), int(day_text))
-                date(2000, *entry)
+            if recurring:
+                entry = (int(recurring[1]), int(recurring[2]))
+                date(2000, *entry)  # a leap year, so --02-29 is legal
             else:
-                entry = date.fromisoformat(line)
-        except (TypeError, ValueError, OverflowError) as exc:
+                entry = iso_date(line)
+        except ValueError as exc:
             raise ParseError(lineno, f"bad calendar entry {line!r}") from exc
         entries.add(entry)
     return HolidayCalendar(holidays=frozenset(entries))
+
+
+def iso_date(text: str) -> date:
+    """The date an ASCII ``YYYY-MM-DD`` string names; ValueError otherwise.
+
+    ``date.fromisoformat`` alone also takes ``YYYYMMDD`` and ISO week dates
+    on Python 3.11.
+    """
+    if not re.fullmatch(ISO_DATE, text):
+        raise ValueError(f"not an ASCII YYYY-MM-DD date: {text!r}")
+    return date.fromisoformat(text)
 
 
 def is_banking_day(d: date, cal: HolidayCalendar) -> bool:

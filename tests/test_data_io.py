@@ -97,6 +97,59 @@ class TestParseRateSeries:
         with pytest.raises(ParseError):
             parse_rate_series("")
 
+    @pytest.mark.parametrize(
+        "text, line, reason",
+        [
+            ("2018-12-27,2.70\n2018-13-01,2.0", 3, "bad date '2018-13-01'"),
+            ("2018-12-27 ,  nan # note", 2, "bad rate 'nan'"),
+            ("2018-02-30,abc", 2, "bad date '2018-02-30'"),
+            ("2018-12-24,1.2.3", 2, "bad rate '1.2.3'"),
+            ("2018-12-24,2.70,extra", 2, "expected exactly two comma-separated fields"),
+            ("2018-12-24", 2, "expected exactly two comma-separated fields"),
+            ("2018-12-24,2.70\r\n2018-12-27,1e999", 3, "rate '1e999' overflows"),
+            ("2018-12-24,1e999\n2018-12-27,x", 2, "rate '1e999' overflows"),
+        ],
+        ids=[
+            "bad_month",
+            "nan",
+            "bad_day_before_bad_rate",
+            "two_points",
+            "three_fields",
+            "one_field",
+            "overflow",
+            "first_error_wins",
+        ],
+    )
+    def test_error_reasons(self, text, line, reason):
+        with pytest.raises(ParseError) as exc_info:
+            parse_rate_series("date,rate\n" + text + "\n")
+        assert (exc_info.value.line_number, exc_info.value.reason) == (line, reason)
+
+    def test_row_before_header(self):
+        with pytest.raises(ParseError) as exc_info:
+            parse_rate_series("# tenor: X\n2018-12-24,2.70\ndate,rate\n")
+        assert str(exc_info.value) == (
+            "line 2: expected header 'date,rate', got '2018-12-24,2.70'"
+        )
+
+    @pytest.mark.parametrize(
+        "date_text", ["20181224", "2018-W52-1", "2018W521", "\u0662\u0660\u0661\u0668-12-24"]
+    )
+    def test_only_ascii_yyyy_mm_dd_dates(self, date_text):
+        with pytest.raises(ParseError) as exc_info:
+            parse_rate_series(f"date,rate\n{date_text},2.70\n")
+        assert str(exc_info.value) == f"line 2: bad date {date_text!r}"
+
+    @pytest.mark.parametrize("rate_text", ["\u0661.\u0665", "\u0661", "2.7\u0660"])
+    def test_only_ascii_digits_in_rates(self, rate_text):
+        with pytest.raises(ParseError) as exc_info:
+            parse_rate_series(f"date,rate\n2018-12-24,{rate_text}\n")
+        assert str(exc_info.value) == f"line 2: bad rate {rate_text!r}"
+
+    def test_unicode_whitespace_around_fields(self):
+        series = parse_rate_series("date,rate\n\u00a02018-12-24\u2003,\t2.70\u3000# x\n")
+        assert series.entries == ((date(2018, 12, 24), 2.70),)
+
     def test_explicit_tenor_overrides_comment(self):
         text = "# tenor: USD-2M\ndate,rate\n2018-12-24,2.70\n"
         assert parse_rate_series(text, tenor_label="EUR-1M").tenor_label == "EUR-1M"
@@ -149,6 +202,57 @@ class TestDailyRateSeriesValidation:
     def test_datetime_rejected(self):
         with pytest.raises(DomainError):
             DailyRateSeries(entries=((datetime(2018, 1, 2, 12, 0), 1.0),))
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            (
+                (("2018-01-02", 1.0),),
+                "fixing dates must be datetime.date, got '2018-01-02'",
+            ),
+            (
+                ((date(2018, 1, 2), 1.0), ([2018, 1, 3], 1.0)),
+                "fixing dates must be datetime.date, got [2018, 1, 3]",
+            ),
+            (
+                ((date(2018, 1, 2), 1.0), (datetime(2018, 1, 3, 12, 0), 1.0)),
+                "fixing dates must be datetime.date, got datetime.datetime(2018, 1, 3, 12, 0)",
+            ),
+            (
+                (
+                    (date(2018, 1, 2), 1.0),
+                    (date(2018, 1, 3), math.nan),
+                    (date(2018, 1, 4), math.inf),
+                ),
+                "rate on 2018-01-03 is not finite",
+            ),
+            (
+                ((date(2018, 1, 3), 1.0), (date(2018, 1, 2), 1.0)),
+                "fixing dates must be strictly increasing",
+            ),
+            (
+                ((date(2018, 1, 2), 1.0), (date(2018, 1, 3), 1.0), (date(2018, 1, 3), 1.1)),
+                "fixing dates must be strictly increasing",
+            ),
+        ],
+        ids=["string", "unhashable", "datetime", "first_non_finite", "decreasing", "repeated"],
+    )
+    def test_error_messages(self, entries, message):
+        with pytest.raises(DomainError) as exc_info:
+            DailyRateSeries(entries=entries)
+        assert str(exc_info.value) == message
+
+    def test_entries_become_date_float_tuples(self):
+        series = DailyRateSeries(entries=[[date(2018, 1, 2), 1], (date(2018, 1, 3), True)])
+        assert series.entries == ((date(2018, 1, 2), 1.0), (date(2018, 1, 3), 1.0))
+        assert all(type(e) is tuple and type(e[1]) is float for e in series.entries)
+        assert series.rate_on(date(2018, 1, 2)) == 1.0
+        assert hash(series) == hash(DailyRateSeries(entries=series.entries))
+
+    def test_entries_from_a_generator(self):
+        dates = [date(2018, 1, 2), date(2018, 1, 3)]
+        series = DailyRateSeries(entries=((d, 2.5) for d in dates))
+        assert series.entries == ((date(2018, 1, 2), 2.5), (date(2018, 1, 3), 2.5))
 
     def test_covers_and_lookup(self):
         series = DailyRateSeries(
@@ -255,6 +359,11 @@ class TestGenerator:
         with pytest.raises(DomainError):
             SyntheticSpec(year_trends={2018: (0.0, 1.0)}, noise_amplitude=-0.1)
 
+    @pytest.mark.parametrize("amplitude", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_noise_amplitude_rejected(self, amplitude):
+        with pytest.raises(DomainError):
+            SyntheticSpec(year_trends={2018: (0.0, 1.0)}, noise_amplitude=amplitude)
+
 
 class TestSyntheticSpecFromJson:
     GOOD = """
@@ -319,11 +428,26 @@ class TestSyntheticSpecFromJson:
             pytest.param(
                 '{"years": {"2018": [0, 1]}, "seed": 1%s}' % ("0" * 5000), id="long_integer"
             ),
+            pytest.param('{"years": {"2018": [NaN, 1]}}', id="nan_trend"),
+            pytest.param('{"years": {"2018": [0, Infinity]}}', id="infinite_trend"),
+            pytest.param(
+                '{"years": {"2018": [0, 1]}, "jump": {"fixed": NaN}}', id="nan_fixed_jump"
+            ),
+            pytest.param(
+                '{"years": {"2018": [0, 1]}, "jump": {"coefficients": [0, -Infinity, 0, 0]}}',
+                id="infinite_coefficient",
+            ),
         ],
     )
     def test_malformed_documents(self, text):
         with pytest.raises(ParseError):
             synthetic_spec_from_json(text)
+
+    @pytest.mark.parametrize("noise", ["NaN", "Infinity"])
+    def test_non_finite_noise_rejected(self, noise):
+        with pytest.raises(ParseError) as exc_info:
+            synthetic_spec_from_json('{"years": {"2018": [0, 1]}, "noise": %s}' % noise)
+        assert str(exc_info.value) == "'noise' must be a non-negative number"
 
     def test_last_representable_year_generates(self, cal):
         spec, years = synthetic_spec_from_json('{"years": {"9999": [0.001, 1.0]}}')

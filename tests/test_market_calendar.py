@@ -134,6 +134,23 @@ class TestCalendarFromLines:
             calendar_from_lines("--01-01\nnot-a-date\n")
         assert exc_info.value.line_number == 2
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "2012-W44-2",
+            "20121030",
+            "--1_2-2_6",
+            "--\u0661\u0662-\u0662\u0666",
+            "--+12-26",
+            "--12- 26",
+            "--1-1",
+        ],
+    )
+    def test_only_documented_shapes(self, entry):
+        with pytest.raises(ParseError) as exc_info:
+            calendar_from_lines(f"--01-01\n{entry}\n")
+        assert str(exc_info.value) == f"line 2: bad calendar entry {entry!r}"
+
     def test_bad_recurring_month(self):
         with pytest.raises(ParseError):
             calendar_from_lines("--13-01\n")

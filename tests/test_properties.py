@@ -4,14 +4,17 @@ package root's export list.
 The backtest must never let data from a target year's own post-event
 window, or from any later year, into that target's model or prediction;
 and on a complete series its target step must agree with ``predict_next``.
-Serializing a series and parsing it back returns the same series. The
-parsers, given any text, return a value or raise an ``XmasJumpError``
-subclass, never anything else.
+Adding a constant to every rate moves each year's intercept by that
+constant and leaves its slope and jump alone. Serializing a series and
+parsing it back returns the same series, whatever the row order, comments,
+blank lines, spacing and line ends. The parsers, given any text, return a
+value or raise an ``XmasJumpError`` subclass, never anything else.
 """
 
 import json
 from datetime import date
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +33,9 @@ from xmasjump import (
     predict_next,
     serialize_rate_series,
     synthetic_spec_from_json,
+    yearly_observation,
 )
+from xmasjump.errors import DuplicateDate
 
 FIRST_YEAR, LAST_YEAR = 2000, 2012
 WINDOW_LEN = 5
@@ -100,6 +105,29 @@ def test_predict_next_agrees_with_the_backtest_row(trend_seed, noise_seed, targe
     assert forecast.corrected_mean_estimate == report.rows[k].corrected_mean_estimate
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    trend_seed=seeds,
+    noise_seed=seeds,
+    year=st.integers(min_value=FIRST_YEAR, max_value=LAST_YEAR),
+    cal=st.sampled_from(CALENDARS),
+    shift=st.floats(min_value=-20.0, max_value=20.0),
+)
+def test_level_shift_moves_only_the_intercept(trend_seed, noise_seed, year, cal, shift):
+    series = noisy_series(trend_seed, noise_seed, cal)
+    shifted = DailyRateSeries(
+        entries=tuple((d, r + shift) for d, r in series.entries),
+        tenor_label=series.tenor_label,
+    )
+    obs = yearly_observation(year, series, cal)
+    moved = yearly_observation(year, shifted, cal)
+    # Each shifted rate is rounded once; the fits' fsum means add no more.
+    tolerance = 1e-12 * (1.0 + abs(shift))
+    assert moved.slope_a == pytest.approx(obs.slope_a, rel=0, abs=tolerance)
+    assert moved.jump_delta == pytest.approx(obs.jump_delta, rel=0, abs=tolerance)
+    assert moved.intercept_b == pytest.approx(obs.intercept_b + shift, rel=0, abs=tolerance)
+
+
 # --- round trip ----------------------------------------------------------
 
 tenor_labels = st.text().filter(lambda s: s == s.strip() and len(s.splitlines()) <= 1)
@@ -114,6 +142,55 @@ series_entries = st.lists(
 def test_parse_inverts_serialize(entries, label):
     series = DailyRateSeries(entries=entries, tenor_label=label)
     assert parse_rate_series(serialize_rate_series(series)) == series
+
+
+blanks = st.sampled_from(["", " ", "\t", " \t "])
+filler_lines = st.sampled_from(["", "   ", "# a comment", "#", "\t# date,rate"])
+line_ends = st.sampled_from(["\n", "\r\n"])
+
+
+@st.composite
+def decorated_rows(draw, series):
+    """The series' rows as (date, line): shuffled and padded with spaces
+    and trailing notes, with blank and comment lines mixed in."""
+    lines = serialize_rate_series(series).splitlines()
+    rows = []
+    for line in lines[lines.index("date,rate") + 1 :]:
+        date_text, rate_text = line.split(",")
+        note = draw(st.sampled_from(["", "# note", " #note"]))
+        lead, before_comma, after_comma, trail = (draw(blanks) for _ in range(4))
+        padded = f"{lead}{date_text}{before_comma},{after_comma}{rate_text}{trail}{note}"
+        rows.append((date.fromisoformat(date_text), padded))
+    rows = draw(st.permutations(rows))
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        at = draw(st.integers(min_value=0, max_value=len(rows)))
+        rows.insert(at, (None, draw(filler_lines)))
+    return rows
+
+
+def layout(series, rows, line_end):
+    head = [f"# tenor: {series.tenor_label}"] if series.tenor_label else []
+    return line_end.join(head + ["date,rate"] + [line for _, line in rows]) + line_end
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=series_entries, label=tenor_labels, line_end=line_ends, data=st.data())
+def test_parse_ignores_order_and_layout(entries, label, line_end, data):
+    series = DailyRateSeries(entries=entries, tenor_label=label)
+    rows = data.draw(decorated_rows(series), label="rows")
+    assert parse_rate_series(layout(series, rows, line_end)) == series
+
+
+@settings(max_examples=100, deadline=None)
+@given(entries=series_entries.filter(len), line_end=line_ends, data=st.data())
+def test_a_repeated_row_is_a_duplicate_date(entries, line_end, data):
+    series = DailyRateSeries(entries=entries)
+    rows = data.draw(decorated_rows(series), label="rows")
+    repeated = data.draw(st.sampled_from([row for row in rows if row[0] is not None]))
+    rows.insert(data.draw(st.integers(min_value=0, max_value=len(rows))), repeated)
+    with pytest.raises(DuplicateDate) as exc_info:
+        parse_rate_series(layout(series, rows, line_end))
+    assert exc_info.value.fixing_date == repeated[0]
 
 
 # --- fuzzing: only XmasJumpError subclasses escape -------------------------
@@ -143,6 +220,9 @@ def texts_from(fragments):
             "1e-999",
             ".5",
             "nan",
+            "20181224",
+            "\u0661",
+            "_",
             "\n",
             "\r\n",
             "\u2028",
@@ -171,6 +251,10 @@ def test_fuzz_parse_rate_series(text, tenor):
             "99999999999999999999",
             "2018-12-24",
             "0000-01-01",
+            "2012-W44-2",
+            "\u0661",
+            "_",
+            "+",
             "#",
             "\n",
             " ",
