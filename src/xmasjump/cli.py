@@ -10,8 +10,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
-from pathlib import Path
 
 from .data_io import (
     generate_synthetic_series,
@@ -187,13 +185,19 @@ def _load_series(parser, args):
     path = args.data or os.environ.get(DATA_ENV_VAR)
     if not path:
         parser.error(f"no data file: pass --data or set ${DATA_ENV_VAR}")
-    return parse_rate_series(Path(path).read_text())
+    return parse_rate_series(_read_text(path))
 
 
 def _load_calendar(args) -> HolidayCalendar:
     if getattr(args, "calendar", None):
-        return calendar_from_lines(Path(args.calendar).read_text())
+        return calendar_from_lines(_read_text(args.calendar))
     return HolidayCalendar()
+
+
+def _read_text(path: str) -> str:
+    """The file's text; the file closes first, so parsing runs without its buffer."""
+    with open(path) as file:
+        return file.read()
 
 
 def _format_rate(value: float) -> str:
@@ -216,7 +220,7 @@ def _print_kv(pairs: list[tuple[str, str]]) -> None:
 def _cmd_fit_year(args, series, cal) -> int:
     obs = yearly_observation(args.year, series, cal, pre_days=args.pre_days)
     if args.format == "json-like":
-        print(json.dumps(asdict(obs), indent=2))
+        print(json.dumps(obs.to_dict(), indent=2))
         return EXIT_OK
     _print_kv(
         [
@@ -299,7 +303,7 @@ def _cmd_predict(args, series, cal) -> int:
     model = fit_window_model(first, last, series, cal, pre_days=args.pre_days)
     forecast = predict_next(series, cal, args.target_year, model, pre_days=args.pre_days)
     if args.format == "json-like":
-        doc = {"model": model.to_dict(), "forecast": asdict(forecast)}
+        doc = {"model": model.to_dict(), "forecast": forecast.to_dict()}
         print(json.dumps(doc, indent=2))
         return EXIT_OK
     _print_kv(
@@ -316,9 +320,11 @@ def _cmd_predict(args, series, cal) -> int:
 
 
 def _cmd_generate(args, cal) -> int:
-    spec, years = synthetic_spec_from_json(Path(args.spec).read_text())
+    spec, years = synthetic_spec_from_json(_read_text(args.spec))
     series = generate_synthetic_series(spec, years, cal)
-    Path(args.out).write_text(serialize_rate_series(series))
+    text = serialize_rate_series(series)  # before opening: no file buffer held meanwhile
+    with open(args.out, "w") as file:
+        file.write(text)
     _print_kv(
         [
             ("written", args.out),

@@ -24,12 +24,12 @@ import json
 import math
 import operator
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Mapping
 from datetime import date
-from typing import Iterable, Mapping
 
 from .errors import DomainError, DuplicateDate, ParseError
 from .market_calendar import ISO_DATE, HolidayCalendar, banking_days, event_date, iso_date
+from .record import Record, set_field
 
 CSV_HEADER = "date,rate"
 _TENOR_COMMENT = re.compile(r"^#\s*tenor:\s*(.+?)\s*$")
@@ -52,20 +52,33 @@ def _is_fixing_date_type(kind: type) -> bool:
     return issubclass(kind, date) and not issubclass(kind, datetime.datetime)
 
 
-@dataclass(frozen=True)
-class DailyRateSeries:
+def _as_rate(day: date, value) -> float:
+    """The rate on ``day`` as a float; text or a non-number is a DomainError."""
+    try:
+        if not isinstance(value, (str, bytes, bytearray)):  # float() parses text
+            return float(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"rate on {day.isoformat()} must be a finite real number, got {value!r}")
+
+
+class DailyRateSeries(Record):
     """Date-ordered banking-day fixings, rates in percent per annum.
 
-    The tenor label is a single line without surrounding whitespace, so
-    that it survives serialization.
+    ``entries`` are ``(date, rate)`` pairs; each rate is a finite real
+    number, not text. The tenor label is a single line without surrounding
+    whitespace, so that it survives serialization.
     """
 
-    entries: tuple[tuple[date, float], ...]
-    tenor_label: str = ""
+    __slots__ = ("entries", "tenor_label", "_by_date")
 
-    def __post_init__(self):
-        entries = tuple(self.entries)
-        dates = [d for d, _ in entries]
+    def __init__(self, entries: Iterable[tuple[date, float]], tenor_label: str = ""):
+        entries = tuple(entries)
+        try:
+            dates = [d for d, _ in entries]
+        except (TypeError, ValueError):
+            bad = next(e for e in entries if type(e) not in (tuple, list) or len(e) != 2)
+            raise DomainError(f"entries must be (date, rate) pairs, got {bad!r}") from None
         rates = [r for _, r in entries]
         if not all(map(_is_fixing_date_type, set(map(type, dates)))):
             bad = next(d for d in dates if not _is_fixing_date_type(type(d)))
@@ -73,20 +86,20 @@ class DailyRateSeries:
         # Exact (date, float) tuples, as the parser and the generator build
         # them, are kept; other pairs and rate types are rebuilt that way.
         if set(map(type, entries)) != {tuple} or set(map(type, rates)) != {float}:
-            rates = list(map(float, rates))
+            rates = list(map(_as_rate, dates, rates))
             entries = tuple(zip(dates, rates))
         if not all(map(math.isfinite, rates)):
             bad = next(d for d, r in zip(dates, rates) if not math.isfinite(r))
             raise DomainError(f"rate on {bad.isoformat()} is not finite")
         if not all(map(operator.lt, dates, dates[1:])):
             raise DomainError("fixing dates must be strictly increasing")
-        label = self.tenor_label
-        if label != label.strip() or len(label.splitlines()) > 1:
+        if tenor_label != tenor_label.strip() or len(tenor_label.splitlines()) > 1:
             raise DomainError(
-                f"tenor label {label!r} has surrounding whitespace or a line break"
+                f"tenor label {tenor_label!r} has surrounding whitespace or a line break"
             )
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_by_date", dict(entries))
+        set_field(self, "entries", entries)
+        set_field(self, "tenor_label", tenor_label)
+        set_field(self, "_by_date", dict(entries))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -160,7 +173,7 @@ def parse_rate_series(text: str, tenor_label: str | None = None) -> DailyRateSer
         neighbours = zip(rows, rows[1:])
         raise DuplicateDate(next(d for (d, _), (e, _) in neighbours if d == e))
     label = tenor_label if tenor_label is not None else parsed_tenor
-    return DailyRateSeries(entries=tuple(rows), tenor_label=label)
+    return DailyRateSeries(tuple(rows), label)
 
 
 def _row_problem(line: str) -> str:
@@ -189,61 +202,68 @@ def serialize_rate_series(series: DailyRateSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class FixedJump:
+class FixedJump(Record):
     """Plant the same jump every year."""
 
-    value: float
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        if not math.isfinite(value):
+            raise DomainError(f"fixed jump value must be finite, got {value!r}")
+        set_field(self, "value", value)
 
     def jump_for(self, slope: float, intercept: float) -> float:
         return self.value
 
 
-@dataclass(frozen=True)
-class BilinearJump:
+class BilinearJump(Record):
     """Plant ``c0 + c1*slope + c2*intercept + c3*slope*intercept``."""
 
-    coefficients: tuple[float, float, float, float]
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients: tuple[float, float, float, float]):
+        coefficients = tuple(coefficients)
+        if len(coefficients) != 4 or not all(map(math.isfinite, coefficients)):
+            raise DomainError(f"jump coefficients must be 4 finite numbers: {coefficients!r}")
+        set_field(self, "coefficients", coefficients)
 
     def jump_for(self, slope: float, intercept: float) -> float:
         c0, c1, c2, c3 = self.coefficients
         return c0 + c1 * slope + c2 * intercept + c3 * slope * intercept
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
+class SyntheticSpec(Record):
     """Recipe for a deterministic synthetic rate series.
 
-    ``year_trends`` maps each year to its (slope, intercept) in
-    percent/day and percent; the jump rule decides what is added to
-    post-event rates; ``seed`` fixes the noise stream exactly.
+    ``year_trends`` maps each year to its (slope, intercept) in percent/day
+    and percent; the jump rule decides what is added to post-event rates;
+    ``seed`` fixes the noise stream exactly. Every number must be finite.
     """
 
-    year_trends: Mapping[int, tuple[float, float]]
-    jump: FixedJump | BilinearJump = FixedJump(0.0)
-    noise_amplitude: float = 0.0
-    seed: int = 0
-    tenor_label: str = "SYN"
+    __slots__ = ("year_trends", "jump", "noise_amplitude", "seed", "tenor_label")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "year_trends",
-            {int(y): (float(a), float(b)) for y, (a, b) in self.year_trends.items()},
-        )
-        if not (math.isfinite(self.noise_amplitude) and self.noise_amplitude >= 0.0):
+    def __init__(self, year_trends: Mapping[int, tuple[float, float]],
+                 jump: FixedJump | BilinearJump = FixedJump(0.0), noise_amplitude: float = 0.0,
+                 seed: int = 0, tenor_label: str = "SYN"):
+        trends = {int(y): (float(a), float(b)) for y, (a, b) in year_trends.items()}
+        for year, trend in trends.items():
+            if not all(map(math.isfinite, trend)):
+                raise DomainError(f"year_trends[{year}] must be finite, got {trend!r}")
+        if not (math.isfinite(noise_amplitude) and noise_amplitude >= 0.0):
             raise DomainError("noise amplitude must be a finite non-negative number")
+        set_field(self, "year_trends", trends)
+        set_field(self, "jump", jump)
+        set_field(self, "noise_amplitude", noise_amplitude)
+        set_field(self, "seed", seed)
+        set_field(self, "tenor_label", tenor_label)
 
 
-class _Lcg:
-    """The documented 64-bit LCG; one uniform in [0, 1) per draw."""
-
-    def __init__(self, seed: int):
-        self.state = seed & _LCG_MASK
-
-    def uniform(self) -> float:
-        self.state = (_LCG_MULTIPLIER * self.state + _LCG_INCREMENT) & _LCG_MASK
-        return (self.state >> 11) / float(1 << 53)
+def _lcg_uniforms(seed: int) -> Iterator[float]:
+    """The documented 64-bit LCG's stream: one uniform in [0, 1) per draw."""
+    state = seed & _LCG_MASK
+    while True:
+        state = (_LCG_MULTIPLIER * state + _LCG_INCREMENT) & _LCG_MASK
+        yield (state >> 11) / float(1 << 53)
 
 
 def generate_synthetic_series(
@@ -261,7 +281,7 @@ def generate_synthetic_series(
     missing = [y for y in year_list if y not in spec.year_trends]
     if missing:
         raise DomainError(f"no trend configured for years {missing}")
-    rng = _Lcg(spec.seed)
+    uniforms = _lcg_uniforms(spec.seed)
     entries = []
     for year in year_list:
         slope, intercept = spec.year_trends[year]
@@ -270,12 +290,12 @@ def generate_synthetic_series(
         start = date(year, *GENERATION_START)
         for d in banking_days(start, date(year, 12, 31), cal):
             x = (d - event).days
-            noise = spec.noise_amplitude * (2.0 * rng.uniform() - 1.0)
+            noise = spec.noise_amplitude * (2.0 * next(uniforms) - 1.0)
             rate = slope * x + intercept + noise
             if x >= 1:
                 rate += jump
             entries.append((d, rate))
-    return DailyRateSeries(entries=tuple(entries), tenor_label=spec.tenor_label)
+    return DailyRateSeries(tuple(entries), spec.tenor_label)
 
 
 def synthetic_spec_from_json(text: str) -> tuple[SyntheticSpec, list[int]]:
@@ -329,14 +349,7 @@ def synthetic_spec_from_json(text: str) -> tuple[SyntheticSpec, list[int]]:
     tenor = doc.get("tenor", "SYN")
     if not isinstance(tenor, str):
         raise ParseError(None, "'tenor' must be a string")
-    spec = SyntheticSpec(
-        year_trends=year_trends,
-        jump=jump,
-        noise_amplitude=noise,
-        seed=seed,
-        tenor_label=tenor,
-    )
-    return spec, sorted(year_trends)
+    return SyntheticSpec(year_trends, jump, noise, seed, tenor), sorted(year_trends)
 
 
 def _floats(values, count: int, message: str) -> tuple[float, ...]:

@@ -11,8 +11,7 @@ predicts the next year's jump from its pre-event trend alone.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .data_io import DailyRateSeries
 from .errors import DomainError, WindowTooShort
@@ -30,6 +29,7 @@ from .regression_core import (
     fit_intercept_fixed_slope,
     fit_simple_ols,
 )
+from .record import Record, set_field
 from .stat_inference import CoefficientInference, inference_for_fit
 
 # Years in a model's fitting window by default; one design row per year,
@@ -38,8 +38,7 @@ WINDOW_YEARS = 15
 MIN_WINDOW_YEARS = MIN_DESIGN_ROWS
 
 
-@dataclass(frozen=True)
-class YearObservation:
+class YearObservation(Record):
     """One year's fitted trend, post-event intercept, and jump.
 
     ``jump_delta`` is ``post_intercept - intercept_b`` by construction:
@@ -49,44 +48,48 @@ class YearObservation:
     can score the year without cutting the window again.
     """
 
-    year: int
-    slope_a: float
-    intercept_b: float
-    post_intercept: float
-    jump_delta: float
-    post_offsets: tuple[int, ...]
-    post_mean: float
-    pre_warning: str | None = None
-    post_warning: str | None = None
+    __slots__ = ("year", "slope_a", "intercept_b", "post_intercept", "jump_delta",
+                 "post_offsets", "post_mean", "pre_warning", "post_warning")
+
+    def __init__(self, year: int, slope_a: float, intercept_b: float, post_intercept: float,
+                 jump_delta: float, post_offsets: tuple[int, ...], post_mean: float,
+                 pre_warning: str | None = None, post_warning: str | None = None):
+        set_field(self, "year", year)
+        set_field(self, "slope_a", slope_a)
+        set_field(self, "intercept_b", intercept_b)
+        set_field(self, "post_intercept", post_intercept)
+        set_field(self, "jump_delta", jump_delta)
+        set_field(self, "post_offsets", post_offsets)
+        set_field(self, "post_mean", post_mean)
+        set_field(self, "pre_warning", pre_warning)
+        set_field(self, "post_warning", post_warning)
 
 
-@dataclass(frozen=True)
-class JumpModel:
+class JumpModel(Record):
     """The bilinear jump surface fitted over a contiguous span of years."""
 
-    window_years: tuple[int, int]
-    coefficients: tuple[float, float, float, float]
-    inference: tuple[CoefficientInference, ...] = ()
-    adjusted_r2: float = math.nan
+    __slots__ = ("window_years", "coefficients", "inference", "adjusted_r2")
 
-    def __post_init__(self):
-        first, last = self.window_years
+    def __init__(self, window_years: tuple[int, int], coefficients: Sequence[float],
+                 inference: Sequence[CoefficientInference] = (), adjusted_r2: float = math.nan):
+        first, last = window_years
         check_window_span(first, last)
-        object.__setattr__(self, "window_years", (int(first), int(last)))
-        object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
-        object.__setattr__(self, "inference", tuple(self.inference))
+        set_field(self, "window_years", (int(first), int(last)))
+        set_field(self, "coefficients", tuple(float(c) for c in coefficients))
+        set_field(self, "inference", tuple(inference))
+        set_field(self, "adjusted_r2", adjusted_r2)
 
     def to_dict(self) -> dict:
-        """Key/value tree with fields named exactly as the dataclasses.
+        """Field name to value, tuples as lists: JSON round-trips it unchanged."""
+        return {
+            "window_years": list(self.window_years),
+            "coefficients": list(self.coefficients),
+            "inference": [ci.to_dict() for ci in self.inference],
+            "adjusted_r2": self.adjusted_r2,
+        }
 
-        Tuples become lists so the tree round-trips through JSON
-        unchanged.
-        """
-        return _listify(asdict(self))
 
-
-@dataclass(frozen=True)
-class BacktestRow:
+class BacktestRow(Record):
     """One target year of the walk-forward table.
 
     ``error`` equals both ``predicted_jump - realized_jump`` and
@@ -94,58 +97,59 @@ class BacktestRow:
     rows where the two disagree.
     """
 
-    target_year: int
-    predicted_jump: float
-    realized_jump: float
-    corrected_mean_estimate: float
-    realized_mean: float
-    error: float
+    __slots__ = ("target_year", "predicted_jump", "realized_jump", "corrected_mean_estimate",
+                 "realized_mean", "error")
 
-    def __post_init__(self):
-        jump_gap = self.predicted_jump - self.realized_jump
-        mean_gap = self.corrected_mean_estimate - self.realized_mean
-        if abs(self.error - jump_gap) > 1e-9 or abs(self.error - mean_gap) > 1e-9:
+    def __init__(self, target_year: int, predicted_jump: float, realized_jump: float,
+                 corrected_mean_estimate: float, realized_mean: float, error: float):
+        jump_gap = predicted_jump - realized_jump
+        mean_gap = corrected_mean_estimate - realized_mean
+        if abs(error - jump_gap) > 1e-9 or abs(error - mean_gap) > 1e-9:
             raise DomainError(
-                f"inconsistent error for {self.target_year}:"
-                f" {self.error} vs {jump_gap} and {mean_gap}"
+                f"inconsistent error for {target_year}:"
+                f" {error} vs {jump_gap} and {mean_gap}"
             )
+        set_field(self, "target_year", target_year)
+        set_field(self, "predicted_jump", predicted_jump)
+        set_field(self, "realized_jump", realized_jump)
+        set_field(self, "corrected_mean_estimate", corrected_mean_estimate)
+        set_field(self, "realized_mean", realized_mean)
+        set_field(self, "error", error)
 
 
-@dataclass(frozen=True)
-class BacktestReport:
+class BacktestReport(Record):
     """Walk-forward rows plus the model fitted for each target year."""
 
-    rows: tuple[BacktestRow, ...]
-    models: tuple[JumpModel, ...]
-    window_len: int
+    __slots__ = ("window_len", "rows", "models")
+
+    def __init__(self, window_len: int, rows: tuple[BacktestRow, ...],
+                 models: tuple[JumpModel, ...]):
+        set_field(self, "window_len", window_len)
+        set_field(self, "rows", rows)
+        set_field(self, "models", models)
 
     def to_dict(self) -> dict:
-        """Key/value tree with fields named exactly as the dataclasses,
-        models as in ``JumpModel.to_dict``."""
+        """Field name to value, rows and models as JSON-ready dicts."""
         return {
             "window_len": self.window_len,
-            "rows": [asdict(row) for row in self.rows],
+            "rows": [row.to_dict() for row in self.rows],
             "models": [model.to_dict() for model in self.models],
         }
 
 
-def _listify(value):
-    if isinstance(value, (list, tuple)):
-        return [_listify(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _listify(v) for k, v in value.items()}
-    return value
-
-
-@dataclass(frozen=True)
-class JumpForecast:
+class JumpForecast(Record):
     """A prediction made from the pre-event window alone."""
 
-    target_year: int
-    slope_a: float
-    intercept_b: float
-    predicted_jump: float
-    corrected_mean_estimate: float
+    __slots__ = ("target_year", "slope_a", "intercept_b", "predicted_jump",
+                 "corrected_mean_estimate")
+
+    def __init__(self, target_year: int, slope_a: float, intercept_b: float,
+                 predicted_jump: float, corrected_mean_estimate: float):
+        set_field(self, "target_year", target_year)
+        set_field(self, "slope_a", slope_a)
+        set_field(self, "intercept_b", intercept_b)
+        set_field(self, "predicted_jump", predicted_jump)
+        set_field(self, "corrected_mean_estimate", corrected_mean_estimate)
 
 
 def yearly_observation(
@@ -164,17 +168,10 @@ def yearly_observation(
     post = post_window(year, series, cal)
     trend = fit_simple_ols(pre.offsets, pre.rates)
     post_intercept = fit_intercept_fixed_slope(post.offsets, post.rates, trend.slope)
-    return YearObservation(
-        year=year,
-        slope_a=trend.slope,
-        intercept_b=trend.intercept,
-        post_intercept=post_intercept,
-        jump_delta=post_intercept - trend.intercept,
-        post_offsets=post.offsets,
-        post_mean=math.fsum(post.rates) / len(post.rates),
-        pre_warning=pre.warning,
-        post_warning=post.warning,
-    )
+    post_mean = math.fsum(post.rates) / len(post.rates)
+    jump = post_intercept - trend.intercept
+    return YearObservation(year, trend.slope, trend.intercept, post_intercept, jump,
+                           post.offsets, post_mean, pre.warning, post.warning)
 
 
 def fit_window_model(
@@ -186,12 +183,8 @@ def fit_window_model(
 ) -> JumpModel:
     """Fit the bilinear jump surface over [first_year, last_year]."""
     check_window_span(first_year, last_year)
-    return _fit_observations(
-        [
-            yearly_observation(year, series, cal, pre_days)
-            for year in range(first_year, last_year + 1)
-        ]
-    )
+    years = range(first_year, last_year + 1)
+    return _fit_observations([yearly_observation(y, series, cal, pre_days) for y in years])
 
 
 def check_window_span(first_year: int, last_year: int) -> None:
@@ -212,12 +205,8 @@ def _fit_observations(observations: Sequence[YearObservation]) -> JumpModel:
     )
     fit = fit_bilinear(design)
     report = inference_for_fit(design, fit)
-    return JumpModel(
-        window_years=(observations[0].year, observations[-1].year),
-        coefficients=fit.coefficients,
-        inference=report.coefficients,
-        adjusted_r2=report.adjusted_r2,
-    )
+    window_years = (observations[0].year, observations[-1].year)
+    return JumpModel(window_years, fit.coefficients, report.coefficients, report.adjusted_r2)
 
 
 def predict_jump(model: JumpModel, slope_a: float, intercept_b: float) -> float:
@@ -263,10 +252,8 @@ def backtest(
     if last_target < first_target:
         raise DomainError("last_target precedes first_target")
     check_window_span(first_target - window_len, first_target - 1)
-    table = [
-        yearly_observation(year, series, cal, pre_days)
-        for year in range(first_target - window_len, first_target)
-    ]
+    years = range(first_target - window_len, first_target)
+    table = [yearly_observation(year, series, cal, pre_days) for year in years]
     rows = []
     models = []
     for target in range(first_target, last_target + 1):
@@ -274,38 +261,19 @@ def backtest(
         obs = yearly_observation(target, series, cal, pre_days)
         table.append(obs)
         forecast = _forecast(model, target, obs.slope_a, obs.intercept_b, obs.post_offsets)
-        rows.append(
-            BacktestRow(
-                target_year=target,
-                predicted_jump=forecast.predicted_jump,
-                realized_jump=obs.jump_delta,
-                corrected_mean_estimate=forecast.corrected_mean_estimate,
-                realized_mean=obs.post_mean,
-                error=forecast.predicted_jump - obs.jump_delta,
-            )
-        )
+        predicted, realized = forecast.predicted_jump, obs.jump_delta
+        estimate, error = forecast.corrected_mean_estimate, predicted - realized
+        rows.append(BacktestRow(target, predicted, realized, estimate, obs.post_mean, error))
         models.append(model)
-    return BacktestReport(rows=tuple(rows), models=tuple(models), window_len=window_len)
+    return BacktestReport(window_len, tuple(rows), tuple(models))
 
 
-def _forecast(
-    model: JumpModel,
-    target_year: int,
-    slope_a: float,
-    intercept_b: float,
-    post_offsets: Sequence[int],
-) -> JumpForecast:
+def _forecast(model: JumpModel, target_year: int, slope_a: float, intercept_b: float,
+              post_offsets: Sequence[int]) -> JumpForecast:
     """Trend, then the predicted jump, then the jump-corrected mean."""
     predicted = predict_jump(model, slope_a, intercept_b)
-    return JumpForecast(
-        target_year=target_year,
-        slope_a=slope_a,
-        intercept_b=intercept_b,
-        predicted_jump=predicted,
-        corrected_mean_estimate=predict_mean_rate(
-            slope_a, intercept_b, post_offsets, predicted
-        ),
-    )
+    estimate = predict_mean_rate(slope_a, intercept_b, post_offsets, predicted)
+    return JumpForecast(target_year, slope_a, intercept_b, predicted, estimate)
 
 
 def predict_next(
@@ -324,10 +292,5 @@ def predict_next(
     """
     pre = pre_window(target_year, series, cal, n=pre_days)
     trend = fit_simple_ols(pre.offsets, pre.rates)
-    return _forecast(
-        model,
-        target_year,
-        trend.slope,
-        trend.intercept,
-        post_window_offsets(target_year, cal),
-    )
+    post_offsets = post_window_offsets(target_year, cal)
+    return _forecast(model, target_year, trend.slope, trend.intercept, post_offsets)

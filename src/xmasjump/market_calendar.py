@@ -7,14 +7,11 @@ handling. A banking day is a weekday that is not listed as a holiday.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterator
 from datetime import MAXYEAR, MINYEAR, date, timedelta
-from typing import TYPE_CHECKING, Iterator
 
 from .errors import DomainError, IncompleteWindow, InsufficientData, MissingFixing, ParseError
-
-if TYPE_CHECKING:
-    from .data_io import DailyRateSeries
+from .record import Record, set_field
 
 SATURDAY = 5  # weekday() of the first weekend day; Sunday is 6
 
@@ -40,8 +37,7 @@ ISO_DATE = r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
 _RECURRING_DATE = r"--([0-9]{2})-([0-9]{2})"
 
 
-@dataclass(frozen=True)
-class HolidayCalendar:
+class HolidayCalendar(Record):
     """Saturdays and Sundays plus holiday entries, recurring or year-specific.
 
     ``holidays`` holds ``datetime.date`` entries for one-off closures and
@@ -50,10 +46,10 @@ class HolidayCalendar:
     banking day.
     """
 
-    holidays: frozenset = DEFAULT_RECURRING_HOLIDAYS
+    __slots__ = ("holidays", "_recurring", "_fixed")
 
-    def __post_init__(self):
-        entries = set(self.holidays)
+    def __init__(self, holidays: frozenset = DEFAULT_RECURRING_HOLIDAYS):
+        entries = set(holidays)
         for entry in entries:
             if isinstance(entry, date):
                 continue
@@ -68,13 +64,9 @@ class HolidayCalendar:
                     f"holiday entries must be a date or a (month, day) pair, got {entry!r}"
                 )
         entries.add((12, 25))
-        object.__setattr__(self, "holidays", frozenset(entries))
-        object.__setattr__(
-            self, "_recurring", frozenset(e for e in entries if isinstance(e, tuple))
-        )
-        object.__setattr__(
-            self, "_fixed", frozenset(e for e in entries if isinstance(e, date))
-        )
+        set_field(self, "holidays", frozenset(entries))
+        set_field(self, "_recurring", frozenset(e for e in entries if isinstance(e, tuple)))
+        set_field(self, "_fixed", frozenset(e for e in entries if isinstance(e, date)))
 
     def is_holiday(self, d: date) -> bool:
         return d in self._fixed or (d.month, d.day) in self._recurring
@@ -137,16 +129,7 @@ def event_date(year: int) -> date:
     return date(year, 12, 25)
 
 
-def day_offset(d: date, year: int) -> int:
-    """Signed whole days from December 25 of ``year`` to ``d``.
-
-    For December dates of the same year this is day-of-month minus 25.
-    """
-    return (d - event_date(year)).days
-
-
-@dataclass(frozen=True)
-class WindowSample:
+class WindowSample(Record):
     """Rates observed on banking days on one side of December 25.
 
     Offsets are whole days from December 25 of ``year``: pre-side offsets
@@ -154,27 +137,29 @@ class WindowSample:
     ``warning`` flags a window whose shape deviates from the nominal one.
     """
 
-    year: int
-    offsets: tuple[int, ...]
-    rates: tuple[float, ...]
-    side: str
-    warning: str | None = None
+    __slots__ = ("year", "offsets", "rates", "side", "warning")
 
-    def __post_init__(self):
-        object.__setattr__(self, "offsets", tuple(int(x) for x in self.offsets))
-        object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
-        if self.side not in ("pre", "post"):
-            raise DomainError(f"side must be 'pre' or 'post', got {self.side!r}")
-        if len(self.offsets) != len(self.rates):
+    def __init__(self, year: int, offsets: tuple[int, ...], rates: tuple[float, ...],
+                 side: str, warning: str | None = None):
+        offsets = tuple(int(x) for x in offsets)
+        rates = tuple(float(r) for r in rates)
+        if side not in ("pre", "post"):
+            raise DomainError(f"side must be 'pre' or 'post', got {side!r}")
+        if len(offsets) != len(rates):
             raise DomainError("offsets and rates differ in length")
-        if len(self.offsets) < 2:
+        if len(offsets) < 2:
             raise DomainError("a window needs at least two observations")
-        if any(b <= a for a, b in zip(self.offsets, self.offsets[1:])):
+        if any(b <= a for a, b in zip(offsets, offsets[1:])):
             raise DomainError("offsets must be strictly increasing")
-        if self.side == "pre" and self.offsets[-1] >= 0:
+        if side == "pre" and offsets[-1] >= 0:
             raise DomainError("pre-window offsets must all be negative")
-        if self.side == "post" and not all(2 <= x <= 6 for x in self.offsets):
+        if side == "post" and not all(2 <= x <= 6 for x in offsets):
             raise DomainError("post-window offsets must lie in [2, 6]")
+        set_field(self, "year", year)
+        set_field(self, "offsets", offsets)
+        set_field(self, "rates", rates)
+        set_field(self, "side", side)
+        set_field(self, "warning", warning)
 
 
 def pre_window(
@@ -231,7 +216,7 @@ def pre_window(
             f"pre-window spans {span} calendar days,"
             f" nominal {NOMINAL_PRE_SPAN_DAYS}"
         )
-    return WindowSample(year=year, offsets=offsets, rates=rates, side="pre", warning=warning)
+    return WindowSample(year, offsets, rates, "pre", warning)
 
 
 def post_window_offsets(year: int, cal: HolidayCalendar) -> tuple[int, ...]:
@@ -274,10 +259,5 @@ def post_window(year: int, series: "DailyRateSeries", cal: HolidayCalendar) -> W
             f"post-window has {len(picked)} observations,"
             f" nominal {NOMINAL_POST_COUNT}"
         )
-    return WindowSample(
-        year=year,
-        offsets=tuple(x for x, _ in picked),
-        rates=tuple(r for _, r in picked),
-        side="post",
-        warning=warning,
-    )
+    offsets = tuple(x for x, _ in picked)
+    return WindowSample(year, offsets, tuple(r for _, r in picked), "post", warning)

@@ -9,10 +9,10 @@ platforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import DegenerateDesign, DomainError, RankDeficient, TooFewRows
+from .record import Record, set_field
 
 N_PARAMETERS = 4
 MIN_DESIGN_ROWS = 5
@@ -21,17 +21,16 @@ MIN_DESIGN_ROWS = 5
 RANK_TOLERANCE = 1e-6
 
 
-@dataclass(frozen=True)
-class LineFit:
+class LineFit(Record):
     """A fitted line ``rate = slope * offset + intercept``."""
 
-    slope: float
-    intercept: float
-    residual_sum_squares: float
-    n: int
+    __slots__ = ("slope", "intercept", "residual_sum_squares", "n")
 
-    def predict(self, x: float) -> float:
-        return self.slope * x + self.intercept
+    def __init__(self, slope: float, intercept: float, residual_sum_squares: float, n: int):
+        set_field(self, "slope", slope)
+        set_field(self, "intercept", intercept)
+        set_field(self, "residual_sum_squares", residual_sum_squares)
+        set_field(self, "n", n)
 
 
 def fit_simple_ols(xs: Sequence[float], ys: Sequence[float]) -> LineFit:
@@ -54,7 +53,7 @@ def fit_simple_ols(xs: Sequence[float], ys: Sequence[float]) -> LineFit:
     slope = sxy / sxx
     intercept = y_mean - slope * x_mean
     rss = math.fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
-    return LineFit(slope=slope, intercept=intercept, residual_sum_squares=rss, n=n)
+    return LineFit(slope, intercept, rss, n)
 
 
 def fit_intercept_fixed_slope(
@@ -73,16 +72,14 @@ def fit_intercept_fixed_slope(
     return math.fsum(y - slope * x for x, y in zip(xs, ys)) / n
 
 
-@dataclass(frozen=True)
-class DesignMatrix:
+class DesignMatrix(Record):
     """Regressor rows ``[1, a, b, a*b]`` with one jump target per row."""
 
-    rows: tuple[tuple[float, float, float, float], ...]
-    targets: tuple[float, ...]
+    __slots__ = ("rows", "targets")
 
-    def __post_init__(self):
-        rows = tuple(tuple(float(v) for v in row) for row in self.rows)
-        targets = tuple(float(t) for t in self.targets)
+    def __init__(self, rows: Sequence[tuple[float, ...]], targets: Sequence[float]):
+        rows = tuple(tuple(float(v) for v in row) for row in rows)
+        targets = tuple(float(t) for t in targets)
         if len(rows) != len(targets):
             raise DomainError("rows and targets differ in length")
         for row in rows:
@@ -92,31 +89,30 @@ class DesignMatrix:
                 )
             if row[0] != 1.0:
                 raise DomainError("the first entry of each design row must be 1")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "targets", targets)
+        set_field(self, "rows", rows)
+        set_field(self, "targets", targets)
 
     @classmethod
-    def from_trends(
-        cls,
-        trends: Sequence[tuple[float, float]],
-        targets: Sequence[float],
-    ) -> "DesignMatrix":
+    def from_trends(cls, trends: Sequence[tuple[float, float]], targets: Sequence[float]):
         """Rows ``[1, a, b, a*b]`` built from (slope, intercept) pairs."""
         rows = tuple((1.0, a, b, a * b) for a, b in trends)
-        return cls(rows=rows, targets=tuple(targets))
+        return cls(rows, tuple(targets))
 
 
-@dataclass(frozen=True)
-class BilinearFit:
+class BilinearFit(Record):
     """Least-squares coefficients for targets ~ ``[1, a, b, a*b]``.
 
     ``variance_factors`` is diag((X'X)^-1): each coefficient's variance is
     the residual variance times its factor.
     """
 
-    coefficients: tuple[float, float, float, float]
-    residual_sum_squares: float
-    variance_factors: tuple[float, float, float, float]
+    __slots__ = ("coefficients", "residual_sum_squares", "variance_factors")
+
+    def __init__(self, coefficients: tuple[float, ...], residual_sum_squares: float,
+                 variance_factors: tuple[float, ...]):
+        set_field(self, "coefficients", coefficients)
+        set_field(self, "residual_sum_squares", residual_sum_squares)
+        set_field(self, "variance_factors", variance_factors)
 
 
 def fit_bilinear(design: DesignMatrix) -> BilinearFit:
@@ -172,11 +168,7 @@ def fit_bilinear(design: DesignMatrix) -> BilinearFit:
         math.fsum(col[i] ** 2 for col in r_inverse_columns) / scales[i] ** 2
         for i in range(N_PARAMETERS)
     )
-    return BilinearFit(
-        coefficients=beta,
-        residual_sum_squares=rss,
-        variance_factors=variance_factors,
-    )
+    return BilinearFit(beta, rss, variance_factors)
 
 
 def _back_substitute(r: list[list[float]], rhs: list[float]) -> list[float]:

@@ -8,9 +8,9 @@ continued fraction. No external numerics libraries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DegenerateVariance, DomainError, TooFewRows
+from .record import Record, set_field
 from .regression_core import N_PARAMETERS, BilinearFit, DesignMatrix
 
 _LENTZ_EPS = 1e-14
@@ -137,34 +137,39 @@ def student_t_two_sided_p(t: float, df: int) -> float:
     return regularized_incomplete_beta(h, 0.5, df / (df + t2))
 
 
-@dataclass(frozen=True)
-class CoefficientInference:
+class CoefficientInference(Record):
     """One coefficient with its standard error, t statistic and p-value.
 
     A perfect fit has zero residual variance; the standard error then
     degenerates to 0 with an infinite t statistic and a zero p-value.
     """
 
-    estimate: float
-    standard_error: float
-    t_statistic: float
-    p_value: float
+    __slots__ = ("estimate", "standard_error", "t_statistic", "p_value")
 
-    def __post_init__(self):
-        if self.standard_error < 0.0:
+    def __init__(self, estimate: float, standard_error: float, t_statistic: float,
+                 p_value: float):
+        if standard_error < 0.0:
             raise DomainError("standard error cannot be negative")
-        if not 0.0 <= self.p_value <= 1.0:
+        if not 0.0 <= p_value <= 1.0:
             raise DomainError("p-value must lie in [0, 1]")
-        if self.standard_error > 0.0:
-            implied = self.estimate / self.standard_error
-            if abs(self.t_statistic - implied) > 1e-12 * max(1.0, abs(implied)):
+        if standard_error > 0.0:
+            implied = estimate / standard_error
+            if abs(t_statistic - implied) > 1e-12 * max(1.0, abs(implied)):
                 raise DomainError("t statistic inconsistent with estimate / se")
+        set_field(self, "estimate", estimate)
+        set_field(self, "standard_error", standard_error)
+        set_field(self, "t_statistic", t_statistic)
+        set_field(self, "p_value", p_value)
 
 
-@dataclass(frozen=True)
-class InferenceReport:
-    coefficients: tuple[CoefficientInference, ...]
-    adjusted_r2: float
+class InferenceReport(Record):
+    """Per-coefficient inference and the adjusted R^2 of one fit."""
+
+    __slots__ = ("coefficients", "adjusted_r2")
+
+    def __init__(self, coefficients: tuple[CoefficientInference, ...], adjusted_r2: float):
+        set_field(self, "coefficients", coefficients)
+        set_field(self, "adjusted_r2", adjusted_r2)
 
 
 def inference_for_fit(design: DesignMatrix, fit: BilinearFit) -> InferenceReport:
@@ -201,12 +206,8 @@ def inference_for_fit(design: DesignMatrix, fit: BilinearFit) -> InferenceReport
         else:
             t_stat = 0.0
         p = student_t_two_sided_p(t_stat, df)
-        coefficients.append(
-            CoefficientInference(
-                estimate=estimate, standard_error=se, t_statistic=t_stat, p_value=p
-            )
-        )
+        coefficients.append(CoefficientInference(estimate, se, t_stat, p))
     r2 = 1.0 - rss / tss
     adjusted = 1.0 - (1.0 - r2) * (n - 1) / (n - N_PARAMETERS)
-    return InferenceReport(coefficients=tuple(coefficients), adjusted_r2=adjusted)
+    return InferenceReport(tuple(coefficients), adjusted)
 

@@ -9,7 +9,21 @@ from xmasjump import (
     SyntheticSpec,
     generate_synthetic_series,
 )
-from xmasjump.market_calendar import day_offset
+from xmasjump.market_calendar import event_date
+
+
+def day_offset(d, year):
+    """Signed whole days from December 25 of ``year`` to ``d``.
+
+    For December dates of the same year this is day-of-month minus 25;
+    years outside 1..9999 are a DomainError, as in ``event_date``.
+    """
+    return (d - event_date(year)).days
+
+
+def line_value(fit, x):
+    """The fitted line ``fit`` (a ``LineFit``) evaluated at offset ``x``."""
+    return fit.slope * x + fit.intercept
 
 
 def distinct_trends(first_year, last_year, seed=20231225):

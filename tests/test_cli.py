@@ -1,6 +1,7 @@
 """Command-line behavior: rendering, exit codes, round-trips."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from xmasjump import HolidayCalendar, backtest, parse_rate_series
 from xmasjump.cli import EXIT_DATA_ERROR, EXIT_OK, EXIT_USAGE, main
 
 PLANTED = (0.005, -9.0, -0.002, 2.0)
+DEMO_RATES = Path(__file__).resolve().parents[1] / "fixtures" / "demo_rates.csv"
 
 
 def write_spec(path, first_year, last_year, jump=None, noise=0.0, seed=3):
@@ -247,6 +249,47 @@ class TestPredictCommand:
             " but the series ends at 2019-12-09\n"
         )
         assert errors == [want] * 3
+
+
+class TestJsonKeyOrder:
+    """``--format json-like`` keys follow the records' declared field order."""
+
+    def test_fit_year(self, capsys):
+        argv = ["fit-year", "2018", "--data", str(DEMO_RATES), "--format", "json-like"]
+        assert main(argv) == EXIT_OK
+        assert list(json.loads(capsys.readouterr().out)) == [
+            "year",
+            "slope_a",
+            "intercept_b",
+            "post_intercept",
+            "jump_delta",
+            "post_offsets",
+            "post_mean",
+            "pre_warning",
+            "post_warning",
+        ]
+
+    def test_predict(self, capsys):
+        argv = ["predict", "2019", "--data", str(DEMO_RATES), "--format", "json-like"]
+        assert main(argv) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == ["model", "forecast"]
+        assert list(doc["model"]) == [
+            "window_years",
+            "coefficients",
+            "inference",
+            "adjusted_r2",
+        ]
+        assert [list(ci) for ci in doc["model"]["inference"]] == [
+            ["estimate", "standard_error", "t_statistic", "p_value"]
+        ] * 4
+        assert list(doc["forecast"]) == [
+            "target_year",
+            "slope_a",
+            "intercept_b",
+            "predicted_jump",
+            "corrected_mean_estimate",
+        ]
 
 
 class TestUsageErrors:

@@ -6,6 +6,7 @@ from datetime import date, datetime
 
 import pytest
 
+from helpers import day_offset
 from xmasjump import (
     BilinearJump,
     DailyRateSeries,
@@ -17,7 +18,7 @@ from xmasjump import (
     synthetic_spec_from_json,
 )
 from xmasjump.errors import DomainError, DuplicateDate, ParseError
-from xmasjump.market_calendar import banking_days, day_offset
+from xmasjump.market_calendar import banking_days
 
 LCG_MULTIPLIER = 6364136223846793005
 LCG_INCREMENT = 1442695040888963407
@@ -242,6 +243,39 @@ class TestDailyRateSeriesValidation:
             DailyRateSeries(entries=entries)
         assert str(exc_info.value) == message
 
+    @pytest.mark.parametrize(
+        "rate, shown",
+        [
+            (None, "None"),
+            ("abc", "'abc'"),
+            ("2.5", "'2.5'"),
+            (b"2.5", "b'2.5'"),
+            ([2.5], "[2.5]"),
+        ],
+        ids=["none", "text", "numeric_text", "bytes", "list"],
+    )
+    def test_rate_that_is_not_a_number(self, rate, shown):
+        with pytest.raises(DomainError) as exc_info:
+            DailyRateSeries(entries=((date(2018, 1, 2), 1.0), (date(2018, 1, 3), rate)))
+        assert str(exc_info.value) == (
+            f"rate on 2018-01-03 must be a finite real number, got {shown}"
+        )
+
+    def test_rate_beyond_the_float_range(self):
+        message = "^rate on 2018-01-02 must be a finite real number"
+        with pytest.raises(DomainError, match=message):
+            DailyRateSeries(entries=((date(2018, 1, 2), 10**400),))
+
+    @pytest.mark.parametrize(
+        "entry",
+        [(date(2018, 1, 3),), (date(2018, 1, 3), 1.0, 2.0), None, date(2018, 1, 3)],
+        ids=["one_item", "three_items", "none", "bare_date"],
+    )
+    def test_entry_that_is_not_a_pair(self, entry):
+        with pytest.raises(DomainError) as exc_info:
+            DailyRateSeries(entries=((date(2018, 1, 2), 1.0), entry))
+        assert str(exc_info.value) == f"entries must be (date, rate) pairs, got {entry!r}"
+
     def test_entries_become_date_float_tuples(self):
         series = DailyRateSeries(entries=[[date(2018, 1, 2), 1], (date(2018, 1, 3), True)])
         assert series.entries == ((date(2018, 1, 2), 1.0), (date(2018, 1, 3), 1.0))
@@ -363,6 +397,31 @@ class TestGenerator:
     def test_non_finite_noise_amplitude_rejected(self, amplitude):
         with pytest.raises(DomainError):
             SyntheticSpec(year_trends={2018: (0.0, 1.0)}, noise_amplitude=amplitude)
+
+    @pytest.mark.parametrize(
+        "trend",
+        [(math.nan, 1.0), (0.01, math.inf), (-math.inf, 2.5)],
+        ids=["nan", "inf", "-inf"],
+    )
+    def test_non_finite_trend_rejected(self, trend):
+        with pytest.raises(DomainError, match=r"^year_trends\[2018\] must be finite"):
+            SyntheticSpec(year_trends={2017: (0.0, 1.0), 2018: trend})
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"]
+    )
+    def test_non_finite_fixed_jump_rejected(self, value):
+        with pytest.raises(DomainError, match="^fixed jump value must be finite"):
+            FixedJump(value)
+
+    @pytest.mark.parametrize(
+        "coefficients",
+        [(math.nan, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, math.inf), (0.0, 0.0, 0.0)],
+        ids=["nan", "inf", "three"],
+    )
+    def test_bad_jump_coefficients_rejected(self, coefficients):
+        with pytest.raises(DomainError, match="^jump coefficients must be 4 finite numbers"):
+            BilinearJump(coefficients)
 
 
 class TestSyntheticSpecFromJson:

@@ -4,7 +4,7 @@ from datetime import date, timedelta
 
 import pytest
 
-from helpers import flat_series
+from helpers import day_offset, flat_series
 from xmasjump import HolidayCalendar, calendar_from_lines
 from xmasjump.errors import (
     DomainError,
@@ -16,7 +16,6 @@ from xmasjump.errors import (
 from xmasjump.market_calendar import (
     WindowSample,
     banking_days,
-    day_offset,
     event_date,
     is_banking_day,
     post_window,
