@@ -52,14 +52,24 @@ def _is_fixing_date_type(kind: type) -> bool:
     return issubclass(kind, date) and not issubclass(kind, datetime.datetime)
 
 
-def _as_rate(day: date, value) -> float:
-    """The rate on ``day`` as a float; text or a non-number is a DomainError."""
+def _finite(value) -> float | None:
+    """``value`` as a float when it is a finite real number, not text; else None."""
     try:
         if not isinstance(value, (str, bytes, bytearray)):  # float() parses text
-            return float(value)
+            number = float(value)
+            return number if math.isfinite(number) else None
     except (TypeError, ValueError, OverflowError):
         pass
-    raise DomainError(f"rate on {day.isoformat()} must be a finite real number, got {value!r}")
+    return None
+
+
+def _finite_tuple(values, count: int) -> tuple[float, ...] | None:
+    """``values`` as a tuple of ``count`` finite floats, else None."""
+    try:
+        numbers = tuple(map(_finite, values))
+    except TypeError:  # not iterable
+        return None
+    return numbers if len(numbers) == count and None not in numbers else None
 
 
 class DailyRateSeries(Record):
@@ -73,7 +83,12 @@ class DailyRateSeries(Record):
     __slots__ = ("entries", "tenor_label", "_by_date")
 
     def __init__(self, entries: Iterable[tuple[date, float]], tenor_label: str = ""):
-        entries = tuple(entries)
+        if not isinstance(tenor_label, str):
+            raise DomainError(f"tenor_label must be a string, got {tenor_label!r}")
+        try:
+            entries = tuple(entries)
+        except TypeError:
+            raise DomainError(f"entries must be (date, rate) pairs, got {entries!r}") from None
         try:
             dates = [d for d, _ in entries]
         except (TypeError, ValueError):
@@ -86,7 +101,12 @@ class DailyRateSeries(Record):
         # Exact (date, float) tuples, as the parser and the generator build
         # them, are kept; other pairs and rate types are rebuilt that way.
         if set(map(type, entries)) != {tuple} or set(map(type, rates)) != {float}:
-            rates = list(map(_as_rate, dates, rates))
+            rates = list(map(_finite, rates))
+            if None in rates:
+                day, rate = entries[rates.index(None)]
+                raise DomainError(
+                    f"rate on {day.isoformat()} must be a finite real number, got {rate!r}"
+                )
             entries = tuple(zip(dates, rates))
         if not all(map(math.isfinite, rates)):
             bad = next(d for d, r in zip(dates, rates) if not math.isfinite(r))
@@ -208,9 +228,10 @@ class FixedJump(Record):
     __slots__ = ("value",)
 
     def __init__(self, value: float):
-        if not math.isfinite(value):
+        number = _finite(value)
+        if number is None:
             raise DomainError(f"fixed jump value must be finite, got {value!r}")
-        set_field(self, "value", value)
+        set_field(self, "value", number)
 
     def jump_for(self, slope: float, intercept: float) -> float:
         return self.value
@@ -222,10 +243,10 @@ class BilinearJump(Record):
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: tuple[float, float, float, float]):
-        coefficients = tuple(coefficients)
-        if len(coefficients) != 4 or not all(map(math.isfinite, coefficients)):
+        numbers = _finite_tuple(coefficients, 4)
+        if numbers is None:
             raise DomainError(f"jump coefficients must be 4 finite numbers: {coefficients!r}")
-        set_field(self, "coefficients", coefficients)
+        set_field(self, "coefficients", numbers)
 
     def jump_for(self, slope: float, intercept: float) -> float:
         c0, c1, c2, c3 = self.coefficients
@@ -245,15 +266,25 @@ class SyntheticSpec(Record):
     def __init__(self, year_trends: Mapping[int, tuple[float, float]],
                  jump: FixedJump | BilinearJump = FixedJump(0.0), noise_amplitude: float = 0.0,
                  seed: int = 0, tenor_label: str = "SYN"):
-        trends = {int(y): (float(a), float(b)) for y, (a, b) in year_trends.items()}
-        for year, trend in trends.items():
-            if not all(map(math.isfinite, trend)):
+        if not isinstance(year_trends, Mapping):
+            raise DomainError(f"year_trends must map years to pairs, got {year_trends!r}")
+        trends = {}
+        for year, trend in year_trends.items():
+            if not isinstance(year, int):
+                raise DomainError(f"year_trends key {year!r} is not an integer year")
+            trends[year] = _finite_tuple(trend, 2)
+            if trends[year] is None:
                 raise DomainError(f"year_trends[{year}] must be finite, got {trend!r}")
-        if not (math.isfinite(noise_amplitude) and noise_amplitude >= 0.0):
+        if not isinstance(jump, (FixedJump, BilinearJump)):
+            raise DomainError(f"jump must be a FixedJump or a BilinearJump, got {jump!r}")
+        noise = _finite(noise_amplitude)
+        if noise is None or noise < 0.0:
             raise DomainError("noise amplitude must be a finite non-negative number")
+        if not isinstance(seed, int):
+            raise DomainError(f"seed must be an integer, got {seed!r}")
         set_field(self, "year_trends", trends)
         set_field(self, "jump", jump)
-        set_field(self, "noise_amplitude", noise_amplitude)
+        set_field(self, "noise_amplitude", noise)
         set_field(self, "seed", seed)
         set_field(self, "tenor_label", tenor_label)
 
@@ -358,12 +389,7 @@ def _floats(values, count: int, message: str) -> tuple[float, ...]:
     ``json.loads`` reads ``NaN`` and ``Infinity`` as floats; they are rejected
     here, like integers beyond the float range.
     """
-    if isinstance(values, list) and len(values) == count:
-        try:
-            if all(isinstance(v, (int, float)) for v in values):
-                floats = tuple(float(v) for v in values)
-                if all(map(math.isfinite, floats)):
-                    return floats
-        except OverflowError:  # an integer beyond the float range
-            pass
-    raise ParseError(None, message)
+    floats = _finite_tuple(values, count) if isinstance(values, list) else None
+    if floats is None:
+        raise ParseError(None, message)
+    return floats

@@ -14,7 +14,7 @@ import math
 from collections.abc import Sequence
 
 from .data_io import DailyRateSeries
-from .errors import DomainError, WindowTooShort
+from .errors import DomainError, InsufficientData, WindowTooShort
 from .market_calendar import (
     HolidayCalendar,
     PRE_WINDOW_DAYS,
@@ -24,7 +24,6 @@ from .market_calendar import (
 )
 from .regression_core import (
     MIN_DESIGN_ROWS,
-    DesignMatrix,
     fit_bilinear,
     fit_intercept_fixed_slope,
     fit_simple_ols,
@@ -94,7 +93,7 @@ class BacktestRow(Record):
 
     ``error`` equals both ``predicted_jump - realized_jump`` and
     ``corrected_mean_estimate - realized_mean``; the constructor rejects
-    rows where the two disagree.
+    rows where they differ by more than 1e-9 times max(1, |each mean|).
     """
 
     __slots__ = ("target_year", "predicted_jump", "realized_jump", "corrected_mean_estimate",
@@ -104,7 +103,8 @@ class BacktestRow(Record):
                  corrected_mean_estimate: float, realized_mean: float, error: float):
         jump_gap = predicted_jump - realized_jump
         mean_gap = corrected_mean_estimate - realized_mean
-        if abs(error - jump_gap) > 1e-9 or abs(error - mean_gap) > 1e-9:
+        bound = 1e-9 * max(1.0, abs(corrected_mean_estimate), abs(realized_mean))
+        if abs(error - jump_gap) > bound or abs(error - mean_gap) > bound:
             raise DomainError(
                 f"inconsistent error for {target_year}:"
                 f" {error} vs {jump_gap} and {mean_gap}"
@@ -164,14 +164,14 @@ def yearly_observation(
     (the trend barely moves over a few days), re-fits the post-window
     intercept, and records the intercept difference as the jump.
     """
-    pre = pre_window(year, series, cal, n=pre_days)
-    post = post_window(year, series, cal)
-    trend = fit_simple_ols(pre.offsets, pre.rates)
-    post_intercept = fit_intercept_fixed_slope(post.offsets, post.rates, trend.slope)
-    post_mean = math.fsum(post.rates) / len(post.rates)
+    pre_offsets, pre_rates, pre_warning = pre_window(year, series, cal, n=pre_days)
+    post_offsets, post_rates, post_warning = post_window(year, series, cal)
+    trend = fit_simple_ols(pre_offsets, pre_rates)
+    post_intercept = fit_intercept_fixed_slope(post_offsets, post_rates, trend.slope)
+    post_mean = math.fsum(post_rates) / len(post_rates)
     jump = post_intercept - trend.intercept
     return YearObservation(year, trend.slope, trend.intercept, post_intercept, jump,
-                           post.offsets, post_mean, pre.warning, post.warning)
+                           post_offsets, post_mean, pre_warning, post_warning)
 
 
 def fit_window_model(
@@ -199,14 +199,11 @@ def check_window_span(first_year: int, last_year: int) -> None:
 
 def _fit_observations(observations: Sequence[YearObservation]) -> JumpModel:
     """Fit the bilinear jump surface to consecutive years' observations."""
-    design = DesignMatrix.from_trends(
-        [(obs.slope_a, obs.intercept_b) for obs in observations],
-        [obs.jump_delta for obs in observations],
-    )
-    fit = fit_bilinear(design)
-    report = inference_for_fit(design, fit)
+    targets = [obs.jump_delta for obs in observations]
+    fit = fit_bilinear([(obs.slope_a, obs.intercept_b) for obs in observations], targets)
+    inference, adjusted_r2 = inference_for_fit(targets, fit)
     window_years = (observations[0].year, observations[-1].year)
-    return JumpModel(window_years, fit.coefficients, report.coefficients, report.adjusted_r2)
+    return JumpModel(window_years, fit[0], inference, adjusted_r2)
 
 
 def predict_jump(model: JumpModel, slope_a: float, intercept_b: float) -> float:
@@ -288,9 +285,11 @@ def predict_next(
     Runnable on or after the last pre-event banking day (before that,
     ``pre_window`` raises IncompleteWindow); the post-event mean estimate
     uses the calendar's banking-day offsets, so no post-event fixings are
-    needed.
+    needed; a calendar without any of them is InsufficientData.
     """
-    pre = pre_window(target_year, series, cal, n=pre_days)
-    trend = fit_simple_ols(pre.offsets, pre.rates)
+    offsets, rates, _ = pre_window(target_year, series, cal, n=pre_days)
+    trend = fit_simple_ols(offsets, rates)
     post_offsets = post_window_offsets(target_year, cal)
+    if not post_offsets:
+        raise InsufficientData(f"0 banking days with offsets 2..6 after Dec 25 {target_year}")
     return _forecast(model, target_year, trend.slope, trend.intercept, post_offsets)

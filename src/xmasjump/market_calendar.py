@@ -49,7 +49,10 @@ class HolidayCalendar(Record):
     __slots__ = ("holidays", "_recurring", "_fixed")
 
     def __init__(self, holidays: frozenset = DEFAULT_RECURRING_HOLIDAYS):
-        entries = set(holidays)
+        try:
+            entries = set(holidays)
+        except TypeError:
+            raise DomainError(f"holidays must be a set of entries, got {holidays!r}") from None
         for entry in entries:
             if isinstance(entry, date):
                 continue
@@ -129,54 +132,22 @@ def event_date(year: int) -> date:
     return date(year, 12, 25)
 
 
-class WindowSample(Record):
-    """Rates observed on banking days on one side of December 25.
-
-    Offsets are whole days from December 25 of ``year``: pre-side offsets
-    are all negative, post-side offsets lie in [2, 6] (December 27-31).
-    ``warning`` flags a window whose shape deviates from the nominal one.
-    """
-
-    __slots__ = ("year", "offsets", "rates", "side", "warning")
-
-    def __init__(self, year: int, offsets: tuple[int, ...], rates: tuple[float, ...],
-                 side: str, warning: str | None = None):
-        offsets = tuple(int(x) for x in offsets)
-        rates = tuple(float(r) for r in rates)
-        if side not in ("pre", "post"):
-            raise DomainError(f"side must be 'pre' or 'post', got {side!r}")
-        if len(offsets) != len(rates):
-            raise DomainError("offsets and rates differ in length")
-        if len(offsets) < 2:
-            raise DomainError("a window needs at least two observations")
-        if any(b <= a for a, b in zip(offsets, offsets[1:])):
-            raise DomainError("offsets must be strictly increasing")
-        if side == "pre" and offsets[-1] >= 0:
-            raise DomainError("pre-window offsets must all be negative")
-        if side == "post" and not all(2 <= x <= 6 for x in offsets):
-            raise DomainError("post-window offsets must lie in [2, 6]")
-        set_field(self, "year", year)
-        set_field(self, "offsets", offsets)
-        set_field(self, "rates", rates)
-        set_field(self, "side", side)
-        set_field(self, "warning", warning)
-
-
 def pre_window(
     year: int,
     series: "DailyRateSeries",
     cal: HolidayCalendar,
     n: int = PRE_WINDOW_DAYS,
-) -> WindowSample:
+) -> tuple:
     """The last ``n`` banking-day fixings strictly before December 25.
 
-    Walks backward from December 24; every banking day inside the series
-    coverage must carry a rate (no interpolation). Returns exactly ``n``
-    observations or raises: IncompleteWindow when a banking day of the
-    walk lies after the last fixing, InsufficientData when the series
-    does not reach back far enough, MissingFixing when a covered banking
-    day has no rate. With the default ``n`` the sample is flagged when its
-    calendar span differs from the nominal 21 days.
+    Returns ``(offsets, rates, warning)``, offsets in whole days from
+    December 25, ascending. Walks backward from December 24; every banking
+    day inside the series coverage must carry a rate (no interpolation).
+    Returns exactly ``n`` observations or raises: IncompleteWindow when a
+    banking day of the walk lies after the last fixing, InsufficientData
+    when the series does not reach back far enough, MissingFixing when a
+    covered banking day has no rate. With the default ``n``, ``warning``
+    flags a calendar span other than the nominal 21 days.
     """
     if n < PRE_WINDOW_MIN:
         raise DomainError(f"pre-window needs at least {PRE_WINDOW_MIN} banking days")
@@ -206,9 +177,7 @@ def pre_window(
             f"only {len(picked)} banking-day fixings before Dec 25 {year},"
             f" need {n}"
         )
-    picked.reverse()
-    offsets = tuple(x for x, _ in picked)
-    rates = tuple(r for _, r in picked)
+    offsets, rates = zip(*reversed(picked))
     warning = None
     span = -offsets[0]
     if n == PRE_WINDOW_DAYS and span != NOMINAL_PRE_SPAN_DAYS:
@@ -216,7 +185,7 @@ def pre_window(
             f"pre-window spans {span} calendar days,"
             f" nominal {NOMINAL_PRE_SPAN_DAYS}"
         )
-    return WindowSample(year, offsets, rates, "pre", warning)
+    return offsets, rates, warning
 
 
 def post_window_offsets(year: int, cal: HolidayCalendar) -> tuple[int, ...]:
@@ -231,12 +200,13 @@ def post_window_offsets(year: int, cal: HolidayCalendar) -> tuple[int, ...]:
     return tuple((d - event).days for d in banking_days(start, end, cal))
 
 
-def post_window(year: int, series: "DailyRateSeries", cal: HolidayCalendar) -> WindowSample:
+def post_window(year: int, series: "DailyRateSeries", cal: HolidayCalendar) -> tuple:
     """All banking-day fixings with offsets in [2, 6] after December 25.
 
-    Nominally three observations; any other count is returned with a
-    warning. Fewer than two is InsufficientData; a banking day inside the
-    series coverage without a rate is MissingFixing.
+    Returns ``(offsets, rates, warning)`` like ``pre_window``. Nominally
+    three observations; any other count is returned with a warning. Fewer
+    than two is InsufficientData; a banking day inside the series coverage
+    without a rate is MissingFixing.
     """
     event = event_date(year)
     picked: list[tuple[int, float]] = []
@@ -259,5 +229,4 @@ def post_window(year: int, series: "DailyRateSeries", cal: HolidayCalendar) -> W
             f"post-window has {len(picked)} observations,"
             f" nominal {NOMINAL_POST_COUNT}"
         )
-    offsets = tuple(x for x, _ in picked)
-    return WindowSample(year, offsets, tuple(r for _, r in picked), "post", warning)
+    return tuple(x for x, _ in picked), tuple(r for _, r in picked), warning

@@ -24,13 +24,11 @@ RANK_TOLERANCE = 1e-6
 class LineFit(Record):
     """A fitted line ``rate = slope * offset + intercept``."""
 
-    __slots__ = ("slope", "intercept", "residual_sum_squares", "n")
+    __slots__ = ("slope", "intercept")
 
-    def __init__(self, slope: float, intercept: float, residual_sum_squares: float, n: int):
+    def __init__(self, slope: float, intercept: float):
         set_field(self, "slope", slope)
         set_field(self, "intercept", intercept)
-        set_field(self, "residual_sum_squares", residual_sum_squares)
-        set_field(self, "n", n)
 
 
 def fit_simple_ols(xs: Sequence[float], ys: Sequence[float]) -> LineFit:
@@ -51,9 +49,7 @@ def fit_simple_ols(xs: Sequence[float], ys: Sequence[float]) -> LineFit:
         raise DegenerateDesign("all x values are identical")
     sxy = math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
     slope = sxy / sxx
-    intercept = y_mean - slope * x_mean
-    rss = math.fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
-    return LineFit(slope, intercept, rss, n)
+    return LineFit(slope, y_mean - slope * x_mean)
 
 
 def fit_intercept_fixed_slope(
@@ -72,71 +68,31 @@ def fit_intercept_fixed_slope(
     return math.fsum(y - slope * x for x, y in zip(xs, ys)) / n
 
 
-class DesignMatrix(Record):
-    """Regressor rows ``[1, a, b, a*b]`` with one jump target per row."""
+def fit_bilinear(trends: Sequence[tuple[float, float]], targets: Sequence[float]) -> tuple:
+    """Least-squares fit of targets ~ ``[1, a, b, a*b]`` over (a, b) trends.
 
-    __slots__ = ("rows", "targets")
-
-    def __init__(self, rows: Sequence[tuple[float, ...]], targets: Sequence[float]):
-        rows = tuple(tuple(float(v) for v in row) for row in rows)
-        targets = tuple(float(t) for t in targets)
-        if len(rows) != len(targets):
-            raise DomainError("rows and targets differ in length")
-        for row in rows:
-            if len(row) != N_PARAMETERS:
-                raise DomainError(
-                    f"each design row must have exactly {N_PARAMETERS} entries"
-                )
-            if row[0] != 1.0:
-                raise DomainError("the first entry of each design row must be 1")
-        set_field(self, "rows", rows)
-        set_field(self, "targets", targets)
-
-    @classmethod
-    def from_trends(cls, trends: Sequence[tuple[float, float]], targets: Sequence[float]):
-        """Rows ``[1, a, b, a*b]`` built from (slope, intercept) pairs."""
-        rows = tuple((1.0, a, b, a * b) for a, b in trends)
-        return cls(rows, tuple(targets))
-
-
-class BilinearFit(Record):
-    """Least-squares coefficients for targets ~ ``[1, a, b, a*b]``.
-
-    ``variance_factors`` is diag((X'X)^-1): each coefficient's variance is
-    the residual variance times its factor.
+    Returns ``(coefficients, rss, variance_factors)``, the last being
+    diag((X'X)^-1). One Householder QR of those design rows with every
+    column scaled to unit norm first; the regressor columns carry very
+    different magnitudes (1 vs. a small slope), which the scaling
+    neutralizes. Beta comes from back-substitution on R, and diag((X'X)^-1)
+    from the squared row norms of R^-1 divided by the squared column
+    scales. Raises RankDeficient when a column is all zero or a diagonal
+    entry of R falls below RANK_TOLERANCE.
     """
-
-    __slots__ = ("coefficients", "residual_sum_squares", "variance_factors")
-
-    def __init__(self, coefficients: tuple[float, ...], residual_sum_squares: float,
-                 variance_factors: tuple[float, ...]):
-        set_field(self, "coefficients", coefficients)
-        set_field(self, "residual_sum_squares", residual_sum_squares)
-        set_field(self, "variance_factors", variance_factors)
-
-
-def fit_bilinear(design: DesignMatrix) -> BilinearFit:
-    """Least-squares coefficients of the four-term bilinear surface.
-
-    One Householder QR of the design with every column scaled to unit norm
-    first; the regressor columns carry very different magnitudes (1 vs. a
-    small slope), which the scaling neutralizes. Beta comes from
-    back-substitution on R, and diag((X'X)^-1) from the squared row norms
-    of R^-1 divided by the squared column scales. Raises RankDeficient when
-    a column is all zero or a diagonal entry of R falls below
-    RANK_TOLERANCE.
-    """
-    rows = design.rows
-    m = len(rows)
+    m = len(trends)
+    if m != len(targets):
+        raise DomainError("trends and targets differ in length")
     if m < MIN_DESIGN_ROWS:
         raise TooFewRows(f"{m} design rows; need at least {MIN_DESIGN_ROWS}")
+    rows = [(1.0, a, b, a * b) for a, b in trends]
     scales = [math.sqrt(math.fsum(row[j] ** 2 for row in rows)) for j in range(N_PARAMETERS)]
     if 0.0 in scales:
         raise RankDeficient(f"design column {scales.index(0.0)} is all zero")
     # Columns of the scaled design, then the targets; reduced in place to
     # R (upper triangle) and Q'y.
     columns = [[row[j] / scales[j] for row in rows] for j in range(N_PARAMETERS)]
-    columns.append(list(design.targets))
+    columns.append(list(targets))
     for j in range(N_PARAMETERS):
         pivot = columns[j]
         norm = math.sqrt(math.fsum(v * v for v in pivot[j:]))
@@ -157,7 +113,7 @@ def fit_bilinear(design: DesignMatrix) -> BilinearFit:
     beta = tuple(z[j] / scales[j] for j in range(N_PARAMETERS))
     rss = math.fsum(
         (math.fsum(c * v for c, v in zip(beta, row)) - t) ** 2
-        for row, t in zip(rows, design.targets)
+        for row, t in zip(rows, targets)
     )
     # Column k of R^-1 solves R x = e_k; the row norms run across them.
     r_inverse_columns = [
@@ -168,7 +124,7 @@ def fit_bilinear(design: DesignMatrix) -> BilinearFit:
         math.fsum(col[i] ** 2 for col in r_inverse_columns) / scales[i] ** 2
         for i in range(N_PARAMETERS)
     )
-    return BilinearFit(beta, rss, variance_factors)
+    return beta, rss, variance_factors
 
 
 def _back_substitute(r: list[list[float]], rhs: list[float]) -> list[float]:

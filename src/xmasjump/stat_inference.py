@@ -8,10 +8,11 @@ continued fraction. No external numerics libraries.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 from .errors import DegenerateVariance, DomainError, TooFewRows
 from .record import Record, set_field
-from .regression_core import N_PARAMETERS, BilinearFit, DesignMatrix
+from .regression_core import N_PARAMETERS
 
 _LENTZ_EPS = 1e-14
 _LENTZ_TINY = 1e-300
@@ -162,40 +163,30 @@ class CoefficientInference(Record):
         set_field(self, "p_value", p_value)
 
 
-class InferenceReport(Record):
-    """Per-coefficient inference and the adjusted R^2 of one fit."""
+def inference_for_fit(targets: Sequence[float], fit: tuple) -> tuple:
+    """``(inference, adjusted_r2)`` of ``fit_bilinear``'s result for ``targets``.
 
-    __slots__ = ("coefficients", "adjusted_r2")
-
-    def __init__(self, coefficients: tuple[CoefficientInference, ...], adjusted_r2: float):
-        set_field(self, "coefficients", coefficients)
-        set_field(self, "adjusted_r2", adjusted_r2)
-
-
-def inference_for_fit(design: DesignMatrix, fit: BilinearFit) -> InferenceReport:
-    """Standard errors, t statistics, p-values and adjusted R^2 of a fit.
-
+    ``inference`` holds one CoefficientInference per coefficient.
     s^2 = rss / (n - 4); standard errors are sqrt(s^2 * diag((X'X)^-1)),
     the diagonal read from the fit's variance factors; p-values are
     two-sided Student-t with n - 4 degrees of freedom; adjusted R^2
     applies the (n - 1)/(n - 4) correction to 1 - rss/TSS,
     TSS taken about the target mean.
     """
-    n = len(design.rows)
+    n = len(targets)
     if n <= N_PARAMETERS:
         raise TooFewRows(
             f"{n} rows cannot support inference on {N_PARAMETERS} parameters"
         )
     df = n - N_PARAMETERS
-    targets = design.targets
     target_mean = math.fsum(targets) / n
     tss = math.fsum((t - target_mean) ** 2 for t in targets)
     if tss == 0.0:
         raise DegenerateVariance("targets have zero variance")
-    rss = fit.residual_sum_squares
+    estimates, rss, variance_factors = fit
     s2 = rss / df
     coefficients = []
-    for estimate, factor in zip(fit.coefficients, fit.variance_factors):
+    for estimate, factor in zip(estimates, variance_factors):
         se = math.sqrt(s2 * factor)
         if se > 0.0:
             t_stat = estimate / se
@@ -209,5 +200,5 @@ def inference_for_fit(design: DesignMatrix, fit: BilinearFit) -> InferenceReport
         coefficients.append(CoefficientInference(estimate, se, t_stat, p))
     r2 = 1.0 - rss / tss
     adjusted = 1.0 - (1.0 - r2) * (n - 1) / (n - N_PARAMETERS)
-    return InferenceReport(tuple(coefficients), adjusted)
+    return tuple(coefficients), adjusted
 

@@ -232,6 +232,16 @@ class TestPredictCommand:
         assert main(["predict", "2019", "--data", str(short)]) == EXIT_DATA_ERROR
         assert "error:" in capsys.readouterr().err
 
+    def test_target_year_without_post_window_banking_days(self, tmp_path, capsys):
+        # Dec 27, 30 and 31 closed in 2019; Dec 28-29 is a weekend
+        override = tmp_path / "cal.txt"
+        override.write_text("2019-12-27\n2019-12-30\n2019-12-31\n--12-25\n--12-26\n--01-01\n")
+        argv = ["predict", "2019", "--data", str(DEMO_RATES), "--calendar", str(override)]
+        assert main(argv) == EXIT_DATA_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 0 banking days with offsets 2..6 after Dec 25 2019\n"
+
     def test_truncated_series_same_error_for_backtest(self, tmp_path, fixture_csv, capsys):
         kept = [
             line

@@ -9,17 +9,21 @@ import pytest
 
 from helpers import linear_series, planted_series
 from xmasjump import (
+    BacktestRow,
     BilinearJump,
     DailyRateSeries,
     FixedJump,
+    HolidayCalendar,
     JumpModel,
+    SyntheticSpec,
     backtest,
     fit_window_model,
+    generate_synthetic_series,
     jump_pipeline,
     predict_next,
     yearly_observation,
 )
-from xmasjump.errors import DomainError, IncompleteWindow, WindowTooShort
+from xmasjump.errors import DomainError, IncompleteWindow, InsufficientData, WindowTooShort
 from xmasjump.jump_pipeline import predict_jump, predict_mean_rate, trend_mean_rate
 from xmasjump.market_calendar import post_window_offsets
 from xmasjump.regression_core import MIN_DESIGN_ROWS, fit_intercept_fixed_slope
@@ -259,8 +263,50 @@ class TestBacktest:
         with pytest.raises(DomainError):
             backtest(series, cal, 2018, 2015)
 
+    def test_rates_near_1e7(self, cal):
+        # the mean form of each error rounds at the scale of the means
+        rng = random.Random(1)
+        trends = {
+            year: (rng.uniform(-0.02, 0.02), rng.uniform(0.5e7, 1.5e7))
+            for year in range(1990, 2011)
+        }
+        spec = SyntheticSpec(trends, FixedJump(0.25), noise_amplitude=0.01, seed=1)
+        series = generate_synthetic_series(spec, trends, cal)
+        report = backtest(series, cal, 2005, 2010)
+        assert [row.target_year for row in report.rows] == list(range(2005, 2011))
+        for row in report.rows:
+            assert row.error == row.predicted_jump - row.realized_jump
+            assert abs(row.error) < 0.05
+
+
+class TestBacktestRow:
+    @pytest.mark.parametrize("level, offset", [(1.0, 1e-6), (1e7, 0.1)])
+    @pytest.mark.parametrize("field", ["error", "realized_jump", "realized_mean"])
+    def test_inconsistent_error_rejected(self, level, offset, field):
+        row = dict(
+            target_year=2019,
+            predicted_jump=0.5,
+            realized_jump=0.25,
+            corrected_mean_estimate=level + 0.5,
+            realized_mean=level + 0.25,
+            error=0.25,
+        )
+        BacktestRow(**row)
+        row[field] += offset
+        with pytest.raises(DomainError, match="^inconsistent error for 2019"):
+            BacktestRow(**row)
+
 
 class TestPredictNext:
+    def test_target_year_without_post_window_banking_days(self, planted, cal):
+        series, _ = planted
+        closed = HolidayCalendar(
+            holidays=cal.holidays | {date(2019, 12, 27), date(2019, 12, 30), date(2019, 12, 31)}
+        )
+        model = fit_window_model(2004, 2018, series, cal)
+        message = r"^0 banking days with offsets 2\.\.6 after Dec 25 2019$"
+        with pytest.raises(InsufficientData, match=message):
+            predict_next(series, closed, 2019, model)
     def test_matches_planted_jump_from_pre_window_alone(self, cal):
         planted = BilinearJump((0.005, -9.0, -0.002, 2.0))
         series, trends = planted_series(2004, 2019, planted)

@@ -14,7 +14,6 @@ from xmasjump.errors import (
     ParseError,
 )
 from xmasjump.market_calendar import (
-    WindowSample,
     banking_days,
     event_date,
     is_banking_day,
@@ -188,17 +187,18 @@ class TestDayOffset:
 class TestPreWindow:
     def test_2018_offsets_match_oracle_enumeration(self, cal):
         series = flat_series(date(2018, 11, 1), date(2018, 12, 31))
-        sample = pre_window(2018, series, cal)
+        offsets, rates, warning = pre_window(2018, series, cal)
         expected = [-21, -20, -19, -18, -15, -14, -13, -12, -11, -8, -7, -6, -5, -4, -1]
-        assert list(sample.offsets) == expected
-        assert list(sample.offsets) == oracle_pre_offsets(2018, 15)
-        assert sample.warning is None
-        assert sample.side == "pre"
+        assert offsets == tuple(expected)
+        assert list(offsets) == oracle_pre_offsets(2018, 15)
+        assert rates == (2.0,) * 15
+        assert warning is None
 
     def test_returns_exactly_n_observations(self, cal):
         series = flat_series(date(2017, 10, 1), date(2018, 12, 31))
         for n in (2, 5, 15, 30):
-            assert len(pre_window(2018, series, cal, n=n).offsets) == n
+            offsets, rates, _ = pre_window(2018, series, cal, n=n)
+            assert len(offsets) == len(rates) == n
 
     def test_insufficient_data(self, cal):
         # exactly 10 banking-day fixings before Dec 25 2018
@@ -242,7 +242,7 @@ class TestPreWindow:
         with pytest.raises(IncompleteWindow):
             pre_window(2018, series, cal)
         closed = HolidayCalendar(holidays=frozenset({date(2018, 12, 24)}))
-        assert pre_window(2018, series, closed).offsets[-1] == -4
+        assert pre_window(2018, series, closed)[0][-1] == -4
 
     def test_walk_stops_at_the_first_representable_day(self, cal):
         series = flat_series(date(1, 1, 1), date(1, 12, 31))
@@ -252,13 +252,13 @@ class TestPreWindow:
     def test_span_warning_for_2016(self, cal):
         # Dec 25 2016 is a Sunday: 15 banking days reach back only 20 days
         series = flat_series(date(2016, 11, 1), date(2016, 12, 31))
-        sample = pre_window(2016, series, cal)
-        assert -sample.offsets[0] == 20
-        assert sample.warning is not None and "20" in sample.warning
+        offsets, _, warning = pre_window(2016, series, cal)
+        assert -offsets[0] == 20
+        assert warning is not None and "20" in warning
 
     def test_no_span_warning_for_custom_n(self, cal):
         series = flat_series(date(2016, 11, 1), date(2016, 12, 31))
-        assert pre_window(2016, series, cal, n=10).warning is None
+        assert pre_window(2016, series, cal, n=10)[2] is None
 
     def test_n_below_two_rejected(self, cal):
         series = flat_series(date(2018, 11, 1), date(2018, 12, 31))
@@ -269,23 +269,24 @@ class TestPreWindow:
 class TestPostWindow:
     def test_2018_has_the_nominal_three_days(self, cal):
         series = flat_series(date(2018, 11, 1), date(2018, 12, 31))
-        sample = post_window(2018, series, cal)
-        assert list(sample.offsets) == [2, 3, 6]
-        assert sample.warning is None
+        offsets, rates, warning = post_window(2018, series, cal)
+        assert offsets == (2, 3, 6)
+        assert rates == (2.0,) * 3
+        assert warning is None
 
     def test_2015_has_four_days_with_warning(self, cal):
         # Dec 25 2015 is a Friday: Dec 28-31 are all banking days
         series = flat_series(date(2015, 11, 1), date(2015, 12, 31))
-        sample = post_window(2015, series, cal)
-        assert list(sample.offsets) == [3, 4, 5, 6]
-        assert sample.warning is not None
+        offsets, _, warning = post_window(2015, series, cal)
+        assert offsets == (3, 4, 5, 6)
+        assert warning is not None
 
     def test_1999_has_five_days_with_warning(self, cal):
         # Dec 25 1999 is a Saturday: Dec 27-31 are all banking days
         series = flat_series(date(1999, 11, 1), date(1999, 12, 31))
-        sample = post_window(1999, series, cal)
-        assert list(sample.offsets) == [2, 3, 4, 5, 6]
-        assert sample.warning is not None
+        offsets, _, warning = post_window(1999, series, cal)
+        assert offsets == (2, 3, 4, 5, 6)
+        assert warning is not None
 
     def test_insufficient_when_calendar_blocks_the_week(self):
         blocked = HolidayCalendar(
@@ -307,21 +308,22 @@ class TestPostWindow:
 
     def test_truncated_coverage_returns_fewer_with_warning(self, cal):
         series = flat_series(date(2018, 11, 1), date(2018, 12, 29))
-        sample = post_window(2018, series, cal)
-        assert list(sample.offsets) == [2, 3]  # Dec 31 is beyond coverage
-        assert sample.warning is not None
+        offsets, _, warning = post_window(2018, series, cal)
+        assert offsets == (2, 3)  # Dec 31 is beyond coverage
+        assert warning is not None
 
     def test_offsets_helper_matches_window(self, cal):
         series = flat_series(date(2018, 11, 1), date(2018, 12, 31))
-        assert post_window_offsets(2018, cal) == post_window(2018, series, cal).offsets
+        assert post_window_offsets(2018, cal) == post_window(2018, series, cal)[0]
 
 
 class TestWindowProperties:
     def test_every_returned_pair_is_a_banking_day_with_the_series_rate(self, cal):
         for year in (2001, 2007, 2015, 2016, 2018):
             series = flat_series(date(year, 11, 1), date(year, 12, 31), rate=1.25)
-            for sample in (pre_window(year, series, cal), post_window(year, series, cal)):
-                for x, rate in zip(sample.offsets, sample.rates):
+            for offsets, rates, _ in (pre_window(year, series, cal), post_window(year, series, cal)):
+                assert len(offsets) == len(rates)
+                for x, rate in zip(offsets, rates):
                     d = date(year, 12, 25) + timedelta(days=x)
                     assert is_banking_day(d, cal)
                     assert series.rate_on(d) == rate
@@ -329,8 +331,12 @@ class TestWindowProperties:
     def test_pre_offsets_negative_post_offsets_in_range(self, cal):
         for year in range(1999, 2021):
             series = flat_series(date(year, 11, 1), date(year, 12, 31))
-            assert all(x < 0 for x in pre_window(year, series, cal).offsets)
-            assert all(2 <= x <= 6 for x in post_window(year, series, cal).offsets)
+            pre_offsets = pre_window(year, series, cal)[0]
+            post_offsets = post_window(year, series, cal)[0]
+            assert all(x < 0 for x in pre_offsets)
+            assert all(2 <= x <= 6 for x in post_offsets)
+            for offsets in (pre_offsets, post_offsets):
+                assert all(a < b for a, b in zip(offsets, offsets[1:]))
 
     def test_banking_days_iterates_ascending_banking_days_only(self, cal):
         days = list(banking_days(date(2018, 12, 20), date(2018, 12, 31), cal))
@@ -341,28 +347,3 @@ class TestWindowProperties:
     def test_banking_days_through_the_last_representable_day(self, cal):
         assert post_window_offsets(9999, cal) == (2, 3, 4, 5, 6)
 
-
-class TestWindowSampleValidation:
-    def test_bad_side(self):
-        with pytest.raises(DomainError):
-            WindowSample(year=2018, offsets=(-2, -1), rates=(1.0, 2.0), side="mid")
-
-    def test_length_mismatch(self):
-        with pytest.raises(DomainError):
-            WindowSample(year=2018, offsets=(-2, -1), rates=(1.0,), side="pre")
-
-    def test_too_short(self):
-        with pytest.raises(DomainError):
-            WindowSample(year=2018, offsets=(-1,), rates=(1.0,), side="pre")
-
-    def test_non_increasing_offsets(self):
-        with pytest.raises(DomainError):
-            WindowSample(year=2018, offsets=(-1, -1), rates=(1.0, 2.0), side="pre")
-
-    def test_pre_side_requires_negative_offsets(self):
-        with pytest.raises(DomainError):
-            WindowSample(year=2018, offsets=(-1, 0), rates=(1.0, 2.0), side="pre")
-
-    def test_post_side_requires_offsets_in_range(self):
-        with pytest.raises(DomainError):
-            WindowSample(year=2018, offsets=(1, 2), rates=(1.0, 2.0), side="post")

@@ -8,10 +8,12 @@ Adding a constant to every rate moves each year's intercept by that
 constant and leaves its slope and jump alone. Serializing a series and
 parsing it back returns the same series, whatever the row order, comments,
 blank lines, spacing and line ends. The parsers, given any text, return a
-value or raise an ``XmasJumpError`` subclass, never anything else.
+value or raise an ``XmasJumpError`` subclass, never anything else; so do
+the constructors of the input records, given any arguments.
 """
 
 import json
+import math
 from datetime import date
 
 import pytest
@@ -23,6 +25,7 @@ from helpers import distinct_trends
 from xmasjump import (
     BilinearJump,
     DailyRateSeries,
+    FixedJump,
     HolidayCalendar,
     SyntheticSpec,
     XmasJumpError,
@@ -307,6 +310,76 @@ def test_fuzz_spec_then_generate(text):
     try:
         spec, years = synthetic_spec_from_json(text)
         generate_synthetic_series(spec, years, cal)
+    except XmasJumpError:
+        pass
+
+
+# Hashable junk, then junk nested in tuples of any arity, lists and dicts.
+junk_atoms = (
+    st.none()
+    | st.text(max_size=5)
+    | st.binary(max_size=5)
+    | st.sampled_from([math.nan, math.inf, -math.inf])
+    | big_integers
+    | numbers
+    | st.dates()
+)
+junk = st.recursive(
+    junk_atoms,
+    lambda inner: st.lists(inner, max_size=5).map(tuple)
+    | st.lists(inner, max_size=5)
+    | st.dictionaries(junk_atoms, inner, max_size=3),
+    max_leaves=8,
+)
+record_calls = st.one_of(
+    st.tuples(
+        st.just(DailyRateSeries),
+        st.fixed_dictionaries(
+            {
+                "entries": junk | st.lists(st.tuples(st.dates(), junk) | junk, max_size=4),
+                "tenor_label": junk | st.just("X"),
+            }
+        ),
+    ),
+    st.tuples(st.just(FixedJump), st.fixed_dictionaries({"value": junk})),
+    st.tuples(
+        st.just(BilinearJump),
+        st.fixed_dictionaries({"coefficients": junk | st.lists(junk_atoms, min_size=3, max_size=5)}),
+    ),
+    st.tuples(
+        st.just(SyntheticSpec),
+        st.fixed_dictionaries(
+            {
+                "year_trends": junk
+                | st.dictionaries(
+                    st.integers(min_value=1998, max_value=2001) | junk_atoms,
+                    junk | st.tuples(numbers, numbers),
+                    max_size=3,
+                ),
+                "jump": junk | st.sampled_from([FixedJump(0.1), PLANTED]),
+                "noise_amplitude": junk,
+                "seed": junk,
+                "tenor_label": junk | st.just("SYN"),
+            }
+        ),
+    ),
+    st.tuples(
+        st.just(HolidayCalendar),
+        st.fixed_dictionaries(
+            {"holidays": junk | st.frozensets(st.tuples(junk_atoms, junk_atoms) | junk_atoms)}
+        ),
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(call=record_calls)
+def test_fuzz_record_constructors(call):
+    cls, kwargs = call
+    try:
+        record = cls(**kwargs)
+        if cls is SyntheticSpec:  # a spec that constructs can be generated from
+            generate_synthetic_series(record, record.year_trends, HolidayCalendar())
     except XmasJumpError:
         pass
 

@@ -3,6 +3,7 @@
 import copy
 import inspect
 import pickle
+import re
 import subprocess
 import sys
 from datetime import date
@@ -23,10 +24,10 @@ from xmasjump import (
     SyntheticSpec,
     YearObservation,
 )
-from xmasjump.market_calendar import WindowSample
+from xmasjump.errors import DomainError
 from xmasjump.record import Record
-from xmasjump.regression_core import BilinearFit, DesignMatrix, LineFit
-from xmasjump.stat_inference import CoefficientInference, InferenceReport
+from xmasjump.regression_core import LineFit
+from xmasjump.stat_inference import CoefficientInference
 
 COEFFICIENT = dict(estimate=1.0, standard_error=0.5, t_statistic=2.0, p_value=0.1)
 
@@ -45,28 +46,8 @@ CASES = [
         dict(seed=4),
     ),
     (HolidayCalendar, dict(holidays=frozenset({(1, 1)})), dict(holidays=frozenset())),
-    (
-        WindowSample,
-        dict(year=2018, offsets=(-2, -1), rates=(1.0, 2.0), side="pre"),
-        dict(warning="short"),
-    ),
-    (LineFit, dict(slope=0.5, intercept=1.0, residual_sum_squares=0.0, n=3), dict(n=4)),
-    (DesignMatrix, dict(rows=((1.0, 2.0, 3.0, 6.0),), targets=(0.1,)), dict(targets=(0.2,))),
-    (
-        BilinearFit,
-        dict(
-            coefficients=(1.0, 0.0, 0.0, 0.0),
-            residual_sum_squares=0.5,
-            variance_factors=(1.0, 1.0, 1.0, 1.0),
-        ),
-        dict(residual_sum_squares=0.25),
-    ),
+    (LineFit, dict(slope=0.5, intercept=1.0), dict(intercept=1.5)),
     (CoefficientInference, COEFFICIENT, dict(p_value=0.2)),
-    (
-        InferenceReport,
-        dict(coefficients=(CoefficientInference(**COEFFICIENT),), adjusted_r2=0.5),
-        dict(adjusted_r2=0.25),
-    ),
     (
         YearObservation,
         dict(
@@ -162,6 +143,37 @@ class TestRecordContract:
         record = cls(**args)
         assert copy.deepcopy(record) == record
         assert pickle.loads(pickle.dumps(record)) == record
+
+
+TRENDS = {2018: (0.01, 2.5)}
+
+
+@pytest.mark.parametrize(
+    "cls, args, kwargs, field",
+    [
+        (DailyRateSeries, ((),), dict(tenor_label=None), "tenor_label"),
+        (FixedJump, ("x",), {}, "fixed jump value"),
+        (BilinearJump, ("abcd",), {}, "jump coefficients"),
+        (SyntheticSpec, ({2018: (1.0,)},), {}, "year_trends[2018]"),
+        (SyntheticSpec, ({"abc": (1.0, 2.0)},), {}, "year_trends key 'abc'"),
+        (SyntheticSpec, (TRENDS,), dict(seed=1.5), "seed"),
+        (SyntheticSpec, (TRENDS,), dict(jump=None), "jump"),
+        (HolidayCalendar, (None,), {}, "holidays"),
+    ],
+    ids=[
+        "series_tenor_none",
+        "fixed_jump_text",
+        "bilinear_jump_text",
+        "trend_of_one_number",
+        "year_key_text",
+        "float_seed",
+        "no_jump_rule",
+        "calendar_none",
+    ],
+)
+def test_wrongly_typed_argument_is_a_domain_error_naming_it(cls, args, kwargs, field):
+    with pytest.raises(DomainError, match=f"^{re.escape(field)}"):
+        cls(*args, **kwargs)
 
 
 def test_importing_the_cli_loads_no_heavy_modules():

@@ -9,11 +9,19 @@ import pytest
 from helpers import line_value
 from xmasjump.errors import DegenerateDesign, DomainError, RankDeficient, TooFewRows
 from xmasjump.regression_core import (
-    DesignMatrix,
     fit_bilinear,
     fit_intercept_fixed_slope,
     fit_simple_ols,
 )
+
+
+def bilinear_rows(pairs):
+    """The design rows ``[1, a, b, a*b]`` that fit_bilinear regresses on."""
+    return np.asarray([(1.0, a, b, a * b) for a, b in pairs])
+
+
+def squared_residuals(fit, xs, ys):
+    return math.fsum((y - line_value(fit, x)) ** 2 for x, y in zip(xs, ys))
 
 
 class TestFitSimpleOls:
@@ -21,15 +29,13 @@ class TestFitSimpleOls:
         fit = fit_simple_ols([-3, -2, -1], [-6, -4, -2])
         assert fit.slope == 2.0
         assert fit.intercept == 0.0
-        assert fit.residual_sum_squares == 0.0
-        assert fit.n == 3
 
     def test_hand_worked_three_points(self):
         # x_mean=1, y_mean=4/3, Sxy=3, Sxx=2 -> slope 1.5, intercept -1/6
         fit = fit_simple_ols([0, 1, 2], [0, 1, 3])
         assert abs(fit.slope - 1.5) < 1e-15
         assert abs(fit.intercept - (-1 / 6)) < 1e-15
-        assert abs(fit.residual_sum_squares - 1 / 6) < 1e-15
+        assert abs(squared_residuals(fit, [0, 1, 2], [0, 1, 3]) - 1 / 6) < 1e-15
 
     def test_constant_rates(self):
         fit = fit_simple_ols([-5, -3, -1], [2.25, 2.25, 2.25])
@@ -81,7 +87,7 @@ class TestFitSimpleOls:
             ys = [slope * x + intercept for x in xs]
             fit = fit_simple_ols(xs, ys)
             scale = max(1.0, math.fsum(y * y for y in ys))
-            assert fit.residual_sum_squares <= 1e-18 * scale
+            assert squared_residuals(fit, xs, ys) <= 1e-18 * scale
 
     def test_residual_orthogonal_to_regressors(self):
         rng = random.Random(9)
@@ -131,25 +137,6 @@ class TestFitInterceptFixedSlope:
             assert abs(value - b_ref) < 1e-12
 
 
-class TestDesignMatrix:
-    def test_from_trends_builds_bilinear_rows(self):
-        design = DesignMatrix.from_trends([(0.5, 2.0)], [0.1])
-        assert design.rows == ((1.0, 0.5, 2.0, 1.0),)
-        assert design.targets == (0.1,)
-
-    def test_row_width_enforced(self):
-        with pytest.raises(DomainError):
-            DesignMatrix(rows=((1.0, 2.0, 3.0),), targets=(0.1,))
-
-    def test_leading_one_enforced(self):
-        with pytest.raises(DomainError):
-            DesignMatrix(rows=((2.0, 1.0, 1.0, 1.0),), targets=(0.1,))
-
-    def test_length_mismatch(self):
-        with pytest.raises(DomainError):
-            DesignMatrix(rows=((1.0, 1.0, 1.0, 1.0),), targets=(0.1, 0.2))
-
-
 class TestFitBilinear:
     @staticmethod
     def _distinct_pairs(count, seed=20231225):
@@ -165,10 +152,10 @@ class TestFitBilinear:
             planted[0] + planted[1] * a + planted[2] * b + planted[3] * a * b
             for a, b in pairs
         ]
-        fit = fit_bilinear(DesignMatrix.from_trends(pairs, targets))
-        for got, want in zip(fit.coefficients, planted):
+        coefficients, rss, _ = fit_bilinear(pairs, targets)
+        for got, want in zip(coefficients, planted):
             assert abs(got - want) < 1e-9
-        assert fit.residual_sum_squares < 1e-18
+        assert rss < 1e-18
 
     def test_reproduces_noise_free_targets(self):
         planted = (0.01, -4.0, -0.003, 1.5)
@@ -177,8 +164,7 @@ class TestFitBilinear:
             planted[0] + planted[1] * a + planted[2] * b + planted[3] * a * b
             for a, b in pairs
         ]
-        fit = fit_bilinear(DesignMatrix.from_trends(pairs, targets))
-        c0, c1, c2, c3 = fit.coefficients
+        c0, c1, c2, c3 = fit_bilinear(pairs, targets)[0]
         for (a, b), t in zip(pairs, targets):
             assert abs(c0 + c1 * a + c2 * b + c3 * a * b - t) <= 1e-9
 
@@ -193,12 +179,16 @@ class TestFitBilinear:
     )
     def test_collinear_design_is_rank_deficient(self, pairs):
         with pytest.raises(RankDeficient):
-            fit_bilinear(DesignMatrix.from_trends(pairs, [0.1] * 6))
+            fit_bilinear(pairs, [0.1] * 6)
 
     def test_too_few_rows(self):
         pairs = self._distinct_pairs(4)
         with pytest.raises(TooFewRows):
-            fit_bilinear(DesignMatrix.from_trends(pairs, [0.0] * 4))
+            fit_bilinear(pairs, [0.0] * 4)
+
+    def test_length_mismatch(self):
+        with pytest.raises(DomainError):
+            fit_bilinear(self._distinct_pairs(6), [0.1] * 5)
 
     def test_variance_factors_match_numpy_inverse_gram(self):
         rng = random.Random(53)
@@ -208,11 +198,10 @@ class TestFitBilinear:
                 (rng.uniform(-0.03, 0.03), rng.uniform(0.2, 6.0))
                 for _ in range(count)
             ]
-            design = DesignMatrix.from_trends(pairs, [0.0] * count)
-            fit = fit_bilinear(design)
-            x = np.asarray(design.rows)
+            variance_factors = fit_bilinear(pairs, [0.0] * count)[2]
+            x = bilinear_rows(pairs)
             ref = np.diag(np.linalg.inv(x.T @ x))
-            for got, want in zip(fit.variance_factors, ref):
+            for got, want in zip(variance_factors, ref):
                 assert abs(got - want) < 1e-8 * max(1.0, abs(want))
 
     def test_matches_numpy_lstsq_on_noisy_targets(self):
@@ -224,27 +213,25 @@ class TestFitBilinear:
                 for _ in range(count)
             ]
             targets = [rng.uniform(-0.2, 0.2) for _ in range(count)]
-            design = DesignMatrix.from_trends(pairs, targets)
-            fit = fit_bilinear(design)
-            ref, *_ = np.linalg.lstsq(
-                np.asarray(design.rows), np.asarray(targets), rcond=None
-            )
-            for got, want in zip(fit.coefficients, ref):
+            coefficients = fit_bilinear(pairs, targets)[0]
+            ref, *_ = np.linalg.lstsq(bilinear_rows(pairs), np.asarray(targets), rcond=None)
+            for got, want in zip(coefficients, ref):
                 assert abs(got - want) < 1e-8 * max(1.0, abs(want))
 
     def test_residual_orthogonal_to_columns(self):
         rng = random.Random(41)
         pairs = [(rng.uniform(-0.03, 0.03), rng.uniform(0.2, 6.0)) for _ in range(15)]
         targets = [rng.uniform(-0.2, 0.2) for _ in range(15)]
-        design = DesignMatrix.from_trends(pairs, targets)
-        fit = fit_bilinear(design)
+        coefficients, rss, _ = fit_bilinear(pairs, targets)
+        rows = bilinear_rows(pairs).tolist()
         residuals = [
-            math.fsum(c * v for c, v in zip(fit.coefficients, row)) - t
-            for row, t in zip(design.rows, targets)
+            math.fsum(c * v for c, v in zip(coefficients, row)) - t
+            for row, t in zip(rows, targets)
         ]
+        assert abs(rss - math.fsum(r * r for r in residuals)) <= 1e-15
         res_norm = math.sqrt(math.fsum(r * r for r in residuals))
         for j in range(4):
-            column = [row[j] for row in design.rows]
+            column = [row[j] for row in rows]
             col_norm = math.sqrt(math.fsum(v * v for v in column))
             dot = math.fsum(r * v for r, v in zip(residuals, column))
             assert abs(dot) <= 1e-9 * (1.0 + res_norm * col_norm)
