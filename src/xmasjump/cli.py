@@ -162,6 +162,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        model_years = getattr(args, "model_years", None)
+        if model_years and model_years[1] >= args.target_year:
+            # a model fitted on the target year or later would see its answer
+            args.command_parser.error(
+                f"--model-years must end before the target year {args.target_year}"
+            )
     except SystemExit as exc:  # argparse already printed its message
         return int(exc.code or 0)
     try:

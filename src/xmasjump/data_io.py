@@ -317,10 +317,10 @@ def generate_synthetic_series(
     for year in year_list:
         slope, intercept = spec.year_trends[year]
         jump = spec.jump.jump_for(slope, intercept)
-        event = event_date(year)
+        event = event_date(year).toordinal()
         start = date(year, *GENERATION_START)
         for d in banking_days(start, date(year, 12, 31), cal):
-            x = (d - event).days
+            x = d.toordinal() - event
             noise = spec.noise_amplitude * (2.0 * next(uniforms) - 1.0)
             rate = slope * x + intercept + noise
             if x >= 1:

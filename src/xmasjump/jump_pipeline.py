@@ -212,25 +212,6 @@ def predict_jump(model: JumpModel, slope_a: float, intercept_b: float) -> float:
     return c0 + c1 * slope_a + c2 * intercept_b + c3 * slope_a * intercept_b
 
 
-def trend_mean_rate(
-    slope_a: float, intercept_b: float, post_offsets: Sequence[int]
-) -> float:
-    """Mean rate the pre-event trend alone implies over the post offsets."""
-    if not post_offsets:
-        raise DomainError("post_offsets must be non-empty")
-    return math.fsum(slope_a * x + intercept_b for x in post_offsets) / len(post_offsets)
-
-
-def predict_mean_rate(
-    slope_a: float,
-    intercept_b: float,
-    post_offsets: Sequence[int],
-    predicted_jump: float,
-) -> float:
-    """Jump-corrected estimate of the post-event mean rate."""
-    return trend_mean_rate(slope_a, intercept_b, post_offsets) + predicted_jump
-
-
 def backtest(
     series: DailyRateSeries,
     cal: HolidayCalendar,
@@ -267,9 +248,11 @@ def backtest(
 
 def _forecast(model: JumpModel, target_year: int, slope_a: float, intercept_b: float,
               post_offsets: Sequence[int]) -> JumpForecast:
-    """Trend, then the predicted jump, then the jump-corrected mean."""
+    """Trend, then the predicted jump, then the jump-corrected mean: the
+    mean rate the trend alone implies over the post offsets, plus the jump."""
     predicted = predict_jump(model, slope_a, intercept_b)
-    estimate = predict_mean_rate(slope_a, intercept_b, post_offsets, predicted)
+    trend_mean = math.fsum(slope_a * x + intercept_b for x in post_offsets) / len(post_offsets)
+    estimate = trend_mean + predicted
     return JumpForecast(target_year, slope_a, intercept_b, predicted, estimate)
 
 

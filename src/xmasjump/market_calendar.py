@@ -2,13 +2,16 @@
 
 Dates are naive ``datetime.date`` values; there is no timezone or intraday
 handling. A banking day is a weekday that is not listed as a holiday.
+Windows are walked over proleptic day ordinals (``date.toordinal()``), whose
+weekday is ``(ordinal + 6) % 7``, so only weekdays become ``date`` values
+and reach the holiday check; window offsets are ordinal differences.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Iterator
-from datetime import MAXYEAR, MINYEAR, date, timedelta
+from datetime import MAXYEAR, MINYEAR, date
 
 from .errors import DomainError, IncompleteWindow, InsufficientData, MissingFixing, ParseError
 from .record import Record, set_field
@@ -114,15 +117,23 @@ def iso_date(text: str) -> date:
 
 def is_banking_day(d: date, cal: HolidayCalendar) -> bool:
     """True when ``d`` is neither a Saturday, a Sunday nor a holiday."""
-    return d.weekday() < SATURDAY and not cal.is_holiday(d)
+    return bool(banking_days(d, d, cal))
 
 
-def banking_days(start: date, end: date, cal: HolidayCalendar) -> Iterator[date]:
-    """Banking days from ``start`` through ``end`` inclusive, ascending."""
-    for i in range((end - start).days + 1):
-        d = start + timedelta(days=i)
-        if is_banking_day(d, cal):
-            yield d
+def banking_days(start: date, end: date, cal: HolidayCalendar) -> list[date]:
+    """Banking days from ``start`` through ``end`` inclusive, ascending,
+    found by one walk over their day ordinals."""
+    return list(_banking(range(start.toordinal(), end.toordinal() + 1), cal))
+
+
+def _banking(ordinals: range, cal: HolidayCalendar) -> Iterator[date]:
+    """The banking days among ``ordinals``, in the range's order; lazy, so
+    a walk may stop early."""
+    for o in ordinals:
+        if (o + 6) % 7 < SATURDAY:
+            d = date.fromordinal(o)
+            if not cal.is_holiday(d):
+                yield d
 
 
 def event_date(year: int) -> date:
@@ -155,12 +166,9 @@ def pre_window(
         raise InsufficientData(
             f"series is empty; need {n} fixings before Dec 25 {year}"
         )
-    event = event_date(year)
+    event = event_date(year).toordinal()
     picked: list[tuple[int, float]] = []
-    for back in range(1, (event - series.first_date).days + 1):
-        d = event - timedelta(days=back)
-        if not is_banking_day(d, cal):
-            continue
+    for d in _banking(range(event - 1, series.first_date.toordinal() - 1, -1), cal):
         if d > series.last_date:
             raise IncompleteWindow(
                 f"pre-window for {year} runs through {d.isoformat()},"
@@ -169,7 +177,7 @@ def pre_window(
         rate = series.rate_on(d)
         if rate is None:
             raise MissingFixing(d)
-        picked.append((-back, rate))
+        picked.append((d.toordinal() - event, rate))
         if len(picked) == n:
             break
     else:
@@ -194,10 +202,9 @@ def post_window_offsets(year: int, cal: HolidayCalendar) -> tuple[int, ...]:
     Needs no rate data, so it also serves prediction for years whose
     post-event fixings do not exist yet.
     """
-    event = event_date(year)
-    start = event + timedelta(days=2)
-    end = event + timedelta(days=6)
-    return tuple((d - event).days for d in banking_days(start, end, cal))
+    event = event_date(year).toordinal()
+    days = banking_days(date.fromordinal(event + 2), date.fromordinal(event + 6), cal)
+    return tuple(d.toordinal() - event for d in days)
 
 
 def post_window(year: int, series: "DailyRateSeries", cal: HolidayCalendar) -> tuple:
@@ -208,10 +215,10 @@ def post_window(year: int, series: "DailyRateSeries", cal: HolidayCalendar) -> t
     than two is InsufficientData; a banking day inside the series coverage
     without a rate is MissingFixing.
     """
-    event = event_date(year)
+    event = event_date(year).toordinal()
     picked: list[tuple[int, float]] = []
     for x in post_window_offsets(year, cal):
-        d = event + timedelta(days=x)
+        d = date.fromordinal(event + x)
         if not series.covers(d):
             continue
         rate = series.rate_on(d)

@@ -9,7 +9,15 @@ from xmasjump import (
     SyntheticSpec,
     generate_synthetic_series,
 )
-from xmasjump.market_calendar import event_date
+from xmasjump.errors import DomainError, IncompleteWindow, InsufficientData, MissingFixing
+from xmasjump.market_calendar import (
+    NOMINAL_POST_COUNT,
+    NOMINAL_PRE_SPAN_DAYS,
+    POST_WINDOW_MIN,
+    PRE_WINDOW_DAYS,
+    PRE_WINDOW_MIN,
+    event_date,
+)
 
 
 def day_offset(d, year):
@@ -69,3 +77,82 @@ def linear_series(first, last, slope, intercept, year, jump=0.0):
         entries.append((d, rate))
         d += timedelta(days=1)
     return DailyRateSeries(entries=tuple(entries))
+
+
+# --- day-by-day references for the banking-day walks ------------------------
+# One ``timedelta`` step and one ``date.weekday()`` per calendar day, with no
+# day-ordinal arithmetic: the oracle for ``market_calendar``'s walks, which
+# must return the same values and raise the same errors with the same messages.
+
+
+def reference_banking_days(start, end, cal):
+    """Banking days from ``start`` through ``end`` inclusive, ascending."""
+    days = []
+    for i in range((end - start).days + 1):
+        d = start + timedelta(days=i)
+        if d.weekday() < 5 and not cal.is_holiday(d):  # Monday..Friday
+            days.append(d)
+    return days
+
+
+def reference_pre_window(year, series, cal, n=PRE_WINDOW_DAYS):
+    """``pre_window``, one calendar day back at a time from December 24."""
+    if n < PRE_WINDOW_MIN:
+        raise DomainError(f"pre-window needs at least {PRE_WINDOW_MIN} banking days")
+    if len(series) == 0:
+        raise InsufficientData(f"series is empty; need {n} fixings before Dec 25 {year}")
+    event = event_date(year)
+    picked = []
+    for back in range(1, (event - series.first_date).days + 1):
+        d = event - timedelta(days=back)
+        if not reference_banking_days(d, d, cal):
+            continue
+        if d > series.last_date:
+            raise IncompleteWindow(
+                f"pre-window for {year} runs through {d.isoformat()},"
+                f" but the series ends at {series.last_date.isoformat()}"
+            )
+        rate = series.rate_on(d)
+        if rate is None:
+            raise MissingFixing(d)
+        picked.insert(0, (-back, rate))
+        if len(picked) == n:
+            break
+    else:
+        raise InsufficientData(
+            f"only {len(picked)} banking-day fixings before Dec 25 {year}, need {n}"
+        )
+    span = -picked[0][0]
+    warning = None
+    if n == PRE_WINDOW_DAYS and span != NOMINAL_PRE_SPAN_DAYS:
+        warning = f"pre-window spans {span} calendar days, nominal {NOMINAL_PRE_SPAN_DAYS}"
+    return tuple(x for x, _ in picked), tuple(r for _, r in picked), warning
+
+
+def reference_post_window_offsets(year, cal):
+    """Banking-day offsets of December 27-31 from December 25."""
+    event = event_date(year)
+    days = reference_banking_days(event + timedelta(days=2), event + timedelta(days=6), cal)
+    return tuple((d - event).days for d in days)
+
+
+def reference_post_window(year, series, cal):
+    """``post_window``: the covered post-event banking days and their rates."""
+    event = event_date(year)
+    picked = []
+    for x in reference_post_window_offsets(year, cal):
+        d = event + timedelta(days=x)
+        if series.covers(d):
+            rate = series.rate_on(d)
+            if rate is None:
+                raise MissingFixing(d)
+            picked.append((x, rate))
+    if len(picked) < POST_WINDOW_MIN:
+        raise InsufficientData(
+            f"{len(picked)} banking-day fixings with offsets 2..6 after"
+            f" Dec 25 {year}, need at least {POST_WINDOW_MIN}"
+        )
+    warning = None
+    if len(picked) != NOMINAL_POST_COUNT:
+        warning = f"post-window has {len(picked)} observations, nominal {NOMINAL_POST_COUNT}"
+    return tuple(x for x, _ in picked), tuple(r for _, r in picked), warning

@@ -331,6 +331,15 @@ class TestUsageErrors:
         assert "at least 5 years" in err
         assert "usage: xmasjump predict" in err
 
+    @pytest.mark.parametrize("target, years", [("2019", "2005-2019"), ("2015", "2004-2018")])
+    def test_model_years_must_precede_the_target(self, fixture_csv, capsys, target, years):
+        argv = ["predict", target, "--data", str(fixture_csv), "--model-years", years]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"must end before the target year {target}" in captured.err
+        assert "usage: xmasjump predict" in captured.err
+
     def test_window_len_too_small(self, fixture_csv, capsys):
         assert (
             main(["backtest", "2015", "2018", "--data", str(fixture_csv), "--window-len", "4"])

@@ -24,7 +24,7 @@ from xmasjump import (
     yearly_observation,
 )
 from xmasjump.errors import DomainError, IncompleteWindow, InsufficientData, WindowTooShort
-from xmasjump.jump_pipeline import predict_jump, predict_mean_rate, trend_mean_rate
+from xmasjump.jump_pipeline import _forecast, predict_jump
 from xmasjump.market_calendar import post_window_offsets
 from xmasjump.regression_core import MIN_DESIGN_ROWS, fit_intercept_fixed_slope
 
@@ -151,21 +151,28 @@ class TestPredictJump:
             assert predict_jump(model, 0.0, 0.0) == coeffs[0]
 
 
+def constant_jump_model(jump):
+    """A model whose surface predicts ``jump`` whatever the trend."""
+    return JumpModel(window_years=(2004, 2018), coefficients=(jump, 0.0, 0.0, 0.0))
+
+
 class TestMeanRate:
+    """The jump-corrected mean of ``_forecast``: the trend's mean rate over
+    the post offsets plus the predicted jump."""
+
     def test_flat_line_without_jump(self):
-        assert predict_mean_rate(0.0, 1.0, [2, 3, 6], 0.0) == 1.0
+        forecast = _forecast(constant_jump_model(0.0), 2019, 0.0, 1.0, (2, 3, 6))
+        assert forecast.corrected_mean_estimate == 1.0
 
     def test_hand_worked_example(self):
         # trend mean 1 + 0.01 * (2+3+6)/3, then the jump on top
-        value = predict_mean_rate(0.01, 1.0, [2, 3, 6], 0.05)
-        assert abs(value - (1.0 + 0.01 * (11 / 3) + 0.05)) < 1e-12
+        forecast = _forecast(constant_jump_model(0.05), 2019, 0.01, 1.0, (2, 3, 6))
+        assert forecast.predicted_jump == 0.05
+        assert abs(forecast.corrected_mean_estimate - (1.0 + 0.01 * (11 / 3) + 0.05)) < 1e-12
 
     def test_trend_mean_alone(self):
-        assert abs(trend_mean_rate(0.01, 1.0, [2, 3, 6]) - (1.0 + 0.11 / 3)) < 1e-12
-
-    def test_empty_offsets_rejected(self):
-        with pytest.raises(DomainError):
-            trend_mean_rate(0.0, 1.0, [])
+        forecast = _forecast(constant_jump_model(0.0), 2019, 0.01, 1.0, (2, 3, 6))
+        assert abs(forecast.corrected_mean_estimate - (1.0 + 0.11 / 3)) < 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -327,10 +334,8 @@ class TestPredictNext:
         model = fit_window_model(2004, 2018, series, cal)
         forecast = predict_next(series, cal, 2019, model)
         offsets = post_window_offsets(2019, cal)
-        want = (
-            trend_mean_rate(forecast.slope_a, forecast.intercept_b, offsets)
-            + forecast.predicted_jump
-        )
+        trend = [forecast.slope_a * x + forecast.intercept_b for x in offsets]
+        want = math.fsum(trend) / len(offsets) + forecast.predicted_jump
         assert forecast.corrected_mean_estimate == want
 
     def test_truncated_series_is_incomplete(self, cal):

@@ -5,7 +5,7 @@ from datetime import date, timedelta
 import pytest
 
 from helpers import day_offset, flat_series
-from xmasjump import HolidayCalendar, calendar_from_lines
+from xmasjump import DailyRateSeries, HolidayCalendar, calendar_from_lines
 from xmasjump.errors import (
     DomainError,
     IncompleteWindow,
@@ -248,6 +248,28 @@ class TestPreWindow:
         series = flat_series(date(1, 1, 1), date(1, 12, 31))
         with pytest.raises(InsufficientData):
             pre_window(1, series, cal, n=300)
+
+    def test_walk_back_is_lazy(self, cal, monkeypatch):
+        # a series reaching back to 1900 costs the 2100 walk no extra day
+        consulted = []
+        is_holiday = HolidayCalendar.is_holiday
+
+        def counting(self, d):
+            consulted.append(d)
+            return is_holiday(self, d)
+
+        monkeypatch.setattr(HolidayCalendar, "is_holiday", counting)
+        recent = flat_series(date(2100, 11, 1), date(2100, 12, 31)).entries
+
+        def days_consulted(first):
+            consulted.clear()
+            pre_window(2100, DailyRateSeries(entries=((first, 2.0),) + recent), cal)
+            return list(consulted)
+
+        walk = days_consulted(date(1900, 1, 1))
+        assert walk == days_consulted(date(2099, 1, 1))
+        assert len(walk) == 15
+        assert all(d.weekday() < 5 for d in walk)
 
     def test_span_warning_for_2016(self, cal):
         # Dec 25 2016 is a Sunday: 15 banking days reach back only 20 days

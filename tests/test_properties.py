@@ -9,7 +9,8 @@ constant and leaves its slope and jump alone. Serializing a series and
 parsing it back returns the same series, whatever the row order, comments,
 blank lines, spacing and line ends. The parsers, given any text, return a
 value or raise an ``XmasJumpError`` subclass, never anything else; so do
-the constructors of the input records, given any arguments.
+the constructors of the input records, given any arguments. The
+banking-day walks over day ordinals agree with a day-by-day reference.
 """
 
 import json
@@ -21,7 +22,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xmasjump
-from helpers import distinct_trends
+from helpers import (
+    distinct_trends,
+    reference_banking_days,
+    reference_post_window,
+    reference_post_window_offsets,
+    reference_pre_window,
+)
 from xmasjump import (
     BilinearJump,
     DailyRateSeries,
@@ -39,6 +46,7 @@ from xmasjump import (
     yearly_observation,
 )
 from xmasjump.errors import DuplicateDate
+from xmasjump.market_calendar import banking_days, post_window, post_window_offsets, pre_window
 
 FIRST_YEAR, LAST_YEAR = 2000, 2012
 WINDOW_LEN = 5
@@ -382,6 +390,70 @@ def test_fuzz_record_constructors(call):
             generate_synthetic_series(record, record.year_trends, HolidayCalendar())
     except XmasJumpError:
         pass
+
+
+# --- banking-day walks against the day-by-day reference --------------------
+
+LAST_ORDINAL = date.max.toordinal()
+# Near-window closures and the leap day, or any day of the first 28 of a month.
+recurring_days = st.sampled_from([(2, 29), (12, 24), (12, 27), (12, 31), (1, 2), (11, 30)]) | (
+    st.tuples(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=28))
+)
+# One-off closures, as day offsets from December 25: from before the
+# reach of an n = 400 window (about 560 days, past one Feb 29) to Jan 4.
+closure_offsets = st.integers(min_value=-700, max_value=10)
+# Banking days asked of the pre-window: mostly the default (the only n with
+# a span warning), else too few, the most, or any.
+window_lengths = st.sampled_from([15, 1, 400]) | st.integers(min_value=2, max_value=400)
+
+
+def day_at(ordinal):
+    return date.fromordinal(min(max(ordinal, 1), LAST_ORDINAL))
+
+
+def outcome(fn, *args):
+    """What ``fn`` returns, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except XmasJumpError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    year=st.sampled_from([1, 2, 4, 9998, 9999]) | st.integers(min_value=1, max_value=9999),
+    recurring=st.frozensets(recurring_days, max_size=4),
+    one_offs=st.frozensets(closure_offsets, max_size=6),
+    late=st.integers(min_value=0, max_value=710),
+    cut=st.integers(min_value=0, max_value=46),
+    gaps=st.frozensets(st.integers(min_value=-60, max_value=6), max_size=2),
+    n=window_lengths,
+    first_day=st.integers(min_value=-800, max_value=10),
+    days=st.integers(min_value=-3, max_value=800),
+)
+def test_ordinal_walks_match_the_day_by_day_reference(
+    year, recurring, one_offs, late, cut, gaps, n, first_day, days
+):
+    # The series starts ``late`` days after Dec 25 - 700 and ends ``cut`` days
+    # before Dec 31. Hypothesis favours zero, so the favoured series is long.
+    event = date(year, 12, 25).toordinal()
+    cal = HolidayCalendar(holidays=recurring | {day_at(event + x) for x in one_offs})
+    first, last = day_at(event - 700 + late), day_at(event + 6 - cut)
+    gap_days = {day_at(event + x).toordinal() for x in gaps}
+    coverage = range(first.toordinal(), last.toordinal() + 1)
+    series = DailyRateSeries(
+        entries=tuple((date.fromordinal(o), (o % 97) / 8.0) for o in coverage if o not in gap_days)
+    )
+    start = day_at(event + first_day)
+    end = day_at(start.toordinal() + days)
+    assert banking_days(start, end, cal) == reference_banking_days(start, end, cal)
+    assert post_window_offsets(year, cal) == reference_post_window_offsets(year, cal)
+    assert outcome(pre_window, year, series, cal, n) == outcome(
+        reference_pre_window, year, series, cal, n
+    )
+    assert outcome(post_window, year, series, cal) == outcome(
+        reference_post_window, year, series, cal
+    )
 
 
 # --- the package root ------------------------------------------------------
