@@ -1,15 +1,15 @@
 """Command-line frontend: per-year analysis, backtesting, prediction, and
 fixture generation.
 
-Exit codes: 0 success, 1 data or calendar error, 2 usage error.
+Exit codes: 0 success, 1 data or calendar error, 2 usage error, 141 closed pipe.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .data_io import (
     generate_synthetic_series,
@@ -39,6 +39,7 @@ DATA_ENV_VAR = "XMASJUMP_DATA"
 EXIT_OK = 0
 EXIT_DATA_ERROR = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process killed by it
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -173,15 +174,21 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cal = _load_calendar(args)
         if args.command == "generate":
-            return _cmd_generate(args, cal)
-        series = _load_series(args.command_parser, args)
-        if args.command == "fit-year":
-            return _cmd_fit_year(args, series, cal)
-        if args.command == "backtest":
-            return _cmd_backtest(args, series, cal)
-        return _cmd_predict(args, series, cal)
+            _cmd_generate(args, cal)
+        elif args.command == "fit-year":
+            _cmd_fit_year(args, _load_series(args.command_parser, args), cal)
+        elif args.command == "backtest":
+            _cmd_backtest(args, _load_series(args.command_parser, args), cal)
+        else:
+            _cmd_predict(args, _load_series(args.command_parser, args), cal)
+        sys.stdout.flush()  # so that a closed pipe or a full disk is reported here
+        return EXIT_OK
     except SystemExit as exc:  # parser.error() from _load_series
         return int(exc.code or 0)
+    except BrokenPipeError:
+        # a reader that stopped early (| head); devnull quiets the exit-time flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (XmasJumpError, OSError, UnicodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
@@ -206,6 +213,32 @@ def _read_text(path: str) -> str:
         return file.read()
 
 
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` for the types records put in their dicts."""
+    kind = type(value)  # exact types, so repr() is float.__repr__ or int.__repr__
+    if kind is float:
+        if value - value == 0.0:  # finite
+            return repr(value)
+        return "NaN" if value != value else "Infinity" if value > 0.0 else "-Infinity"
+    inner = indent + "  "
+    if kind is dict:  # encode_basestring_ascii rejects a key that is not a str
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+        brackets = "{}"
+    elif kind is list or kind is tuple:
+        items, brackets = [_json_text(item, inner) for item in value], "[]"
+    elif kind is str:
+        return encode_basestring_ascii(value)
+    elif kind is int:
+        return repr(value)
+    elif kind is bool or value is None:  # by identity, as 1 == True
+        return "true" if value is True else "false" if value is False else "null"
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+
+
 def _format_rate(value: float) -> str:
     text = f"{value:.4f}"
     return "0.0000" if text == "-0.0000" else text
@@ -223,11 +256,11 @@ def _print_kv(pairs: list[tuple[str, str]]) -> None:
         print(f"{label:<{width}}  {value}")
 
 
-def _cmd_fit_year(args, series, cal) -> int:
+def _cmd_fit_year(args, series, cal) -> None:
     obs = yearly_observation(args.year, series, cal, pre_days=args.pre_days)
     if args.format == "json-like":
-        print(json.dumps(obs.to_dict(), indent=2))
-        return EXIT_OK
+        print(_json_text(obs.to_dict()))
+        return
     _print_kv(
         [
             ("year", str(obs.year)),
@@ -239,10 +272,9 @@ def _cmd_fit_year(args, series, cal) -> int:
             ("post window", obs.post_warning or "ok"),
         ]
     )
-    return EXIT_OK
 
 
-def _cmd_backtest(args, series, cal) -> int:
+def _cmd_backtest(args, series, cal) -> None:
     report = backtest(
         series,
         cal,
@@ -252,10 +284,9 @@ def _cmd_backtest(args, series, cal) -> int:
         pre_days=args.pre_days,
     )
     if args.format == "json-like":
-        print(json.dumps(report.to_dict(), indent=2))
-        return EXIT_OK
-    _print_backtest_table(report)
-    return EXIT_OK
+        print(_json_text(report.to_dict()))
+    else:
+        _print_backtest_table(report)
 
 
 def _print_backtest_table(report) -> None:
@@ -303,15 +334,15 @@ def _print_backtest_table(report) -> None:
         print(line)
 
 
-def _cmd_predict(args, series, cal) -> int:
+def _cmd_predict(args, series, cal) -> None:
     default_years = (args.target_year - args.window_len, args.target_year - 1)
     first, last = args.model_years or default_years
     model = fit_window_model(first, last, series, cal, pre_days=args.pre_days)
     forecast = predict_next(series, cal, args.target_year, model, pre_days=args.pre_days)
     if args.format == "json-like":
         doc = {"model": model.to_dict(), "forecast": forecast.to_dict()}
-        print(json.dumps(doc, indent=2))
-        return EXIT_OK
+        print(_json_text(doc))
+        return
     _print_kv(
         [
             ("target year", str(forecast.target_year)),
@@ -322,10 +353,9 @@ def _cmd_predict(args, series, cal) -> int:
             ("mean estimate", _format_rate(forecast.corrected_mean_estimate)),
         ]
     )
-    return EXIT_OK
 
 
-def _cmd_generate(args, cal) -> int:
+def _cmd_generate(args, cal) -> None:
     spec, years = synthetic_spec_from_json(_read_text(args.spec))
     series = generate_synthetic_series(spec, years, cal)
     text = serialize_rate_series(series)  # before opening: no file buffer held meanwhile
@@ -339,4 +369,3 @@ def _cmd_generate(args, cal) -> int:
             ("fixings", str(len(series))),
         ]
     )
-    return EXIT_OK

@@ -202,9 +202,13 @@ def post_window_offsets(year: int, cal: HolidayCalendar) -> tuple[int, ...]:
     Needs no rate data, so it also serves prediction for years whose
     post-event fixings do not exist yet.
     """
-    event = event_date(year).toordinal()
-    days = banking_days(date.fromordinal(event + 2), date.fromordinal(event + 6), cal)
-    return tuple(d.toordinal() - event for d in days)
+    return tuple(d.day - 25 for d in _post_days(year, cal))
+
+
+def _post_days(year: int, cal: HolidayCalendar) -> list[date]:
+    """The banking days of December 27-31 of ``year``: offsets ``d.day - 25``."""
+    event = event_date(year)
+    return banking_days(event.replace(day=27), event.replace(day=31), cal)
 
 
 def post_window(year: int, series: "DailyRateSeries", cal: HolidayCalendar) -> tuple:
@@ -215,16 +219,14 @@ def post_window(year: int, series: "DailyRateSeries", cal: HolidayCalendar) -> t
     than two is InsufficientData; a banking day inside the series coverage
     without a rate is MissingFixing.
     """
-    event = event_date(year).toordinal()
     picked: list[tuple[int, float]] = []
-    for x in post_window_offsets(year, cal):
-        d = date.fromordinal(event + x)
+    for d in _post_days(year, cal):
         if not series.covers(d):
             continue
         rate = series.rate_on(d)
         if rate is None:
             raise MissingFixing(d)
-        picked.append((x, rate))
+        picked.append((d.day - 25, rate))
     if len(picked) < POST_WINDOW_MIN:
         raise InsufficientData(
             f"{len(picked)} banking-day fixings with offsets 2..6 after"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from operator import mul
 
 from .errors import DegenerateDesign, DomainError, RankDeficient, TooFewRows
 from .record import Record, set_field
@@ -86,52 +87,49 @@ def fit_bilinear(trends: Sequence[tuple[float, float]], targets: Sequence[float]
     if m < MIN_DESIGN_ROWS:
         raise TooFewRows(f"{m} design rows; need at least {MIN_DESIGN_ROWS}")
     rows = [(1.0, a, b, a * b) for a, b in trends]
-    scales = [math.sqrt(math.fsum(row[j] ** 2 for row in rows)) for j in range(N_PARAMETERS)]
+    scales = [math.sqrt(math.fsum([x ** 2 for x in column])) for column in zip(*rows)]
     if 0.0 in scales:
         raise RankDeficient(f"design column {scales.index(0.0)} is all zero")
     # Columns of the scaled design, then the targets; reduced in place to
     # R (upper triangle) and Q'y.
-    columns = [[row[j] / scales[j] for row in rows] for j in range(N_PARAMETERS)]
+    columns = [[x / scale for x in column] for column, scale in zip(zip(*rows), scales)]
     columns.append(list(targets))
     for j in range(N_PARAMETERS):
         pivot = columns[j]
-        norm = math.sqrt(math.fsum(v * v for v in pivot[j:]))
+        v = pivot[j:]
+        norm = math.sqrt(math.fsum(map(mul, v, v)))
         if norm < RANK_TOLERANCE:
             raise RankDeficient("design matrix is numerically rank-deficient")
         diagonal = -math.copysign(norm, pivot[j])
         # Reflector v = pivot[j:] - diagonal * e_1, with v'v / 2 = 1 / tau.
-        v = pivot[j:]
         v[0] -= diagonal
         tau = 1.0 / (norm * (norm + abs(pivot[j])))
         for column in columns[j + 1 :]:
-            factor = tau * math.fsum(vi * ci for vi, ci in zip(v, column[j:]))
-            for i, vi in enumerate(v, start=j):
-                column[i] -= factor * vi
+            tail = column[j:]
+            factor = tau * math.fsum(map(mul, v, tail))
+            column[j:] = [c - factor * vi for c, vi in zip(tail, v)]
         pivot[j] = diagonal
-    r = [[columns[c][i] for c in range(N_PARAMETERS)] for i in range(N_PARAMETERS)]
+    r = list(zip(*columns[:N_PARAMETERS]))[:N_PARAMETERS]
     z = _back_substitute(r, columns[N_PARAMETERS][:N_PARAMETERS])
     beta = tuple(z[j] / scales[j] for j in range(N_PARAMETERS))
-    rss = math.fsum(
-        (math.fsum(c * v for c, v in zip(beta, row)) - t) ** 2
-        for row, t in zip(rows, targets)
-    )
+    rss = math.fsum([(math.fsum(map(mul, beta, row)) - t) ** 2 for row, t in zip(rows, targets)])
     # Column k of R^-1 solves R x = e_k; the row norms run across them.
     r_inverse_columns = [
         _back_substitute(r, [float(i == k) for i in range(N_PARAMETERS)])
         for k in range(N_PARAMETERS)
     ]
     variance_factors = tuple(
-        math.fsum(col[i] ** 2 for col in r_inverse_columns) / scales[i] ** 2
-        for i in range(N_PARAMETERS)
+        math.fsum([x ** 2 for x in row]) / scale ** 2
+        for row, scale in zip(zip(*r_inverse_columns), scales)
     )
     return beta, rss, variance_factors
 
 
-def _back_substitute(r: list[list[float]], rhs: list[float]) -> list[float]:
+def _back_substitute(r: Sequence[Sequence[float]], rhs: list[float]) -> list[float]:
     """Solve ``R x = rhs`` for upper-triangular ``R``."""
     n = len(rhs)
     x = [0.0] * n
     for i in range(n - 1, -1, -1):
-        tail = math.fsum(r[i][j] * x[j] for j in range(i + 1, n))
+        tail = math.fsum(map(mul, r[i][i + 1 :], x[i + 1 :]))
         x[i] = (rhs[i] - tail) / r[i][i]
     return x

@@ -1,5 +1,6 @@
 """Shared fixture builders for the test suite."""
 
+import math
 import random
 from datetime import timedelta
 
@@ -9,7 +10,14 @@ from xmasjump import (
     SyntheticSpec,
     generate_synthetic_series,
 )
-from xmasjump.errors import DomainError, IncompleteWindow, InsufficientData, MissingFixing
+from xmasjump.errors import (
+    DomainError,
+    IncompleteWindow,
+    InsufficientData,
+    MissingFixing,
+    RankDeficient,
+    TooFewRows,
+)
 from xmasjump.market_calendar import (
     NOMINAL_POST_COUNT,
     NOMINAL_PRE_SPAN_DAYS,
@@ -18,6 +26,7 @@ from xmasjump.market_calendar import (
     PRE_WINDOW_MIN,
     event_date,
 )
+from xmasjump.regression_core import MIN_DESIGN_ROWS, N_PARAMETERS, RANK_TOLERANCE
 
 
 def day_offset(d, year):
@@ -156,3 +165,66 @@ def reference_post_window(year, series, cal):
     if len(picked) != NOMINAL_POST_COUNT:
         warning = f"post-window has {len(picked)} observations, nominal {NOMINAL_POST_COUNT}"
     return tuple(x for x, _ in picked), tuple(r for _, r in picked), warning
+
+
+# --- generator-expression reference for the bilinear fit -------------------
+# ``regression_core.fit_bilinear`` and ``_back_substitute`` as they were with
+# generator expressions and element-wise loops. The rewrite over lists,
+# ``map`` and slice assignment must pass the same terms to every ``fsum`` and
+# round every step the same way: results equal bit for bit, and errors equal
+# in type and message.
+
+
+def reference_fit_bilinear(trends, targets):
+    """``fit_bilinear``: ``(coefficients, rss, variance_factors)``."""
+    m = len(trends)
+    if m != len(targets):
+        raise DomainError("trends and targets differ in length")
+    if m < MIN_DESIGN_ROWS:
+        raise TooFewRows(f"{m} design rows; need at least {MIN_DESIGN_ROWS}")
+    rows = [(1.0, a, b, a * b) for a, b in trends]
+    scales = [math.sqrt(math.fsum(row[j] ** 2 for row in rows)) for j in range(N_PARAMETERS)]
+    if 0.0 in scales:
+        raise RankDeficient(f"design column {scales.index(0.0)} is all zero")
+    columns = [[row[j] / scales[j] for row in rows] for j in range(N_PARAMETERS)]
+    columns.append(list(targets))
+    for j in range(N_PARAMETERS):
+        pivot = columns[j]
+        norm = math.sqrt(math.fsum(v * v for v in pivot[j:]))
+        if norm < RANK_TOLERANCE:
+            raise RankDeficient("design matrix is numerically rank-deficient")
+        diagonal = -math.copysign(norm, pivot[j])
+        v = pivot[j:]
+        v[0] -= diagonal
+        tau = 1.0 / (norm * (norm + abs(pivot[j])))
+        for column in columns[j + 1 :]:
+            factor = tau * math.fsum(vi * ci for vi, ci in zip(v, column[j:]))
+            for i, vi in enumerate(v, start=j):
+                column[i] -= factor * vi
+        pivot[j] = diagonal
+    r = [[columns[c][i] for c in range(N_PARAMETERS)] for i in range(N_PARAMETERS)]
+    z = _reference_back_substitute(r, columns[N_PARAMETERS][:N_PARAMETERS])
+    beta = tuple(z[j] / scales[j] for j in range(N_PARAMETERS))
+    rss = math.fsum(
+        (math.fsum(c * v for c, v in zip(beta, row)) - t) ** 2
+        for row, t in zip(rows, targets)
+    )
+    r_inverse_columns = [
+        _reference_back_substitute(r, [float(i == k) for i in range(N_PARAMETERS)])
+        for k in range(N_PARAMETERS)
+    ]
+    variance_factors = tuple(
+        math.fsum(col[i] ** 2 for col in r_inverse_columns) / scales[i] ** 2
+        for i in range(N_PARAMETERS)
+    )
+    return beta, rss, variance_factors
+
+
+def _reference_back_substitute(r, rhs):
+    """Solve ``R x = rhs`` for upper-triangular ``R``."""
+    n = len(rhs)
+    x = [0.0] * n
+    for i in range(n - 1, -1, -1):
+        tail = math.fsum(r[i][j] * x[j] for j in range(i + 1, n))
+        x[i] = (rhs[i] - tail) / r[i][i]
+    return x

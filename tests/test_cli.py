@@ -1,13 +1,16 @@
 """Command-line behavior: rendering, exit codes, round-trips."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from helpers import distinct_trends
 from xmasjump import HolidayCalendar, backtest, parse_rate_series
-from xmasjump.cli import EXIT_DATA_ERROR, EXIT_OK, EXIT_USAGE, main
+from xmasjump.cli import EXIT_BROKEN_PIPE, EXIT_DATA_ERROR, EXIT_OK, EXIT_USAGE, main
 
 PLANTED = (0.005, -9.0, -0.002, 2.0)
 DEMO_RATES = Path(__file__).resolve().parents[1] / "fixtures" / "demo_rates.csv"
@@ -397,3 +400,46 @@ class TestEnvironmentAndCalendar:
         rc = main(["fit-year", "2018", "--data", str(fixture_csv), "--calendar", str(override)])
         assert rc == EXIT_DATA_ERROR
         assert "error:" in capsys.readouterr().err
+
+
+class TestClosedOutput:
+    """Output that cannot be written: a reader that stops early is not a
+    data error, a full device is."""
+
+    @pytest.fixture(scope="class")
+    def backtest_command(self, tmp_path_factory):
+        # 186 targets print about 250 KB of JSON, several times a pipe's
+        # buffer, so the writer is still writing when the reader leaves.
+        directory = tmp_path_factory.mktemp("long")
+        spec = write_spec(directory / "spec.json", 1900, 2100)
+        data = directory / "rates.csv"
+        assert main(["generate", "--spec", str(spec), "--out", str(data)]) == EXIT_OK
+        command = [sys.executable, "-m", "xmasjump", "backtest", "1915", "2100"]
+        return command + ["--data", str(data), "--format", "json-like"]
+
+    @staticmethod
+    def buffered_env():
+        return {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+    def test_reader_closing_the_pipe_exits_141_silently(self, backtest_command):
+        with subprocess.Popen(
+            backtest_command,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=self.buffered_env(),
+        ) as process:
+            assert process.stdout.readline() == b"{\n"
+            process.stdout.close()
+            stderr = process.stderr.read()
+        assert process.returncode == EXIT_BROKEN_PIPE
+        assert stderr == b""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_is_a_data_error(self, backtest_command):
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                backtest_command, stdout=full, stderr=subprocess.PIPE, env=self.buffered_env()
+            )
+        assert done.returncode == EXIT_DATA_ERROR
+        assert done.stderr.startswith(b"error: [Errno 28] ")
+        assert done.stderr.count(b"\n") == 1

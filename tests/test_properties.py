@@ -11,11 +11,15 @@ blank lines, spacing and line ends. The parsers, given any text, return a
 value or raise an ``XmasJumpError`` subclass, never anything else; so do
 the constructors of the input records, given any arguments. The
 banking-day walks over day ordinals agree with a day-by-day reference.
+The CLI's JSON writer prints what ``json.dumps(value, indent=2)`` prints,
+and ``fit_bilinear`` equals its generator-expression reference bit for bit.
 """
 
 import json
 import math
+import random
 from datetime import date
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +29,7 @@ import xmasjump
 from helpers import (
     distinct_trends,
     reference_banking_days,
+    reference_fit_bilinear,
     reference_post_window,
     reference_post_window_offsets,
     reference_pre_window,
@@ -45,8 +50,10 @@ from xmasjump import (
     synthetic_spec_from_json,
     yearly_observation,
 )
+from xmasjump.cli import _json_text
 from xmasjump.errors import DuplicateDate
 from xmasjump.market_calendar import banking_days, post_window, post_window_offsets, pre_window
+from xmasjump.regression_core import fit_bilinear
 
 FIRST_YEAR, LAST_YEAR = 2000, 2012
 WINDOW_LEN = 5
@@ -454,6 +461,123 @@ def test_ordinal_walks_match_the_day_by_day_reference(
     assert outcome(post_window, year, series, cal) == outcome(
         reference_post_window, year, series, cal
     )
+
+
+# --- the JSON writer ---------------------------------------------------------
+
+# Escapes, controls, non-ASCII, astral and a lone surrogate, plus any character.
+json_strings = st.text(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x80\u2028\u00e9\U0001f600\ud800')
+    | st.characters(),
+    max_size=8,
+)
+json_floats = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.inf, -math.inf, math.nan]
+)
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**30), max_value=10**30)
+    | json_floats
+    | json_strings,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(json_strings, children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(value=json_values)
+def test_json_writer_matches_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+class Colour(IntEnum):
+    RED = 1
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{1, 2}, Colour.RED, [1.0, Colour.RED], {"key": b"bytes"}, {1: "int key"}],
+    ids=["set", "int_enum", "nested_int_enum", "bytes_value", "int_key"],
+)
+def test_json_writer_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        _json_text(value)
+
+
+# --- the bilinear fit against its reference ----------------------------------
+
+
+def fit_outcome(fit, trends, targets):
+    """``repr`` of the fit, or of the type and message of its error: equal
+    reprs mean equal bits (``repr`` round-trips a float)."""
+    try:
+        return repr(fit(trends, targets))
+    except Exception as exc:  # any error must match too
+        return repr((type(exc), str(exc)))
+
+
+@st.composite
+def bilinear_designs(draw):
+    """``(trends, targets)`` of m rows: random trends over slopes of one
+    magnitude, nearly collinear ones (about half of the draws), or designs
+    with an all-zero or constant column, a column collinear with another,
+    or repeated rows."""
+    m = draw(st.integers(min_value=5, max_value=40))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    magnitude = draw(st.sampled_from([1e-8, 1e-5, 1e-2, 1.0, 1e3]) | st.floats(1e-8, 1e3))
+    shape = draw(
+        st.sampled_from(["random", "near_collinear"])
+        | st.sampled_from(["zero_a", "zero_b", "constant_a", "collinear", "repeated"])
+    )
+    slopes = [rng.uniform(-magnitude, magnitude) for _ in range(m)]
+    intercepts = [rng.uniform(-5.0, 5.0) for _ in range(m)]
+    if shape == "zero_a":
+        slopes = [0.0] * m
+    elif shape == "zero_b":
+        intercepts = [0.0] * m
+    elif shape == "constant_a":
+        slopes = [slopes[0]] * m
+    elif shape == "collinear":
+        intercepts = [2.5 * a - 0.75 for a in slopes]
+    elif shape == "near_collinear":
+        nudge = draw(st.sampled_from([1e-7, 1e-6, 1e-5, 1e-3])) * (2.5 * magnitude + 0.75)
+        intercepts = [2.5 * a - 0.75 + rng.gauss(0.0, nudge) for a in slopes]
+    elif shape == "repeated":
+        slopes, intercepts = (slopes[:3] * m)[:m], (intercepts[:3] * m)[:m]
+    targets = [rng.gauss(0.0, 1.0) * draw(st.sampled_from([1e-3, 1.0, 1e3])) for _ in range(m)]
+    return list(zip(slopes, intercepts)), targets
+
+
+@settings(max_examples=300, deadline=None)
+@given(design=bilinear_designs())
+def test_fit_bilinear_matches_its_reference_bit_for_bit(design):
+    trends, targets = design
+    assert fit_outcome(fit_bilinear, trends, targets) == fit_outcome(
+        reference_fit_bilinear, trends, targets
+    )
+
+
+def test_fit_bilinear_matches_its_reference_on_a_backtest():
+    """The 186 fitting windows of a backtest over a noisy 201-year series."""
+    first, last, window = 1900, 2100, 15
+    spec = SyntheticSpec(
+        year_trends=distinct_trends(first, last, seed=901),
+        jump=PLANTED,
+        noise_amplitude=0.01,
+        seed=901,
+    )
+    cal = HolidayCalendar()
+    series = generate_synthetic_series(spec, range(first, last + 1), cal)
+    table = [yearly_observation(year, series, cal) for year in range(first, last + 1)]
+    windows = [table[start : start + window] for start in range(len(table) - window)]
+    assert len(windows) == 186
+    for observations in windows:
+        trends = [(obs.slope_a, obs.intercept_b) for obs in observations]
+        targets = [obs.jump_delta for obs in observations]
+        assert repr(fit_bilinear(trends, targets)) == repr(reference_fit_bilinear(trends, targets))
 
 
 # --- the package root ------------------------------------------------------
