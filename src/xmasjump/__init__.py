@@ -16,7 +16,6 @@ specific error types are imported from their modules (``market_calendar``,
 from .data_io import (
     BilinearJump,
     DailyRateSeries,
-    FixedJump,
     SyntheticSpec,
     generate_synthetic_series,
     parse_rate_series,
@@ -44,7 +43,6 @@ __all__ = [
     "BacktestRow",
     "BilinearJump",
     "DailyRateSeries",
-    "FixedJump",
     "HolidayCalendar",
     "JumpForecast",
     "JumpModel",

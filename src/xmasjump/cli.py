@@ -51,7 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         epilog=(
             f"Exit codes: {EXIT_OK} success, {EXIT_DATA_ERROR} data/calendar error,"
-            f" {EXIT_USAGE} usage error. ${DATA_ENV_VAR} supplies a default for --data."
+            f" {EXIT_USAGE} usage error, {EXIT_BROKEN_PIPE} closed pipe."
+            f" ${DATA_ENV_VAR} supplies a default for --data."
         ),
     )
     common = argparse.ArgumentParser(add_help=False)
@@ -171,25 +172,28 @@ def main(argv: list[str] | None = None) -> int:
             )
     except SystemExit as exc:  # argparse already printed its message
         return int(exc.code or 0)
+    output = None  # the command's text, once it has run
     try:
         cal = _load_calendar(args)
         if args.command == "generate":
-            _cmd_generate(args, cal)
+            output = _cmd_generate(args, cal)
         elif args.command == "fit-year":
-            _cmd_fit_year(args, _load_series(args.command_parser, args), cal)
+            output = _cmd_fit_year(args, _load_series(args.command_parser, args), cal)
         elif args.command == "backtest":
-            _cmd_backtest(args, _load_series(args.command_parser, args), cal)
+            output = _cmd_backtest(args, _load_series(args.command_parser, args), cal)
         else:
-            _cmd_predict(args, _load_series(args.command_parser, args), cal)
+            output = _cmd_predict(args, _load_series(args.command_parser, args), cal)
+        print(output)
         sys.stdout.flush()  # so that a closed pipe or a full disk is reported here
         return EXIT_OK
     except SystemExit as exc:  # parser.error() from _load_series
         return int(exc.code or 0)
-    except BrokenPipeError:
-        # a reader that stopped early (| head); devnull quiets the exit-time flush
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_BROKEN_PIPE
     except (XmasJumpError, OSError, UnicodeError) as exc:
+        if output is not None and isinstance(exc, OSError):
+            # stdout failed; devnull quiets the exit-time flush of what it still buffers
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if isinstance(exc, BrokenPipeError):  # a reader that stopped early (| head)
+                return EXIT_BROKEN_PIPE
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
 
@@ -250,18 +254,16 @@ def _format_coefficient(value: float) -> str:
     return f"{value:.5g}"
 
 
-def _print_kv(pairs: list[tuple[str, str]]) -> None:
+def _kv_text(pairs: list[tuple[str, str]]) -> str:
     width = max(len(label) for label, _ in pairs)
-    for label, value in pairs:
-        print(f"{label:<{width}}  {value}")
+    return "\n".join(f"{label:<{width}}  {value}" for label, value in pairs)
 
 
-def _cmd_fit_year(args, series, cal) -> None:
+def _cmd_fit_year(args, series, cal) -> str:
     obs = yearly_observation(args.year, series, cal, pre_days=args.pre_days)
     if args.format == "json-like":
-        print(_json_text(obs.to_dict()))
-        return
-    _print_kv(
+        return _json_text(obs.to_dict())
+    return _kv_text(
         [
             ("year", str(obs.year)),
             ("trend slope", _format_coefficient(obs.slope_a)),
@@ -274,7 +276,7 @@ def _cmd_fit_year(args, series, cal) -> None:
     )
 
 
-def _cmd_backtest(args, series, cal) -> None:
+def _cmd_backtest(args, series, cal) -> str:
     report = backtest(
         series,
         cal,
@@ -284,12 +286,11 @@ def _cmd_backtest(args, series, cal) -> None:
         pre_days=args.pre_days,
     )
     if args.format == "json-like":
-        print(_json_text(report.to_dict()))
-    else:
-        _print_backtest_table(report)
+        return _json_text(report.to_dict())
+    return _backtest_table(report)
 
 
-def _print_backtest_table(report) -> None:
+def _backtest_table(report) -> str:
     last = len(report.rows) - 1
     columns = []
     for i, (row, model) in enumerate(zip(report.rows, report.models)):
@@ -327,23 +328,23 @@ def _print_backtest_table(report) -> None:
     ]
     label_width = max(len(label) for label in labels)
     widths = [max(len(cells[r]) for r in range(len(labels))) for cells in columns]
+    lines = []
     for r, label in enumerate(labels):
         line = f"{label:<{label_width}}"
         for cells, width in zip(columns, widths):
             line += f"  {cells[r]:>{width}}"
-        print(line)
+        lines.append(line)
+    return "\n".join(lines)
 
 
-def _cmd_predict(args, series, cal) -> None:
+def _cmd_predict(args, series, cal) -> str:
     default_years = (args.target_year - args.window_len, args.target_year - 1)
     first, last = args.model_years or default_years
     model = fit_window_model(first, last, series, cal, pre_days=args.pre_days)
     forecast = predict_next(series, cal, args.target_year, model, pre_days=args.pre_days)
     if args.format == "json-like":
-        doc = {"model": model.to_dict(), "forecast": forecast.to_dict()}
-        print(_json_text(doc))
-        return
-    _print_kv(
+        return _json_text({"model": model.to_dict(), "forecast": forecast.to_dict()})
+    return _kv_text(
         [
             ("target year", str(forecast.target_year)),
             ("model years", f"{first}-{last}"),
@@ -355,13 +356,13 @@ def _cmd_predict(args, series, cal) -> None:
     )
 
 
-def _cmd_generate(args, cal) -> None:
+def _cmd_generate(args, cal) -> str:
     spec, years = synthetic_spec_from_json(_read_text(args.spec))
     series = generate_synthetic_series(spec, years, cal)
     text = serialize_rate_series(series)  # before opening: no file buffer held meanwhile
     with open(args.out, "w") as file:
         file.write(text)
-    _print_kv(
+    return _kv_text(
         [
             ("written", args.out),
             ("tenor", series.tenor_label),

@@ -30,6 +30,7 @@ from datetime import date
 from .errors import DomainError, DuplicateDate, ParseError
 from .market_calendar import ISO_DATE, HolidayCalendar, banking_days, event_date, iso_date
 from .record import Record, set_field
+from .regression_core import bilinear_surface
 
 CSV_HEADER = "date,rate"
 _TENOR_COMMENT = re.compile(r"^#\s*tenor:\s*(.+?)\s*$")
@@ -222,23 +223,9 @@ def serialize_rate_series(series: DailyRateSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
-class FixedJump(Record):
-    """Plant the same jump every year."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: float):
-        number = _finite(value)
-        if number is None:
-            raise DomainError(f"fixed jump value must be finite, got {value!r}")
-        set_field(self, "value", number)
-
-    def jump_for(self, slope: float, intercept: float) -> float:
-        return self.value
-
-
 class BilinearJump(Record):
-    """Plant ``c0 + c1*slope + c2*intercept + c3*slope*intercept``."""
+    """Plant ``bilinear_surface(coefficients, slope, intercept)`` each year;
+    coefficients ``(v, 0, 0, 0)`` plant the same jump ``v`` every year."""
 
     __slots__ = ("coefficients",)
 
@@ -247,10 +234,6 @@ class BilinearJump(Record):
         if numbers is None:
             raise DomainError(f"jump coefficients must be 4 finite numbers: {coefficients!r}")
         set_field(self, "coefficients", numbers)
-
-    def jump_for(self, slope: float, intercept: float) -> float:
-        c0, c1, c2, c3 = self.coefficients
-        return c0 + c1 * slope + c2 * intercept + c3 * slope * intercept
 
 
 class SyntheticSpec(Record):
@@ -264,7 +247,8 @@ class SyntheticSpec(Record):
     __slots__ = ("year_trends", "jump", "noise_amplitude", "seed", "tenor_label")
 
     def __init__(self, year_trends: Mapping[int, tuple[float, float]],
-                 jump: FixedJump | BilinearJump = FixedJump(0.0), noise_amplitude: float = 0.0,
+                 jump: BilinearJump = BilinearJump((0.0, 0.0, 0.0, 0.0)),
+                 noise_amplitude: float = 0.0,
                  seed: int = 0, tenor_label: str = "SYN"):
         if not isinstance(year_trends, Mapping):
             raise DomainError(f"year_trends must map years to pairs, got {year_trends!r}")
@@ -275,8 +259,8 @@ class SyntheticSpec(Record):
             trends[year] = _finite_tuple(trend, 2)
             if trends[year] is None:
                 raise DomainError(f"year_trends[{year}] must be finite, got {trend!r}")
-        if not isinstance(jump, (FixedJump, BilinearJump)):
-            raise DomainError(f"jump must be a FixedJump or a BilinearJump, got {jump!r}")
+        if not isinstance(jump, BilinearJump):
+            raise DomainError(f"jump must be a BilinearJump, got {jump!r}")
         noise = _finite(noise_amplitude)
         if noise is None or noise < 0.0:
             raise DomainError("noise amplitude must be a finite non-negative number")
@@ -316,7 +300,7 @@ def generate_synthetic_series(
     entries = []
     for year in year_list:
         slope, intercept = spec.year_trends[year]
-        jump = spec.jump.jump_for(slope, intercept)
+        jump = bilinear_surface(spec.jump.coefficients, slope, intercept)
         event = event_date(year).toordinal()
         start = date(year, *GENERATION_START)
         for d in banking_days(start, date(year, 12, 31), cal):
@@ -365,7 +349,7 @@ def synthetic_spec_from_json(text: str) -> tuple[SyntheticSpec, list[int]]:
         raise ParseError(None, "'jump' must hold exactly one of 'fixed' or 'coefficients'")
     if "fixed" in jump_doc:
         (fixed,) = _floats([jump_doc["fixed"]], 1, "'jump.fixed' must be a number")
-        jump: FixedJump | BilinearJump = FixedJump(fixed)
+        jump = BilinearJump((fixed, 0.0, 0.0, 0.0))
     elif "coefficients" in jump_doc:
         coeffs = jump_doc["coefficients"]
         jump = BilinearJump(_floats(coeffs, 4, "'jump.coefficients' must be four numbers"))
@@ -375,7 +359,7 @@ def synthetic_spec_from_json(text: str) -> tuple[SyntheticSpec, list[int]]:
     if noise < 0:
         raise ParseError(None, "'noise' must be a non-negative number")
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
+    if type(seed) is not int:
         raise ParseError(None, "'seed' must be an integer")
     tenor = doc.get("tenor", "SYN")
     if not isinstance(tenor, str):
@@ -387,9 +371,10 @@ def _floats(values, count: int, message: str) -> tuple[float, ...]:
     """A JSON array of ``count`` finite numbers as floats, else ParseError(message).
 
     ``json.loads`` reads ``NaN`` and ``Infinity`` as floats; they are rejected
-    here, like integers beyond the float range.
+    here, like integers beyond the float range and ``true`` and ``false``.
     """
-    floats = _finite_tuple(values, count) if isinstance(values, list) else None
+    is_numbers = isinstance(values, list) and bool not in map(type, values)
+    floats = _finite_tuple(values, count) if is_numbers else None
     if floats is None:
         raise ParseError(None, message)
     return floats

@@ -24,6 +24,7 @@ from .market_calendar import (
 )
 from .regression_core import (
     MIN_DESIGN_ROWS,
+    bilinear_surface,
     fit_bilinear,
     fit_intercept_fixed_slope,
     fit_simple_ols,
@@ -206,12 +207,6 @@ def _fit_observations(observations: Sequence[YearObservation]) -> JumpModel:
     return JumpModel(window_years, fit[0], inference, adjusted_r2)
 
 
-def predict_jump(model: JumpModel, slope_a: float, intercept_b: float) -> float:
-    """Evaluate the fitted jump surface at (slope, intercept)."""
-    c0, c1, c2, c3 = model.coefficients
-    return c0 + c1 * slope_a + c2 * intercept_b + c3 * slope_a * intercept_b
-
-
 def backtest(
     series: DailyRateSeries,
     cal: HolidayCalendar,
@@ -250,7 +245,7 @@ def _forecast(model: JumpModel, target_year: int, slope_a: float, intercept_b: f
               post_offsets: Sequence[int]) -> JumpForecast:
     """Trend, then the predicted jump, then the jump-corrected mean: the
     mean rate the trend alone implies over the post offsets, plus the jump."""
-    predicted = predict_jump(model, slope_a, intercept_b)
+    predicted = bilinear_surface(model.coefficients, slope_a, intercept_b)
     trend_mean = math.fsum(slope_a * x + intercept_b for x in post_offsets) / len(post_offsets)
     estimate = trend_mean + predicted
     return JumpForecast(target_year, slope_a, intercept_b, predicted, estimate)

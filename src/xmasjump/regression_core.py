@@ -69,6 +69,12 @@ def fit_intercept_fixed_slope(
     return math.fsum(y - slope * x for x, y in zip(xs, ys)) / n
 
 
+def bilinear_surface(coefficients: Sequence[float], a: float, b: float) -> float:
+    """The jump surface ``c0 + c1*a + c2*b + c3*a*b`` at slope ``a``, intercept ``b``."""
+    c0, c1, c2, c3 = coefficients
+    return c0 + c1 * a + c2 * b + c3 * a * b
+
+
 def fit_bilinear(trends: Sequence[tuple[float, float]], targets: Sequence[float]) -> tuple:
     """Least-squares fit of targets ~ ``[1, a, b, a*b]`` over (a, b) trends.
 

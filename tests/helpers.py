@@ -5,6 +5,7 @@ import random
 from datetime import timedelta
 
 from xmasjump import (
+    BilinearJump,
     DailyRateSeries,
     HolidayCalendar,
     SyntheticSpec,
@@ -50,6 +51,11 @@ def distinct_trends(first_year, last_year, seed=20231225):
         year: (rng.uniform(-0.02, 0.02), rng.uniform(0.5, 5.0))
         for year in range(first_year, last_year + 1)
     }
+
+
+def constant_jump(value):
+    """The jump rule that adds ``value`` to every post-event rate."""
+    return BilinearJump((value, 0.0, 0.0, 0.0))
 
 
 def planted_series(first_year, last_year, jump, seed=3, noise=0.0, trend_seed=20231225):

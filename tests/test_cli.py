@@ -367,6 +367,12 @@ class TestUsageErrors:
     def test_help_exits_zero(self):
         assert main(["--help"]) == EXIT_OK
 
+    def test_help_lists_every_exit_code(self, capsys):
+        main(["--help"])
+        epilog = " ".join(capsys.readouterr().out.split())
+        for code in (EXIT_OK, EXIT_DATA_ERROR, EXIT_USAGE, EXIT_BROKEN_PIPE):
+            assert f" {code} " in epilog
+
 
 class TestEnvironmentAndCalendar:
     def test_env_var_supplies_the_data_path(self, fixture_csv, monkeypatch, capsys):
@@ -439,6 +445,19 @@ class TestClosedOutput:
         with open("/dev/full", "w") as full:
             done = subprocess.run(
                 backtest_command, stdout=full, stderr=subprocess.PIPE, env=self.buffered_env()
+            )
+        assert done.returncode == EXIT_DATA_ERROR
+        assert done.stderr.startswith(b"error: [Errno 28] ")
+        assert done.stderr.count(b"\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_under_a_short_output_is_one_data_error(self):
+        # the output fits in stdout's buffer, so only the final flush fails;
+        # the exit-time flush must not fail again on the bytes it kept
+        command = [sys.executable, "-m", "xmasjump", "fit-year", "2019", "--data", str(DEMO_RATES)]
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                command, stdout=full, stderr=subprocess.PIPE, env=self.buffered_env()
             )
         assert done.returncode == EXIT_DATA_ERROR
         assert done.stderr.startswith(b"error: [Errno 28] ")

@@ -6,11 +6,10 @@ from datetime import date, datetime
 
 import pytest
 
-from helpers import day_offset
+from helpers import constant_jump, day_offset
 from xmasjump import (
     BilinearJump,
     DailyRateSeries,
-    FixedJump,
     SyntheticSpec,
     generate_synthetic_series,
     parse_rate_series,
@@ -302,7 +301,7 @@ class TestGenerator:
     def test_same_seed_is_byte_identical(self, cal):
         spec = SyntheticSpec(
             year_trends={2018: (0.01, 2.5)},
-            jump=FixedJump(0.1),
+            jump=constant_jump(0.1),
             noise_amplitude=0.05,
             seed=42,
         )
@@ -313,7 +312,7 @@ class TestGenerator:
     def test_different_seeds_differ(self, cal):
         base = dict(
             year_trends={2018: (0.01, 2.5)},
-            jump=FixedJump(0.1),
+            jump=constant_jump(0.1),
             noise_amplitude=0.05,
         )
         a = generate_synthetic_series(SyntheticSpec(seed=1, **base), [2018], cal)
@@ -334,7 +333,7 @@ class TestGenerator:
             assert rate == 0.01 * x + 2.5
 
     def test_fixed_jump_shifts_post_event_days_only(self, cal):
-        spec = SyntheticSpec(year_trends={2018: (0.01, 2.5)}, jump=FixedJump(0.25))
+        spec = SyntheticSpec(year_trends={2018: (0.01, 2.5)}, jump=constant_jump(0.25))
         series = generate_synthetic_series(spec, [2018], cal)
         for d, rate in series.entries:
             x = day_offset(d, 2018)
@@ -411,8 +410,8 @@ class TestGenerator:
         "value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"]
     )
     def test_non_finite_fixed_jump_rejected(self, value):
-        with pytest.raises(DomainError, match="^fixed jump value must be finite"):
-            FixedJump(value)
+        with pytest.raises(DomainError, match="^jump coefficients must be 4 finite numbers"):
+            constant_jump(value)
 
     @pytest.mark.parametrize(
         "coefficients",
@@ -448,11 +447,11 @@ class TestSyntheticSpecFromJson:
         spec, _ = synthetic_spec_from_json(
             '{"jump": {"fixed": 0.25}, "years": {"2018": [0.0, 1.0]}}'
         )
-        assert spec.jump == FixedJump(0.25)
+        assert spec.jump == constant_jump(0.25)
 
     def test_defaults(self):
         spec, _ = synthetic_spec_from_json('{"years": {"2018": [0.0, 1.0]}}')
-        assert spec.jump == FixedJump(0.0)
+        assert spec.jump == constant_jump(0.0)
         assert spec.noise_amplitude == 0.0
         assert spec.seed == 0
 
@@ -495,6 +494,16 @@ class TestSyntheticSpecFromJson:
             pytest.param(
                 '{"years": {"2018": [0, 1]}, "jump": {"coefficients": [0, -Infinity, 0, 0]}}',
                 id="infinite_coefficient",
+            ),
+            pytest.param('{"years": {"2018": [0, 1]}, "seed": true}', id="boolean_seed"),
+            pytest.param('{"years": {"2018": [0, 1]}, "noise": true}', id="boolean_noise"),
+            pytest.param('{"years": {"2018": [true, false]}}', id="boolean_trend"),
+            pytest.param(
+                '{"years": {"2018": [0, 1]}, "jump": {"fixed": true}}', id="boolean_fixed_jump"
+            ),
+            pytest.param(
+                '{"years": {"2018": [0, 1]}, "jump": {"coefficients": [true, 0, 0, false]}}',
+                id="boolean_coefficient",
             ),
         ],
     )

@@ -7,12 +7,11 @@ from datetime import date
 
 import pytest
 
-from helpers import linear_series, planted_series
+from helpers import constant_jump, linear_series, planted_series
 from xmasjump import (
     BacktestRow,
     BilinearJump,
     DailyRateSeries,
-    FixedJump,
     HolidayCalendar,
     JumpModel,
     SyntheticSpec,
@@ -24,9 +23,9 @@ from xmasjump import (
     yearly_observation,
 )
 from xmasjump.errors import DomainError, IncompleteWindow, InsufficientData, WindowTooShort
-from xmasjump.jump_pipeline import _forecast, predict_jump
+from xmasjump.jump_pipeline import _forecast
 from xmasjump.market_calendar import post_window_offsets
-from xmasjump.regression_core import MIN_DESIGN_ROWS, fit_intercept_fixed_slope
+from xmasjump.regression_core import MIN_DESIGN_ROWS, bilinear_surface, fit_intercept_fixed_slope
 
 # the published 2019 prediction surface, used as a hand-checkable model
 SURFACE_2019 = JumpModel(
@@ -62,7 +61,7 @@ class TestYearlyObservation:
         assert obs.pre_warning is None
 
     def test_level_shift_leaves_the_jump_unchanged(self, cal):
-        base, _ = planted_series(2018, 2018, FixedJump(0.1), noise=0.02, seed=6)
+        base, _ = planted_series(2018, 2018, constant_jump(0.1), noise=0.02, seed=6)
         obs = yearly_observation(2018, base, cal)
         for shift in (-2.0, 0.75, 10.0):
             shifted = DailyRateSeries(
@@ -101,7 +100,7 @@ class TestFitWindowModel:
         assert len(model.inference) == 4
 
     def test_window_too_short(self, cal):
-        series, _ = planted_series(2010, 2014, FixedJump(0.1))
+        series, _ = planted_series(2010, 2014, constant_jump(0.1))
         with pytest.raises(WindowTooShort):
             fit_window_model(2011, 2014, series, cal)
 
@@ -110,7 +109,7 @@ class TestFitWindowModel:
             JumpModel(window_years=(2015, 2018), coefficients=(0.0, 0.0, 0.0, 0.0))
 
     def test_one_span_rule_for_models_fits_and_backtests(self, cal):
-        series, _ = planted_series(2010, 2014, FixedJump(0.1))
+        series, _ = planted_series(2010, 2014, constant_jump(0.1))
         raised = []
         for attempt in (
             lambda: JumpModel(window_years=(2011, 2014), coefficients=(0.0,) * 4),
@@ -125,30 +124,32 @@ class TestFitWindowModel:
 
     @pytest.mark.parametrize("year", [0, 10000])
     def test_year_outside_the_date_range(self, year, cal):
-        series, _ = planted_series(2010, 2014, FixedJump(0.1))
+        series, _ = planted_series(2010, 2014, constant_jump(0.1))
         with pytest.raises(DomainError):
             yearly_observation(year, series, cal)
 
 
 class TestPredictJump:
+    """A model's predicted jump: its fitted surface at a year's (slope, intercept)."""
+
     def test_constant_term_at_the_origin(self):
-        assert predict_jump(SURFACE_2019, 0.0, 0.0) == 0.0048
+        assert bilinear_surface(SURFACE_2019.coefficients, 0.0, 0.0) == 0.0048
 
     def test_intercept_direction(self):
         # 0.0048 - 0.0024 * 1 = 0.0024
-        assert abs(predict_jump(SURFACE_2019, 0.0, 1.0) - 0.0024) < 1e-12
+        assert abs(bilinear_surface(SURFACE_2019.coefficients, 0.0, 1.0) - 0.0024) < 1e-12
 
     def test_full_surface_by_hand(self):
         a, b = 0.002, 1.5
         want = 0.0048 - 9.2646 * a - 0.0024 * b + 2.0161 * a * b
-        assert predict_jump(SURFACE_2019, a, b) == want
+        assert bilinear_surface(SURFACE_2019.coefficients, a, b) == want
 
     def test_origin_returns_constant_for_any_model(self):
         rng = random.Random(8)
         for _ in range(20):
             coeffs = tuple(rng.uniform(-5, 5) for _ in range(4))
             model = JumpModel(window_years=(2000, 2004), coefficients=coeffs)
-            assert predict_jump(model, 0.0, 0.0) == coeffs[0]
+            assert bilinear_surface(model.coefficients, 0.0, 0.0) == coeffs[0]
 
 
 def constant_jump_model(jump):
@@ -277,7 +278,7 @@ class TestBacktest:
             year: (rng.uniform(-0.02, 0.02), rng.uniform(0.5e7, 1.5e7))
             for year in range(1990, 2011)
         }
-        spec = SyntheticSpec(trends, FixedJump(0.25), noise_amplitude=0.01, seed=1)
+        spec = SyntheticSpec(trends, constant_jump(0.25), noise_amplitude=0.01, seed=1)
         series = generate_synthetic_series(spec, trends, cal)
         report = backtest(series, cal, 2005, 2010)
         assert [row.target_year for row in report.rows] == list(range(2005, 2011))
@@ -327,10 +328,10 @@ class TestPredictNext:
         a, b = trends[2019]
         assert abs(forecast.slope_a - a) < 1e-12
         assert abs(forecast.intercept_b - b) < 1e-12
-        assert abs(forecast.predicted_jump - planted.jump_for(a, b)) < 1e-9
+        assert abs(forecast.predicted_jump - bilinear_surface(planted.coefficients, a, b)) < 1e-9
 
     def test_corrected_mean_is_trend_mean_plus_jump(self, cal):
-        series, _ = planted_series(2004, 2019, FixedJump(0.2))
+        series, _ = planted_series(2004, 2019, constant_jump(0.2))
         model = fit_window_model(2004, 2018, series, cal)
         forecast = predict_next(series, cal, 2019, model)
         offsets = post_window_offsets(2019, cal)
@@ -339,7 +340,7 @@ class TestPredictNext:
         assert forecast.corrected_mean_estimate == want
 
     def test_truncated_series_is_incomplete(self, cal):
-        series, _ = planted_series(2004, 2019, FixedJump(0.0))
+        series, _ = planted_series(2004, 2019, constant_jump(0.0))
         truncated = DailyRateSeries(
             entries=tuple(e for e in series.entries if e[0] <= date(2019, 12, 10))
         )
@@ -348,7 +349,7 @@ class TestPredictNext:
             predict_next(truncated, cal, 2019, model)
 
     def test_truncated_series_gives_one_error_on_every_path(self, cal):
-        series, _ = planted_series(2004, 2019, FixedJump(0.0))
+        series, _ = planted_series(2004, 2019, constant_jump(0.0))
         truncated = DailyRateSeries(
             entries=tuple(e for e in series.entries if e[0] <= date(2019, 12, 9))
         )

@@ -5,9 +5,11 @@ The backtest must never let data from a target year's own post-event
 window, or from any later year, into that target's model or prediction;
 and on a complete series its target step must agree with ``predict_next``.
 Adding a constant to every rate moves each year's intercept by that
-constant and leaves its slope and jump alone. Serializing a series and
-parsing it back returns the same series, whatever the row order, comments,
-blank lines, spacing and line ends. The parsers, given any text, return a
+constant and leaves its slope and jump alone. A fixed jump ``v`` is the
+constant surface ``[v, 0, 0, 0]`` and adds exactly ``v`` to every
+post-event rate. Serializing a series and parsing it back returns the same
+series, whatever the row order, comments, blank lines, spacing and line
+ends. The parsers, given any text, return a
 value or raise an ``XmasJumpError`` subclass, never anything else; so do
 the constructors of the input records, given any arguments. The
 banking-day walks over day ordinals agree with a day-by-day reference.
@@ -27,6 +29,7 @@ from hypothesis import strategies as st
 
 import xmasjump
 from helpers import (
+    constant_jump,
     distinct_trends,
     reference_banking_days,
     reference_fit_bilinear,
@@ -37,7 +40,6 @@ from helpers import (
 from xmasjump import (
     BilinearJump,
     DailyRateSeries,
-    FixedJump,
     HolidayCalendar,
     SyntheticSpec,
     XmasJumpError,
@@ -144,6 +146,28 @@ def test_level_shift_moves_only_the_intercept(trend_seed, noise_seed, year, cal,
     assert moved.slope_a == pytest.approx(obs.slope_a, rel=0, abs=tolerance)
     assert moved.jump_delta == pytest.approx(obs.jump_delta, rel=0, abs=tolerance)
     assert moved.intercept_b == pytest.approx(obs.intercept_b + shift, rel=0, abs=tolerance)
+
+
+# --- a fixed jump is the constant surface ---------------------------------
+
+jump_values = st.floats(min_value=-1e6, max_value=1e6) | st.sampled_from([0.0, -0.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(value=jump_values, trend_seed=seeds, noise_seed=seeds)
+def test_fixed_jump_is_the_constant_surface(value, trend_seed, noise_seed):
+    trends = distinct_trends(2018, 2019, trend_seed)
+    doc = {"seed": noise_seed, "noise": 0.01, "years": {str(y): ab for y, ab in trends.items()}}
+
+    def generated(**jump):
+        spec, years = synthetic_spec_from_json(json.dumps({**doc, **jump}))
+        return generate_synthetic_series(spec, years, HolidayCalendar())
+
+    fixed = generated(jump={"fixed": value})
+    constant = generated(jump={"coefficients": [value, 0, 0, 0]})
+    assert serialize_rate_series(fixed) == serialize_rate_series(constant)
+    for (day, rate), (_, base) in zip(fixed.entries, generated().entries, strict=True):
+        assert rate == (base + value if day > date(day.year, 12, 25) else base)
 
 
 # --- round trip ----------------------------------------------------------
@@ -356,7 +380,6 @@ record_calls = st.one_of(
             }
         ),
     ),
-    st.tuples(st.just(FixedJump), st.fixed_dictionaries({"value": junk})),
     st.tuples(
         st.just(BilinearJump),
         st.fixed_dictionaries({"coefficients": junk | st.lists(junk_atoms, min_size=3, max_size=5)}),
@@ -371,7 +394,7 @@ record_calls = st.one_of(
                     junk | st.tuples(numbers, numbers),
                     max_size=3,
                 ),
-                "jump": junk | st.sampled_from([FixedJump(0.1), PLANTED]),
+                "jump": junk | st.sampled_from([constant_jump(0.1), PLANTED]),
                 "noise_amplitude": junk,
                 "seed": junk,
                 "tenor_label": junk | st.just("SYN"),
@@ -587,7 +610,6 @@ ROOT_EXPORTS = [
     "BacktestRow",
     "BilinearJump",
     "DailyRateSeries",
-    "FixedJump",
     "HolidayCalendar",
     "JumpForecast",
     "JumpModel",

@@ -17,7 +17,6 @@ from xmasjump import (
     BacktestRow,
     BilinearJump,
     DailyRateSeries,
-    FixedJump,
     HolidayCalendar,
     JumpForecast,
     JumpModel,
@@ -38,11 +37,10 @@ CASES = [
         dict(entries=((date(2018, 1, 2), 1.0),), tenor_label="X"),
         dict(entries=((date(2018, 1, 2), 1.5),)),
     ),
-    (FixedJump, dict(value=0.25), dict(value=0.5)),
     (BilinearJump, dict(coefficients=(0.005, -9.0, -0.002, 2.0)), dict(coefficients=(0,) * 4)),
     (
         SyntheticSpec,
-        dict(year_trends={2018: (0.01, 2.5)}, jump=FixedJump(0.1), seed=3),
+        dict(year_trends={2018: (0.01, 2.5)}, jump=BilinearJump((0.1, 0.0, 0.0, 0.0)), seed=3),
         dict(seed=4),
     ),
     (HolidayCalendar, dict(holidays=frozenset({(1, 1)})), dict(holidays=frozenset())),
@@ -152,7 +150,7 @@ TRENDS = {2018: (0.01, 2.5)}
     "cls, args, kwargs, field",
     [
         (DailyRateSeries, ((),), dict(tenor_label=None), "tenor_label"),
-        (FixedJump, ("x",), {}, "fixed jump value"),
+        (BilinearJump, (("x", 0.0, 0.0, 0.0),), {}, "jump coefficients"),
         (BilinearJump, ("abcd",), {}, "jump coefficients"),
         (SyntheticSpec, ({2018: (1.0,)},), {}, "year_trends[2018]"),
         (SyntheticSpec, ({"abc": (1.0, 2.0)},), {}, "year_trends key 'abc'"),
