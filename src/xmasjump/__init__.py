@@ -14,7 +14,6 @@ specific error types are imported from their modules (``market_calendar``,
 """
 
 from .data_io import (
-    BilinearJump,
     DailyRateSeries,
     SyntheticSpec,
     generate_synthetic_series,
@@ -41,7 +40,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BacktestReport",
     "BacktestRow",
-    "BilinearJump",
     "DailyRateSeries",
     "HolidayCalendar",
     "JumpForecast",

@@ -54,9 +54,10 @@ def _is_fixing_date_type(kind: type) -> bool:
 
 
 def _finite(value) -> float | None:
-    """``value`` as a float when it is a finite real number, not text; else None."""
+    """``value`` as a float when it is a finite real number, neither text nor
+    a bool; else None."""
     try:
-        if not isinstance(value, (str, bytes, bytearray)):  # float() parses text
+        if not isinstance(value, (str, bytes, bytearray, bool)):  # float() parses text
             number = float(value)
             return number if math.isfinite(number) else None
     except (TypeError, ValueError, OverflowError):
@@ -73,19 +74,27 @@ def _finite_tuple(values, count: int) -> tuple[float, ...] | None:
     return numbers if len(numbers) == count and None not in numbers else None
 
 
+def _check_tenor_label(label) -> None:
+    """Raise DomainError unless ``label`` is a string of one line without
+    surrounding whitespace, which survives serialization."""
+    if not isinstance(label, str):
+        raise DomainError(f"tenor_label must be a string, got {label!r}")
+    if label != label.strip() or len(label.splitlines()) > 1:
+        raise DomainError(f"tenor label {label!r} has surrounding whitespace or a line break")
+
+
 class DailyRateSeries(Record):
     """Date-ordered banking-day fixings, rates in percent per annum.
 
     ``entries`` are ``(date, rate)`` pairs; each rate is a finite real
-    number, not text. The tenor label is a single line without surrounding
-    whitespace, so that it survives serialization.
+    number, neither text nor a bool. The tenor label is a single line
+    without surrounding whitespace, so that it survives serialization.
     """
 
     __slots__ = ("entries", "tenor_label", "_by_date")
 
     def __init__(self, entries: Iterable[tuple[date, float]], tenor_label: str = ""):
-        if not isinstance(tenor_label, str):
-            raise DomainError(f"tenor_label must be a string, got {tenor_label!r}")
+        _check_tenor_label(tenor_label)
         try:
             entries = tuple(entries)
         except TypeError:
@@ -114,10 +123,6 @@ class DailyRateSeries(Record):
             raise DomainError(f"rate on {bad.isoformat()} is not finite")
         if not all(map(operator.lt, dates, dates[1:])):
             raise DomainError("fixing dates must be strictly increasing")
-        if tenor_label != tenor_label.strip() or len(tenor_label.splitlines()) > 1:
-            raise DomainError(
-                f"tenor label {tenor_label!r} has surrounding whitespace or a line break"
-            )
         set_field(self, "entries", entries)
         set_field(self, "tenor_label", tenor_label)
         set_field(self, "_by_date", dict(entries))
@@ -223,51 +228,43 @@ def serialize_rate_series(series: DailyRateSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
-class BilinearJump(Record):
-    """Plant ``bilinear_surface(coefficients, slope, intercept)`` each year;
-    coefficients ``(v, 0, 0, 0)`` plant the same jump ``v`` every year."""
-
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients: tuple[float, float, float, float]):
-        numbers = _finite_tuple(coefficients, 4)
-        if numbers is None:
-            raise DomainError(f"jump coefficients must be 4 finite numbers: {coefficients!r}")
-        set_field(self, "coefficients", numbers)
-
-
 class SyntheticSpec(Record):
     """Recipe for a deterministic synthetic rate series.
 
     ``year_trends`` maps each year to its (slope, intercept) in percent/day
-    and percent; the jump rule decides what is added to post-event rates;
-    ``seed`` fixes the noise stream exactly. Every number must be finite.
+    and percent. ``jump`` holds the four coefficients of the surface planted
+    each year: ``bilinear_surface(jump, slope, intercept)`` is added to
+    post-event rates, so ``(v, 0, 0, 0)`` plants the same jump ``v`` every
+    year. ``seed`` fixes the noise stream exactly. Every number must be
+    finite and no number a bool.
     """
 
     __slots__ = ("year_trends", "jump", "noise_amplitude", "seed", "tenor_label")
 
     def __init__(self, year_trends: Mapping[int, tuple[float, float]],
-                 jump: BilinearJump = BilinearJump((0.0, 0.0, 0.0, 0.0)),
+                 jump: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0),
                  noise_amplitude: float = 0.0,
                  seed: int = 0, tenor_label: str = "SYN"):
         if not isinstance(year_trends, Mapping):
             raise DomainError(f"year_trends must map years to pairs, got {year_trends!r}")
         trends = {}
         for year, trend in year_trends.items():
-            if not isinstance(year, int):
+            if type(year) is not int:
                 raise DomainError(f"year_trends key {year!r} is not an integer year")
             trends[year] = _finite_tuple(trend, 2)
             if trends[year] is None:
                 raise DomainError(f"year_trends[{year}] must be finite, got {trend!r}")
-        if not isinstance(jump, BilinearJump):
-            raise DomainError(f"jump must be a BilinearJump, got {jump!r}")
+        coefficients = _finite_tuple(jump, 4)
+        if coefficients is None:
+            raise DomainError(f"jump coefficients must be 4 finite numbers: {jump!r}")
         noise = _finite(noise_amplitude)
         if noise is None or noise < 0.0:
             raise DomainError("noise amplitude must be a finite non-negative number")
-        if not isinstance(seed, int):
+        if type(seed) is not int:
             raise DomainError(f"seed must be an integer, got {seed!r}")
+        _check_tenor_label(tenor_label)
         set_field(self, "year_trends", trends)
-        set_field(self, "jump", jump)
+        set_field(self, "jump", coefficients)
         set_field(self, "noise_amplitude", noise)
         set_field(self, "seed", seed)
         set_field(self, "tenor_label", tenor_label)
@@ -300,7 +297,7 @@ def generate_synthetic_series(
     entries = []
     for year in year_list:
         slope, intercept = spec.year_trends[year]
-        jump = bilinear_surface(spec.jump.coefficients, slope, intercept)
+        jump = bilinear_surface(spec.jump, slope, intercept)
         event = event_date(year).toordinal()
         start = date(year, *GENERATION_START)
         for d in banking_days(start, date(year, 12, 31), cal):
@@ -349,10 +346,10 @@ def synthetic_spec_from_json(text: str) -> tuple[SyntheticSpec, list[int]]:
         raise ParseError(None, "'jump' must hold exactly one of 'fixed' or 'coefficients'")
     if "fixed" in jump_doc:
         (fixed,) = _floats([jump_doc["fixed"]], 1, "'jump.fixed' must be a number")
-        jump = BilinearJump((fixed, 0.0, 0.0, 0.0))
+        jump = (fixed, 0.0, 0.0, 0.0)
     elif "coefficients" in jump_doc:
         coeffs = jump_doc["coefficients"]
-        jump = BilinearJump(_floats(coeffs, 4, "'jump.coefficients' must be four numbers"))
+        jump = _floats(coeffs, 4, "'jump.coefficients' must be four numbers")
     else:
         raise ParseError(None, "'jump' must hold 'fixed' or 'coefficients'")
     (noise,) = _floats([doc.get("noise", 0.0)], 1, "'noise' must be a non-negative number")
@@ -373,8 +370,7 @@ def _floats(values, count: int, message: str) -> tuple[float, ...]:
     ``json.loads`` reads ``NaN`` and ``Infinity`` as floats; they are rejected
     here, like integers beyond the float range and ``true`` and ``false``.
     """
-    is_numbers = isinstance(values, list) and bool not in map(type, values)
-    floats = _finite_tuple(values, count) if is_numbers else None
+    floats = _finite_tuple(values, count) if isinstance(values, list) else None
     if floats is None:
         raise ParseError(None, message)
     return floats

@@ -17,6 +17,8 @@ from .data_io import DailyRateSeries
 from .errors import DomainError, InsufficientData, WindowTooShort
 from .market_calendar import (
     HolidayCalendar,
+    POST_WINDOW_MIN,
+    POST_WINDOW_TEXT,
     PRE_WINDOW_DAYS,
     post_window,
     post_window_offsets,
@@ -167,11 +169,11 @@ def yearly_observation(
     """
     pre_offsets, pre_rates, pre_warning = pre_window(year, series, cal, n=pre_days)
     post_offsets, post_rates, post_warning = post_window(year, series, cal)
-    trend = fit_simple_ols(pre_offsets, pre_rates)
-    post_intercept = fit_intercept_fixed_slope(post_offsets, post_rates, trend.slope)
+    slope, intercept = fit_simple_ols(pre_offsets, pre_rates)
+    post_intercept = fit_intercept_fixed_slope(post_offsets, post_rates, slope)
     post_mean = math.fsum(post_rates) / len(post_rates)
-    jump = post_intercept - trend.intercept
-    return YearObservation(year, trend.slope, trend.intercept, post_intercept, jump,
+    jump = post_intercept - intercept
+    return YearObservation(year, slope, intercept, post_intercept, jump,
                            post_offsets, post_mean, pre_warning, post_warning)
 
 
@@ -233,22 +235,22 @@ def backtest(
         model = _fit_observations(table[-window_len:])
         obs = yearly_observation(target, series, cal, pre_days)
         table.append(obs)
-        forecast = _forecast(model, target, obs.slope_a, obs.intercept_b, obs.post_offsets)
-        predicted, realized = forecast.predicted_jump, obs.jump_delta
-        estimate, error = forecast.corrected_mean_estimate, predicted - realized
+        predicted, estimate = _forecast(model, obs.slope_a, obs.intercept_b, obs.post_offsets)
+        realized = obs.jump_delta
+        error = predicted - realized
         rows.append(BacktestRow(target, predicted, realized, estimate, obs.post_mean, error))
         models.append(model)
     return BacktestReport(window_len, tuple(rows), tuple(models))
 
 
-def _forecast(model: JumpModel, target_year: int, slope_a: float, intercept_b: float,
-              post_offsets: Sequence[int]) -> JumpForecast:
-    """Trend, then the predicted jump, then the jump-corrected mean: the
-    mean rate the trend alone implies over the post offsets, plus the jump."""
+def _forecast(model: JumpModel, slope_a: float, intercept_b: float,
+              post_offsets: Sequence[int]) -> tuple[float, float]:
+    """``(predicted_jump, corrected_mean_estimate)`` from a year's trend: the
+    model's jump, then the mean rate the trend alone implies over the post
+    offsets, plus the jump."""
     predicted = bilinear_surface(model.coefficients, slope_a, intercept_b)
     trend_mean = math.fsum(slope_a * x + intercept_b for x in post_offsets) / len(post_offsets)
-    estimate = trend_mean + predicted
-    return JumpForecast(target_year, slope_a, intercept_b, predicted, estimate)
+    return predicted, trend_mean + predicted
 
 
 def predict_next(
@@ -263,11 +265,16 @@ def predict_next(
     Runnable on or after the last pre-event banking day (before that,
     ``pre_window`` raises IncompleteWindow); the post-event mean estimate
     uses the calendar's banking-day offsets, so no post-event fixings are
-    needed; a calendar without any of them is InsufficientData.
+    needed; a calendar with fewer than ``POST_WINDOW_MIN`` of them is
+    InsufficientData, as it is for ``post_window``.
     """
     offsets, rates, _ = pre_window(target_year, series, cal, n=pre_days)
-    trend = fit_simple_ols(offsets, rates)
+    slope, intercept = fit_simple_ols(offsets, rates)
     post_offsets = post_window_offsets(target_year, cal)
-    if not post_offsets:
-        raise InsufficientData(f"0 banking days with offsets 2..6 after Dec 25 {target_year}")
-    return _forecast(model, target_year, trend.slope, trend.intercept, post_offsets)
+    if len(post_offsets) < POST_WINDOW_MIN:
+        raise InsufficientData(
+            f"{len(post_offsets)} banking days with {POST_WINDOW_TEXT}"
+            f" after Dec 25 {target_year}"
+        )
+    predicted, estimate = _forecast(model, slope, intercept, post_offsets)
+    return JumpForecast(target_year, slope, intercept, predicted, estimate)

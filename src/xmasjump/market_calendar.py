@@ -28,8 +28,11 @@ PRE_WINDOW_MIN = 2
 # A 15-banking-day window nominally covers 21 calendar days; other spans are
 # legal but flagged.
 NOMINAL_PRE_SPAN_DAYS = 21
-# Nominally three post-event banking days before year end; other counts are
-# flagged, fewer than two is an error.
+# The post window: the banking days at these offsets from December 25,
+# December 27-31. Nominally three of them; other counts are flagged, fewer
+# than two is an error.
+POST_WINDOW_OFFSETS = range(2, 7)
+POST_WINDOW_TEXT = f"offsets {POST_WINDOW_OFFSETS[0]}..{POST_WINDOW_OFFSETS[-1]}"
 NOMINAL_POST_COUNT = 3
 POST_WINDOW_MIN = 2
 
@@ -115,11 +118,6 @@ def iso_date(text: str) -> date:
     return date.fromisoformat(text)
 
 
-def is_banking_day(d: date, cal: HolidayCalendar) -> bool:
-    """True when ``d`` is neither a Saturday, a Sunday nor a holiday."""
-    return bool(banking_days(d, d, cal))
-
-
 def banking_days(start: date, end: date, cal: HolidayCalendar) -> list[date]:
     """Banking days from ``start`` through ``end`` inclusive, ascending,
     found by one walk over their day ordinals."""
@@ -197,22 +195,23 @@ def pre_window(
 
 
 def post_window_offsets(year: int, cal: HolidayCalendar) -> tuple[int, ...]:
-    """Banking-day offsets in [2, 6] (December 27-31) for ``year``.
+    """The offsets of ``year``'s post-window banking days, ascending.
 
     Needs no rate data, so it also serves prediction for years whose
     post-event fixings do not exist yet.
     """
-    return tuple(d.day - 25 for d in _post_days(year, cal))
+    return tuple(x for x, _ in _post_days(year, cal))
 
 
-def _post_days(year: int, cal: HolidayCalendar) -> list[date]:
-    """The banking days of December 27-31 of ``year``: offsets ``d.day - 25``."""
-    event = event_date(year)
-    return banking_days(event.replace(day=27), event.replace(day=31), cal)
+def _post_days(year: int, cal: HolidayCalendar) -> list[tuple[int, date]]:
+    """``(offset, day)`` for each banking day of ``year``'s post window."""
+    event = event_date(year).toordinal()
+    ordinals = range(event + POST_WINDOW_OFFSETS.start, event + POST_WINDOW_OFFSETS.stop)
+    return [(d.toordinal() - event, d) for d in _banking(ordinals, cal)]
 
 
 def post_window(year: int, series: "DailyRateSeries", cal: HolidayCalendar) -> tuple:
-    """All banking-day fixings with offsets in [2, 6] after December 25.
+    """All banking-day fixings at ``POST_WINDOW_OFFSETS`` after December 25.
 
     Returns ``(offsets, rates, warning)`` like ``pre_window``. Nominally
     three observations; any other count is returned with a warning. Fewer
@@ -220,16 +219,16 @@ def post_window(year: int, series: "DailyRateSeries", cal: HolidayCalendar) -> t
     without a rate is MissingFixing.
     """
     picked: list[tuple[int, float]] = []
-    for d in _post_days(year, cal):
+    for x, d in _post_days(year, cal):
         if not series.covers(d):
             continue
         rate = series.rate_on(d)
         if rate is None:
             raise MissingFixing(d)
-        picked.append((d.day - 25, rate))
+        picked.append((x, rate))
     if len(picked) < POST_WINDOW_MIN:
         raise InsufficientData(
-            f"{len(picked)} banking-day fixings with offsets 2..6 after"
+            f"{len(picked)} banking-day fixings with {POST_WINDOW_TEXT} after"
             f" Dec 25 {year}, need at least {POST_WINDOW_MIN}"
         )
     warning = None

@@ -13,7 +13,6 @@ from collections.abc import Sequence
 from operator import mul
 
 from .errors import DegenerateDesign, DomainError, RankDeficient, TooFewRows
-from .record import Record, set_field
 
 N_PARAMETERS = 4
 MIN_DESIGN_ROWS = 5
@@ -22,18 +21,9 @@ MIN_DESIGN_ROWS = 5
 RANK_TOLERANCE = 1e-6
 
 
-class LineFit(Record):
-    """A fitted line ``rate = slope * offset + intercept``."""
-
-    __slots__ = ("slope", "intercept")
-
-    def __init__(self, slope: float, intercept: float):
-        set_field(self, "slope", slope)
-        set_field(self, "intercept", intercept)
-
-
-def fit_simple_ols(xs: Sequence[float], ys: Sequence[float]) -> LineFit:
-    """Ordinary least squares for a line through ``(xs, ys)``.
+def fit_simple_ols(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
+    """Ordinary least squares for a line through ``(xs, ys)``: the
+    ``(slope, intercept)`` of ``rate = slope * offset + intercept``.
 
     Closed form: slope = Sxy / Sxx, intercept = mean(y) - slope * mean(x),
     with sums about the means.
@@ -50,7 +40,7 @@ def fit_simple_ols(xs: Sequence[float], ys: Sequence[float]) -> LineFit:
         raise DegenerateDesign("all x values are identical")
     sxy = math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
     slope = sxy / sxx
-    return LineFit(slope, y_mean - slope * x_mean)
+    return slope, y_mean - slope * x_mean
 
 
 def fit_intercept_fixed_slope(

@@ -5,7 +5,6 @@ import random
 from datetime import timedelta
 
 from xmasjump import (
-    BilinearJump,
     DailyRateSeries,
     HolidayCalendar,
     SyntheticSpec,
@@ -25,6 +24,7 @@ from xmasjump.market_calendar import (
     POST_WINDOW_MIN,
     PRE_WINDOW_DAYS,
     PRE_WINDOW_MIN,
+    banking_days,
     event_date,
 )
 from xmasjump.regression_core import MIN_DESIGN_ROWS, N_PARAMETERS, RANK_TOLERANCE
@@ -39,9 +39,15 @@ def day_offset(d, year):
     return (d - event_date(year)).days
 
 
+def is_banking_day(d, cal):
+    """True when ``d`` is neither a Saturday, a Sunday nor a holiday."""
+    return bool(banking_days(d, d, cal))
+
+
 def line_value(fit, x):
-    """The fitted line ``fit`` (a ``LineFit``) evaluated at offset ``x``."""
-    return fit.slope * x + fit.intercept
+    """The fitted line ``fit``, a ``(slope, intercept)`` pair, at offset ``x``."""
+    slope, intercept = fit
+    return slope * x + intercept
 
 
 def distinct_trends(first_year, last_year, seed=20231225):
@@ -54,8 +60,8 @@ def distinct_trends(first_year, last_year, seed=20231225):
 
 
 def constant_jump(value):
-    """The jump rule that adds ``value`` to every post-event rate."""
-    return BilinearJump((value, 0.0, 0.0, 0.0))
+    """The jump coefficients that add ``value`` to every post-event rate."""
+    return (value, 0.0, 0.0, 0.0)
 
 
 def planted_series(first_year, last_year, jump, seed=3, noise=0.0, trend_seed=20231225):

@@ -19,7 +19,7 @@ import pytest
 from scipy import integrate
 
 from helpers import distinct_trends, planted_series
-from xmasjump import BilinearJump, backtest, fit_window_model, parse_rate_series
+from xmasjump import backtest, fit_window_model, parse_rate_series
 from xmasjump.regression_core import fit_intercept_fixed_slope, fit_simple_ols
 from xmasjump.stat_inference import student_t_two_sided_p
 
@@ -40,7 +40,7 @@ def _report(number: int, label: str) -> None:
 def test_criterion_1_planted_model_recovery(cal):
     started = time.perf_counter()
     planted = (0.005, -9.0, -0.002, 2.0)
-    series, _ = planted_series(2000, 2014, BilinearJump(planted), noise=0.0)
+    series, _ = planted_series(2000, 2014, planted, noise=0.0)
     model = fit_window_model(2000, 2014, series, cal)
     for got, want in zip(model.coefficients, planted):
         assert abs(got - want) < 1e-9, (got, want)
@@ -70,7 +70,7 @@ def test_criterion_2_intercept_gap_equals_mean_difference():
 
 def test_criterion_3_error_identity(cal):
     series, _ = planted_series(
-        1999, 2019, BilinearJump((0.005, -9.0, -0.002, 2.0)), noise=0.02, seed=14
+        1999, 2019, (0.005, -9.0, -0.002, 2.0), noise=0.02, seed=14
     )
     reports = [backtest(series, cal, 2015, 2018)]
     real_path = os.environ.get(LIBOR_ENV_VAR)
@@ -163,10 +163,10 @@ def test_criterion_6_ols_matches_grid_refinement_oracle():
         while max(xs) - min(xs) < 0.5:
             xs = [rng.uniform(-10.0, 10.0) for _ in range(n)]
         ys = [rng.uniform(-5.0, 5.0) for _ in range(n)]
-        fit = fit_simple_ols(xs, ys)
+        slope, intercept = fit_simple_ols(xs, ys)
         a_ref, b_ref = grid_minimizer(xs, ys)
-        assert abs(fit.slope - a_ref) < 1e-6, (fit.slope, a_ref)
-        assert abs(fit.intercept - b_ref) < 1e-6, (fit.intercept, b_ref)
+        assert abs(slope - a_ref) < 1e-6, (slope, a_ref)
+        assert abs(intercept - b_ref) < 1e-6, (intercept, b_ref)
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"took {elapsed:.3f}s"
     _report(6, "closed-form line fit vs grid refinement within 1e-6")

@@ -245,6 +245,30 @@ class TestPredictCommand:
         assert captured.out == ""
         assert captured.err == "error: 0 banking days with offsets 2..6 after Dec 25 2019\n"
 
+    def test_one_post_window_banking_day_fails_on_every_path(self, tmp_path, capsys):
+        # Dec 27 and 30 closed every year: 2019 keeps only Dec 31
+        override = tmp_path / "cal.txt"
+        override.write_text("--12-25\n--12-26\n--01-01\n--12-27\n--12-30\n")
+        data = ["--data", str(DEMO_RATES), "--calendar", str(override)]
+        errors = []
+        for argv in (
+            ["predict", "2019", "--window-len", "5"],
+            ["backtest", "2019", "2019", "--window-len", "5"],
+            ["fit-year", "2019"],
+        ):
+            assert main(argv + data) == EXIT_DATA_ERROR
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        too_few_fixings = (
+            "error: 1 banking-day fixings with offsets 2..6 after Dec 25 2019, need at least 2\n"
+        )
+        assert errors == [
+            "error: 1 banking days with offsets 2..6 after Dec 25 2019\n",
+            too_few_fixings,
+            too_few_fixings,
+        ]
+
     def test_truncated_series_same_error_for_backtest(self, tmp_path, fixture_csv, capsys):
         kept = [
             line

@@ -3,12 +3,12 @@
 import math
 import random
 from datetime import date, datetime
+from decimal import Decimal
 
 import pytest
 
 from helpers import constant_jump, day_offset
 from xmasjump import (
-    BilinearJump,
     DailyRateSeries,
     SyntheticSpec,
     generate_synthetic_series,
@@ -276,7 +276,7 @@ class TestDailyRateSeriesValidation:
         assert str(exc_info.value) == f"entries must be (date, rate) pairs, got {entry!r}"
 
     def test_entries_become_date_float_tuples(self):
-        series = DailyRateSeries(entries=[[date(2018, 1, 2), 1], (date(2018, 1, 3), True)])
+        series = DailyRateSeries(entries=[[date(2018, 1, 2), 1], (date(2018, 1, 3), Decimal(1))])
         assert series.entries == ((date(2018, 1, 2), 1.0), (date(2018, 1, 3), 1.0))
         assert all(type(e) is tuple and type(e[1]) is float for e in series.entries)
         assert series.rate_on(date(2018, 1, 2)) == 1.0
@@ -343,7 +343,7 @@ class TestGenerator:
     def test_bilinear_rule_value(self, cal):
         coeffs = (0.005, -9.0, -0.002, 2.0)
         a, b = 0.01, 2.5
-        spec = SyntheticSpec(year_trends={2018: (a, b)}, jump=BilinearJump(coeffs))
+        spec = SyntheticSpec(year_trends={2018: (a, b)}, jump=coeffs)
         series = generate_synthetic_series(spec, [2018], cal)
         planted = coeffs[0] + coeffs[1] * a + coeffs[2] * b + coeffs[3] * a * b
         post_rate = series.rate_on(date(2018, 12, 27))
@@ -411,7 +411,7 @@ class TestGenerator:
     )
     def test_non_finite_fixed_jump_rejected(self, value):
         with pytest.raises(DomainError, match="^jump coefficients must be 4 finite numbers"):
-            constant_jump(value)
+            SyntheticSpec(year_trends={2018: (0.0, 1.0)}, jump=constant_jump(value))
 
     @pytest.mark.parametrize(
         "coefficients",
@@ -420,7 +420,16 @@ class TestGenerator:
     )
     def test_bad_jump_coefficients_rejected(self, coefficients):
         with pytest.raises(DomainError, match="^jump coefficients must be 4 finite numbers"):
-            BilinearJump(coefficients)
+            SyntheticSpec(year_trends={2018: (0.0, 1.0)}, jump=coefficients)
+
+    @pytest.mark.parametrize("label", [5, None, " SYN", "SYN ", "a\nb"])
+    def test_tenor_label_checked_when_the_spec_is_built(self, label):
+        # the series' rule and message, before any fixing is generated
+        with pytest.raises(DomainError) as series_error:
+            DailyRateSeries(entries=(), tenor_label=label)
+        with pytest.raises(DomainError) as spec_error:
+            SyntheticSpec(year_trends={2018: (0.0, 1.0)}, tenor_label=label)
+        assert str(spec_error.value) == str(series_error.value)
 
 
 class TestSyntheticSpecFromJson:
@@ -440,7 +449,7 @@ class TestSyntheticSpecFromJson:
         assert spec.tenor_label == "SYN-2M"
         assert spec.seed == 3
         assert spec.noise_amplitude == 0.01
-        assert isinstance(spec.jump, BilinearJump)
+        assert spec.jump == (0.005, -9.0, -0.002, 2.0)
         assert spec.year_trends[2004] == (0.01, 2.5)
 
     def test_fixed_jump_document(self):

@@ -10,7 +10,6 @@ import pytest
 from helpers import constant_jump, linear_series, planted_series
 from xmasjump import (
     BacktestRow,
-    BilinearJump,
     DailyRateSeries,
     HolidayCalendar,
     JumpModel,
@@ -91,7 +90,7 @@ class TestYearlyObservation:
 class TestFitWindowModel:
     def test_recovers_planted_surface(self, cal):
         planted = (0.005, -9.0, -0.002, 2.0)
-        series, _ = planted_series(2000, 2014, BilinearJump(planted))
+        series, _ = planted_series(2000, 2014, planted)
         model = fit_window_model(2000, 2014, series, cal)
         for got, want in zip(model.coefficients, planted):
             assert abs(got - want) < 1e-9
@@ -158,27 +157,27 @@ def constant_jump_model(jump):
 
 
 class TestMeanRate:
-    """The jump-corrected mean of ``_forecast``: the trend's mean rate over
+    """The jump-corrected mean of ``_forecast``, the second of its
+    ``(predicted_jump, corrected_mean_estimate)``: the trend's mean rate over
     the post offsets plus the predicted jump."""
 
     def test_flat_line_without_jump(self):
-        forecast = _forecast(constant_jump_model(0.0), 2019, 0.0, 1.0, (2, 3, 6))
-        assert forecast.corrected_mean_estimate == 1.0
+        assert _forecast(constant_jump_model(0.0), 0.0, 1.0, (2, 3, 6)) == (0.0, 1.0)
 
     def test_hand_worked_example(self):
         # trend mean 1 + 0.01 * (2+3+6)/3, then the jump on top
-        forecast = _forecast(constant_jump_model(0.05), 2019, 0.01, 1.0, (2, 3, 6))
-        assert forecast.predicted_jump == 0.05
-        assert abs(forecast.corrected_mean_estimate - (1.0 + 0.01 * (11 / 3) + 0.05)) < 1e-12
+        predicted, estimate = _forecast(constant_jump_model(0.05), 0.01, 1.0, (2, 3, 6))
+        assert predicted == 0.05
+        assert abs(estimate - (1.0 + 0.01 * (11 / 3) + 0.05)) < 1e-12
 
     def test_trend_mean_alone(self):
-        forecast = _forecast(constant_jump_model(0.0), 2019, 0.01, 1.0, (2, 3, 6))
-        assert abs(forecast.corrected_mean_estimate - (1.0 + 0.11 / 3)) < 1e-12
+        _, estimate = _forecast(constant_jump_model(0.0), 0.01, 1.0, (2, 3, 6))
+        assert abs(estimate - (1.0 + 0.11 / 3)) < 1e-12
 
 
 @pytest.fixture(scope="module")
 def planted():
-    return planted_series(1999, 2019, BilinearJump((0.005, -9.0, -0.002, 2.0)))
+    return planted_series(1999, 2019, (0.005, -9.0, -0.002, 2.0))
 
 
 class TestBacktest:
@@ -214,7 +213,7 @@ class TestBacktest:
 
     def test_noisy_data_still_satisfies_the_identity(self, cal):
         series, _ = planted_series(
-            1999, 2019, BilinearJump((0.005, -9.0, -0.002, 2.0)), noise=0.03, seed=12
+            1999, 2019, (0.005, -9.0, -0.002, 2.0), noise=0.03, seed=12
         )
         report = backtest(series, cal, 2015, 2018)
         for row in report.rows:
@@ -315,8 +314,19 @@ class TestPredictNext:
         message = r"^0 banking days with offsets 2\.\.6 after Dec 25 2019$"
         with pytest.raises(InsufficientData, match=message):
             predict_next(series, closed, 2019, model)
+
+    def test_target_year_with_one_post_window_banking_day(self, planted, cal):
+        # as for post_window, one banking day in Dec 27-31 is too few
+        closed = HolidayCalendar(holidays=cal.holidays | {date(2019, 12, 27), date(2019, 12, 30)})
+        series, _ = planted
+        model = fit_window_model(2004, 2018, series, cal)
+        message = r"^1 banking days with offsets 2\.\.6 after Dec 25 2019$"
+        with pytest.raises(InsufficientData, match=message):
+            predict_next(series, closed, 2019, model)
+        with pytest.raises(InsufficientData, match=r"^1 banking-day fixings .* need at least 2$"):
+            yearly_observation(2019, series, closed)
     def test_matches_planted_jump_from_pre_window_alone(self, cal):
-        planted = BilinearJump((0.005, -9.0, -0.002, 2.0))
+        planted = (0.005, -9.0, -0.002, 2.0)
         series, trends = planted_series(2004, 2019, planted)
         model = fit_window_model(2004, 2018, series, cal)
         # truncate: nothing after Dec 24 2019 exists at prediction time
@@ -328,7 +338,7 @@ class TestPredictNext:
         a, b = trends[2019]
         assert abs(forecast.slope_a - a) < 1e-12
         assert abs(forecast.intercept_b - b) < 1e-12
-        assert abs(forecast.predicted_jump - bilinear_surface(planted.coefficients, a, b)) < 1e-9
+        assert abs(forecast.predicted_jump - bilinear_surface(planted, a, b)) < 1e-9
 
     def test_corrected_mean_is_trend_mean_plus_jump(self, cal):
         series, _ = planted_series(2004, 2019, constant_jump(0.2))

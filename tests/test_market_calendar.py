@@ -4,7 +4,7 @@ from datetime import date, timedelta
 
 import pytest
 
-from helpers import day_offset, flat_series
+from helpers import day_offset, flat_series, is_banking_day
 from xmasjump import DailyRateSeries, HolidayCalendar, calendar_from_lines
 from xmasjump.errors import (
     DomainError,
@@ -16,7 +16,6 @@ from xmasjump.errors import (
 from xmasjump.market_calendar import (
     banking_days,
     event_date,
-    is_banking_day,
     post_window,
     post_window_offsets,
     pre_window,

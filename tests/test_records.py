@@ -15,7 +15,6 @@ import xmasjump
 from xmasjump import (
     BacktestReport,
     BacktestRow,
-    BilinearJump,
     DailyRateSeries,
     HolidayCalendar,
     JumpForecast,
@@ -25,7 +24,6 @@ from xmasjump import (
 )
 from xmasjump.errors import DomainError
 from xmasjump.record import Record
-from xmasjump.regression_core import LineFit
 from xmasjump.stat_inference import CoefficientInference
 
 COEFFICIENT = dict(estimate=1.0, standard_error=0.5, t_statistic=2.0, p_value=0.1)
@@ -37,14 +35,12 @@ CASES = [
         dict(entries=((date(2018, 1, 2), 1.0),), tenor_label="X"),
         dict(entries=((date(2018, 1, 2), 1.5),)),
     ),
-    (BilinearJump, dict(coefficients=(0.005, -9.0, -0.002, 2.0)), dict(coefficients=(0,) * 4)),
     (
         SyntheticSpec,
-        dict(year_trends={2018: (0.01, 2.5)}, jump=BilinearJump((0.1, 0.0, 0.0, 0.0)), seed=3),
+        dict(year_trends={2018: (0.01, 2.5)}, jump=(0.1, 0.0, 0.0, 0.0), seed=3),
         dict(seed=4),
     ),
     (HolidayCalendar, dict(holidays=frozenset({(1, 1)})), dict(holidays=frozenset())),
-    (LineFit, dict(slope=0.5, intercept=1.0), dict(intercept=1.5)),
     (CoefficientInference, COEFFICIENT, dict(p_value=0.2)),
     (
         YearObservation,
@@ -150,22 +146,36 @@ TRENDS = {2018: (0.01, 2.5)}
     "cls, args, kwargs, field",
     [
         (DailyRateSeries, ((),), dict(tenor_label=None), "tenor_label"),
-        (BilinearJump, (("x", 0.0, 0.0, 0.0),), {}, "jump coefficients"),
-        (BilinearJump, ("abcd",), {}, "jump coefficients"),
+        (DailyRateSeries, (((date(2018, 1, 2), True),),), {}, "rate on 2018-01-02"),
+        (SyntheticSpec, (TRENDS,), dict(jump=("x", 0.0, 0.0, 0.0)), "jump coefficients"),
+        (SyntheticSpec, (TRENDS,), dict(jump="abcd"), "jump coefficients"),
         (SyntheticSpec, ({2018: (1.0,)},), {}, "year_trends[2018]"),
+        (SyntheticSpec, ({2018: (True, 1.0)},), {}, "year_trends[2018]"),
         (SyntheticSpec, ({"abc": (1.0, 2.0)},), {}, "year_trends key 'abc'"),
+        (SyntheticSpec, ({True: (0.0, 1.0)},), {}, "year_trends key True"),
         (SyntheticSpec, (TRENDS,), dict(seed=1.5), "seed"),
+        (SyntheticSpec, (TRENDS,), dict(seed=True), "seed"),
+        (SyntheticSpec, (TRENDS,), dict(noise_amplitude=True), "noise amplitude"),
+        (SyntheticSpec, (TRENDS,), dict(jump=(True, 0.0, 0.0, 0.0)), "jump coefficients"),
         (SyntheticSpec, (TRENDS,), dict(jump=None), "jump"),
+        (SyntheticSpec, (TRENDS,), dict(tenor_label=5), "tenor_label"),
         (HolidayCalendar, (None,), {}, "holidays"),
     ],
     ids=[
         "series_tenor_none",
+        "boolean_rate",
         "fixed_jump_text",
         "bilinear_jump_text",
         "trend_of_one_number",
+        "boolean_trend",
         "year_key_text",
+        "boolean_year_key",
         "float_seed",
+        "boolean_seed",
+        "boolean_noise",
+        "boolean_coefficient",
         "no_jump_rule",
+        "spec_tenor_number",
         "calendar_none",
     ],
 )

@@ -26,21 +26,18 @@ def squared_residuals(fit, xs, ys):
 
 class TestFitSimpleOls:
     def test_points_on_a_line(self):
-        fit = fit_simple_ols([-3, -2, -1], [-6, -4, -2])
-        assert fit.slope == 2.0
-        assert fit.intercept == 0.0
+        assert fit_simple_ols([-3, -2, -1], [-6, -4, -2]) == (2.0, 0.0)
 
     def test_hand_worked_three_points(self):
         # x_mean=1, y_mean=4/3, Sxy=3, Sxx=2 -> slope 1.5, intercept -1/6
         fit = fit_simple_ols([0, 1, 2], [0, 1, 3])
-        assert abs(fit.slope - 1.5) < 1e-15
-        assert abs(fit.intercept - (-1 / 6)) < 1e-15
+        slope, intercept = fit
+        assert abs(slope - 1.5) < 1e-15
+        assert abs(intercept - (-1 / 6)) < 1e-15
         assert abs(squared_residuals(fit, [0, 1, 2], [0, 1, 3]) - 1 / 6) < 1e-15
 
     def test_constant_rates(self):
-        fit = fit_simple_ols([-5, -3, -1], [2.25, 2.25, 2.25])
-        assert fit.slope == 0.0
-        assert fit.intercept == 2.25
+        assert fit_simple_ols([-5, -3, -1], [2.25, 2.25, 2.25]) == (0.0, 2.25)
 
     def test_degenerate_design(self):
         with pytest.raises(DegenerateDesign):
@@ -62,21 +59,21 @@ class TestFitSimpleOls:
             while max(xs) - min(xs) < 0.5:
                 xs = [rng.uniform(-25, 5) for _ in range(n)]
             ys = [rng.uniform(0, 6) for _ in range(n)]
-            fit = fit_simple_ols(xs, ys)
+            slope, intercept = fit_simple_ols(xs, ys)
             design = np.column_stack([np.ones(n), np.asarray(xs)])
             (b_ref, a_ref), *_ = np.linalg.lstsq(design, np.asarray(ys), rcond=None)
-            assert abs(fit.slope - a_ref) < 1e-9 * max(1.0, abs(a_ref))
-            assert abs(fit.intercept - b_ref) < 1e-9 * max(1.0, abs(b_ref))
+            assert abs(slope - a_ref) < 1e-9 * max(1.0, abs(a_ref))
+            assert abs(intercept - b_ref) < 1e-9 * max(1.0, abs(b_ref))
 
     def test_shift_invariance(self):
         rng = random.Random(5)
         xs = [-9, -7, -4, -2, -1]
         ys = [rng.uniform(1, 3) for _ in xs]
-        base = fit_simple_ols(xs, ys)
+        base_slope, base_intercept = fit_simple_ols(xs, ys)
         for c in (-3.0, 0.5, 10.0):
-            shifted = fit_simple_ols(xs, [y + c for y in ys])
-            assert abs(shifted.slope - base.slope) < 1e-12
-            assert abs(shifted.intercept - (base.intercept + c)) < 1e-12
+            slope, intercept = fit_simple_ols(xs, [y + c for y in ys])
+            assert abs(slope - base_slope) < 1e-12
+            assert abs(intercept - (base_intercept + c)) < 1e-12
 
     def test_exactly_linear_data_has_negligible_rss(self):
         rng = random.Random(77)
