@@ -30,7 +30,7 @@ from datetime import date
 from .errors import DomainError, DuplicateDate, ParseError
 from .market_calendar import ISO_DATE, HolidayCalendar, banking_days, event_date, iso_date
 from .record import Record, set_field
-from .regression_core import bilinear_surface
+from .regression_core import N_PARAMETERS, bilinear_surface
 
 CSV_HEADER = "date,rate"
 _TENOR_COMMENT = re.compile(r"^#\s*tenor:\s*(.+?)\s*$")
@@ -130,9 +130,6 @@ class DailyRateSeries(Record):
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __iter__(self):
-        return iter(self.entries)
-
     @property
     def first_date(self) -> date:
         return self.entries[0][0]
@@ -149,31 +146,28 @@ class DailyRateSeries(Record):
         return self._by_date.get(d)
 
 
-def parse_rate_series(text: str, tenor_label: str | None = None) -> DailyRateSeries:
+def parse_rate_series(text: str) -> DailyRateSeries:
     """Parse delimited rate-series text into a DailyRateSeries.
 
     Each line is matched once against ``_ROW``: a data row is converted
     where it stands; any other line is a comment, a blank line, the header
-    or an error.
-    Tolerates blank lines and ``#`` comments, rejects malformed rows with
-    their line number, sorts by date, then rejects duplicates. An explicit
-    ``tenor_label`` overrides any ``# tenor:`` comment in the text.
+    or an error. Tolerates blank lines and ``#`` comments, rejects malformed
+    rows with their line number, sorts by date, then rejects duplicates.
+    The tenor label is the last ``# tenor:`` comment's, else empty; relabel
+    with ``DailyRateSeries(series.entries, label)``.
     """
     rows: list[tuple[date, float]] = []
     seen_header = False
-    parsed_tenor = ""
+    tenor_label = ""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         row = _ROW.fullmatch(raw)
         if row is not None and seen_header:
             date_text, rate_text = row.groups()
             try:
                 day = date.fromisoformat(date_text)
-            except ValueError:
-                raise ParseError(lineno, f"bad date {date_text!r}") from None
-            try:
                 rate = float(rate_text)
             except ValueError:
-                raise ParseError(lineno, f"bad rate {rate_text!r}") from None
+                raise ParseError(lineno, _row_problem(f"{date_text},{rate_text}")) from None
             if not math.isfinite(rate):
                 raise ParseError(lineno, f"rate {rate_text!r} overflows")
             rows.append((day, rate))
@@ -182,7 +176,7 @@ def parse_rate_series(text: str, tenor_label: str | None = None) -> DailyRateSer
         if stripped.startswith("#"):
             match = _TENOR_COMMENT.match(stripped)
             if match:
-                parsed_tenor = match.group(1)
+                tenor_label = match.group(1)
             continue
         line = stripped.split("#", 1)[0].strip()
         if not line:
@@ -198,8 +192,7 @@ def parse_rate_series(text: str, tenor_label: str | None = None) -> DailyRateSer
     if not all(map(operator.lt, map(_FIRST, rows), map(_FIRST, rows[1:]))):
         neighbours = zip(rows, rows[1:])
         raise DuplicateDate(next(d for (d, _), (e, _) in neighbours if d == e))
-    label = tenor_label if tenor_label is not None else parsed_tenor
-    return DailyRateSeries(tuple(rows), label)
+    return DailyRateSeries(tuple(rows), tenor_label)
 
 
 def _row_problem(line: str) -> str:
@@ -251,12 +244,16 @@ class SyntheticSpec(Record):
         for year, trend in year_trends.items():
             if type(year) is not int:
                 raise DomainError(f"year_trends key {year!r} is not an integer year")
+            try:
+                event_date(year)
+            except DomainError as exc:
+                raise DomainError(f"year_trends key {year}: {exc}") from None
             trends[year] = _finite_tuple(trend, 2)
             if trends[year] is None:
                 raise DomainError(f"year_trends[{year}] must be finite, got {trend!r}")
-        coefficients = _finite_tuple(jump, 4)
+        coefficients = _finite_tuple(jump, N_PARAMETERS)
         if coefficients is None:
-            raise DomainError(f"jump coefficients must be 4 finite numbers: {jump!r}")
+            raise DomainError(f"jump coefficients must be {N_PARAMETERS} finite numbers: {jump!r}")
         noise = _finite(noise_amplitude)
         if noise is None or noise < 0.0:
             raise DomainError("noise amplitude must be a finite non-negative number")

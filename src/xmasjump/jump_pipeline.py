@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from .data_io import DailyRateSeries
+from .data_io import DailyRateSeries, _finite_tuple
 from .errors import DomainError, InsufficientData, WindowTooShort
 from .market_calendar import (
     HolidayCalendar,
@@ -26,6 +26,7 @@ from .market_calendar import (
 )
 from .regression_core import (
     MIN_DESIGN_ROWS,
+    N_PARAMETERS,
     bilinear_surface,
     fit_bilinear,
     fit_intercept_fixed_slope,
@@ -68,27 +69,26 @@ class YearObservation(Record):
 
 
 class JumpModel(Record):
-    """The bilinear jump surface fitted over a contiguous span of years."""
+    """The bilinear jump surface fitted over a contiguous span of years:
+    ``window_years`` holds two ints, ``coefficients`` four finite numbers."""
 
     __slots__ = ("window_years", "coefficients", "inference", "adjusted_r2")
 
     def __init__(self, window_years: tuple[int, int], coefficients: Sequence[float],
                  inference: Sequence[CoefficientInference] = (), adjusted_r2: float = math.nan):
-        first, last = window_years
-        check_window_span(first, last)
-        set_field(self, "window_years", (int(first), int(last)))
-        set_field(self, "coefficients", tuple(float(c) for c in coefficients))
+        years = tuple(window_years) if isinstance(window_years, Sequence) else ()
+        if list(map(type, years)) != [int, int]:
+            raise DomainError(f"window_years must be two integer years, got {window_years!r}")
+        check_window_span(*years)
+        values = _finite_tuple(coefficients, N_PARAMETERS)
+        if values is None:
+            raise DomainError(
+                f"coefficients must be {N_PARAMETERS} finite numbers: {coefficients!r}"
+            )
+        set_field(self, "window_years", years)
+        set_field(self, "coefficients", values)
         set_field(self, "inference", tuple(inference))
         set_field(self, "adjusted_r2", adjusted_r2)
-
-    def to_dict(self) -> dict:
-        """Field name to value, tuples as lists: JSON round-trips it unchanged."""
-        return {
-            "window_years": list(self.window_years),
-            "coefficients": list(self.coefficients),
-            "inference": [ci.to_dict() for ci in self.inference],
-            "adjusted_r2": self.adjusted_r2,
-        }
 
 
 class BacktestRow(Record):
@@ -130,14 +130,6 @@ class BacktestReport(Record):
         set_field(self, "window_len", window_len)
         set_field(self, "rows", rows)
         set_field(self, "models", models)
-
-    def to_dict(self) -> dict:
-        """Field name to value, rows and models as JSON-ready dicts."""
-        return {
-            "window_len": self.window_len,
-            "rows": [row.to_dict() for row in self.rows],
-            "models": [model.to_dict() for model in self.models],
-        }
 
 
 class JumpForecast(Record):

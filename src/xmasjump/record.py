@@ -21,8 +21,9 @@ class Record:
         return tuple([getattr(self, name) for name in self._fields])
 
     def to_dict(self) -> dict:
-        """Field name to value, in declared order."""
-        return {name: getattr(self, name) for name in self._fields}
+        """Field name to value, in declared order, as JSON reads it back:
+        tuples as lists, nested records as their own ``to_dict()``."""
+        return {name: _json_shaped(getattr(self, name)) for name in self._fields}
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -43,3 +44,9 @@ class Record:
         raise AttributeError(f"record field {name!r} is read-only")
 
     __delattr__ = __setattr__
+
+
+def _json_shaped(value):
+    if type(value) is tuple:
+        return [_json_shaped(item) for item in value]  # list(map()) over-allocates
+    return value.to_dict() if isinstance(value, Record) else value

@@ -9,11 +9,19 @@ from pathlib import Path
 import pytest
 
 from helpers import distinct_trends
-from xmasjump import HolidayCalendar, backtest, parse_rate_series
+from xmasjump import (
+    backtest,
+    fit_window_model,
+    parse_rate_series,
+    predict_next,
+    yearly_observation,
+)
 from xmasjump.cli import EXIT_BROKEN_PIPE, EXIT_DATA_ERROR, EXIT_OK, EXIT_USAGE, main
 
 PLANTED = (0.005, -9.0, -0.002, 2.0)
-DEMO_RATES = Path(__file__).resolve().parents[1] / "fixtures" / "demo_rates.csv"
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+DEMO_RATES = FIXTURES / "demo_rates.csv"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def write_spec(path, first_year, last_year, jump=None, noise=0.0, seed=3):
@@ -142,26 +150,6 @@ class TestBacktestCommand:
         # exact planted model: the error row is all zeros at 4 decimals
         assert "0.0000" in lines[-1]
         assert "," not in out  # locale-independent rendering
-
-    def test_json_round_trips_to_the_in_memory_report(self, fixture_csv, capsys):
-        assert (
-            main(
-                [
-                    "backtest",
-                    "2015",
-                    "2018",
-                    "--data",
-                    str(fixture_csv),
-                    "--format",
-                    "json-like",
-                ]
-            )
-            == EXIT_OK
-        )
-        parsed = json.loads(capsys.readouterr().out)
-        series = parse_rate_series(fixture_csv.read_text())
-        report = backtest(series, HolidayCalendar(), 2015, 2018)
-        assert parsed == report.to_dict()
 
     def test_repeated_runs_are_identical(self, fixture_csv, capsys):
         main(["backtest", "2015", "2018", "--data", str(fixture_csv), "--format", "json-like"])
@@ -327,6 +315,54 @@ class TestJsonKeyOrder:
             "predicted_jump",
             "corrected_mean_estimate",
         ]
+
+
+def _in_memory_tree(command, series, cal):
+    """What ``command``'s ``--format json-like`` output should parse back to."""
+    if command == "fit-year":
+        return yearly_observation(2019, series, cal).to_dict()
+    if command == "backtest":
+        return backtest(series, cal, 2015, 2018).to_dict()
+    model = fit_window_model(2004, 2018, series, cal)
+    return {"model": model.to_dict(), "forecast": predict_next(series, cal, 2019, model).to_dict()}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fit-year", "2019"], ["backtest", "2015", "2018"], ["predict", "2019"]],
+    ids=["fit-year", "backtest", "predict"],
+)
+def test_json_round_trips_to_the_in_memory_report(argv, fixture_csv, cal, capsys):
+    assert main(argv + ["--data", str(fixture_csv), "--format", "json-like"]) == EXIT_OK
+    parsed = json.loads(capsys.readouterr().out)
+    series = parse_rate_series(fixture_csv.read_text())
+    assert parsed == _in_memory_tree(argv[0], series, cal)
+
+
+class TestDemoFixture:
+    """The bundled fixture and its table outputs, byte for byte."""
+
+    def test_generate_writes_the_demo_fixture(self, tmp_path):
+        out = tmp_path / "rates.csv"
+        argv = ["generate", "--spec", str(FIXTURES / "demo_spec.json"), "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert out.read_bytes() == DEMO_RATES.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (["fit-year", "2019"], "demo_fit_year_2019.txt"),
+            (["backtest", "2015", "2019"], "demo_backtest_2015_2019.txt"),
+            (
+                ["predict", "2019", "--model-years", "2004-2018"],
+                "demo_predict_2019_model_years_2004_2018.txt",
+            ),
+        ],
+        ids=["fit-year", "backtest", "predict"],
+    )
+    def test_table_output_is_unchanged(self, argv, golden, capsys):
+        assert main(argv + ["--data", str(DEMO_RATES)]) == EXIT_OK
+        assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
 
 class TestUsageErrors:

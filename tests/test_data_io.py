@@ -150,10 +150,6 @@ class TestParseRateSeries:
         series = parse_rate_series("date,rate\n\u00a02018-12-24\u2003,\t2.70\u3000# x\n")
         assert series.entries == ((date(2018, 12, 24), 2.70),)
 
-    def test_explicit_tenor_overrides_comment(self):
-        text = "# tenor: USD-2M\ndate,rate\n2018-12-24,2.70\n"
-        assert parse_rate_series(text, tenor_label="EUR-1M").tenor_label == "EUR-1M"
-
 
 class TestSerializeRoundTrip:
     def test_parse_serialize_parse_is_identity(self):
@@ -430,6 +426,13 @@ class TestGenerator:
         with pytest.raises(DomainError) as spec_error:
             SyntheticSpec(year_trends={2018: (0.0, 1.0)}, tenor_label=label)
         assert str(spec_error.value) == str(series_error.value)
+
+    @pytest.mark.parametrize("year", [10000, 0])
+    def test_year_outside_the_calendar_rejected_when_the_spec_is_built(self, year):
+        want = f"year_trends key {year}: year {year} lies outside 1..9999"
+        with pytest.raises(DomainError) as exc_info:
+            SyntheticSpec(year_trends={2018: (0.0, 1.0), year: (0.0, 1.0)})
+        assert str(exc_info.value) == want
 
 
 class TestSyntheticSpecFromJson:

@@ -2,6 +2,7 @@
 
 import copy
 import inspect
+import math
 import pickle
 import re
 import subprocess
@@ -160,6 +161,12 @@ TRENDS = {2018: (0.01, 2.5)}
         (SyntheticSpec, (TRENDS,), dict(jump=None), "jump"),
         (SyntheticSpec, (TRENDS,), dict(tenor_label=5), "tenor_label"),
         (HolidayCalendar, (None,), {}, "holidays"),
+        (JumpModel, ((2004, 2018), ("0.1", 0, 0, 0)), {}, "coefficients"),
+        (JumpModel, ((2004, 2018), (math.nan, 0, 0, 0)), {}, "coefficients"),
+        (JumpModel, ((2004, 2018), (0.1, 0.0)), {}, "coefficients"),
+        (JumpModel, ((2004.5, 2018), (0.1, 0, 0, 0)), {}, "window_years"),
+        (JumpModel, ((True, 2018), (0.1, 0, 0, 0)), {}, "window_years"),
+        (JumpModel, (("2004", "2018"), (0.1, 0, 0, 0)), {}, "window_years"),
     ],
     ids=[
         "series_tenor_none",
@@ -177,6 +184,12 @@ TRENDS = {2018: (0.01, 2.5)}
         "no_jump_rule",
         "spec_tenor_number",
         "calendar_none",
+        "model_coefficient_text",
+        "model_coefficient_nan",
+        "model_two_coefficients",
+        "model_fractional_year",
+        "model_boolean_year",
+        "model_year_text",
     ],
 )
 def test_wrongly_typed_argument_is_a_domain_error_naming_it(cls, args, kwargs, field):
