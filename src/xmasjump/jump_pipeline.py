@@ -28,9 +28,15 @@ from .regression_core import (
     MIN_DESIGN_ROWS,
     N_PARAMETERS,
     bilinear_surface,
+    design_row,
+    finish,
     fit_bilinear,
     fit_intercept_fixed_slope,
     fit_simple_ols,
+    fold_row,
+    folded,
+    merged,
+    suffix_triangles,
 )
 from .record import Record, set_field
 from .stat_inference import CoefficientInference, inference_for_fit
@@ -178,8 +184,13 @@ def fit_window_model(
 ) -> JumpModel:
     """Fit the bilinear jump surface over [first_year, last_year]."""
     check_window_span(first_year, last_year)
-    years = range(first_year, last_year + 1)
-    return _fit_observations([yearly_observation(y, series, cal, pre_days) for y in years])
+    observations = [
+        yearly_observation(y, series, cal, pre_days) for y in range(first_year, last_year + 1)
+    ]
+    trends = [(obs.slope_a, obs.intercept_b) for obs in observations]
+    targets = [obs.jump_delta for obs in observations]
+    split = _block_split(first_year, len(observations))
+    return _model(observations, fit_bilinear(trends, targets, split))
 
 
 def check_window_span(first_year: int, last_year: int) -> None:
@@ -192,11 +203,16 @@ def check_window_span(first_year: int, last_year: int) -> None:
         )
 
 
-def _fit_observations(observations: Sequence[YearObservation]) -> JumpModel:
-    """Fit the bilinear jump surface to consecutive years' observations."""
-    targets = [obs.jump_delta for obs in observations]
-    fit = fit_bilinear([(obs.slope_a, obs.intercept_b) for obs in observations], targets)
-    inference, adjusted_r2 = inference_for_fit(targets, fit)
+def _block_split(first_year: int, window_len: int) -> int:
+    """The number of a window's years before its first year divisible by
+    ``window_len``: the ``fit_bilinear`` split that ``fit_window_model`` and
+    ``backtest`` both factor a window with, so that they agree bit for bit."""
+    return -first_year % window_len
+
+
+def _model(observations: Sequence[YearObservation], fit: tuple) -> JumpModel:
+    """The model of consecutive years' observations from their bilinear fit."""
+    inference, adjusted_r2 = inference_for_fit([obs.jump_delta for obs in observations], fit)
     window_years = (observations[0].year, observations[-1].year)
     return JumpModel(window_years, fit[0], inference, adjusted_r2)
 
@@ -215,18 +231,37 @@ def backtest(
     years immediately before it, [T - window_len, T - 1]; the window never
     touches T itself. Each year is extracted once, in ascending order, into
     a table whose last window_len entries are the next target's window.
+
+    The windows share their factors through two stacks. Years are cut into
+    blocks of window_len that start at multiples of window_len; a window
+    is the tail of one block (a suffix triangle, kept for every tail of the
+    block when the walk enters it) followed by the head of the next (one
+    prefix triangle that takes each new year as it comes). Merging the two
+    gives the factor ``fit_window_model`` builds for the same years.
     """
     if last_target < first_target:
         raise DomainError("last_target precedes first_target")
     check_window_span(first_target - window_len, first_target - 1)
     years = range(first_target - window_len, first_target)
     table = [yearly_observation(year, series, cal, pre_days) for year in years]
+    design = [design_row(obs.slope_a, obs.intercept_b, obs.jump_delta) for obs in table]
+    boundary = None  # index in table of the first year of the prefix's block
     rows = []
     models = []
     for target in range(first_target, last_target + 1):
-        model = _fit_observations(table[-window_len:])
+        start = len(table) - window_len
+        split = _block_split(target - window_len, window_len)
+        if start + split != boundary:
+            boundary = start + split
+            suffixes = suffix_triangles(design[start:boundary])
+            prefix = folded(design[boundary:])
+        else:
+            fold_row(prefix, design[-1])
+        triangle = merged(suffixes[-split], prefix) if split else prefix
+        model = _model(table[start:], finish(triangle, design[start:]))
         obs = yearly_observation(target, series, cal, pre_days)
         table.append(obs)
+        design.append(design_row(obs.slope_a, obs.intercept_b, obs.jump_delta))
         predicted, estimate = _forecast(model, obs.slope_a, obs.intercept_b, obs.post_offsets)
         realized = obs.jump_delta
         error = predicted - realized

@@ -16,8 +16,9 @@ from .errors import DegenerateDesign, DomainError, RankDeficient, TooFewRows
 
 N_PARAMETERS = 4
 MIN_DESIGN_ROWS = 5
-# Smallest admissible |R_jj| on unit-norm columns: the square root of a
-# 1e-12 relative pivot bound on X'X.
+# Smallest admissible |R_jj| over the norm of R's column j, which in exact
+# arithmetic is the pivot of the design with every column scaled to unit
+# norm: the square root of a 1e-12 relative pivot bound on X'X.
 RANK_TOLERANCE = 1e-6
 
 
@@ -65,67 +66,137 @@ def bilinear_surface(coefficients: Sequence[float], a: float, b: float) -> float
     return c0 + c1 * a + c2 * b + c3 * a * b
 
 
-def fit_bilinear(trends: Sequence[tuple[float, float]], targets: Sequence[float]) -> tuple:
+# --- the Givens kernel behind fit_bilinear and the backtest walk -------------
+# A triangle is the upper-trapezoidal [R | Q'y] of some augmented design rows
+# (1, a, b, a*b, y): N_PARAMETERS lists of N_PARAMETERS + 1 floats, with
+# zeros below the diagonal. Its rows are only ever rotated, never downdated,
+# so a triangle depends on nothing but the rows folded into it and their
+# order. The fifth diagonal (the residual norm) is not kept: ``finish``
+# takes the RSS from the residuals themselves.
+
+
+def design_row(a: float, b: float, target: float) -> tuple:
+    """The augmented design row ``(1, a, b, a*b, target)``."""
+    return (1.0, a, b, a * b, target)
+
+
+def folded(rows) -> list:
+    """A new triangle with ``rows`` folded in, in the order given."""
+    triangle = [[0.0] * (N_PARAMETERS + 1) for _ in range(N_PARAMETERS)]
+    for row in rows:
+        fold_row(triangle, row)
+    return triangle
+
+
+def fold_row(triangle: list, row: Sequence[float]) -> None:
+    """Rotate one augmented row into ``triangle``, in place.
+
+    One Givens rotation per nonzero entry among the row's first
+    N_PARAMETERS, its radius from ``math.hypot``, so every diagonal of R
+    stays >= 0. An entry that is already zero needs no rotation, so a row of
+    another triangle folds in without rotating its leading zeros.
+    """
+    x = list(row)
+    for i, r in enumerate(triangle):
+        xi = x[i]
+        if xi == 0.0:
+            continue
+        ri = r[i]
+        radius = math.hypot(ri, xi)
+        c = ri / radius
+        s = xi / radius
+        r[i] = radius
+        for j in range(i + 1, N_PARAMETERS + 1):
+            rj = r[j]
+            xj = x[j]
+            r[j] = c * rj + s * xj
+            x[j] = c * xj - s * rj
+
+
+def suffix_triangles(rows: Sequence[Sequence[float]]) -> list:
+    """Entry k is ``folded(reversed(rows[k:]))``, bit for bit: the rows are
+    folded newest-first into one triangle, and a copy kept after each."""
+    triangle = folded(())
+    suffixes = []
+    for row in reversed(rows):
+        fold_row(triangle, row)
+        suffixes.append([r[:] for r in triangle])
+    suffixes.reverse()
+    return suffixes
+
+
+def merged(suffix: list, prefix: list) -> list:
+    """A new triangle of both triangles' rows: ``prefix``'s rows folded into
+    a copy of ``suffix``."""
+    triangle = [r[:] for r in suffix]
+    for row in prefix:
+        fold_row(triangle, row)
+    return triangle
+
+
+def finish(triangle: list, rows: Sequence[Sequence[float]]) -> tuple:
+    """``(coefficients, rss, variance_factors)`` from the triangle of
+    ``rows``, the augmented rows it was folded from.
+
+    Raises RankDeficient when a column of R is all zero, or when
+    |R_jj| / ||R e_j|| falls below RANK_TOLERANCE. Beta comes by
+    back-substitution on R, the RSS as the ``fsum`` of the squared
+    residuals of that beta, and diag((X'X)^-1) as the squared row norms of
+    an explicit R^-1.
+    """
+    norms = list(map(math.hypot, *triangle))[:N_PARAMETERS]
+    if 0.0 in norms:
+        raise RankDeficient(f"design column {norms.index(0.0)} is all zero")
+    for j, (r, norm) in enumerate(zip(triangle, norms)):
+        if abs(r[j]) / norm < RANK_TOLERANCE:
+            raise RankDeficient("design matrix is numerically rank-deficient")
+    (r00, r01, r02, r03, z0), (_, r11, r12, r13, z1), (_, _, r22, r23, z2), (_, _, _, r33, z3) = (
+        triangle
+    )
+    b3 = z3 / r33
+    b2 = (z2 - r23 * b3) / r22
+    b1 = (z1 - r12 * b2 - r13 * b3) / r11
+    b0 = (z0 - r01 * b1 - r02 * b2 - r03 * b3) / r00
+    rss = math.fsum([(b0 + b1 * a + b2 * b + b3 * ab - y) ** 2 for _, a, b, ab, y in rows])
+    # R^-1 = U, upper triangular, one superdiagonal after another.
+    u00, u11, u22, u33 = 1.0 / r00, 1.0 / r11, 1.0 / r22, 1.0 / r33
+    u01, u12, u23 = -u00 * r01 * u11, -u11 * r12 * u22, -u22 * r23 * u33
+    u02, u13 = -(u00 * r02 + u01 * r12) * u22, -(u11 * r13 + u12 * r23) * u33
+    u03 = -(u00 * r03 + u01 * r13 + u02 * r23) * u33
+    # Squared row norms of U; fsum only where three or more terms meet, as a
+    # float sum of two is already exactly rounded.
+    variance_factors = (
+        math.fsum((u00 * u00, u01 * u01, u02 * u02, u03 * u03)),
+        math.fsum((u11 * u11, u12 * u12, u13 * u13)),
+        u22 * u22 + u23 * u23,
+        u33 * u33,
+    )
+    return (b0, b1, b2, b3), rss, variance_factors
+
+
+def fit_bilinear(
+    trends: Sequence[tuple[float, float]], targets: Sequence[float], split: int = 0
+) -> tuple:
     """Least-squares fit of targets ~ ``[1, a, b, a*b]`` over (a, b) trends.
 
     Returns ``(coefficients, rss, variance_factors)``, the last being
-    diag((X'X)^-1). One Householder QR of those design rows with every
-    column scaled to unit norm first; the regressor columns carry very
-    different magnitudes (1 vs. a small slope), which the scaling
-    neutralizes. Beta comes from back-substitution on R, and diag((X'X)^-1)
-    from the squared row norms of R^-1 divided by the squared column
-    scales. Raises RankDeficient when a column is all zero or a diagonal
-    entry of R falls below RANK_TOLERANCE.
+    diag((X'X)^-1). One Givens QR of the rows ``(1, a, b, a*b, target)``:
+    the rows before ``split`` are folded newest-first into one triangle,
+    the rest oldest-first into another, and ``merged`` joins the two before
+    ``finish``. Any split factors all the rows; it fixes only the order of
+    the rotations, so that a walk keeping those two triangles reproduces
+    this fit bit for bit. Raises TooFewRows below MIN_DESIGN_ROWS rows, and
+    RankDeficient when a column is all zero or when |R_jj| over the norm
+    of R's column j, which in exact arithmetic is the pivot of the design
+    with unit-norm columns, falls below RANK_TOLERANCE.
     """
     m = len(trends)
     if m != len(targets):
         raise DomainError("trends and targets differ in length")
     if m < MIN_DESIGN_ROWS:
         raise TooFewRows(f"{m} design rows; need at least {MIN_DESIGN_ROWS}")
-    rows = [(1.0, a, b, a * b) for a, b in trends]
-    scales = [math.sqrt(math.fsum([x ** 2 for x in column])) for column in zip(*rows)]
-    if 0.0 in scales:
-        raise RankDeficient(f"design column {scales.index(0.0)} is all zero")
-    # Columns of the scaled design, then the targets; reduced in place to
-    # R (upper triangle) and Q'y.
-    columns = [[x / scale for x in column] for column, scale in zip(zip(*rows), scales)]
-    columns.append(list(targets))
-    for j in range(N_PARAMETERS):
-        pivot = columns[j]
-        v = pivot[j:]
-        norm = math.sqrt(math.fsum(map(mul, v, v)))
-        if norm < RANK_TOLERANCE:
-            raise RankDeficient("design matrix is numerically rank-deficient")
-        diagonal = -math.copysign(norm, pivot[j])
-        # Reflector v = pivot[j:] - diagonal * e_1, with v'v / 2 = 1 / tau.
-        v[0] -= diagonal
-        tau = 1.0 / (norm * (norm + abs(pivot[j])))
-        for column in columns[j + 1 :]:
-            tail = column[j:]
-            factor = tau * math.fsum(map(mul, v, tail))
-            column[j:] = [c - factor * vi for c, vi in zip(tail, v)]
-        pivot[j] = diagonal
-    r = list(zip(*columns[:N_PARAMETERS]))[:N_PARAMETERS]
-    z = _back_substitute(r, columns[N_PARAMETERS][:N_PARAMETERS])
-    beta = tuple(z[j] / scales[j] for j in range(N_PARAMETERS))
-    rss = math.fsum([(math.fsum(map(mul, beta, row)) - t) ** 2 for row, t in zip(rows, targets)])
-    # Column k of R^-1 solves R x = e_k; the row norms run across them.
-    r_inverse_columns = [
-        _back_substitute(r, [float(i == k) for i in range(N_PARAMETERS)])
-        for k in range(N_PARAMETERS)
-    ]
-    variance_factors = tuple(
-        math.fsum([x ** 2 for x in row]) / scale ** 2
-        for row, scale in zip(zip(*r_inverse_columns), scales)
-    )
-    return beta, rss, variance_factors
-
-
-def _back_substitute(r: Sequence[Sequence[float]], rhs: list[float]) -> list[float]:
-    """Solve ``R x = rhs`` for upper-triangular ``R``."""
-    n = len(rhs)
-    x = [0.0] * n
-    for i in range(n - 1, -1, -1):
-        tail = math.fsum(map(mul, r[i][i + 1 :], x[i + 1 :]))
-        x[i] = (rhs[i] - tail) / r[i][i]
-    return x
+    rows = [design_row(a, b, t) for (a, b), t in zip(trends, targets)]
+    triangle = folded(rows[split:])
+    if split:
+        triangle = merged(folded(reversed(rows[:split])), triangle)
+    return finish(triangle, rows)

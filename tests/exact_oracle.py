@@ -1,0 +1,103 @@
+"""Exact rational oracle for the bilinear fit, and the accuracy contract that
+``regression_core.fit_bilinear`` and the backtest walk are held to.
+
+The oracle solves the normal equations of the design rows ``[1, a, b, a*b]``
+in ``fractions.Fraction``, so its beta, RSS and diag((X'X)^-1) carry no
+rounding at all. The rows are the ones the kernel regresses on: ``a*b`` is
+the float product, the same rounded number the kernel sees.
+
+The contract, with u = 2^-53, D the diagonal of the design's column norms,
+kappa = kappa_2(X D^-1) and eta = ||r|| / (||X D^-1||_2 * ||D beta||):
+
+- beta: ||D (beta_hat - beta)|| / ||D beta|| <= c * u * (kappa + kappa^2 * eta);
+- variance factors: max_j |v_hat_j - v_j| / v_j <= c * u * kappa^2;
+- RSS: |RSS_hat - RSS| <= c * u * (RSS + kappa * ||y|| * sqrt(RSS)).
+
+c = CONTRACT_CONSTANT was fixed before the Givens kernel was written. A
+design that breaks the contract is a fault of the kernel, not of c.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from xmasjump.regression_core import N_PARAMETERS
+
+UNIT_ROUNDOFF = 2.0**-53
+CONTRACT_CONSTANT = 32
+
+
+def design_rows(trends):
+    """The rows ``(1, a, b, a*b)`` of the ``(a, b)`` trends, in floats."""
+    return [(1.0, a, b, a * b) for a, b in trends]
+
+
+def exact_bilinear(trends, targets):
+    """``(beta, rss, variance_factors)`` as Fractions, from the exact normal
+    equations X'X beta = X'y; raises ZeroDivisionError when X'X is singular."""
+    rows = [[Fraction(x) for x in row] for row in design_rows(trends)]
+    ys = [Fraction(y) for y in targets]
+    n = N_PARAMETERS
+    gram = [[sum(row[i] * row[j] for row in rows) for j in range(n)] for i in range(n)]
+    moments = [sum(row[i] * y for row, y in zip(rows, ys)) for i in range(n)]
+    inverse = _inverse(gram)
+    beta = [sum(g * m for g, m in zip(inverse_row, moments)) for inverse_row in inverse]
+    rss = sum((sum(b * x for b, x in zip(beta, row)) - y) ** 2 for row, y in zip(rows, ys))
+    return beta, rss, [inverse[i][i] for i in range(n)]
+
+
+def _inverse(matrix):
+    """The inverse of a square Fraction matrix by Gauss-Jordan elimination."""
+    n = len(matrix)
+    work = [list(row) + [Fraction(int(i == k)) for k in range(n)] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if work[i][col] != 0), None)
+        if pivot is None:
+            raise ZeroDivisionError("X'X is singular")
+        work[col], work[pivot] = work[pivot], work[col]
+        lead = work[col][col]
+        work[col] = [x / lead for x in work[col]]
+        for i in range(n):
+            if i != col and work[i][col] != 0:
+                factor = work[i][col]
+                work[i] = [x - factor * p for x, p in zip(work[i], work[col])]
+    return [row[n:] for row in work]
+
+
+def contract_constants(trends, targets, fit):
+    """The smallest c with which ``fit``, a ``(coefficients, rss,
+    variance_factors)`` triple for these rows, meets each of the three
+    bounds: ``(c_beta, c_variance_factors, c_rss)``."""
+    exact_beta, exact_rss, exact_factors = exact_bilinear(trends, targets)
+    x = np.asarray(design_rows(trends))
+    scales = np.linalg.norm(x, axis=0)
+    scaled = x / scales
+    kappa = float(np.linalg.cond(scaled))
+    scaled_norm = float(np.linalg.norm(scaled, 2))
+    beta_hat, rss_hat, factors_hat = fit
+
+    beta_error = math.hypot(
+        *(s * float(Fraction(got) - want) for s, got, want in zip(scales, beta_hat, exact_beta))
+    )
+    beta_norm = math.hypot(*(s * float(want) for s, want in zip(scales, exact_beta)))
+    residual_norm = math.sqrt(float(exact_rss))
+    beta_scale = kappa * beta_norm + kappa**2 * residual_norm / scaled_norm
+    factor_error = max(
+        abs(float((Fraction(got) - want) / want)) for got, want in zip(factors_hat, exact_factors)
+    )
+    rss_error = abs(float(Fraction(rss_hat) - exact_rss))
+    target_norm = math.hypot(*targets)
+    rss_scale = float(exact_rss) + kappa * target_norm * residual_norm
+    return (
+        _constant(beta_error, beta_scale),
+        _constant(factor_error, kappa**2),
+        _constant(rss_error, rss_scale),
+    )
+
+
+def _constant(error, scale):
+    """``error / (u * scale)``, or 0 / inf when the bound's scale is 0."""
+    if scale == 0.0:
+        return 0.0 if error == 0.0 else math.inf
+    return error / (UNIT_ROUNDOFF * scale)

@@ -179,16 +179,17 @@ def reference_post_window(year, series, cal):
     return tuple(x for x, _ in picked), tuple(r for _, r in picked), warning
 
 
-# --- generator-expression reference for the bilinear fit -------------------
-# ``regression_core.fit_bilinear`` and ``_back_substitute`` as they were with
-# generator expressions and element-wise loops. The rewrite over lists,
-# ``map`` and slice assignment must pass the same terms to every ``fsum`` and
-# round every step the same way: results equal bit for bit, and errors equal
-# in type and message.
+# --- Householder reference for the bilinear fit -----------------------------
+# ``regression_core.fit_bilinear`` as one Householder QR of the column-scaled
+# design, written with generator expressions and element-wise loops. The
+# Givens kernel that replaced it rounds differently by design, so the two
+# agree on outcome (the same error type and message, or success for both)
+# and, where both succeed, each meets the accuracy contract of
+# ``exact_oracle`` against exact arithmetic; their bits may differ.
 
 
 def reference_fit_bilinear(trends, targets):
-    """``fit_bilinear``: ``(coefficients, rss, variance_factors)``."""
+    """Householder ``fit_bilinear``: ``(coefficients, rss, variance_factors)``."""
     m = len(trends)
     if m != len(targets):
         raise DomainError("trends and targets differ in length")

@@ -265,6 +265,18 @@ class TestBacktest:
         for target, model in zip(range(2015, 2019), report.models):
             assert model == fit_window_model(target - 15, target - 1, series, cal)
 
+    @pytest.mark.parametrize("window_len", [5, 7, 15])
+    def test_every_model_is_its_window_fit(self, cal, window_len):
+        # The walk's windows start 1975-2004 at most, so each length crosses
+        # two or more block boundaries (years divisible by window_len).
+        series, _ = planted_series(1960, 2019, (0.005, -9.0, -0.002, 2.0), noise=0.01)
+        first_target, last_target = 1990, 2019
+        starts = range(first_target - window_len, last_target - window_len + 1)
+        assert sum(start % window_len == 0 for start in starts[1:]) >= 2
+        report = backtest(series, cal, first_target, last_target, window_len=window_len)
+        for target, model in zip(range(first_target, last_target + 1), report.models):
+            assert model == fit_window_model(target - window_len, target - 1, series, cal)
+
     def test_reversed_targets_rejected(self, planted, cal):
         series, _ = planted
         with pytest.raises(DomainError):

@@ -13,8 +13,10 @@ ends. The parsers, given any text, return a
 value or raise an ``XmasJumpError`` subclass, never anything else; so do
 the constructors of the input records, given any arguments. The
 banking-day walks over day ordinals agree with a day-by-day reference.
-The CLI's JSON writer prints what ``json.dumps(value, indent=2)`` prints,
-and ``fit_bilinear`` equals its generator-expression reference bit for bit.
+The CLI's JSON writer prints what ``json.dumps(value, indent=2)`` prints.
+``fit_bilinear`` fails exactly when its Householder reference fails, with
+the same error, and where both succeed both meet the accuracy contract of
+``exact_oracle``, as do the backtest's own models.
 """
 
 import json
@@ -28,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xmasjump
+from exact_oracle import CONTRACT_CONSTANT, contract_constants
 from helpers import (
     constant_jump,
     distinct_trends,
@@ -45,6 +48,7 @@ from xmasjump import (
     backtest,
     calendar_from_lines,
     generate_synthetic_series,
+    jump_pipeline,
     parse_rate_series,
     predict_next,
     serialize_rate_series,
@@ -526,16 +530,16 @@ def test_json_writer_rejects_other_types(value):
         _json_text(value)
 
 
-# --- the bilinear fit against its reference ----------------------------------
+# --- the bilinear fit against its reference and the exact oracle ------------
 
 
-def fit_outcome(fit, trends, targets):
-    """``repr`` of the fit, or of the type and message of its error: equal
-    reprs mean equal bits (``repr`` round-trips a float)."""
+def fit_error(fit, *args):
+    """The type and message of the error ``fit(*args)`` raises, or None."""
     try:
-        return repr(fit(trends, targets))
+        fit(*args)
     except Exception as exc:  # any error must match too
-        return repr((type(exc), str(exc)))
+        return type(exc), str(exc)
+    return None
 
 
 @st.composite
@@ -570,17 +574,28 @@ def bilinear_designs(draw):
     return list(zip(slopes, intercepts)), targets
 
 
+def assert_meets_the_contract(trends, targets, fit):
+    c_beta, c_factors, c_rss = contract_constants(trends, targets, fit)
+    assert c_beta <= CONTRACT_CONSTANT, f"beta off by {c_beta:.3g} u-units"
+    assert c_factors <= CONTRACT_CONSTANT, f"variance factors off by {c_factors:.3g} u-units"
+    assert c_rss <= CONTRACT_CONSTANT, f"RSS off by {c_rss:.3g} u-units"
+
+
 @settings(max_examples=300, deadline=None)
-@given(design=bilinear_designs())
-def test_fit_bilinear_matches_its_reference_bit_for_bit(design):
+@given(design=bilinear_designs(), data=st.data())
+def test_fit_bilinear_agrees_with_its_reference_and_meets_the_contract(design, data):
     trends, targets = design
-    assert fit_outcome(fit_bilinear, trends, targets) == fit_outcome(
-        reference_fit_bilinear, trends, targets
-    )
+    split = data.draw(st.just(0) | st.integers(0, len(trends) - 1), label="split")
+    error = fit_error(fit_bilinear, trends, targets, split)
+    assert error == fit_error(reference_fit_bilinear, trends, targets)
+    if error is None:
+        assert_meets_the_contract(trends, targets, fit_bilinear(trends, targets, split))
+        assert_meets_the_contract(trends, targets, reference_fit_bilinear(trends, targets))
 
 
-def test_fit_bilinear_matches_its_reference_on_a_backtest():
-    """The 186 fitting windows of a backtest over a noisy 201-year series."""
+def test_backtest_models_meet_the_contract(monkeypatch):
+    """The 186 models of a backtest over a noisy 201-year series: the fit
+    each was finished from, against the oracle on that window's rows."""
     first, last, window = 1900, 2100, 15
     spec = SyntheticSpec(
         year_trends=distinct_trends(first, last, seed=901),
@@ -590,13 +605,24 @@ def test_fit_bilinear_matches_its_reference_on_a_backtest():
     )
     cal = HolidayCalendar()
     series = generate_synthetic_series(spec, range(first, last + 1), cal)
+    fits = []
+    finish = jump_pipeline.finish
+
+    def recording(triangle, rows):
+        fits.append(finish(triangle, rows))
+        return fits[-1]
+
+    monkeypatch.setattr(jump_pipeline, "finish", recording)
+    report = backtest(series, cal, first + window, last)
     table = [yearly_observation(year, series, cal) for year in range(first, last + 1)]
-    windows = [table[start : start + window] for start in range(len(table) - window)]
-    assert len(windows) == 186
-    for observations in windows:
+    assert len(report.models) == len(fits) == 186
+    for start, (model, fit) in enumerate(zip(report.models, fits)):
+        observations = table[start : start + window]
+        assert model.window_years == (observations[0].year, observations[-1].year)
+        assert model.coefficients == fit[0]
         trends = [(obs.slope_a, obs.intercept_b) for obs in observations]
         targets = [obs.jump_delta for obs in observations]
-        assert repr(fit_bilinear(trends, targets)) == repr(reference_fit_bilinear(trends, targets))
+        assert_meets_the_contract(trends, targets, fit)
 
 
 # --- the package root ------------------------------------------------------

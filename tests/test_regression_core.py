@@ -9,15 +9,24 @@ import pytest
 from helpers import line_value
 from xmasjump.errors import DegenerateDesign, DomainError, RankDeficient, TooFewRows
 from xmasjump.regression_core import (
+    design_row,
     fit_bilinear,
     fit_intercept_fixed_slope,
     fit_simple_ols,
+    folded,
+    suffix_triangles,
 )
 
 
 def bilinear_rows(pairs):
     """The design rows ``[1, a, b, a*b]`` that fit_bilinear regresses on."""
     return np.asarray([(1.0, a, b, a * b) for a, b in pairs])
+
+
+def splits(m):
+    """The ``fit_bilinear`` splits tried on an m-row design: none, one row
+    before the block boundary, half of them, all but one."""
+    return (0, 1, m // 2, m - 1)
 
 
 def squared_residuals(fit, xs, ys):
@@ -195,11 +204,12 @@ class TestFitBilinear:
                 (rng.uniform(-0.03, 0.03), rng.uniform(0.2, 6.0))
                 for _ in range(count)
             ]
-            variance_factors = fit_bilinear(pairs, [0.0] * count)[2]
             x = bilinear_rows(pairs)
             ref = np.diag(np.linalg.inv(x.T @ x))
-            for got, want in zip(variance_factors, ref):
-                assert abs(got - want) < 1e-8 * max(1.0, abs(want))
+            for split in splits(count):
+                variance_factors = fit_bilinear(pairs, [0.0] * count, split)[2]
+                for got, want in zip(variance_factors, ref):
+                    assert abs(got - want) < 1e-8 * max(1.0, abs(want)), split
 
     def test_matches_numpy_lstsq_on_noisy_targets(self):
         rng = random.Random(31)
@@ -210,25 +220,36 @@ class TestFitBilinear:
                 for _ in range(count)
             ]
             targets = [rng.uniform(-0.2, 0.2) for _ in range(count)]
-            coefficients = fit_bilinear(pairs, targets)[0]
             ref, *_ = np.linalg.lstsq(bilinear_rows(pairs), np.asarray(targets), rcond=None)
-            for got, want in zip(coefficients, ref):
-                assert abs(got - want) < 1e-8 * max(1.0, abs(want))
+            for split in splits(count):
+                coefficients = fit_bilinear(pairs, targets, split)[0]
+                for got, want in zip(coefficients, ref):
+                    assert abs(got - want) < 1e-8 * max(1.0, abs(want)), split
+
+    def test_suffix_triangles_are_the_reversed_folds(self):
+        # the backtest walk relies on this to reproduce fit_bilinear exactly
+        rng = random.Random(61)
+        rows = [
+            design_row(rng.uniform(-0.03, 0.03), rng.uniform(0.2, 6.0), rng.uniform(-0.2, 0.2))
+            for _ in range(9)
+        ]
+        assert suffix_triangles(rows) == [folded(reversed(rows[k:])) for k in range(9)]
 
     def test_residual_orthogonal_to_columns(self):
         rng = random.Random(41)
         pairs = [(rng.uniform(-0.03, 0.03), rng.uniform(0.2, 6.0)) for _ in range(15)]
         targets = [rng.uniform(-0.2, 0.2) for _ in range(15)]
-        coefficients, rss, _ = fit_bilinear(pairs, targets)
         rows = bilinear_rows(pairs).tolist()
-        residuals = [
-            math.fsum(c * v for c, v in zip(coefficients, row)) - t
-            for row, t in zip(rows, targets)
-        ]
-        assert abs(rss - math.fsum(r * r for r in residuals)) <= 1e-15
-        res_norm = math.sqrt(math.fsum(r * r for r in residuals))
-        for j in range(4):
-            column = [row[j] for row in rows]
-            col_norm = math.sqrt(math.fsum(v * v for v in column))
-            dot = math.fsum(r * v for r, v in zip(residuals, column))
-            assert abs(dot) <= 1e-9 * (1.0 + res_norm * col_norm)
+        for split in splits(15):
+            coefficients, rss, _ = fit_bilinear(pairs, targets, split)
+            residuals = [
+                math.fsum(c * v for c, v in zip(coefficients, row)) - t
+                for row, t in zip(rows, targets)
+            ]
+            assert abs(rss - math.fsum(r * r for r in residuals)) <= 1e-15, split
+            res_norm = math.sqrt(math.fsum(r * r for r in residuals))
+            for j in range(4):
+                column = [row[j] for row in rows]
+                col_norm = math.sqrt(math.fsum(v * v for v in column))
+                dot = math.fsum(r * v for r, v in zip(residuals, column))
+                assert abs(dot) <= 1e-9 * (1.0 + res_norm * col_norm), split
