@@ -370,3 +370,7 @@ def _cmd_generate(args, cal) -> str:
             ("fixings", str(len(series))),
         ]
     )
+
+
+if __name__ == "__main__":
+    sys.exit(main())

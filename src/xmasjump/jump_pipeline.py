@@ -29,14 +29,9 @@ from .regression_core import (
     N_PARAMETERS,
     bilinear_surface,
     design_row,
-    finish,
-    fit_bilinear,
     fit_intercept_fixed_slope,
     fit_simple_ols,
-    fold_row,
-    folded,
-    merged,
-    suffix_triangles,
+    window_fits,
 )
 from .record import Record, set_field
 from .stat_inference import CoefficientInference, inference_for_fit
@@ -187,10 +182,8 @@ def fit_window_model(
     observations = [
         yearly_observation(y, series, cal, pre_days) for y in range(first_year, last_year + 1)
     ]
-    trends = [(obs.slope_a, obs.intercept_b) for obs in observations]
-    targets = [obs.jump_delta for obs in observations]
-    split = _block_split(first_year, len(observations))
-    return _model(observations, fit_bilinear(trends, targets, split))
+    rows = [design_row(obs.slope_a, obs.intercept_b, obs.jump_delta) for obs in observations]
+    return _model(observations, next(window_fits(rows, len(rows), first_year)))
 
 
 def check_window_span(first_year: int, last_year: int) -> None:
@@ -201,13 +194,6 @@ def check_window_span(first_year: int, last_year: int) -> None:
             f"window {first_year}-{last_year} must span at least"
             f" {MIN_WINDOW_YEARS} years"
         )
-
-
-def _block_split(first_year: int, window_len: int) -> int:
-    """The number of a window's years before its first year divisible by
-    ``window_len``: the ``fit_bilinear`` split that ``fit_window_model`` and
-    ``backtest`` both factor a window with, so that they agree bit for bit."""
-    return -first_year % window_len
 
 
 def _model(observations: Sequence[YearObservation], fit: tuple) -> JumpModel:
@@ -232,12 +218,10 @@ def backtest(
     touches T itself. Each year is extracted once, in ascending order, into
     a table whose last window_len entries are the next target's window.
 
-    The windows share their factors through two stacks. Years are cut into
-    blocks of window_len that start at multiples of window_len; a window
-    is the tail of one block (a suffix triangle, kept for every tail of the
-    block when the walk enters it) followed by the head of the next (one
-    prefix triangle that takes each new year as it comes). Merging the two
-    gives the factor ``fit_window_model`` builds for the same years.
+    The models' fits come from one ``window_fits`` walk over the table's
+    design rows, which shares factors between windows; a window's fit
+    depends only on its rows and years, so each model is the one
+    ``fit_window_model`` gives for the same years.
     """
     if last_target < first_target:
         raise DomainError("last_target precedes first_target")
@@ -245,20 +229,11 @@ def backtest(
     years = range(first_target - window_len, first_target)
     table = [yearly_observation(year, series, cal, pre_days) for year in years]
     design = [design_row(obs.slope_a, obs.intercept_b, obs.jump_delta) for obs in table]
-    boundary = None  # index in table of the first year of the prefix's block
+    fits = window_fits(design, window_len, years[0])
     rows = []
     models = []
     for target in range(first_target, last_target + 1):
-        start = len(table) - window_len
-        split = _block_split(target - window_len, window_len)
-        if start + split != boundary:
-            boundary = start + split
-            suffixes = suffix_triangles(design[start:boundary])
-            prefix = folded(design[boundary:])
-        else:
-            fold_row(prefix, design[-1])
-        triangle = merged(suffixes[-split], prefix) if split else prefix
-        model = _model(table[start:], finish(triangle, design[start:]))
+        model = _model(table[-window_len:], next(fits))
         obs = yearly_observation(target, series, cal, pre_days)
         table.append(obs)
         design.append(design_row(obs.slope_a, obs.intercept_b, obs.jump_delta))

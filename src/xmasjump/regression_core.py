@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from operator import mul
 
 from .errors import DegenerateDesign, DomainError, RankDeficient, TooFewRows
 
@@ -66,13 +65,14 @@ def bilinear_surface(coefficients: Sequence[float], a: float, b: float) -> float
     return c0 + c1 * a + c2 * b + c3 * a * b
 
 
-# --- the Givens kernel behind fit_bilinear and the backtest walk -------------
+# --- the Givens kernel behind every bilinear fit -----------------------------
 # A triangle is the upper-trapezoidal [R | Q'y] of some augmented design rows
 # (1, a, b, a*b, y): N_PARAMETERS lists of N_PARAMETERS + 1 floats, with
 # zeros below the diagonal. Its rows are only ever rotated, never downdated,
 # so a triangle depends on nothing but the rows folded into it and their
-# order. The fifth diagonal (the residual norm) is not kept: ``finish``
-# takes the RSS from the residuals themselves.
+# order, and ``window_fits`` is the only code that fixes that order. The fifth
+# diagonal (the residual norm) is not kept: ``_finish`` takes the RSS from
+# the residuals themselves.
 
 
 def design_row(a: float, b: float, target: float) -> tuple:
@@ -80,15 +80,19 @@ def design_row(a: float, b: float, target: float) -> tuple:
     return (1.0, a, b, a * b, target)
 
 
-def folded(rows) -> list:
-    """A new triangle with ``rows`` folded in, in the order given."""
-    triangle = [[0.0] * (N_PARAMETERS + 1) for _ in range(N_PARAMETERS)]
+def _folded(rows, onto: list | None = None) -> list:
+    """A new triangle: ``rows`` folded, in the order given, into a copy of
+    ``onto``, or into zeros."""
+    if onto is None:
+        triangle = [[0.0] * (N_PARAMETERS + 1) for _ in range(N_PARAMETERS)]
+    else:
+        triangle = [r[:] for r in onto]
     for row in rows:
-        fold_row(triangle, row)
+        _fold_row(triangle, row)
     return triangle
 
 
-def fold_row(triangle: list, row: Sequence[float]) -> None:
+def _fold_row(triangle: list, row: Sequence[float]) -> None:
     """Rotate one augmented row into ``triangle``, in place.
 
     One Givens rotation per nonzero entry among the row's first
@@ -113,28 +117,7 @@ def fold_row(triangle: list, row: Sequence[float]) -> None:
             x[j] = c * xj - s * rj
 
 
-def suffix_triangles(rows: Sequence[Sequence[float]]) -> list:
-    """Entry k is ``folded(reversed(rows[k:]))``, bit for bit: the rows are
-    folded newest-first into one triangle, and a copy kept after each."""
-    triangle = folded(())
-    suffixes = []
-    for row in reversed(rows):
-        fold_row(triangle, row)
-        suffixes.append([r[:] for r in triangle])
-    suffixes.reverse()
-    return suffixes
-
-
-def merged(suffix: list, prefix: list) -> list:
-    """A new triangle of both triangles' rows: ``prefix``'s rows folded into
-    a copy of ``suffix``."""
-    triangle = [r[:] for r in suffix]
-    for row in prefix:
-        fold_row(triangle, row)
-    return triangle
-
-
-def finish(triangle: list, rows: Sequence[Sequence[float]]) -> tuple:
+def _finish(triangle: list, rows: Sequence[Sequence[float]]) -> tuple:
     """``(coefficients, rss, variance_factors)`` from the triangle of
     ``rows``, the augmented rows it was folded from.
 
@@ -174,29 +157,53 @@ def finish(triangle: list, rows: Sequence[Sequence[float]]) -> tuple:
     return (b0, b1, b2, b3), rss, variance_factors
 
 
-def fit_bilinear(
-    trends: Sequence[tuple[float, float]], targets: Sequence[float], split: int = 0
-) -> tuple:
+def window_fits(rows: Sequence[Sequence[float]], window_len: int, first: int = 0):
+    """Yield ``(coefficients, rss, variance_factors)`` for each window of
+    ``window_len`` consecutive augmented ``rows``, oldest window first.
+
+    Row i is numbered ``first + i``, and the numbers are cut into blocks of
+    ``window_len`` that start at multiples of ``window_len``. A window is
+    then the tail of one block, folded newest-first, followed by the head of
+    the next, folded oldest-first; the head's rows are folded into a copy of
+    the tail's triangle before ``_finish``. The walk keeps one triangle per
+    tail of the current block, made when it enters the block, and one head
+    triangle that takes each new row as it comes, so a window costs about
+    six row folds rather than ``window_len``. A window's fit depends only on
+    its rows and on its first number modulo ``window_len``.
+
+    ``rows`` is read as a list that may grow between fits; the walk ends
+    when the next window is not complete. Raises TooFewRows when
+    ``window_len`` is below MIN_DESIGN_ROWS, and RankDeficient when
+    ``_finish`` finds a window's design rank-deficient.
+    """
+    if window_len < MIN_DESIGN_ROWS:
+        raise TooFewRows(f"{window_len} design rows; need at least {MIN_DESIGN_ROWS}")
+    boundary = None  # index of the first row of the head's block
+    start = 0
+    while start + window_len <= len(rows):
+        end = start + window_len
+        split = -(first + start) % window_len  # rows in the tail
+        if start + split != boundary:
+            boundary = start + split
+            tails = [None]  # tails[k]: the block's last k rows, newest first
+            for row in reversed(rows[start:boundary]):
+                tails.append(_folded((row,), tails[-1]))
+            head = _folded(rows[boundary:end])
+        else:
+            _fold_row(head, rows[end - 1])
+        yield _finish(_folded(head, tails[split]) if split else head, rows[start:end])
+        start += 1
+
+
+def fit_bilinear(trends: Sequence[tuple[float, float]], targets: Sequence[float]) -> tuple:
     """Least-squares fit of targets ~ ``[1, a, b, a*b]`` over (a, b) trends.
 
     Returns ``(coefficients, rss, variance_factors)``, the last being
-    diag((X'X)^-1). One Givens QR of the rows ``(1, a, b, a*b, target)``:
-    the rows before ``split`` are folded newest-first into one triangle,
-    the rest oldest-first into another, and ``merged`` joins the two before
-    ``finish``. Any split factors all the rows; it fixes only the order of
-    the rotations, so that a walk keeping those two triangles reproduces
-    this fit bit for bit. Raises TooFewRows below MIN_DESIGN_ROWS rows, and
-    RankDeficient when a column is all zero or when |R_jj| over the norm
-    of R's column j, which in exact arithmetic is the pivot of the design
-    with unit-norm columns, falls below RANK_TOLERANCE.
+    diag((X'X)^-1): the one window of a ``window_fits`` walk over the rows
+    ``(1, a, b, a*b, target)`` numbered from 0, which folds them
+    oldest-first into one Givens QR. Raises what ``window_fits`` raises.
     """
-    m = len(trends)
-    if m != len(targets):
+    if len(trends) != len(targets):
         raise DomainError("trends and targets differ in length")
-    if m < MIN_DESIGN_ROWS:
-        raise TooFewRows(f"{m} design rows; need at least {MIN_DESIGN_ROWS}")
     rows = [design_row(a, b, t) for (a, b), t in zip(trends, targets)]
-    triangle = folded(rows[split:])
-    if split:
-        triangle = merged(folded(reversed(rows[:split])), triangle)
-    return finish(triangle, rows)
+    return next(window_fits(rows, len(rows)))

@@ -364,6 +364,16 @@ class TestDemoFixture:
         assert main(argv + ["--data", str(DEMO_RATES)]) == EXIT_OK
         assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
+    def test_the_cli_module_runs_as_the_package_does(self):
+        argv = ["fit-year", "2019", "--data", str(DEMO_RATES)]
+        package, module = (
+            subprocess.run([sys.executable, "-m", name, *argv], capture_output=True)
+            for name in ("xmasjump", "xmasjump.cli")
+        )
+        assert package.returncode == module.returncode == EXIT_OK
+        assert package.stdout == module.stdout == (GOLDEN / "demo_fit_year_2019.txt").read_bytes()
+        assert package.stderr == module.stderr == b""
+
 
 class TestUsageErrors:
     def test_bad_model_years(self, fixture_csv):

@@ -14,16 +14,21 @@ value or raise an ``XmasJumpError`` subclass, never anything else; so do
 the constructors of the input records, given any arguments. The
 banking-day walks over day ordinals agree with a day-by-day reference.
 The CLI's JSON writer prints what ``json.dumps(value, indent=2)`` prints.
-``fit_bilinear`` fails exactly when its Householder reference fails, with
-the same error, and where both succeed both meet the accuracy contract of
+``fit_bilinear``, and the fit of a ``window_fits`` window numbered from
+any year, fails exactly when its Householder reference fails, with the
+same error, and where both succeed both meet the accuracy contract of
 ``exact_oracle``, as do the backtest's own models.
 """
 
+import ast
+import importlib
 import json
 import math
 import random
 from datetime import date
 from enum import IntEnum
+from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +56,7 @@ from xmasjump import (
     jump_pipeline,
     parse_rate_series,
     predict_next,
+    regression_core,
     serialize_rate_series,
     synthetic_spec_from_json,
     yearly_observation,
@@ -58,7 +64,7 @@ from xmasjump import (
 from xmasjump.cli import _json_text
 from xmasjump.errors import DuplicateDate
 from xmasjump.market_calendar import banking_days, post_window, post_window_offsets, pre_window
-from xmasjump.regression_core import fit_bilinear
+from xmasjump.regression_core import design_row, fit_bilinear, window_fits
 
 FIRST_YEAR, LAST_YEAR = 2000, 2012
 WINDOW_LEN = 5
@@ -581,21 +587,29 @@ def assert_meets_the_contract(trends, targets, fit):
     assert c_rss <= CONTRACT_CONSTANT, f"RSS off by {c_rss:.3g} u-units"
 
 
+def walk_fit(trends, targets, first):
+    """The fit of the one window of a ``window_fits`` walk over the rows,
+    numbered from ``first``; ``fit_bilinear`` numbers them from 0."""
+    rows = [design_row(a, b, t) for (a, b), t in zip(trends, targets)]
+    return next(window_fits(rows, len(rows), first))
+
+
 @settings(max_examples=300, deadline=None)
 @given(design=bilinear_designs(), data=st.data())
 def test_fit_bilinear_agrees_with_its_reference_and_meets_the_contract(design, data):
     trends, targets = design
-    split = data.draw(st.just(0) | st.integers(0, len(trends) - 1), label="split")
-    error = fit_error(fit_bilinear, trends, targets, split)
+    first = data.draw(st.just(0) | st.integers(-3000, 3000), label="first")
+    fit = partial(walk_fit, first=first) if first else fit_bilinear
+    error = fit_error(fit, trends, targets)
     assert error == fit_error(reference_fit_bilinear, trends, targets)
     if error is None:
-        assert_meets_the_contract(trends, targets, fit_bilinear(trends, targets, split))
+        assert_meets_the_contract(trends, targets, fit(trends, targets))
         assert_meets_the_contract(trends, targets, reference_fit_bilinear(trends, targets))
 
 
 def test_backtest_models_meet_the_contract(monkeypatch):
     """The 186 models of a backtest over a noisy 201-year series: the fit
-    each was finished from, against the oracle on that window's rows."""
+    each was made from, against the oracle on that window's rows."""
     first, last, window = 1900, 2100, 15
     spec = SyntheticSpec(
         year_trends=distinct_trends(first, last, seed=901),
@@ -606,13 +620,14 @@ def test_backtest_models_meet_the_contract(monkeypatch):
     cal = HolidayCalendar()
     series = generate_synthetic_series(spec, range(first, last + 1), cal)
     fits = []
-    finish = jump_pipeline.finish
+    walk = jump_pipeline.window_fits
 
-    def recording(triangle, rows):
-        fits.append(finish(triangle, rows))
-        return fits[-1]
+    def recording(*args):
+        for fit in walk(*args):
+            fits.append(fit)
+            yield fit
 
-    monkeypatch.setattr(jump_pipeline, "finish", recording)
+    monkeypatch.setattr(jump_pipeline, "window_fits", recording)
     report = backtest(series, cal, first + window, last)
     table = [yearly_observation(year, series, cal) for year in range(first, last + 1)]
     assert len(report.models) == len(fits) == 186
@@ -656,6 +671,27 @@ def test_package_root_exports_the_pipeline_surface():
     assert all(name in namespace for name in ROOT_EXPORTS)
 
 
+KERNEL_EXPORTS = [
+    "bilinear_surface",
+    "design_row",
+    "fit_bilinear",
+    "fit_intercept_fixed_slope",
+    "fit_simple_ols",
+    "window_fits",
+]
+
+
+def test_regression_core_keeps_its_triangles_private():
+    public = [
+        name
+        for name, value in vars(regression_core).items()
+        if callable(value)
+        and not name.startswith("_")
+        and getattr(value, "__module__", None) == regression_core.__name__
+    ]
+    assert sorted(public) == KERNEL_EXPORTS
+
+
 def test_names_the_benchmark_imports_or_patches_stay():
     """``perfbench/`` reaches into the package by these names; deleting or
     rebinding one breaks the benchmark, so it fails here first."""
@@ -673,3 +709,21 @@ def test_names_the_benchmark_imports_or_patches_stay():
     assert jump_pipeline.pre_window is market_calendar.pre_window
     assert callable(jump_pipeline.fit_window_model)
     assert issubclass(errors.WindowTooShort, errors.XmasJumpError)
+
+
+def test_the_functions_the_tracer_wraps_stay():
+    """``perfbench/tracer.py`` times the functions its ``LAYERS`` names; the
+    two it names that the package no longer has may not grow in number."""
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py").read_text()
+    (layers,) = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "LAYERS"
+    ]
+    missing = {
+        f"{module}.{name}"
+        for module, names in layers.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"xmasjump.{module}"), name, None))
+    }
+    assert missing <= {"market_calendar.is_banking_day", "regression_core.solve_linear_system"}

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from helpers import line_value
+from xmasjump import regression_core
 from xmasjump.errors import DegenerateDesign, DomainError, RankDeficient, TooFewRows
 from xmasjump.regression_core import (
     design_row,
     fit_bilinear,
     fit_intercept_fixed_slope,
     fit_simple_ols,
-    folded,
-    suffix_triangles,
+    window_fits,
 )
 
 
@@ -23,10 +23,22 @@ def bilinear_rows(pairs):
     return np.asarray([(1.0, a, b, a * b) for a, b in pairs])
 
 
-def splits(m):
-    """The ``fit_bilinear`` splits tried on an m-row design: none, one row
-    before the block boundary, half of them, all but one."""
-    return (0, 1, m // 2, m - 1)
+def random_rows(rng, count):
+    """``count`` augmented design rows of random trends and targets."""
+    return [
+        design_row(rng.uniform(-0.03, 0.03), rng.uniform(0.2, 6.0), rng.uniform(-0.2, 0.2))
+        for _ in range(count)
+    ]
+
+
+def walked_windows(pairs, targets, window_len):
+    """``(first, k, fit)`` for each window k of ``window_fits`` walks over
+    the rows of ``pairs`` and ``targets``, numbered from several firsts so
+    that the block boundaries fall on different rows."""
+    rows = [design_row(a, b, t) for (a, b), t in zip(pairs, targets)]
+    for first in (0, 1, 1900 + window_len // 2, -1):
+        for k, fit in enumerate(window_fits(rows, window_len, first)):
+            yield first, k, fit
 
 
 def squared_residuals(fit, xs, ys):
@@ -196,60 +208,98 @@ class TestFitBilinear:
         with pytest.raises(DomainError):
             fit_bilinear(self._distinct_pairs(6), [0.1] * 5)
 
+    @staticmethod
+    def _walk_data(rng, window_len):
+        """Random pairs and targets for a walk of at least two windows' rows."""
+        count = 2 * window_len + rng.randint(0, window_len)
+        pairs = [(rng.uniform(-0.03, 0.03), rng.uniform(0.2, 6.0)) for _ in range(count)]
+        return pairs, [rng.uniform(-0.2, 0.2) for _ in range(count)]
+
     def test_variance_factors_match_numpy_inverse_gram(self):
         rng = random.Random(53)
         for _ in range(50):
-            count = rng.randint(6, 20)
-            pairs = [
-                (rng.uniform(-0.03, 0.03), rng.uniform(0.2, 6.0))
-                for _ in range(count)
-            ]
+            window_len = rng.randint(6, 20)
+            pairs, targets = self._walk_data(rng, window_len)
             x = bilinear_rows(pairs)
-            ref = np.diag(np.linalg.inv(x.T @ x))
-            for split in splits(count):
-                variance_factors = fit_bilinear(pairs, [0.0] * count, split)[2]
+            for first, k, (_, _, variance_factors) in walked_windows(pairs, targets, window_len):
+                window = x[k : k + window_len]
+                ref = np.diag(np.linalg.inv(window.T @ window))
                 for got, want in zip(variance_factors, ref):
-                    assert abs(got - want) < 1e-8 * max(1.0, abs(want)), split
+                    assert abs(got - want) < 1e-8 * max(1.0, abs(want)), (first, k)
 
     def test_matches_numpy_lstsq_on_noisy_targets(self):
         rng = random.Random(31)
         for _ in range(50):
-            count = rng.randint(6, 20)
-            pairs = [
-                (rng.uniform(-0.03, 0.03), rng.uniform(0.2, 6.0))
-                for _ in range(count)
-            ]
-            targets = [rng.uniform(-0.2, 0.2) for _ in range(count)]
-            ref, *_ = np.linalg.lstsq(bilinear_rows(pairs), np.asarray(targets), rcond=None)
-            for split in splits(count):
-                coefficients = fit_bilinear(pairs, targets, split)[0]
+            window_len = rng.randint(6, 20)
+            pairs, targets = self._walk_data(rng, window_len)
+            x = bilinear_rows(pairs)
+            for first, k, (coefficients, _, _) in walked_windows(pairs, targets, window_len):
+                y = np.asarray(targets[k : k + window_len])
+                ref, *_ = np.linalg.lstsq(x[k : k + window_len], y, rcond=None)
                 for got, want in zip(coefficients, ref):
-                    assert abs(got - want) < 1e-8 * max(1.0, abs(want)), split
-
-    def test_suffix_triangles_are_the_reversed_folds(self):
-        # the backtest walk relies on this to reproduce fit_bilinear exactly
-        rng = random.Random(61)
-        rows = [
-            design_row(rng.uniform(-0.03, 0.03), rng.uniform(0.2, 6.0), rng.uniform(-0.2, 0.2))
-            for _ in range(9)
-        ]
-        assert suffix_triangles(rows) == [folded(reversed(rows[k:])) for k in range(9)]
+                    assert abs(got - want) < 1e-8 * max(1.0, abs(want)), (first, k)
 
     def test_residual_orthogonal_to_columns(self):
-        rng = random.Random(41)
-        pairs = [(rng.uniform(-0.03, 0.03), rng.uniform(0.2, 6.0)) for _ in range(15)]
-        targets = [rng.uniform(-0.2, 0.2) for _ in range(15)]
-        rows = bilinear_rows(pairs).tolist()
-        for split in splits(15):
-            coefficients, rss, _ = fit_bilinear(pairs, targets, split)
+        pairs, targets = self._walk_data(random.Random(41), 15)
+        x = bilinear_rows(pairs).tolist()
+        for first, k, (coefficients, rss, _) in walked_windows(pairs, targets, 15):
+            rows, window_targets = x[k : k + 15], targets[k : k + 15]
             residuals = [
                 math.fsum(c * v for c, v in zip(coefficients, row)) - t
-                for row, t in zip(rows, targets)
+                for row, t in zip(rows, window_targets)
             ]
-            assert abs(rss - math.fsum(r * r for r in residuals)) <= 1e-15, split
+            assert abs(rss - math.fsum(r * r for r in residuals)) <= 1e-15, (first, k)
             res_norm = math.sqrt(math.fsum(r * r for r in residuals))
             for j in range(4):
                 column = [row[j] for row in rows]
                 col_norm = math.sqrt(math.fsum(v * v for v in column))
                 dot = math.fsum(r * v for r, v in zip(residuals, column))
-                assert abs(dot) <= 1e-9 * (1.0 + res_norm * col_norm), split
+                assert abs(dot) <= 1e-9 * (1.0 + res_norm * col_norm), (first, k)
+
+    def test_each_window_is_the_walk_of_its_own_rows(self):
+        # fit_window_model equals backtest's model for the same years because of this
+        rng = random.Random(61)
+        for window_len in range(5, 17):
+            rows = random_rows(rng, 2 * window_len + rng.randint(0, window_len))
+            first = rng.randint(-3000, 3000)
+            fits = list(window_fits(rows, window_len, first))
+            assert len(fits) == len(rows) - window_len + 1
+            for k, fit in enumerate(fits):
+                alone = next(window_fits(rows[k : k + window_len], window_len, first + k))
+                assert fit == alone, (window_len, first, k)
+
+    def test_reads_rows_appended_between_fits(self):
+        rows = random_rows(random.Random(67), 20)
+        growing = rows[:7]
+        fits = window_fits(growing, 7, 2015)
+        walked = [next(fits)]
+        for row in rows[7:]:
+            growing.append(row)
+            walked.append(next(fits))
+        assert walked == list(window_fits(rows, 7, 2015))
+        assert next(fits, None) is None
+
+    @pytest.mark.parametrize("window_len", [7, 15])
+    def test_windows_share_their_folds(self, monkeypatch, window_len):
+        # a walk that refolded each window from scratch would fold window_len rows per window
+        folds = 0
+        fold_row = regression_core._fold_row
+
+        def counting(triangle, row):
+            nonlocal folds
+            folds += 1
+            fold_row(triangle, row)
+
+        monkeypatch.setattr(regression_core, "_fold_row", counting)
+        windows = 60
+        rows = random_rows(random.Random(71), windows + window_len - 1)
+        for first in (0, 1, 2003):
+            folds = 0
+            assert len(list(window_fits(rows, window_len, first))) == windows
+            assert 0 < folds <= 6 * windows + window_len, first
+
+    @pytest.mark.parametrize("window_len", [0, 4, -3])
+    def test_too_short_a_window(self, window_len):
+        rows = [design_row(0.01 * k, 1.0 + k, 0.1) for k in range(8)]
+        with pytest.raises(TooFewRows, match=f"^{window_len} design rows; need at least 5$"):
+            next(window_fits(rows, window_len))
