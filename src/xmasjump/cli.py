@@ -212,8 +212,8 @@ def _load_calendar(args) -> HolidayCalendar:
 
 
 def _read_text(path: str) -> str:
-    """The file's text; the file closes first, so parsing runs without its buffer."""
-    with open(path) as file:
+    """The file's UTF-8 text; the file closes first, so parsing runs without its buffer."""
+    with open(path, encoding="utf-8") as file:
         return file.read()
 
 
@@ -360,7 +360,7 @@ def _cmd_generate(args, cal) -> str:
     spec, years = synthetic_spec_from_json(_read_text(args.spec))
     series = generate_synthetic_series(spec, years, cal)
     text = serialize_rate_series(series)  # before opening: no file buffer held meanwhile
-    with open(args.out, "w") as file:
+    with open(args.out, "w", encoding="utf-8", newline="\n") as file:
         file.write(text)
     return _kv_text(
         [

@@ -19,7 +19,6 @@ one draw per generated fixing, including when the amplitude is zero.
 
 from __future__ import annotations
 
-import datetime
 import json
 import math
 import operator
@@ -28,7 +27,8 @@ from collections.abc import Iterable, Iterator, Mapping
 from datetime import date
 
 from .errors import DomainError, DuplicateDate, ParseError
-from .market_calendar import ISO_DATE, HolidayCalendar, banking_days, event_date, iso_date
+from .market_calendar import (ISO_DATE, HolidayCalendar, banking_days, event_date,
+                              is_plain_date_type, iso_date)
 from .record import Record, set_field
 from .regression_core import N_PARAMETERS, bilinear_surface
 
@@ -47,10 +47,6 @@ GENERATION_START = (11, 25)  # rates are emitted from Nov 25 through Dec 31
 _LCG_MULTIPLIER = 6364136223846793005
 _LCG_INCREMENT = 1442695040888963407
 _LCG_MASK = (1 << 64) - 1
-
-
-def _is_fixing_date_type(kind: type) -> bool:
-    return issubclass(kind, date) and not issubclass(kind, datetime.datetime)
 
 
 def _finite(value) -> float | None:
@@ -105,8 +101,8 @@ class DailyRateSeries(Record):
             bad = next(e for e in entries if type(e) not in (tuple, list) or len(e) != 2)
             raise DomainError(f"entries must be (date, rate) pairs, got {bad!r}") from None
         rates = [r for _, r in entries]
-        if not all(map(_is_fixing_date_type, set(map(type, dates)))):
-            bad = next(d for d in dates if not _is_fixing_date_type(type(d)))
+        if not all(map(is_plain_date_type, set(map(type, dates)))):
+            bad = next(d for d in dates if not is_plain_date_type(type(d)))
             raise DomainError(f"fixing dates must be datetime.date, got {bad!r}")
         # Exact (date, float) tuples, as the parser and the generator build
         # them, are kept; other pairs and rate types are rebuilt that way.
@@ -282,9 +278,14 @@ def generate_synthetic_series(
 
     Banking days before December 25 follow the year's linear trend; days
     after it additionally carry the planted jump. Noise is uniform in
-    [-amplitude, amplitude] from the documented LCG stream.
+    [-amplitude, amplitude] from the documented LCG stream. Each year must
+    be an ``int``, not a bool, a float or text.
     """
-    year_list = sorted(set(int(y) for y in years))
+    years = list(years)
+    bad = [y for y in years if type(y) is not int]
+    if bad:
+        raise DomainError(f"years must be integers, got {bad[0]!r}")
+    year_list = sorted(set(years))
     if not year_list:
         raise DomainError("year range is empty")
     missing = [y for y in year_list if y not in spec.year_trends]
@@ -318,6 +319,10 @@ def synthetic_spec_from_json(text: str) -> tuple[SyntheticSpec, list[int]]:
           "jump": {"fixed": 0.25},    or {"coefficients": [c0, c1, c2, c3]}
           "years": {"2004": [slope, intercept], ...}
         }
+
+    Only the document's shape is checked here, and that each year key is
+    its year's canonical ASCII spelling, so no two different keys name one year.
+    ``SyntheticSpec`` checks every value; its message becomes a ParseError.
     """
     try:
         doc = json.loads(text)
@@ -330,44 +335,22 @@ def synthetic_spec_from_json(text: str) -> tuple[SyntheticSpec, list[int]]:
     years_doc = doc.get("years")
     if not isinstance(years_doc, dict) or not years_doc:
         raise ParseError(None, "'years' must be a non-empty object")
-    year_trends = {}
-    for key, value in years_doc.items():
-        try:
-            year = int(key)
-            event_date(year)
-        except (ValueError, DomainError):
-            raise ParseError(None, f"bad year key {key!r}") from None
-        year_trends[year] = _floats(value, 2, f"year {key}: expected [slope, intercept]")
+    for key in years_doc:
+        try:  # ASCII digits, so int() raises only past its 4300-digit limit
+            canonical = key.isascii() and key.isdecimal() and str(int(key)) == key
+        except ValueError:
+            canonical = False
+        if not canonical:
+            raise ParseError(None, f"bad year key {key!r}")
     jump_doc = doc.get("jump", {"fixed": 0.0})
-    if not isinstance(jump_doc, dict) or len(jump_doc) != 1:
+    if not isinstance(jump_doc, dict) or list(jump_doc) not in (["fixed"], ["coefficients"]):
         raise ParseError(None, "'jump' must hold exactly one of 'fixed' or 'coefficients'")
-    if "fixed" in jump_doc:
-        (fixed,) = _floats([jump_doc["fixed"]], 1, "'jump.fixed' must be a number")
-        jump = (fixed, 0.0, 0.0, 0.0)
-    elif "coefficients" in jump_doc:
-        coeffs = jump_doc["coefficients"]
-        jump = _floats(coeffs, 4, "'jump.coefficients' must be four numbers")
-    else:
-        raise ParseError(None, "'jump' must hold 'fixed' or 'coefficients'")
-    (noise,) = _floats([doc.get("noise", 0.0)], 1, "'noise' must be a non-negative number")
-    if noise < 0:
-        raise ParseError(None, "'noise' must be a non-negative number")
-    seed = doc.get("seed", 0)
-    if type(seed) is not int:
-        raise ParseError(None, "'seed' must be an integer")
-    tenor = doc.get("tenor", "SYN")
-    if not isinstance(tenor, str):
-        raise ParseError(None, "'tenor' must be a string")
-    return SyntheticSpec(year_trends, jump, noise, seed, tenor), sorted(year_trends)
-
-
-def _floats(values, count: int, message: str) -> tuple[float, ...]:
-    """A JSON array of ``count`` finite numbers as floats, else ParseError(message).
-
-    ``json.loads`` reads ``NaN`` and ``Infinity`` as floats; they are rejected
-    here, like integers beyond the float range and ``true`` and ``false``.
-    """
-    floats = _finite_tuple(values, count) if isinstance(values, list) else None
-    if floats is None:
-        raise ParseError(None, message)
-    return floats
+    ((kind, value),) = jump_doc.items()
+    jump = value if kind == "coefficients" else (value, 0.0, 0.0, 0.0)
+    trends = {int(key): trend for key, trend in years_doc.items()}
+    try:
+        spec = SyntheticSpec(trends, jump, doc.get("noise", 0.0), doc.get("seed", 0),
+                             doc.get("tenor", "SYN"))
+    except DomainError as exc:
+        raise ParseError(None, str(exc)) from None
+    return spec, sorted(trends)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterator
-from datetime import MAXYEAR, MINYEAR, date
+from datetime import MAXYEAR, MINYEAR, date, datetime
 
 from .errors import DomainError, IncompleteWindow, InsufficientData, MissingFixing, ParseError
 from .record import Record, set_field
@@ -43,16 +43,22 @@ ISO_DATE = r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
 _RECURRING_DATE = r"--([0-9]{2})-([0-9]{2})"
 
 
+def is_plain_date_type(kind: type) -> bool:
+    """True for ``datetime.date`` and its subclasses other than ``datetime``,
+    whose values never equal a date."""
+    return issubclass(kind, date) and not issubclass(kind, datetime)
+
+
 class HolidayCalendar(Record):
     """Saturdays and Sundays plus holiday entries, recurring or year-specific.
 
-    ``holidays`` holds ``datetime.date`` entries for one-off closures and
-    ``(month, day)`` pairs for closures recurring every year. December 25 is
-    always enforced as a recurring holiday: the event date is never a
-    banking day.
+    ``holidays`` holds plain ``datetime.date`` entries (not ``datetime``) for
+    one-off closures and ``(month, day)`` pairs for closures recurring every
+    year. December 25 is always enforced as a recurring holiday: the event
+    date is never a banking day.
     """
 
-    __slots__ = ("holidays", "_recurring", "_fixed")
+    __slots__ = ("holidays",)
 
     def __init__(self, holidays: frozenset = DEFAULT_RECURRING_HOLIDAYS):
         try:
@@ -60,25 +66,22 @@ class HolidayCalendar(Record):
         except TypeError:
             raise DomainError(f"holidays must be a set of entries, got {holidays!r}") from None
         for entry in entries:
-            if isinstance(entry, date):
-                continue
             if isinstance(entry, tuple) and len(entry) == 2:
                 month, day = entry
                 try:
                     date(2000, month, day)  # leap year, so (2, 29) is legal
                 except (TypeError, ValueError, OverflowError):
                     raise DomainError(f"invalid recurring holiday {entry!r}") from None
-            else:
+            elif not is_plain_date_type(type(entry)):
                 raise DomainError(
                     f"holiday entries must be a date or a (month, day) pair, got {entry!r}"
                 )
         entries.add((12, 25))
         set_field(self, "holidays", frozenset(entries))
-        set_field(self, "_recurring", frozenset(e for e in entries if isinstance(e, tuple)))
-        set_field(self, "_fixed", frozenset(e for e in entries if isinstance(e, date)))
 
     def is_holiday(self, d: date) -> bool:
-        return d in self._fixed or (d.month, d.day) in self._recurring
+        # A date never equals a (month, day) pair, so one set holds both kinds.
+        return d in self.holidays or (d.month, d.day) in self.holidays
 
 
 def calendar_from_lines(text: str) -> HolidayCalendar:

@@ -1,5 +1,15 @@
-"""Exact rational oracle for the bilinear fit, and the accuracy contract that
-``regression_core.fit_bilinear`` and the backtest walk are held to.
+"""Exact rational oracles for a year's line fits and for the bilinear fit,
+and the accuracy contracts the pipeline is held to.
+
+A year's slope, intercept, post intercept and jump are each linear in its
+window rates y (pre window, then post window): q = w_q . y, with weights
+w_q that depend only on the offsets. ``exact_year`` computes the four from
+the closed forms in ``fractions.Fraction``, ``year_weights`` the weights.
+The line-fit contract, with u = 2^-53, for each of the four:
+
+- |q_hat - q| <= c * u * ||w_q||_1 * ||y||_inf.
+
+Noise of amplitude eps moves the exact jump by at most eps * ||w_jump||_1.
 
 The oracle solves the normal equations of the design rows ``[1, a, b, a*b]``
 in ``fractions.Fraction``, so its beta, RSS and diag((X'X)^-1) carry no
@@ -13,8 +23,9 @@ kappa = kappa_2(X D^-1) and eta = ||r|| / (||X D^-1||_2 * ||D beta||):
 - variance factors: max_j |v_hat_j - v_j| / v_j <= c * u * kappa^2;
 - RSS: |RSS_hat - RSS| <= c * u * (RSS + kappa * ||y|| * sqrt(RSS)).
 
-c = CONTRACT_CONSTANT was fixed before the Givens kernel was written. A
-design that breaks the contract is a fault of the kernel, not of c.
+c = CONTRACT_CONSTANT was fixed before the Givens kernel was written, and
+used for the line-fit contract before any line-fit error was measured. A
+design that breaks a contract is a fault of the kernel, not of c.
 """
 
 import math
@@ -26,6 +37,59 @@ from xmasjump.regression_core import N_PARAMETERS
 
 UNIT_ROUNDOFF = 2.0**-53
 CONTRACT_CONSTANT = 32
+
+
+def exact_year(pre_offsets, pre_rates, post_offsets, post_rates):
+    """``(slope, intercept, post_intercept, jump)`` of a year's two windows as
+    Fractions: the least-squares line of the pre window, the least-squares
+    intercept of the post window at that slope, and the intercept gap."""
+    xs, ys = [Fraction(x) for x in pre_offsets], [Fraction(y) for y in pre_rates]
+    x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
+    sxx = sum((x - x_mean) ** 2 for x in xs)
+    slope = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys)) / sxx
+    intercept = y_mean - slope * x_mean
+    residuals = [Fraction(y) - slope * x for x, y in zip(post_offsets, post_rates)]
+    post_intercept = sum(residuals) / len(residuals)
+    return slope, intercept, post_intercept, post_intercept - intercept
+
+
+def year_weights(pre_offsets, post_offsets):
+    """The weights over the rates ``pre + post`` that give ``exact_year``'s
+    four values, as four lists of Fractions."""
+    n, m = len(pre_offsets), len(post_offsets)
+    x_mean = Fraction(sum(pre_offsets), n)
+    post_mean = Fraction(sum(post_offsets), m)
+    sxx = sum((x - x_mean) ** 2 for x in pre_offsets)
+    slope = [(x - x_mean) / sxx for x in pre_offsets]
+    intercept = [Fraction(1, n) - x_mean * w for w in slope]
+    post_intercept = [-post_mean * w for w in slope]
+    post = [Fraction(1, m)] * m
+    return (
+        slope + [Fraction(0)] * m,
+        intercept + [Fraction(0)] * m,
+        post_intercept + post,
+        [p - i for p, i in zip(post_intercept, intercept)] + post,
+    )
+
+
+def year_constants(observation, pre_window, post_window):
+    """The smallest c with which each of the observation's ``slope_a``,
+    ``intercept_b``, ``post_intercept`` and ``jump_delta`` meets the line-fit
+    bound, given the year's ``(offsets, rates, warning)`` windows."""
+    (pre_offsets, pre_rates, _), (post_offsets, post_rates, _) = pre_window, post_window
+    exact = exact_year(pre_offsets, pre_rates, post_offsets, post_rates)
+    rates_norm = max(map(abs, pre_rates + post_rates))
+    got = (observation.slope_a, observation.intercept_b, observation.post_intercept,
+           observation.jump_delta)
+    return tuple(
+        _constant(abs(float(Fraction(value) - want)), l1_norm(weights) * rates_norm)
+        for value, want, weights in zip(got, exact, year_weights(pre_offsets, post_offsets))
+    )
+
+
+def l1_norm(weights):
+    """``||w||_1`` of exact weights, rounded once to a float."""
+    return float(sum(map(abs, weights)))
 
 
 def design_rows(trends):

@@ -478,6 +478,35 @@ class TestEnvironmentAndCalendar:
         assert "error:" in capsys.readouterr().err
 
 
+class TestUtf8Files:
+    """Every file is read and written as UTF-8, whatever the locale: no
+    command opens one with the default encoding."""
+
+    def test_no_command_uses_the_default_encoding(self, tmp_path):
+        spec = json.loads((FIXTURES / "demo_spec.json").read_text(encoding="utf-8"))
+        spec["tenor"] = "\u20acSTR-\u00e9t\u00e9"
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec, ensure_ascii=False), encoding="utf-8")
+        calendar = tmp_path / "cal.txt"
+        calendar.write_text("# f\u00eates\n--12-26\n--01-01\n", encoding="utf-8")
+        out = tmp_path / "rates.csv"
+        data = ["--data", str(DEMO_RATES)]
+        for argv in [
+            ["fit-year", "2019", *data],
+            ["backtest", "2015", "2019", *data],
+            ["predict", "2019", *data],
+            ["generate", "--spec", str(spec_path), "--out", str(out)],
+            ["fit-year", "2019", "--data", str(out), "--calendar", str(calendar)],
+        ]:
+            done = subprocess.run(
+                [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                 "-m", "xmasjump", *argv],
+                capture_output=True,
+            )
+            assert done.returncode == EXIT_OK, (argv, done.stderr)
+        assert out.read_bytes().startswith("# tenor: \u20acSTR-\u00e9t\u00e9\n".encode("utf-8"))
+
+
 class TestClosedOutput:
     """Output that cannot be written: a reader that stops early is not a
     data error, a full device is."""

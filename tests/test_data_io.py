@@ -374,6 +374,13 @@ class TestGenerator:
             d.year for d, _ in series.entries
         )
 
+    @pytest.mark.parametrize("year", [2018.9, 2018.0, "2018", True], ids=repr)
+    def test_year_that_is_not_an_int_rejected(self, year, cal):
+        spec = SyntheticSpec(year_trends={2018: (0.0, 1.0)})
+        with pytest.raises(DomainError) as exc_info:
+            generate_synthetic_series(spec, [2018, year], cal)
+        assert str(exc_info.value) == f"years must be integers, got {year!r}"
+
     def test_missing_year_trend(self, cal):
         spec = SyntheticSpec(year_trends={2018: (0.0, 1.0)})
         with pytest.raises(DomainError):
@@ -517,17 +524,58 @@ class TestSyntheticSpecFromJson:
                 '{"years": {"2018": [0, 1]}, "jump": {"coefficients": [true, 0, 0, false]}}',
                 id="boolean_coefficient",
             ),
+            pytest.param('{"years": {"2018": [0, 1]}, "tenor": " x"}', id="padded_tenor"),
+            *(
+                pytest.param('{"years": {"%s": [0, 1]}}' % key, id=f"year_key_{name}")
+                for name, key in [
+                    ("plus", "+2004"),
+                    ("leading_zero", "02004"),
+                    ("underscore", "2_004"),
+                    ("space", " 2004"),
+                    ("fullwidth", "\uff12\uff10\uff10\uff14"),
+                    ("past_the_int_digit_limit", "1" * 5000),
+                ]
+            ),
+            pytest.param(
+                '{"years": {"2004": [0, 1], "+2004": [0, 2]}}', id="two_spellings_of_a_year"
+            ),
         ],
     )
     def test_malformed_documents(self, text):
         with pytest.raises(ParseError):
             synthetic_spec_from_json(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"years": {"+2004": [0, 1]}}', "bad year key '+2004'"),
+            ('{"years": {"0": [0, 1]}}', "year_trends key 0: year 0 lies outside 1..9999"),
+            ('{"years": {"2018": [0]}}', "year_trends[2018] must be finite, got [0]"),
+            ('{"years": {"2018": [0, 1]}, "seed": "x"}', "seed must be an integer, got 'x'"),
+            (
+                '{"years": {"2018": [0, 1]}, "tenor": " x"}',
+                "tenor label ' x' has surrounding whitespace or a line break",
+            ),
+            # the jump's shape is the reader's, so it is reported before any value
+            (
+                '{"years": {"2018": [0]}, "jump": {"other": 1}}',
+                "'jump' must hold exactly one of 'fixed' or 'coefficients'",
+            ),
+        ],
+        ids=["key_spelling", "year_range", "short_trend", "text_seed", "padded_tenor",
+             "jump_shape_first"],
+    )
+    def test_a_bad_value_reports_the_spec_field(self, text, message):
+        with pytest.raises(ParseError) as exc_info:
+            synthetic_spec_from_json(text)
+        assert exc_info.value.line_number is None
+        assert str(exc_info.value) == message
+
     @pytest.mark.parametrize("noise", ["NaN", "Infinity"])
     def test_non_finite_noise_rejected(self, noise):
         with pytest.raises(ParseError) as exc_info:
             synthetic_spec_from_json('{"years": {"2018": [0, 1]}, "noise": %s}' % noise)
-        assert str(exc_info.value) == "'noise' must be a non-negative number"
+        assert str(exc_info.value) == "noise amplitude must be a finite non-negative number"
 
     def test_last_representable_year_generates(self, cal):
         spec, years = synthetic_spec_from_json('{"years": {"9999": [0.001, 1.0]}}')

@@ -5,11 +5,14 @@ The backtest must never let data from a target year's own post-event
 window, or from any later year, into that target's model or prediction;
 and on a complete series its target step must agree with ``predict_next``.
 Adding a constant to every rate moves each year's intercept by that
-constant and leaves its slope and jump alone. A fixed jump ``v`` is the
-constant surface ``[v, 0, 0, 0]`` and adds exactly ``v`` to every
-post-event rate. Serializing a series and parsing it back returns the same
-series, whatever the row order, comments, blank lines, spacing and line
-ends. The parsers, given any text, return a
+constant and leaves its slope and jump alone. Each year's slope,
+intercept, post intercept and jump meet the line-fit contract of
+``exact_oracle``, and noise of amplitude eps moves the jump by at most
+eps times the L1 norm of its exact weights, plus that contract's slack.
+A fixed jump ``v`` is the constant surface ``[v, 0, 0, 0]`` and adds
+exactly ``v`` to every post-event rate. Serializing a series and parsing
+it back returns the same series, whatever the row order, comments, blank
+lines, spacing and line ends. The parsers, given any text, return a
 value or raise an ``XmasJumpError`` subclass, never anything else; so do
 the constructors of the input records, given any arguments. The
 banking-day walks over day ordinals agree with a day-by-day reference.
@@ -27,6 +30,7 @@ import math
 import random
 from datetime import date
 from enum import IntEnum
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -35,7 +39,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xmasjump
-from exact_oracle import CONTRACT_CONSTANT, contract_constants
+from exact_oracle import (
+    CONTRACT_CONSTANT,
+    UNIT_ROUNDOFF,
+    contract_constants,
+    exact_year,
+    l1_norm,
+    year_constants,
+    year_weights,
+)
 from helpers import (
     constant_jump,
     distinct_trends,
@@ -82,11 +94,11 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 targets = st.integers(min_value=FIRST_TARGET, max_value=LAST_YEAR)
 
 
-def noisy_series(trend_seed, noise_seed, cal):
+def noisy_series(trend_seed, noise_seed, cal, amplitude=0.01):
     spec = SyntheticSpec(
         year_trends=distinct_trends(FIRST_YEAR, LAST_YEAR, trend_seed),
         jump=PLANTED,
-        noise_amplitude=0.01,
+        noise_amplitude=amplitude,
         seed=noise_seed,
     )
     return generate_synthetic_series(spec, range(FIRST_YEAR, LAST_YEAR + 1), cal)
@@ -155,6 +167,68 @@ def test_level_shift_moves_only_the_intercept(trend_seed, noise_seed, year, cal,
     assert moved.slope_a == pytest.approx(obs.slope_a, rel=0, abs=tolerance)
     assert moved.jump_delta == pytest.approx(obs.jump_delta, rel=0, abs=tolerance)
     assert moved.intercept_b == pytest.approx(obs.intercept_b + shift, rel=0, abs=tolerance)
+
+
+# --- a year's line fits against the exact oracle -------------------------
+
+def windows(year, series, cal):
+    return pre_window(year, series, cal), post_window(year, series, cal)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pre_offsets=st.lists(st.integers(-40, -1), min_size=2, max_size=20, unique=True),
+    post_offsets=st.lists(st.integers(2, 6), min_size=1, max_size=5, unique=True),
+    data=st.data(),
+)
+def test_year_weights_give_the_exact_year(pre_offsets, post_offsets, data):
+    rates = data.draw(
+        st.lists(st.floats(-10.0, 10.0), min_size=len(pre_offsets) + len(post_offsets),
+                 max_size=len(pre_offsets) + len(post_offsets)),
+        label="rates",
+    )
+    pre_rates, post_rates = rates[: len(pre_offsets)], rates[len(pre_offsets) :]
+    exact = exact_year(pre_offsets, pre_rates, post_offsets, post_rates)
+    weights = year_weights(pre_offsets, post_offsets)
+    assert tuple(sum(w * Fraction(y) for w, y in zip(ws, rates)) for ws in weights) == exact
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    trend_seed=seeds,
+    noise_seed=seeds,
+    amplitude=st.sampled_from([0.0, 1e-4, 0.01, 0.5]),
+    cal=st.sampled_from(CALENDARS),
+)
+def test_year_observations_meet_the_line_fit_contract(trend_seed, noise_seed, amplitude, cal):
+    series = noisy_series(trend_seed, noise_seed, cal, amplitude)
+    for year in range(FIRST_YEAR, LAST_YEAR + 1):
+        obs = yearly_observation(year, series, cal)
+        constants = year_constants(obs, *windows(year, series, cal))
+        assert max(constants) <= CONTRACT_CONSTANT, f"{year}: {constants} u-units"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    trend_seed=seeds,
+    noise_seed=seeds,
+    amplitude=st.sampled_from([1e-4, 0.01, 0.5]),
+    cal=st.sampled_from(CALENDARS),
+)
+def test_noise_moves_each_jump_within_its_weights_bound(trend_seed, noise_seed, amplitude, cal):
+    """Each noisy rate differs from the noise-free one by at most the
+    amplitude plus its own rounding (3 u |rate|), and each computed jump
+    lies within the line-fit contract of its exact value."""
+    clean = noisy_series(trend_seed, noise_seed, cal, 0.0)
+    noisy = noisy_series(trend_seed, noise_seed, cal, amplitude)
+    for year in range(FIRST_YEAR, LAST_YEAR + 1):
+        (pre, post), (noisy_pre, noisy_post) = windows(year, clean, cal), windows(year, noisy, cal)
+        assert (pre[0], post[0]) == (noisy_pre[0], noisy_post[0])
+        norms = max(map(abs, pre[1] + post[1])) + max(map(abs, noisy_pre[1] + noisy_post[1]))
+        slack = (CONTRACT_CONSTANT + 3) * UNIT_ROUNDOFF * norms
+        bound = l1_norm(year_weights(pre[0], post[0])[3]) * (amplitude + slack)
+        moved = yearly_observation(year, noisy, cal).jump_delta
+        assert abs(moved - yearly_observation(year, clean, cal).jump_delta) <= bound
 
 
 # --- a fixed jump is the constant surface ---------------------------------

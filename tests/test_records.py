@@ -7,7 +7,7 @@ import pickle
 import re
 import subprocess
 import sys
-from datetime import date
+from datetime import date, datetime
 from pathlib import Path
 
 import pytest
@@ -161,6 +161,7 @@ TRENDS = {2018: (0.01, 2.5)}
         (SyntheticSpec, (TRENDS,), dict(jump=None), "jump"),
         (SyntheticSpec, (TRENDS,), dict(tenor_label=5), "tenor_label"),
         (HolidayCalendar, (None,), {}, "holidays"),
+        (HolidayCalendar, ({datetime(2018, 12, 27)},), {}, "holiday entries"),
         (JumpModel, ((2004, 2018), ("0.1", 0, 0, 0)), {}, "coefficients"),
         (JumpModel, ((2004, 2018), (math.nan, 0, 0, 0)), {}, "coefficients"),
         (JumpModel, ((2004, 2018), (0.1, 0.0)), {}, "coefficients"),
@@ -184,6 +185,7 @@ TRENDS = {2018: (0.01, 2.5)}
         "no_jump_rule",
         "spec_tenor_number",
         "calendar_none",
+        "calendar_datetime_entry",
         "model_coefficient_text",
         "model_coefficient_nan",
         "model_two_coefficients",
