@@ -25,6 +25,7 @@ import operator
 import re
 from collections.abc import Iterable, Iterator, Mapping
 from datetime import date
+from reprlib import repr as _brief  # a value cut to a few levels and characters
 
 from .errors import DomainError, DuplicateDate, ParseError
 from .market_calendar import (ISO_DATE, HolidayCalendar, banking_days, event_date,
@@ -74,9 +75,10 @@ def _check_tenor_label(label) -> None:
     """Raise DomainError unless ``label`` is a string of one line without
     surrounding whitespace, which survives serialization."""
     if not isinstance(label, str):
-        raise DomainError(f"tenor_label must be a string, got {label!r}")
+        raise DomainError(f"tenor_label must be a string, got {_brief(label)}")
     if label != label.strip() or len(label.splitlines()) > 1:
-        raise DomainError(f"tenor label {label!r} has surrounding whitespace or a line break")
+        raise DomainError(
+            f"tenor label {_brief(label)} has surrounding whitespace or a line break")
 
 
 class DailyRateSeries(Record):
@@ -235,26 +237,27 @@ class SyntheticSpec(Record):
                  noise_amplitude: float = 0.0,
                  seed: int = 0, tenor_label: str = "SYN"):
         if not isinstance(year_trends, Mapping):
-            raise DomainError(f"year_trends must map years to pairs, got {year_trends!r}")
+            raise DomainError(f"year_trends must map years to pairs, got {_brief(year_trends)}")
         trends = {}
         for year, trend in year_trends.items():
             if type(year) is not int:
-                raise DomainError(f"year_trends key {year!r} is not an integer year")
+                raise DomainError(f"year_trends key {_brief(year)} is not an integer year")
             try:
                 event_date(year)
             except DomainError as exc:
                 raise DomainError(f"year_trends key {year}: {exc}") from None
             trends[year] = _finite_tuple(trend, 2)
             if trends[year] is None:
-                raise DomainError(f"year_trends[{year}] must be finite, got {trend!r}")
+                raise DomainError(f"year_trends[{year}] must be finite, got {_brief(trend)}")
         coefficients = _finite_tuple(jump, N_PARAMETERS)
         if coefficients is None:
-            raise DomainError(f"jump coefficients must be {N_PARAMETERS} finite numbers: {jump!r}")
+            raise DomainError(
+                f"jump coefficients must be {N_PARAMETERS} finite numbers: {_brief(jump)}")
         noise = _finite(noise_amplitude)
         if noise is None or noise < 0.0:
             raise DomainError("noise amplitude must be a finite non-negative number")
         if type(seed) is not int:
-            raise DomainError(f"seed must be an integer, got {seed!r}")
+            raise DomainError(f"seed must be an integer, got {_brief(seed)}")
         _check_tenor_label(tenor_label)
         set_field(self, "year_trends", trends)
         set_field(self, "jump", coefficients)
@@ -308,6 +311,16 @@ def generate_synthetic_series(
     return DailyRateSeries(tuple(entries), spec.tenor_label)
 
 
+def _object_without_repeats(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a repeated key is a ParseError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(None, f"repeated key {_brief(key)}")
+        obj[key] = value
+    return obj
+
+
 def synthetic_spec_from_json(text: str) -> tuple[SyntheticSpec, list[int]]:
     """Parse a generator spec document; returns the spec and its years.
 
@@ -320,12 +333,12 @@ def synthetic_spec_from_json(text: str) -> tuple[SyntheticSpec, list[int]]:
           "years": {"2004": [slope, intercept], ...}
         }
 
-    Only the document's shape is checked here, and that each year key is
-    its year's canonical ASCII spelling, so no two different keys name one year.
-    ``SyntheticSpec`` checks every value; its message becomes a ParseError.
+    Only the document's shape and keys are checked here: no object repeats a
+    key, and each year key is its year's canonical ASCII spelling. Every
+    value is checked by ``SyntheticSpec``, whose message becomes a ParseError.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_object_without_repeats)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, f"invalid JSON: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # over-long integers, deep nesting
@@ -341,7 +354,7 @@ def synthetic_spec_from_json(text: str) -> tuple[SyntheticSpec, list[int]]:
         except ValueError:
             canonical = False
         if not canonical:
-            raise ParseError(None, f"bad year key {key!r}")
+            raise ParseError(None, f"bad year key {_brief(key)}")
     jump_doc = doc.get("jump", {"fixed": 0.0})
     if not isinstance(jump_doc, dict) or list(jump_doc) not in (["fixed"], ["coefficients"]):
         raise ParseError(None, "'jump' must hold exactly one of 'fixed' or 'coefficients'")

@@ -21,6 +21,8 @@ from xmasjump.market_calendar import banking_days
 
 LCG_MULTIPLIER = 6364136223846793005
 LCG_INCREMENT = 1442695040888963407
+# a JSON array nested 600 deep, which json.loads reads; no message may show it in full
+_DEEP = "[" * 600 + "]" * 600
 
 
 def lcg_uniforms(seed: int, count: int) -> list[float]:
@@ -539,6 +541,26 @@ class TestSyntheticSpecFromJson:
             pytest.param(
                 '{"years": {"2004": [0, 1], "+2004": [0, 2]}}', id="two_spellings_of_a_year"
             ),
+            # valid JSON nested too deeply for a plain repr() of the value
+            *(
+                pytest.param(doc % _DEEP, id=f"deep_{name}")
+                for name, doc in [
+                    ("trend", '{"years": {"2018": %s}}'),
+                    ("seed", '{"years": {"2018": [0, 1]}, "seed": %s}'),
+                    ("tenor", '{"years": {"2018": [0, 1]}, "tenor": %s}'),
+                    ("noise", '{"years": {"2018": [0, 1]}, "noise": %s}'),
+                    ("fixed_jump", '{"years": {"2018": [0, 1]}, "jump": {"fixed": %s}}'),
+                    ("coefficients", '{"years": {"2018": [0, 1]}, "jump": {"coefficients": %s}}'),
+                ]
+            ),
+            pytest.param('{"years": {"2004": [0, 1], "2004": [0, 2]}}', id="repeated_year"),
+            pytest.param(
+                '{"years": {"2004": [0, 1]}, "noise": 0.1, "noise": 0.2}', id="repeated_noise"
+            ),
+            pytest.param(
+                '{"years": {"2004": [0, 1]}, "jump": {"fixed": 1, "fixed": 2}}',
+                id="repeated_jump_key",
+            ),
         ],
     )
     def test_malformed_documents(self, text):
@@ -561,9 +583,20 @@ class TestSyntheticSpecFromJson:
                 '{"years": {"2018": [0]}, "jump": {"other": 1}}',
                 "'jump' must hold exactly one of 'fixed' or 'coefficients'",
             ),
+            # a value is shown shallow and short, whatever its depth or length
+            (
+                '{"years": {"2018": %s}}' % _DEEP,
+                "year_trends[2018] must be finite, got [[[[[[[...]]]]]]]",
+            ),
+            (
+                '{"years": {"2018": [0, 1]}, "tenor": "%s "}' % ("x" * 100000),
+                "tenor label 'xxxxxxxxxxxx...xxxxxxxxxxxx ' has surrounding whitespace"
+                " or a line break",
+            ),
+            ('{"years": {"2004": [0, 1], "2004": [0, 2]}}', "repeated key '2004'"),
         ],
         ids=["key_spelling", "year_range", "short_trend", "text_seed", "padded_tenor",
-             "jump_shape_first"],
+             "jump_shape_first", "deep_trend", "long_tenor", "repeated_key"],
     )
     def test_a_bad_value_reports_the_spec_field(self, text, message):
         with pytest.raises(ParseError) as exc_info:
