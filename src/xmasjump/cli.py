@@ -359,10 +359,7 @@ def _cmd_predict(args, series, cal) -> str:
 def _cmd_generate(args, cal) -> str:
     spec, years = synthetic_spec_from_json(_read_text(args.spec))
     series = generate_synthetic_series(spec, years, cal)
-    text = serialize_rate_series(series)  # before opening: no file buffer held meanwhile
-    with open(args.out, "w", encoding="utf-8", newline="\n") as file:
-        file.write(text)
-    return _kv_text(
+    summary = _kv_text(
         [
             ("written", args.out),
             ("tenor", series.tenor_label),
@@ -370,6 +367,21 @@ def _cmd_generate(args, cal) -> str:
             ("fixings", str(len(series))),
         ]
     )
+    _check_printable(summary)  # a failure must leave --out untouched
+    text = serialize_rate_series(series)  # before opening: no file buffer held meanwhile
+    with open(args.out, "w", encoding="utf-8", newline="\n") as file:
+        file.write(text)
+    return summary
+
+
+def _check_printable(text: str) -> None:
+    """Raise the UnicodeEncodeError that printing ``text`` would raise.
+
+    A stdout without an encoding, such as ``io.StringIO``, takes any text.
+    """
+    encoding = getattr(sys.stdout, "encoding", None)
+    if encoding is not None:
+        text.encode(encoding, getattr(sys.stdout, "errors", None) or "strict")
 
 
 if __name__ == "__main__":

@@ -2,9 +2,11 @@
 
 Dates are naive ``datetime.date`` values; there is no timezone or intraday
 handling. A banking day is a weekday that is not listed as a holiday.
-Windows are walked over proleptic day ordinals (``date.toordinal()``), whose
-weekday is ``(ordinal + 6) % 7``, so only weekdays become ``date`` values
-and reach the holiday check; window offsets are ordinal differences.
+Windows are walked over proleptic day ordinals (``date.toordinal()``): a
+day's weekday is ``(ordinal + 6) % 7``, and its holiday check is one set
+lookup of its day of the year among its year's closed days, so only a
+banking day the walk yields becomes a ``date``; window offsets are ordinal
+differences.
 """
 
 from __future__ import annotations
@@ -56,32 +58,69 @@ class HolidayCalendar(Record):
     one-off closures and ``(month, day)`` pairs for closures recurring every
     year. December 25 is always enforced as a recurring holiday: the event
     date is never a banking day.
+
+    ``is_holiday`` is the rule. For the banking-day walks, construction also
+    resolves the entries to days of the year, for common and for leap years
+    and for each year with one-off closures, which ``closed_days`` hands
+    out; ``holidays`` stays the only field, so equality, hashing and
+    pickling see the entries alone.
     """
 
-    __slots__ = ("holidays",)
+    __slots__ = ("holidays", "_recurring", "_by_year")
 
     def __init__(self, holidays: frozenset = DEFAULT_RECURRING_HOLIDAYS):
         try:
             entries = set(holidays)
         except TypeError:
             raise DomainError(f"holidays must be a set of entries, got {holidays!r}") from None
+        entries.add((12, 25))
+        common, leap = set(), set()
+        one_offs: dict[int, set[int]] = {}
         for entry in entries:
             if isinstance(entry, tuple) and len(entry) == 2:
                 month, day = entry
                 try:
-                    date(2000, month, day)  # leap year, so (2, 29) is legal
+                    probe = date(2000, month, day)  # leap year, so (2, 29) is legal
                 except (TypeError, ValueError, OverflowError):
                     raise DomainError(f"invalid recurring holiday {entry!r}") from None
-            elif not is_plain_date_type(type(entry)):
+                pair = (probe.month, probe.day)
+                if entry == pair:  # else no date's pair equals it
+                    leap.add(_day_of_year(probe))
+                    if pair != (2, 29):
+                        common.add(_day_of_year(date(2001, *pair)))
+            elif is_plain_date_type(type(entry)):
+                one_offs.setdefault(entry.year, set()).add(_day_of_year(entry))
+            else:
                 raise DomainError(
                     f"holiday entries must be a date or a (month, day) pair, got {entry!r}"
                 )
-        entries.add((12, 25))
+        recurring = (frozenset(common), frozenset(leap))
         set_field(self, "holidays", frozenset(entries))
+        set_field(self, "_recurring", recurring)
+        set_field(
+            self, "_by_year", {y: recurring[_is_leap(y)] | days for y, days in one_offs.items()}
+        )
 
     def is_holiday(self, d: date) -> bool:
         # A date never equals a (month, day) pair, so one set holds both kinds.
         return d in self.holidays or (d.month, d.day) in self.holidays
+
+    def closed_days(self, year: int) -> frozenset[int]:
+        """The holidays of ``year`` as days of the year, 1 for January 1
+        (``timetuple().tm_yday``): each recurring day the year has, so
+        (2, 29) only in leap years, and the year's one-off closures."""
+        days = self._by_year.get(year)
+        return self._recurring[_is_leap(year)] if days is None else days
+
+
+def _day_of_year(d: date) -> int:
+    """1 for January 1, as ``d.timetuple().tm_yday``."""
+    return d.toordinal() - date(d.year, 1, 1).toordinal() + 1
+
+
+def _is_leap(year: int) -> bool:
+    """The Gregorian leap-year rule, as ``calendar.isleap``."""
+    return year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
 
 
 def calendar_from_lines(text: str) -> HolidayCalendar:
@@ -124,17 +163,30 @@ def iso_date(text: str) -> date:
 def banking_days(start: date, end: date, cal: HolidayCalendar) -> list[date]:
     """Banking days from ``start`` through ``end`` inclusive, ascending,
     found by one walk over their day ordinals."""
-    return list(_banking(range(start.toordinal(), end.toordinal() + 1), cal))
+    ordinals = range(start.toordinal(), end.toordinal() + 1)
+    return list(map(date.fromordinal, _banking(ordinals, cal)))
 
 
-def _banking(ordinals: range, cal: HolidayCalendar) -> Iterator[date]:
-    """The banking days among ``ordinals``, in the range's order; lazy, so
-    a walk may stop early."""
+def _banking(ordinals: range, cal: HolidayCalendar) -> Iterator[int]:
+    """The banking days among ``ordinals`` (step 1 or -1), as ordinals in
+    the range's order; lazy, so a walk may stop early.
+
+    A weekday is a holiday when its day of the year is in its year's
+    ``cal.closed_days``. The walk looks that set up on reaching a weekday
+    outside the year it is in, so once for each year it enters, going
+    forward or back.
+    """
+    before = last = 0  # the current year's ordinals are before+1..last; none yet
+    closed = frozenset()
     for o in ordinals:
         if (o + 6) % 7 < SATURDAY:
-            d = date.fromordinal(o)
-            if not cal.is_holiday(d):
-                yield d
+            if not before < o <= last:
+                year = date.fromordinal(o).year
+                before = date(year, 1, 1).toordinal() - 1
+                last = date(year, 12, 31).toordinal()
+                closed = cal.closed_days(year)
+            if o - before not in closed:
+                yield o
 
 
 def event_date(year: int) -> date:
@@ -168,9 +220,11 @@ def pre_window(
             f"series is empty; need {n} fixings before Dec 25 {year}"
         )
     event = event_date(year).toordinal()
+    last = series.last_date.toordinal()
     picked: list[tuple[int, float]] = []
-    for d in _banking(range(event - 1, series.first_date.toordinal() - 1, -1), cal):
-        if d > series.last_date:
+    for o in _banking(range(event - 1, series.first_date.toordinal() - 1, -1), cal):
+        d = date.fromordinal(o)
+        if o > last:
             raise IncompleteWindow(
                 f"pre-window for {year} runs through {d.isoformat()},"
                 f" but the series ends at {series.last_date.isoformat()}"
@@ -178,7 +232,7 @@ def pre_window(
         rate = series.rate_on(d)
         if rate is None:
             raise MissingFixing(d)
-        picked.append((d.toordinal() - event, rate))
+        picked.append((o - event, rate))
         if len(picked) == n:
             break
     else:
@@ -203,14 +257,16 @@ def post_window_offsets(year: int, cal: HolidayCalendar) -> tuple[int, ...]:
     Needs no rate data, so it also serves prediction for years whose
     post-event fixings do not exist yet.
     """
-    return tuple(x for x, _ in _post_days(year, cal))
+    event, days = _post_days(year, cal)
+    return tuple([o - event for o in days])
 
 
-def _post_days(year: int, cal: HolidayCalendar) -> list[tuple[int, date]]:
-    """``(offset, day)`` for each banking day of ``year``'s post window."""
+def _post_days(year: int, cal: HolidayCalendar) -> tuple[int, list[int]]:
+    """December 25 of ``year`` and the banking days of its post window,
+    as day ordinals."""
     event = event_date(year).toordinal()
     ordinals = range(event + POST_WINDOW_OFFSETS.start, event + POST_WINDOW_OFFSETS.stop)
-    return [(d.toordinal() - event, d) for d in _banking(ordinals, cal)]
+    return event, list(_banking(ordinals, cal))
 
 
 def post_window(year: int, series: "DailyRateSeries", cal: HolidayCalendar) -> tuple:
@@ -221,14 +277,15 @@ def post_window(year: int, series: "DailyRateSeries", cal: HolidayCalendar) -> t
     than two is InsufficientData; a banking day inside the series coverage
     without a rate is MissingFixing.
     """
+    event, days = _post_days(year, cal)
     picked: list[tuple[int, float]] = []
-    for x, d in _post_days(year, cal):
-        if not series.covers(d):
-            continue
+    for o in days:
+        d = date.fromordinal(o)
         rate = series.rate_on(d)
-        if rate is None:
+        if rate is not None:  # so d lies inside the series coverage
+            picked.append((o - event, rate))
+        elif series.covers(d):
             raise MissingFixing(d)
-        picked.append((x, rate))
     if len(picked) < POST_WINDOW_MIN:
         raise InsufficientData(
             f"{len(picked)} banking-day fixings with {POST_WINDOW_TEXT} after"

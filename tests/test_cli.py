@@ -1,5 +1,6 @@
 """Command-line behavior: rendering, exit codes, round-trips."""
 
+import io
 import json
 import os
 import subprocess
@@ -79,6 +80,49 @@ class TestGenerate:
         spec = write_spec(tmp_path / "spec.json", 2018, 2018)
         out = tmp_path / "no-such-dir" / "out.csv"
         assert main(["generate", "--spec", str(spec), "--out", str(out)]) == EXIT_DATA_ERROR
+
+    @staticmethod
+    def euro_tenor_spec(path):
+        doc = json.loads((FIXTURES / "demo_spec.json").read_text())
+        path.write_text(json.dumps(dict(doc, tenor="\u20acSTR")))
+        return path
+
+    @pytest.mark.parametrize("existing", [None, b"kept\n"], ids=["absent", "present"])
+    def test_unprintable_summary_leaves_the_output_untouched(self, tmp_path, existing):
+        # the summary names the tenor, which an ASCII stdout cannot print
+        spec, out = self.euro_tenor_spec(tmp_path / "spec.json"), tmp_path / "out.csv"
+        if existing is not None:
+            out.write_bytes(existing)
+        done = subprocess.run(
+            [sys.executable, "-m", "xmasjump", "generate", "--spec", str(spec), "--out", str(out)],
+            capture_output=True,
+            env=dict(os.environ, PYTHONIOENCODING="ascii"),
+        )
+        assert done.returncode == EXIT_DATA_ERROR
+        assert done.stdout == b""
+        assert done.stderr.startswith(b"error: 'ascii' codec can't encode character '\\u20ac'")
+        if existing is None:
+            assert not out.exists()
+        else:
+            assert out.read_bytes() == existing
+
+    def test_summary_goes_through_the_stdout_error_handler(self, tmp_path):
+        spec, out = self.euro_tenor_spec(tmp_path / "spec.json"), tmp_path / "out.csv"
+        done = subprocess.run(
+            [sys.executable, "-m", "xmasjump", "generate", "--spec", str(spec), "--out", str(out)],
+            capture_output=True,
+            env=dict(os.environ, PYTHONIOENCODING="ascii:backslashreplace"),
+        )
+        assert done.returncode == EXIT_OK
+        assert b"tenor    \\u20acSTR\n" in done.stdout
+        assert parse_rate_series(out.read_text(encoding="utf-8")).tenor_label == "\u20acSTR"
+
+    def test_stdout_without_an_encoding_takes_any_summary(self, tmp_path, monkeypatch):
+        spec, out = self.euro_tenor_spec(tmp_path / "spec.json"), tmp_path / "out.csv"
+        monkeypatch.setattr(sys, "stdout", io.StringIO())  # encoding None
+        assert main(["generate", "--spec", str(spec), "--out", str(out)]) == EXIT_OK
+        assert "\u20acSTR" in sys.stdout.getvalue()
+        assert out.exists()
 
 
 class TestFitYear:

@@ -7,9 +7,10 @@ from decimal import Decimal
 
 import pytest
 
-from helpers import constant_jump, day_offset
+from helpers import constant_jump, day_offset, reference_banking_days
 from xmasjump import (
     DailyRateSeries,
+    HolidayCalendar,
     SyntheticSpec,
     generate_synthetic_series,
     parse_rate_series,
@@ -17,7 +18,6 @@ from xmasjump import (
     synthetic_spec_from_json,
 )
 from xmasjump.errors import DomainError, DuplicateDate, ParseError
-from xmasjump.market_calendar import banking_days
 
 LCG_MULTIPLIER = 6364136223846793005
 LCG_INCREMENT = 1442695040888963407
@@ -317,11 +317,18 @@ class TestGenerator:
         b = generate_synthetic_series(SyntheticSpec(seed=2, **base), [2018], cal)
         assert a.entries != b.entries
 
-    def test_emits_every_banking_day_of_the_season(self, cal):
-        spec = SyntheticSpec(year_trends={2018: (0.0, 1.0)})
-        series = generate_synthetic_series(spec, [2018], cal)
-        expected = list(banking_days(date(2018, 11, 25), date(2018, 12, 31), cal))
-        assert [d for d, _ in series.entries] == expected
+    def test_emits_every_banking_day_of_the_season(self):
+        years = [2018, 2019, 2020]
+        spec = SyntheticSpec(year_trends={year: (0.0, 1.0) for year in years})
+        overrides = {(12, 27), (2, 29), date(2018, 12, 3), date(2020, 11, 30)}
+        for cal in (HolidayCalendar(), HolidayCalendar(holidays=frozenset(overrides))):
+            series = generate_synthetic_series(spec, years, cal)
+            expected = [
+                d
+                for year in years
+                for d in reference_banking_days(date(year, 11, 25), date(year, 12, 31), cal)
+            ]
+            assert [d for d, _ in series.entries] == expected
 
     def test_zero_noise_zero_jump_lies_on_the_trend(self, cal):
         spec = SyntheticSpec(year_trends={2018: (0.01, 2.5)})

@@ -1,6 +1,7 @@
 """Calendar arithmetic, verified against an independent weekday oracle."""
 
 from datetime import date, timedelta
+from types import SimpleNamespace
 
 import pytest
 
@@ -50,6 +51,27 @@ def oracle_pre_offsets(year: int, n: int) -> list[int]:
         d -= timedelta(days=1)
     picked.reverse()
     return picked
+
+
+@pytest.fixture()
+def walk_log(monkeypatch):
+    """Record what every banking-day walk asks of ``HolidayCalendar``: the
+    years whose closed days it fetched and the days of the year it tested
+    against them, in order."""
+    log = SimpleNamespace(years=[], probes=[])
+    closed_days = HolidayCalendar.closed_days
+
+    class Probed(frozenset):
+        def __contains__(self, day):
+            log.probes.append(day)
+            return frozenset.__contains__(self, day)
+
+    def recording(self, year):
+        log.years.append(year)
+        return Probed(closed_days(self, year))
+
+    monkeypatch.setattr(HolidayCalendar, "closed_days", recording)
+    return log
 
 
 class TestIsBankingDay:
@@ -248,27 +270,26 @@ class TestPreWindow:
         with pytest.raises(InsufficientData):
             pre_window(1, series, cal, n=300)
 
-    def test_walk_back_is_lazy(self, cal, monkeypatch):
+    def test_walk_back_is_lazy(self, cal, walk_log):
         # a series reaching back to 1900 costs the 2100 walk no extra day
-        consulted = []
-        is_holiday = HolidayCalendar.is_holiday
-
-        def counting(self, d):
-            consulted.append(d)
-            return is_holiday(self, d)
-
-        monkeypatch.setattr(HolidayCalendar, "is_holiday", counting)
         recent = flat_series(date(2100, 11, 1), date(2100, 12, 31)).entries
 
-        def days_consulted(first):
-            consulted.clear()
+        def walk(first):
+            walk_log.years, walk_log.probes = [], []
             pre_window(2100, DailyRateSeries(entries=((first, 2.0),) + recent), cal)
-            return list(consulted)
+            return walk_log.years, walk_log.probes
 
-        walk = days_consulted(date(1900, 1, 1))
-        assert walk == days_consulted(date(2099, 1, 1))
-        assert len(walk) == 15
-        assert all(d.weekday() < 5 for d in walk)
+        years, probes = walk(date(1900, 1, 1))
+        assert (years, probes) == walk(date(2099, 1, 1))
+        assert years == [2100]
+        # Dec 24 2100 is a Friday: the walk tests the 15 weekdays back to Dec 6
+        days = [24, 23, 22, 21, 20, 17, 16, 15, 14, 13, 10, 9, 8, 7, 6]
+        assert probes == [date(2100, 12, day).timetuple().tm_yday for day in days]
+
+    def test_walk_back_asks_each_year_once(self, cal, walk_log):
+        series = flat_series(date(2016, 1, 1), date(2018, 12, 31))
+        pre_window(2018, series, cal, n=400)  # about 560 days back, into 2017
+        assert walk_log.years == [2018, 2017]
 
     def test_span_warning_for_2016(self, cal):
         # Dec 25 2016 is a Sunday: 15 banking days reach back only 20 days
@@ -364,6 +385,18 @@ class TestWindowProperties:
         assert days == sorted(days)
         assert all(oracle_is_banking_day(d) for d in days)
         assert date(2018, 12, 25) not in days
+
+    def test_banking_days_asks_each_year_once(self, cal, walk_log):
+        start, end = date(1999, 12, 30), date(2004, 1, 2)  # a Thursday, a Friday
+        days = banking_days(start, end, cal)
+        assert walk_log.years == [1999, 2000, 2001, 2002, 2003, 2004]
+        weekdays = [
+            d
+            for d in (start + timedelta(days=i) for i in range((end - start).days + 1))
+            if zeller_weekday(d) < 5
+        ]
+        assert walk_log.probes == [d.timetuple().tm_yday for d in weekdays]
+        assert days == [d for d in weekdays if oracle_is_banking_day(d)]
 
     def test_banking_days_through_the_last_representable_day(self, cal):
         assert post_window_offsets(9999, cal) == (2, 3, 4, 5, 6)

@@ -15,7 +15,8 @@ it back returns the same series, whatever the row order, comments, blank
 lines, spacing and line ends. The parsers, given any text, return a
 value or raise an ``XmasJumpError`` subclass, never anything else; so do
 the constructors of the input records, given any arguments. The
-banking-day walks over day ordinals agree with a day-by-day reference.
+banking-day walks over day ordinals agree with a day-by-day reference, and
+a calendar's closed days of a year are the days ``is_holiday`` names.
 The CLI's JSON writer prints what ``json.dumps(value, indent=2)`` prints.
 ``fit_bilinear``, and the fit of a ``window_fits`` window numbered from
 any year, fails exactly when its Householder reference fails, with the
@@ -27,6 +28,7 @@ import ast
 import importlib
 import json
 import math
+import pickle
 import random
 from datetime import date
 from enum import IntEnum
@@ -564,6 +566,34 @@ def test_ordinal_walks_match_the_day_by_day_reference(
     assert outcome(post_window, year, series, cal) == outcome(
         reference_post_window, year, series, cal
     )
+
+
+# One-off closures, as day offsets from January 1 of the drawn year: any day
+# of the year before, the year itself or the year after.
+one_off_offsets = st.integers(min_value=-366, max_value=730)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    year=st.sampled_from([1, 4, 1900, 2000, 9999]) | st.integers(min_value=1, max_value=9999),
+    recurring=st.frozensets(recurring_days, max_size=4),
+    one_offs=st.frozensets(one_off_offsets, max_size=8),
+)
+def test_closed_days_are_the_holidays(year, recurring, one_offs):
+    start = date(year, 1, 1).toordinal()
+    entries = recurring | {day_at(start + x) for x in one_offs}
+    cal = HolidayCalendar(holidays=entries)
+    years = {1, 4, 1900, 2000, 9999, year, max(year - 1, 1), min(year + 1, 9999)}
+    for y in sorted(years):
+        ordinals = range(date(y, 1, 1).toordinal(), date(y, 12, 31).toordinal() + 1)
+        holidays = filter(cal.is_holiday, map(date.fromordinal, ordinals))
+        assert cal.closed_days(y) == {d.timetuple().tm_yday for d in holidays}
+    # the grouped state is derived: equality, hashing and pickling see the entries
+    same = HolidayCalendar(holidays=[*entries, (12, 25)])
+    restored = pickle.loads(pickle.dumps(cal))
+    for other in (same, restored):
+        assert other == cal and hash(other) == hash(cal)
+        assert all(other.closed_days(y) == cal.closed_days(y) for y in years)
 
 
 # --- the JSON writer ---------------------------------------------------------
