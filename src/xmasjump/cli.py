@@ -206,7 +206,7 @@ def _load_series(parser, args):
 
 
 def _load_calendar(args) -> HolidayCalendar:
-    if getattr(args, "calendar", None):
+    if args.calendar:
         return calendar_from_lines(_read_text(args.calendar))
     return HolidayCalendar()
 

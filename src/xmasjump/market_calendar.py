@@ -257,16 +257,9 @@ def post_window_offsets(year: int, cal: HolidayCalendar) -> tuple[int, ...]:
     Needs no rate data, so it also serves prediction for years whose
     post-event fixings do not exist yet.
     """
-    event, days = _post_days(year, cal)
-    return tuple([o - event for o in days])
-
-
-def _post_days(year: int, cal: HolidayCalendar) -> tuple[int, list[int]]:
-    """December 25 of ``year`` and the banking days of its post window,
-    as day ordinals."""
     event = event_date(year).toordinal()
     ordinals = range(event + POST_WINDOW_OFFSETS.start, event + POST_WINDOW_OFFSETS.stop)
-    return event, list(_banking(ordinals, cal))
+    return tuple([o - event for o in _banking(ordinals, cal)])
 
 
 def post_window(year: int, series: "DailyRateSeries", cal: HolidayCalendar) -> tuple:
@@ -277,13 +270,14 @@ def post_window(year: int, series: "DailyRateSeries", cal: HolidayCalendar) -> t
     than two is InsufficientData; a banking day inside the series coverage
     without a rate is MissingFixing.
     """
-    event, days = _post_days(year, cal)
+    offsets = post_window_offsets(year, cal)
+    event = event_date(year).toordinal()
     picked: list[tuple[int, float]] = []
-    for o in days:
-        d = date.fromordinal(o)
+    for x in offsets:
+        d = date.fromordinal(event + x)
         rate = series.rate_on(d)
         if rate is not None:  # so d lies inside the series coverage
-            picked.append((o - event, rate))
+            picked.append((x, rate))
         elif series.covers(d):
             raise MissingFixing(d)
     if len(picked) < POST_WINDOW_MIN:

@@ -194,16 +194,3 @@ def window_fits(rows: Sequence[Sequence[float]], window_len: int, first: int = 0
         yield _finish(_folded(head, tails[split]) if split else head, rows[start:end])
         start += 1
 
-
-def fit_bilinear(trends: Sequence[tuple[float, float]], targets: Sequence[float]) -> tuple:
-    """Least-squares fit of targets ~ ``[1, a, b, a*b]`` over (a, b) trends.
-
-    Returns ``(coefficients, rss, variance_factors)``, the last being
-    diag((X'X)^-1): the one window of a ``window_fits`` walk over the rows
-    ``(1, a, b, a*b, target)`` numbered from 0, which folds them
-    oldest-first into one Givens QR. Raises what ``window_fits`` raises.
-    """
-    if len(trends) != len(targets):
-        raise DomainError("trends and targets differ in length")
-    rows = [design_row(a, b, t) for (a, b), t in zip(trends, targets)]
-    return next(window_fits(rows, len(rows)))

@@ -164,8 +164,8 @@ class CoefficientInference(Record):
 
 
 def inference_for_fit(targets: Sequence[float], fit: tuple) -> tuple:
-    """``(inference, adjusted_r2)`` of a bilinear fit for ``targets``, from
-    ``fit_bilinear`` or from one ``window_fits`` window over their rows.
+    """``(inference, adjusted_r2)`` of a bilinear fit for ``targets``: the
+    fit of one ``window_fits`` window over their rows.
 
     ``inference`` holds one CoefficientInference per coefficient.
     s^2 = rss / (n - 4); standard errors are sqrt(s^2 * diag((X'X)^-1)),

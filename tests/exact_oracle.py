@@ -26,6 +26,12 @@ kappa = kappa_2(X D^-1) and eta = ||r|| / (||X D^-1||_2 * ||D beta||):
 c = CONTRACT_CONSTANT was fixed before the Givens kernel was written, and
 used for the line-fit contract before any line-fit error was measured. A
 design that breaks a contract is a fault of the kernel, not of c.
+
+``exact_inference`` computes the squared standard errors s^2 * v_j, with
+s^2 = RSS / (n - 4), and the adjusted R^2 in ``fractions.Fraction``. Their
+bounds (README, "Accuracy of the standard errors and adjusted R^2") follow
+from the RSS and variance-factor contracts and the roundings of
+``inference_for_fit``; they add no constant of their own.
 """
 
 import math
@@ -129,16 +135,21 @@ def _inverse(matrix):
     return [row[n:] for row in work]
 
 
+def _conditioning(trends):
+    """``(D, kappa, ||X D^-1||_2)``: the design's column norms, the condition
+    number and the norm of the design with unit-norm columns."""
+    x = np.asarray(design_rows(trends))
+    scales = np.linalg.norm(x, axis=0)
+    scaled = x / scales
+    return scales, float(np.linalg.cond(scaled)), float(np.linalg.norm(scaled, 2))
+
+
 def contract_constants(trends, targets, fit):
     """The smallest c with which ``fit``, a ``(coefficients, rss,
     variance_factors)`` triple for these rows, meets each of the three
     bounds: ``(c_beta, c_variance_factors, c_rss)``."""
     exact_beta, exact_rss, exact_factors = exact_bilinear(trends, targets)
-    x = np.asarray(design_rows(trends))
-    scales = np.linalg.norm(x, axis=0)
-    scaled = x / scales
-    kappa = float(np.linalg.cond(scaled))
-    scaled_norm = float(np.linalg.norm(scaled, 2))
+    scales, kappa, scaled_norm = _conditioning(trends)
     beta_hat, rss_hat, factors_hat = fit
 
     beta_error = math.hypot(
@@ -160,8 +171,59 @@ def contract_constants(trends, targets, fit):
     )
 
 
+def exact_inference(targets, exact_fit):
+    """``(se_squared, adjusted_r2)`` as Fractions, from ``exact_fit``, the
+    ``exact_bilinear`` triple of these targets' rows: s^2 * v_j for each
+    coefficient, with s^2 = RSS / (n - 4), whose square roots are the
+    standard errors; and 1 - (RSS / TSS) * (n - 1) / (n - 4)."""
+    _, rss, factors = exact_fit
+    n = len(targets)
+    s2 = rss / (n - N_PARAMETERS)
+    adjusted = 1 - rss / _target_moments(targets)[1] * Fraction(n - 1, n - N_PARAMETERS)
+    return [s2 * v for v in factors], adjusted
+
+
+def _target_moments(targets):
+    """The targets' mean and their sum of squares about it, as Fractions."""
+    ys = [Fraction(y) for y in targets]
+    mean = sum(ys) / len(ys)
+    return mean, sum((y - mean) ** 2 for y in ys)
+
+
+def inference_margins(trends, targets, inference, adjusted_r2):
+    """The share of its bound that ``inference_for_fit``'s result for these
+    rows uses: ``(the largest over the standard errors, adjusted R^2)``.
+    Each bound is met when its share is at most 1."""
+    exact_fit = exact_bilinear(trends, targets)
+    _, exact_rss, exact_factors = exact_fit
+    se_squared, exact_adjusted = exact_inference(targets, exact_fit)
+    exact_mean, exact_tss = _target_moments(targets)
+    _, kappa, _ = _conditioning(trends)
+    n, df = len(targets), len(targets) - N_PARAMETERS
+    u, c = UNIT_ROUNDOFF, CONTRACT_CONSTANT
+    rss, tss, mean = float(exact_rss), float(exact_tss), float(exact_mean)
+    delta_rss = c * u * (rss + kappa * math.hypot(*targets) * math.sqrt(rss))
+    delta_factors = c * u * kappa**2
+    slack = delta_rss + (rss + delta_rss) * (delta_factors + 5 * u * (1 + delta_factors))
+    se_share = max(
+        _share(float(abs(Fraction(ci.standard_error) ** 2 - want)), float(v) / df * slack)
+        for ci, want, v in zip(inference, se_squared, exact_factors)
+    )
+    delta_tss = 6 * u * tss + 5 * u * u * n * mean * mean
+    q, k = rss / tss, (n - 1) / df
+    delta_q = (delta_rss + q * delta_tss + u * (rss + delta_rss)) / (tss - delta_tss)
+    adjusted_bound = k * delta_q + u * (6 * k * (1 + q + delta_q) + abs(float(exact_adjusted)))
+    adjusted_share = _share(float(abs(Fraction(adjusted_r2) - exact_adjusted)), adjusted_bound)
+    return se_share, adjusted_share
+
+
 def _constant(error, scale):
     """``error / (u * scale)``, or 0 / inf when the bound's scale is 0."""
-    if scale == 0.0:
+    return _share(error, UNIT_ROUNDOFF * scale)
+
+
+def _share(error, bound):
+    """``error / bound``, or 0 / inf when the bound is 0."""
+    if bound == 0.0:
         return 0.0 if error == 0.0 else math.inf
-    return error / (UNIT_ROUNDOFF * scale)
+    return error / bound

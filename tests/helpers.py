@@ -27,7 +27,13 @@ from xmasjump.market_calendar import (
     banking_days,
     event_date,
 )
-from xmasjump.regression_core import MIN_DESIGN_ROWS, N_PARAMETERS, RANK_TOLERANCE
+from xmasjump.regression_core import (
+    MIN_DESIGN_ROWS,
+    N_PARAMETERS,
+    RANK_TOLERANCE,
+    design_row,
+    window_fits,
+)
 
 
 def day_offset(d, year):
@@ -179,17 +185,26 @@ def reference_post_window(year, series, cal):
     return tuple(x for x, _ in picked), tuple(r for _, r in picked), warning
 
 
-# --- Householder reference for the bilinear fit -----------------------------
-# ``regression_core.fit_bilinear`` as one Householder QR of the column-scaled
-# design, written with generator expressions and element-wise loops. The
-# Givens kernel that replaced it rounds differently by design, so the two
-# agree on outcome (the same error type and message, or success for both)
-# and, where both succeed, each meets the accuracy contract of
-# ``exact_oracle`` against exact arithmetic; their bits may differ.
+# --- the bilinear fit and its Householder reference -------------------------
+# ``walk_fit`` is the fit of one ``window_fits`` window over all the rows.
+# ``reference_fit_bilinear`` is the same fit as one Householder QR of the
+# column-scaled design, written with generator expressions and element-wise
+# loops. The Givens kernel rounds differently by design, so the two agree on
+# outcome (the same error type and message, or success for both) and, where
+# both succeed, each meets the accuracy contract of ``exact_oracle`` against
+# exact arithmetic; their bits may differ.
+
+
+def walk_fit(trends, targets, first=0):
+    """``(coefficients, rss, variance_factors)`` of the one window of a
+    ``window_fits`` walk over the rows of ``(a, b)`` trends and targets,
+    numbered from ``first``."""
+    rows = [design_row(a, b, t) for (a, b), t in zip(trends, targets)]
+    return next(window_fits(rows, len(rows), first))
 
 
 def reference_fit_bilinear(trends, targets):
-    """Householder ``fit_bilinear``: ``(coefficients, rss, variance_factors)``."""
+    """The Householder fit: ``(coefficients, rss, variance_factors)``."""
     m = len(trends)
     if m != len(targets):
         raise DomainError("trends and targets differ in length")

@@ -18,10 +18,12 @@ the constructors of the input records, given any arguments. The
 banking-day walks over day ordinals agree with a day-by-day reference, and
 a calendar's closed days of a year are the days ``is_holiday`` names.
 The CLI's JSON writer prints what ``json.dumps(value, indent=2)`` prints.
-``fit_bilinear``, and the fit of a ``window_fits`` window numbered from
-any year, fails exactly when its Householder reference fails, with the
-same error, and where both succeed both meet the accuracy contract of
-``exact_oracle``, as do the backtest's own models.
+The fit of a ``window_fits`` window numbered from any year fails exactly
+when its Householder reference fails, with the same error, and where both
+succeed both meet the accuracy contract of ``exact_oracle``, as do the
+backtest's own models; the standard errors and adjusted R^2 that
+``inference_for_fit`` gives for that fit meet the bounds that follow from
+the contract. README.md names only functions and tests that exist.
 """
 
 import ast
@@ -29,11 +31,12 @@ import importlib
 import json
 import math
 import pickle
+import pkgutil
 import random
+import re
 from datetime import date
 from enum import IntEnum
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -46,6 +49,7 @@ from exact_oracle import (
     UNIT_ROUNDOFF,
     contract_constants,
     exact_year,
+    inference_margins,
     l1_norm,
     year_constants,
     year_weights,
@@ -58,6 +62,7 @@ from helpers import (
     reference_post_window,
     reference_post_window_offsets,
     reference_pre_window,
+    walk_fit,
 )
 from xmasjump import (
     DailyRateSeries,
@@ -78,7 +83,7 @@ from xmasjump import (
 from xmasjump.cli import _json_text
 from xmasjump.errors import DuplicateDate
 from xmasjump.market_calendar import banking_days, post_window, post_window_offsets, pre_window
-from xmasjump.regression_core import design_row, fit_bilinear, window_fits
+from xmasjump.stat_inference import inference_for_fit
 
 FIRST_YEAR, LAST_YEAR = 2000, 2012
 WINDOW_LEN = 5
@@ -691,24 +696,22 @@ def assert_meets_the_contract(trends, targets, fit):
     assert c_rss <= CONTRACT_CONSTANT, f"RSS off by {c_rss:.3g} u-units"
 
 
-def walk_fit(trends, targets, first):
-    """The fit of the one window of a ``window_fits`` walk over the rows,
-    numbered from ``first``; ``fit_bilinear`` numbers them from 0."""
-    rows = [design_row(a, b, t) for (a, b), t in zip(trends, targets)]
-    return next(window_fits(rows, len(rows), first))
-
-
 @settings(max_examples=300, deadline=None)
 @given(design=bilinear_designs(), data=st.data())
-def test_fit_bilinear_agrees_with_its_reference_and_meets_the_contract(design, data):
+def test_window_fit_agrees_with_its_reference_and_meets_the_contract(design, data):
     trends, targets = design
     first = data.draw(st.just(0) | st.integers(-3000, 3000), label="first")
-    fit = partial(walk_fit, first=first) if first else fit_bilinear
-    error = fit_error(fit, trends, targets)
+    error = fit_error(walk_fit, trends, targets, first)
     assert error == fit_error(reference_fit_bilinear, trends, targets)
     if error is None:
-        assert_meets_the_contract(trends, targets, fit(trends, targets))
+        fit = walk_fit(trends, targets, first)
+        assert_meets_the_contract(trends, targets, fit)
         assert_meets_the_contract(trends, targets, reference_fit_bilinear(trends, targets))
+        se_share, adjusted_share = inference_margins(
+            trends, targets, *inference_for_fit(targets, fit)
+        )
+        assert se_share <= 1.0, f"standard errors use {se_share:.3g} of their bound"
+        assert adjusted_share <= 1.0, f"adjusted R^2 uses {adjusted_share:.3g} of its bound"
 
 
 def test_backtest_models_meet_the_contract(monkeypatch):
@@ -778,7 +781,6 @@ def test_package_root_exports_the_pipeline_surface():
 KERNEL_EXPORTS = [
     "bilinear_surface",
     "design_row",
-    "fit_bilinear",
     "fit_intercept_fixed_slope",
     "fit_simple_ols",
     "window_fits",
@@ -817,7 +819,8 @@ def test_names_the_benchmark_imports_or_patches_stay():
 
 def test_the_functions_the_tracer_wraps_stay():
     """``perfbench/tracer.py`` times the functions its ``LAYERS`` names; the
-    two it names that the package no longer has may not grow in number."""
+    three it names that the package no longer has may not grow in number.
+    The traced harness reads a missing name as 0 calls."""
     source = (Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py").read_text()
     (layers,) = [
         ast.literal_eval(node.value)
@@ -830,4 +833,55 @@ def test_the_functions_the_tracer_wraps_stay():
         for name in names
         if not callable(getattr(importlib.import_module(f"xmasjump.{module}"), name, None))
     }
-    assert missing <= {"market_calendar.is_banking_day", "regression_core.solve_linear_system"}
+    assert missing <= {
+        "market_calendar.is_banking_day",
+        "regression_core.fit_bilinear",
+        "regression_core.solve_linear_system",
+    }
+
+
+# --- the names README.md cites ---------------------------------------------
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def test_the_readme_cites_only_package_names_that_exist():
+    """Each ``module.name`` (or ``xmasjump.module.name``) that README.md
+    cites, for a module of the package, is an attribute of that module."""
+    modules = {info.name for info in pkgutil.iter_modules(xmasjump.__path__)}
+    cited = {
+        (module, name)
+        for module, name in re.findall(r"`(?:xmasjump\.)?(\w+)\.(\w+)", README)
+        if module in modules
+    }
+    assert ("regression_core", "window_fits") in cited
+    missing = [
+        f"{module}.{name}"
+        for module, name in sorted(cited)
+        if not hasattr(importlib.import_module(f"xmasjump.{module}"), name)
+    ]
+    assert missing == []
+
+
+def test_the_readme_cites_only_tests_that_exist():
+    """Each ``tests/<file>.py::Class::test`` id that README.md cites names a
+    class, and within it a test, defined in that file."""
+    tests = Path(__file__).resolve().parent
+    cited = set(re.findall(r"tests/(\w+\.py)((?:::\w+)+)", README))
+    assert cited
+    missing = []
+    for file, path in sorted(cited):
+        scope = ast.parse((tests / file).read_text(encoding="utf-8")).body
+        for name in path.split("::")[1:]:
+            scope = next(
+                (
+                    node.body
+                    for node in scope
+                    if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == name
+                ),
+                None,
+            )
+            if scope is None:
+                missing.append(f"tests/{file}{path}")
+                break
+    assert missing == []

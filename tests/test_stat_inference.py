@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from helpers import walk_fit
 from xmasjump.errors import DegenerateVariance, DomainError, TooFewRows
-from xmasjump.regression_core import fit_bilinear
 from xmasjump.stat_inference import (
     CoefficientInference,
     inference_for_fit,
@@ -184,7 +184,7 @@ class TestInferenceForFit:
 
     def test_perfect_fit_has_unit_adjusted_r2_and_zero_p(self):
         pairs, targets = self._noisy_design(noise=0.0)
-        inference, adjusted_r2 = inference_for_fit(targets, fit_bilinear(pairs, targets))
+        inference, adjusted_r2 = inference_for_fit(targets, walk_fit(pairs, targets))
         assert abs(adjusted_r2 - 1.0) < 1e-9
         for ci in inference:
             if abs(ci.estimate) > 1e-6:
@@ -203,7 +203,7 @@ class TestInferenceForFit:
     @pytest.mark.parametrize("seed", [11, 12, 13, 29, 47, 101])
     def test_standard_errors_match_numpy_closed_form(self, seed):
         pairs, targets = self._noisy_design(seed=seed)
-        inference, _ = inference_for_fit(targets, fit_bilinear(pairs, targets))
+        inference, _ = inference_for_fit(targets, walk_fit(pairs, targets))
         x = np.asarray([(1.0, a, b, a * b) for a, b in pairs])
         y = np.asarray(targets)
         beta = np.linalg.solve(x.T @ x, x.T @ y)
@@ -218,7 +218,7 @@ class TestInferenceForFit:
 
     def test_adjusted_r2_formula_and_bound(self):
         pairs, targets = self._noisy_design(seed=29)
-        fit = fit_bilinear(pairs, targets)
+        fit = walk_fit(pairs, targets)
         _, adjusted_r2 = inference_for_fit(targets, fit)
         y = np.asarray(targets)
         tss = float(((y - y.mean()) ** 2).sum())
