@@ -33,6 +33,7 @@ from .market_calendar import (
     HolidayCalendar,
     calendar_from_lines,
 )
+from .record import Record
 
 DATA_ENV_VAR = "XMASJUMP_DATA"
 
@@ -174,15 +175,14 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     output = None  # the command's text, once it has run
     try:
-        cal = _load_calendar(args)
-        if args.command == "generate":
-            output = _cmd_generate(args, cal)
-        elif args.command == "fit-year":
-            output = _cmd_fit_year(args, _load_series(args.command_parser, args), cal)
-        elif args.command == "backtest":
-            output = _cmd_backtest(args, _load_series(args.command_parser, args), cal)
-        else:
-            output = _cmd_predict(args, _load_series(args.command_parser, args), cal)
+        cal = _load_calendar(args)  # a bad calendar is reported before a missing data file
+        command = {
+            "generate": _cmd_generate,
+            "fit-year": _cmd_fit_year,
+            "backtest": _cmd_backtest,
+            "predict": _cmd_predict,
+        }[args.command]
+        output = command(args, cal)
         print(output)
         sys.stdout.flush()  # so that a closed pipe or a full disk is reported here
         return EXIT_OK
@@ -198,10 +198,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DATA_ERROR
 
 
-def _load_series(parser, args):
+def _load_series(args):
     path = args.data or os.environ.get(DATA_ENV_VAR)
     if not path:
-        parser.error(f"no data file: pass --data or set ${DATA_ENV_VAR}")
+        args.command_parser.error(f"no data file: pass --data or set ${DATA_ENV_VAR}")
     return parse_rate_series(_read_text(path))
 
 
@@ -218,7 +218,11 @@ def _read_text(path: str) -> str:
 
 
 def _json_text(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2)`` for the types records put in their dicts."""
+    """``json.dumps(value, indent=2)`` for the types records put in their dicts.
+
+    A record is written as ``_json_text(record.to_dict())`` would write it,
+    without building that dict.
+    """
     kind = type(value)  # exact types, so repr() is float.__repr__ or int.__repr__
     if kind is float:
         if value - value == 0.0:  # finite
@@ -236,6 +240,10 @@ def _json_text(value, indent: str = "\n") -> str:
         return repr(value)
     elif kind is bool or value is None:  # by identity, as 1 == True
         return "true" if value is True else "false" if value is False else "null"
+    elif isinstance(value, Record):
+        items = [key + _json_text(getattr(value, name), inner)
+                 for key, name in zip(value._json_keys, value._fields)]
+        brackets = "{}"
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     if not items:
@@ -259,10 +267,10 @@ def _kv_text(pairs: list[tuple[str, str]]) -> str:
     return "\n".join(f"{label:<{width}}  {value}" for label, value in pairs)
 
 
-def _cmd_fit_year(args, series, cal) -> str:
-    obs = yearly_observation(args.year, series, cal, pre_days=args.pre_days)
+def _cmd_fit_year(args, cal) -> str:
+    obs = yearly_observation(args.year, _load_series(args), cal, pre_days=args.pre_days)
     if args.format == "json-like":
-        return _json_text(obs.to_dict())
+        return _json_text(obs)
     return _kv_text(
         [
             ("year", str(obs.year)),
@@ -276,9 +284,10 @@ def _cmd_fit_year(args, series, cal) -> str:
     )
 
 
-def _cmd_backtest(args, series, cal) -> str:
+def _cmd_backtest(args, cal) -> str:
+    # the series is a temporary: it is freed before the report is rendered
     report = backtest(
-        series,
+        _load_series(args),
         cal,
         args.first_target,
         args.last_target,
@@ -286,7 +295,7 @@ def _cmd_backtest(args, series, cal) -> str:
         pre_days=args.pre_days,
     )
     if args.format == "json-like":
-        return _json_text(report.to_dict())
+        return _json_text(report)
     return _backtest_table(report)
 
 
@@ -337,13 +346,14 @@ def _backtest_table(report) -> str:
     return "\n".join(lines)
 
 
-def _cmd_predict(args, series, cal) -> str:
+def _cmd_predict(args, cal) -> str:
+    series = _load_series(args)
     default_years = (args.target_year - args.window_len, args.target_year - 1)
     first, last = args.model_years or default_years
     model = fit_window_model(first, last, series, cal, pre_days=args.pre_days)
     forecast = predict_next(series, cal, args.target_year, model, pre_days=args.pre_days)
     if args.format == "json-like":
-        return _json_text({"model": model.to_dict(), "forecast": forecast.to_dict()})
+        return _json_text({"model": model, "forecast": forecast})
     return _kv_text(
         [
             ("target year", str(forecast.target_year)),

@@ -16,6 +16,8 @@ class Record:
 
     def __init_subclass__(cls):
         cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        # field names are ASCII identifiers, so the JSON keys need no escaping
+        cls._json_keys = tuple(f'"{name}": ' for name in cls._fields)
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,8 @@ PLANTED = (0.005, -9.0, -0.002, 2.0)
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 DEMO_RATES = FIXTURES / "demo_rates.csv"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+# The commands that read a rate series, with their positional arguments.
+DATA_COMMANDS = [["fit-year", "2018"], ["backtest", "2015", "2018"], ["predict", "2019"]]
 
 
 def write_spec(path, first_year, last_year, jump=None, noise=0.0, seed=3):
@@ -383,8 +386,22 @@ def test_json_round_trips_to_the_in_memory_report(argv, fixture_csv, cal, capsys
     assert parsed == _in_memory_tree(argv[0], series, cal)
 
 
+DEMO_COMMANDS = pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["fit-year", "2019"], "demo_fit_year_2019"),
+        (["backtest", "2015", "2019"], "demo_backtest_2015_2019"),
+        (
+            ["predict", "2019", "--model-years", "2004-2018"],
+            "demo_predict_2019_model_years_2004_2018",
+        ),
+    ],
+    ids=["fit-year", "backtest", "predict"],
+)
+
+
 class TestDemoFixture:
-    """The bundled fixture and its table outputs, byte for byte."""
+    """The bundled fixture and its outputs, in both formats, byte for byte."""
 
     def test_generate_writes_the_demo_fixture(self, tmp_path):
         out = tmp_path / "rates.csv"
@@ -392,21 +409,15 @@ class TestDemoFixture:
         assert main(argv) == EXIT_OK
         assert out.read_bytes() == DEMO_RATES.read_bytes()
 
-    @pytest.mark.parametrize(
-        "argv, golden",
-        [
-            (["fit-year", "2019"], "demo_fit_year_2019.txt"),
-            (["backtest", "2015", "2019"], "demo_backtest_2015_2019.txt"),
-            (
-                ["predict", "2019", "--model-years", "2004-2018"],
-                "demo_predict_2019_model_years_2004_2018.txt",
-            ),
-        ],
-        ids=["fit-year", "backtest", "predict"],
-    )
+    @DEMO_COMMANDS
     def test_table_output_is_unchanged(self, argv, golden, capsys):
         assert main(argv + ["--data", str(DEMO_RATES)]) == EXIT_OK
-        assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+        assert capsys.readouterr().out == (GOLDEN / f"{golden}.txt").read_text()
+
+    @DEMO_COMMANDS
+    def test_json_like_output_is_unchanged(self, argv, golden, capsys):
+        assert main(argv + ["--data", str(DEMO_RATES), "--format", "json-like"]) == EXIT_OK
+        assert capsys.readouterr().out == (GOLDEN / f"{golden}.json").read_text()
 
     def test_the_cli_module_runs_as_the_package_does(self):
         argv = ["fit-year", "2019", "--data", str(DEMO_RATES)]
@@ -473,10 +484,14 @@ class TestUsageErrors:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == EXIT_USAGE
 
-    def test_no_data_source(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("argv", DATA_COMMANDS, ids=lambda argv: argv[0])
+    def test_no_data_source(self, argv, monkeypatch, capsys):
         monkeypatch.delenv("XMASJUMP_DATA", raising=False)
-        assert main(["fit-year", "2018"]) == EXIT_USAGE
-        assert "usage: xmasjump fit-year" in capsys.readouterr().err
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: xmasjump {argv[0]} ")
+        assert "no data file: pass --data or set $XMASJUMP_DATA" in captured.err
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == EXIT_OK
@@ -514,12 +529,17 @@ class TestEnvironmentAndCalendar:
         doc = json.loads(capsys.readouterr().out)
         assert doc["post_warning"] is not None and "2" in doc["post_warning"]
 
-    def test_bad_calendar_file(self, fixture_csv, tmp_path, capsys):
+    @pytest.mark.parametrize("argv", DATA_COMMANDS, ids=lambda argv: argv[0])
+    def test_bad_calendar_file(self, argv, tmp_path, capsys):
+        # the calendar is read first, so its error wins over the data file's
         override = tmp_path / "cal.txt"
         override.write_text("garbage\n")
-        rc = main(["fit-year", "2018", "--data", str(fixture_csv), "--calendar", str(override)])
-        assert rc == EXIT_DATA_ERROR
-        assert "error:" in capsys.readouterr().err
+        broken = tmp_path / "rates.csv"
+        broken.write_text("not a csv\n")
+        assert main(argv + ["--data", str(broken), "--calendar", str(override)]) == EXIT_DATA_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 1: bad calendar entry 'garbage'\n"
 
 
 class TestUtf8Files:
@@ -549,6 +569,27 @@ class TestUtf8Files:
             )
             assert done.returncode == EXIT_OK, (argv, done.stderr)
         assert out.read_bytes().startswith("# tenor: \u20acSTR-\u00e9t\u00e9\n".encode("utf-8"))
+
+
+def test_backtest_peaks_at_its_parse(tmp_path, capsys):
+    # A backtest report is small next to its series: rendering it must not
+    # raise the peak much above predict's, which the parse sets.
+    spec = write_spec(tmp_path / "spec.json", 1900, 2100, noise=0.01)
+    data = tmp_path / "rates.csv"
+    assert main(["generate", "--spec", str(spec), "--out", str(data)]) == EXIT_OK
+    options = ["--data", str(data), "--format", "json-like"]
+    peaks = []
+    for argv in (["backtest", "1915", "2100", *options], ["predict", "2072", *options]):
+        assert main(argv) == EXIT_OK  # a first run, so that lazy imports and caches are filled
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_OK
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+    backtest_peak, predict_peak = peaks
+    assert backtest_peak <= 1.15 * predict_peak, peaks
 
 
 class TestClosedOutput:

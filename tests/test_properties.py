@@ -17,7 +17,8 @@ value or raise an ``XmasJumpError`` subclass, never anything else; so do
 the constructors of the input records, given any arguments. The
 banking-day walks over day ordinals agree with a day-by-day reference, and
 a calendar's closed days of a year are the days ``is_holiday`` names.
-The CLI's JSON writer prints what ``json.dumps(value, indent=2)`` prints.
+The CLI's JSON writer prints what ``json.dumps(value, indent=2)`` prints,
+and writes each record as it writes the record's ``to_dict()``.
 The fit of a ``window_fits`` window numbered from any year fails exactly
 when its Householder reference fails, with the same error, and where both
 succeed both meet the accuracy contract of ``exact_oracle``, as do the
@@ -40,7 +41,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import xmasjump
@@ -65,10 +66,15 @@ from helpers import (
     walk_fit,
 )
 from xmasjump import (
+    BacktestReport,
+    BacktestRow,
     DailyRateSeries,
     HolidayCalendar,
+    JumpForecast,
+    JumpModel,
     SyntheticSpec,
     XmasJumpError,
+    YearObservation,
     backtest,
     calendar_from_lines,
     generate_synthetic_series,
@@ -83,7 +89,8 @@ from xmasjump import (
 from xmasjump.cli import _json_text
 from xmasjump.errors import DuplicateDate
 from xmasjump.market_calendar import banking_days, post_window, post_window_offsets, pre_window
-from xmasjump.stat_inference import inference_for_fit
+from xmasjump.record import Record
+from xmasjump.stat_inference import CoefficientInference, inference_for_fit
 
 FIRST_YEAR, LAST_YEAR = 2000, 2012
 WINDOW_LEN = 5
@@ -643,6 +650,129 @@ class Colour(IntEnum):
 def test_json_writer_rejects_other_types(value):
     with pytest.raises(TypeError):
         _json_text(value)
+
+
+# Every record type, with the edge values the pipeline can produce: an
+# infinite t statistic over a zero standard error, a NaN adjusted R^2, no
+# inference, and warnings that are None or text.
+plain_floats = st.floats(min_value=-1e6, max_value=1e6)
+record_warnings = st.none() | json_strings
+record_years = st.integers(min_value=1, max_value=9999)
+
+
+@st.composite
+def coefficient_inferences(draw):
+    estimate = draw(json_floats)
+    if draw(st.booleans()):  # a perfect fit
+        se, t_statistic = 0.0, draw(st.sampled_from([math.inf, -math.inf, 0.0]))
+    else:
+        se = draw(st.floats(min_value=5e-324, allow_infinity=False))
+        t_statistic = estimate / se
+    return CoefficientInference(estimate, se, t_statistic, draw(st.floats(0.0, 1.0)))
+
+
+@st.composite
+def jump_models(draw):
+    first = draw(st.integers(min_value=1, max_value=9000))
+    return JumpModel(
+        window_years=(first, first + draw(st.integers(min_value=4, max_value=40))),
+        coefficients=draw(st.tuples(*[plain_floats] * 4)),
+        inference=tuple(draw(st.lists(coefficient_inferences(), max_size=4))),
+        adjusted_r2=draw(json_floats),
+    )
+
+
+@st.composite
+def backtest_rows(draw):
+    predicted, realized, realized_mean = draw(st.tuples(*[plain_floats] * 3))
+    error = predicted - realized
+    return BacktestRow(
+        draw(record_years), predicted, realized, realized_mean + error, realized_mean, error
+    )
+
+
+RECORD_VALUES = {
+    DailyRateSeries: st.builds(
+        DailyRateSeries,
+        entries=st.lists(st.tuples(st.dates(), plain_floats), max_size=3, unique_by=lambda e: e[0])
+        .map(sorted)
+        .map(tuple),
+        tenor_label=st.sampled_from(["", "SYN", "\u20acSTR"]),
+    ),
+    SyntheticSpec: st.builds(
+        SyntheticSpec,
+        year_trends=st.dictionaries(
+            st.integers(min_value=1900, max_value=2100),
+            st.tuples(plain_floats, plain_floats),
+            max_size=2,
+        ),
+        jump=st.tuples(*[plain_floats] * 4),
+    ),
+    HolidayCalendar: st.builds(
+        HolidayCalendar, st.frozensets(st.sampled_from([(12, 26), (1, 1)]) | st.dates())
+    ),
+    CoefficientInference: coefficient_inferences(),
+    YearObservation: st.builds(
+        YearObservation,
+        record_years,
+        json_floats,
+        json_floats,
+        json_floats,
+        json_floats,
+        st.lists(st.integers(min_value=1, max_value=10), max_size=4).map(tuple),
+        json_floats,
+        record_warnings,
+        record_warnings,
+    ),
+    JumpModel: jump_models(),
+    BacktestRow: backtest_rows(),
+    BacktestReport: st.builds(
+        BacktestReport,
+        st.integers(min_value=5, max_value=40),
+        st.lists(backtest_rows(), max_size=3).map(tuple),
+        st.lists(jump_models(), max_size=3).map(tuple),
+    ),
+    JumpForecast: st.builds(JumpForecast, record_years, *[json_floats] * 4),
+}
+# The records the CLI writes: nothing in them is outside JSON's types.
+CLI_RECORDS = {
+    CoefficientInference, YearObservation, JumpModel, BacktestRow, BacktestReport, JumpForecast
+}
+
+
+def test_every_record_type_has_values():
+    assert set(RECORD_VALUES) == set(Record.__subclasses__())
+    assert CLI_RECORDS < set(RECORD_VALUES)
+
+
+def json_text_or_type_error(value):
+    try:
+        return _json_text(value)
+    except TypeError:
+        return TypeError
+
+
+@settings(max_examples=400, deadline=None)
+@given(record=st.one_of(*RECORD_VALUES.values()))
+@example(record=JumpModel(
+    (2004, 2018),
+    (1.0, -1.0, 0.0, 0.5),
+    (
+        CoefficientInference(1.0, 0.0, math.inf, 0.0),
+        CoefficientInference(-1.0, 0.0, -math.inf, 0.0),
+    ),
+    math.nan,
+))
+@example(record=JumpModel((2004, 2018), (0.0, 0.0, 0.0, 0.0), (), math.nan))
+@example(record=YearObservation(2019, 0.5, 2.5, 2.25, -0.25, (2, 5, 6), 2.3))
+@example(record=YearObservation(
+    2019, 0.5, 2.5, 2.25, -0.25, (2,), 2.3, "pre \u00e9t\u00e9 \"short\"", "post\nshort"
+))
+def test_json_writer_writes_a_record_as_its_dict(record):
+    text = json_text_or_type_error(record)
+    assert text == json_text_or_type_error(record.to_dict())
+    if type(record) in CLI_RECORDS:
+        assert text == json.dumps(record.to_dict(), indent=2)
 
 
 # --- the bilinear fit against its reference and the exact oracle ------------
