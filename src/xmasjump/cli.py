@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from json.encoder import encode_basestring_ascii
 
 from .data_io import (
@@ -173,7 +174,7 @@ def main(argv: list[str] | None = None) -> int:
             )
     except SystemExit as exc:  # argparse already printed its message
         return int(exc.code or 0)
-    output = None  # the command's text, once it has run
+    output = None  # the pieces of the command's text, once it has run
     try:
         cal = _load_calendar(args)  # a bad calendar is reported before a missing data file
         command = {
@@ -183,7 +184,9 @@ def main(argv: list[str] | None = None) -> int:
             "predict": _cmd_predict,
         }[args.command]
         output = command(args, cal)
-        print(output)
+        for piece in output:  # a json-like report is rendered as it is written
+            sys.stdout.write(piece)
+        sys.stdout.write("\n")
         sys.stdout.flush()  # so that a closed pipe or a full disk is reported here
         return EXIT_OK
     except SystemExit as exc:  # parser.error() from _load_series
@@ -251,6 +254,29 @@ def _json_text(value, indent: str = "\n") -> str:
     return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
 
 
+def _json_pieces(value) -> Iterator[str]:
+    """``_json_text(value)`` of a record or a dict, in pieces: one per field,
+    and one per element of a field that is a non-empty tuple, such as a
+    report's rows and models. Each piece is rendered when it is asked for.
+    """
+    if type(value) is dict:
+        fields = [(f"{encode_basestring_ascii(k)}: ", v) for k, v in value.items()]
+    else:
+        fields = [(key, getattr(value, name)) for key, name in zip(value._json_keys, value._fields)]
+    separator = "{\n  "
+    for key, field in fields:
+        if type(field) is tuple and field:
+            opening = separator + key + "["
+            for item in field:
+                yield opening + "\n    " + _json_text(item, "\n    ")
+                opening = ","
+            yield "\n  ]"
+        else:
+            yield separator + key + _json_text(field, "\n  ")
+        separator = ",\n  "
+    yield "\n}"
+
+
 def _format_rate(value: float) -> str:
     text = f"{value:.4f}"
     return "0.0000" if text == "-0.0000" else text
@@ -267,11 +293,11 @@ def _kv_text(pairs: list[tuple[str, str]]) -> str:
     return "\n".join(f"{label:<{width}}  {value}" for label, value in pairs)
 
 
-def _cmd_fit_year(args, cal) -> str:
+def _cmd_fit_year(args, cal) -> Iterable[str]:
     obs = yearly_observation(args.year, _load_series(args), cal, pre_days=args.pre_days)
     if args.format == "json-like":
-        return _json_text(obs)
-    return _kv_text(
+        return _json_pieces(obs)
+    return [_kv_text(
         [
             ("year", str(obs.year)),
             ("trend slope", _format_coefficient(obs.slope_a)),
@@ -281,11 +307,11 @@ def _cmd_fit_year(args, cal) -> str:
             ("pre window", obs.pre_warning or "ok"),
             ("post window", obs.post_warning or "ok"),
         ]
-    )
+    )]
 
 
-def _cmd_backtest(args, cal) -> str:
-    # the series is a temporary: it is freed before the report is rendered
+def _cmd_backtest(args, cal) -> Iterable[str]:
+    # the series is a temporary: backtest frees it before it fits the models
     report = backtest(
         _load_series(args),
         cal,
@@ -295,8 +321,8 @@ def _cmd_backtest(args, cal) -> str:
         pre_days=args.pre_days,
     )
     if args.format == "json-like":
-        return _json_text(report)
-    return _backtest_table(report)
+        return _json_pieces(report)
+    return [_backtest_table(report)]
 
 
 def _backtest_table(report) -> str:
@@ -346,15 +372,15 @@ def _backtest_table(report) -> str:
     return "\n".join(lines)
 
 
-def _cmd_predict(args, cal) -> str:
+def _cmd_predict(args, cal) -> Iterable[str]:
     series = _load_series(args)
     default_years = (args.target_year - args.window_len, args.target_year - 1)
     first, last = args.model_years or default_years
     model = fit_window_model(first, last, series, cal, pre_days=args.pre_days)
     forecast = predict_next(series, cal, args.target_year, model, pre_days=args.pre_days)
     if args.format == "json-like":
-        return _json_text({"model": model, "forecast": forecast})
-    return _kv_text(
+        return _json_pieces({"model": model, "forecast": forecast})
+    return [_kv_text(
         [
             ("target year", str(forecast.target_year)),
             ("model years", f"{first}-{last}"),
@@ -363,10 +389,10 @@ def _cmd_predict(args, cal) -> str:
             ("predicted jump", _format_rate(forecast.predicted_jump)),
             ("mean estimate", _format_rate(forecast.corrected_mean_estimate)),
         ]
-    )
+    )]
 
 
-def _cmd_generate(args, cal) -> str:
+def _cmd_generate(args, cal) -> Iterable[str]:
     spec, years = synthetic_spec_from_json(_read_text(args.spec))
     series = generate_synthetic_series(spec, years, cal)
     summary = _kv_text(
@@ -381,7 +407,7 @@ def _cmd_generate(args, cal) -> str:
     text = serialize_rate_series(series)  # before opening: no file buffer held meanwhile
     with open(args.out, "w", encoding="utf-8", newline="\n") as file:
         file.write(text)
-    return summary
+    return [summary]
 
 
 def _check_printable(text: str) -> None:

@@ -42,6 +42,9 @@ _TENOR_COMMENT = re.compile(r"^#\s*tenor:\s*(.+?)\s*$")
 # ``nan``, ``inf``, ``_`` and non-ASCII digits never become a rate.
 _ROW = re.compile(rf"\s*({ISO_DATE})\s*,\s*([0-9.eE+-]+)\s*(?:#.*)?")
 _FIRST = operator.itemgetter(0)
+# About how many characters ``parse_rate_series`` splits into lines at once;
+# the lines of one piece, as strings, take a few times the piece's size.
+_PIECE_CHARS = 1 << 14
 
 GENERATION_START = (11, 25)  # rates are emitted from Nov 25 through Dec 31
 
@@ -97,33 +100,30 @@ class DailyRateSeries(Record):
             entries = tuple(entries)
         except TypeError:
             raise DomainError(f"entries must be (date, rate) pairs, got {entries!r}") from None
-        try:
-            dates = [d for d, _ in entries]
+        try:  # every entry is unpacked before any other check
+            kinds = {type(d) for d, _ in entries}
         except (TypeError, ValueError):
             bad = next(e for e in entries if type(e) not in (tuple, list) or len(e) != 2)
             raise DomainError(f"entries must be (date, rate) pairs, got {bad!r}") from None
-        rates = [r for _, r in entries]
-        if not all(map(is_plain_date_type, set(map(type, dates)))):
-            bad = next(d for d in dates if not is_plain_date_type(type(d)))
+        if not all(map(is_plain_date_type, kinds)):
+            bad = next(d for d, _ in entries if not is_plain_date_type(type(d)))
             raise DomainError(f"fixing dates must be datetime.date, got {bad!r}")
         # Exact (date, float) tuples, as the parser and the generator build
         # them, are kept; other pairs and rate types are rebuilt that way.
-        if set(map(type, entries)) != {tuple} or set(map(type, rates)) != {float}:
-            rates = list(map(_finite, rates))
-            if None in rates:
-                day, rate = entries[rates.index(None)]
-                raise DomainError(
-                    f"rate on {day.isoformat()} must be a finite real number, got {rate!r}"
-                )
-            entries = tuple(zip(dates, rates))
-        if not all(map(math.isfinite, rates)):
-            bad = next(d for d, r in zip(dates, rates) if not math.isfinite(r))
-            raise DomainError(f"rate on {bad.isoformat()} is not finite")
-        if not all(map(operator.lt, dates, dates[1:])):
+        if set(map(type, entries)) != {tuple} or {type(r) for _, r in entries} != {float}:
+            entries = tuple(_finite_entry(day, rate) for day, rate in entries)
+        else:
+            bad = next((d for d, r in entries if not math.isfinite(r)), None)
+            if bad is not None:
+                raise DomainError(f"rate on {bad.isoformat()} is not finite")
+        by_date = dict(entries)
+        later = iter(by_date)  # the dates from the second on
+        next(later, None)
+        if len(by_date) != len(entries) or not all(map(operator.lt, by_date, later)):
             raise DomainError("fixing dates must be strictly increasing")
         set_field(self, "entries", entries)
         set_field(self, "tenor_label", tenor_label)
-        set_field(self, "_by_date", dict(entries))
+        set_field(self, "_by_date", by_date)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -144,46 +144,74 @@ class DailyRateSeries(Record):
         return self._by_date.get(d)
 
 
+def _finite_entry(day: date, rate) -> tuple[date, float]:
+    """``(day, rate)`` with the rate as a float, if it is a finite real number."""
+    number = _finite(rate)
+    if number is None:
+        raise DomainError(f"rate on {day.isoformat()} must be a finite real number, got {rate!r}")
+    return day, number
+
+
+def _pieces(text: str) -> Iterator[str]:
+    """``text`` cut into pieces of about ``_PIECE_CHARS`` characters, each
+    ending just after a ``"\\n"`` or at the end of the text.
+
+    Every ``"\\n"`` ends a line, alone or as the second half of ``"\\r\\n"``,
+    so no line or line break straddles two pieces: the pieces' lines, taken
+    in order, are ``text.splitlines()``.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _PIECE_CHARS - 1) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
 def parse_rate_series(text: str) -> DailyRateSeries:
     """Parse delimited rate-series text into a DailyRateSeries.
 
-    Each line is matched once against ``_ROW``: a data row is converted
-    where it stands; any other line is a comment, a blank line, the header
-    or an error. Tolerates blank lines and ``#`` comments, rejects malformed
-    rows with their line number, sorts by date, then rejects duplicates.
-    The tenor label is the last ``# tenor:`` comment's, else empty; relabel
-    with ``DailyRateSeries(series.entries, label)``.
+    The text is split into lines one piece of about ``_PIECE_CHARS``
+    characters at a time, so the parse never holds more than a piece's lines
+    next to the text and the rows. Each line is matched once against
+    ``_ROW``: a data row is converted where it stands; any other line is a
+    comment, a blank line, the header or an error. Tolerates blank lines and
+    ``#`` comments, rejects malformed rows with their line number, sorts by
+    date, then rejects duplicates. The tenor label is the last ``# tenor:``
+    comment's, else empty; relabel with
+    ``DailyRateSeries(series.entries, label)``.
     """
     rows: list[tuple[date, float]] = []
     seen_header = False
     tenor_label = ""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        row = _ROW.fullmatch(raw)
-        if row is not None and seen_header:
-            date_text, rate_text = row.groups()
-            try:
-                day = date.fromisoformat(date_text)
-                rate = float(rate_text)
-            except ValueError:
-                raise ParseError(lineno, _row_problem(f"{date_text},{rate_text}")) from None
-            if not math.isfinite(rate):
-                raise ParseError(lineno, f"rate {rate_text!r} overflows")
-            rows.append((day, rate))
-            continue
-        stripped = raw.strip()
-        if stripped.startswith("#"):
-            match = _TENOR_COMMENT.match(stripped)
-            if match:
-                tenor_label = match.group(1)
-            continue
-        line = stripped.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if seen_header:
-            raise ParseError(lineno, _row_problem(line))
-        if line.replace(" ", "").lower() != CSV_HEADER:
-            raise ParseError(lineno, f"expected header {CSV_HEADER!r}, got {line!r}")
-        seen_header = True
+    lineno = 0
+    for piece in _pieces(text):
+        for lineno, raw in enumerate(piece.splitlines(), start=lineno + 1):
+            row = _ROW.fullmatch(raw)
+            if row is not None and seen_header:
+                date_text, rate_text = row.groups()
+                try:
+                    day = date.fromisoformat(date_text)
+                    rate = float(rate_text)
+                except ValueError:
+                    raise ParseError(lineno, _row_problem(f"{date_text},{rate_text}")) from None
+                if not math.isfinite(rate):
+                    raise ParseError(lineno, f"rate {rate_text!r} overflows")
+                rows.append((day, rate))
+                continue
+            stripped = raw.strip()
+            if stripped.startswith("#"):
+                match = _TENOR_COMMENT.match(stripped)
+                if match:
+                    tenor_label = match.group(1)
+                continue
+            line = stripped.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if seen_header:
+                raise ParseError(lineno, _row_problem(line))
+            if line.replace(" ", "").lower() != CSV_HEADER:
+                raise ParseError(lineno, f"expected header {CSV_HEADER!r}, got {line!r}")
+            seen_header = True
     if not seen_header:
         raise ParseError(None, f"missing {CSV_HEADER!r} header")
     rows.sort(key=_FIRST)  # a single pass when the rows are already in order

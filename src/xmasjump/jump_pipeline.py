@@ -215,10 +215,17 @@ def backtest(
 
     Each target year T is predicted by a model fitted on the window_len
     years immediately before it, [T - window_len, T - 1]; the window never
-    touches T itself. Each year is extracted once, in ascending order, into
-    a table whose last window_len entries are the next target's window.
+    touches T itself. Every year from the first window's through
+    ``last_target`` is extracted once, in ascending order, before any model
+    is fitted; the function then drops its reference to ``series``, so a
+    series passed as a temporary is freed while the models are built.
 
-    The models' fits come from one ``window_fits`` walk over the table's
+    An error met while extracting a year is raised where a walk that
+    extracts each target after fitting its model would meet it: at once for
+    a year of the first window, and for a target year right after that
+    target's model is fitted, so a fit that fails first is reported first.
+
+    The models' fits come from one ``window_fits`` walk over the years'
     design rows, which shares factors between windows; a window's fit
     depends only on its rows and years, so each model is the one
     ``fit_window_model`` gives for the same years.
@@ -226,17 +233,26 @@ def backtest(
     if last_target < first_target:
         raise DomainError("last_target precedes first_target")
     check_window_span(first_target - window_len, first_target - 1)
-    years = range(first_target - window_len, first_target)
-    table = [yearly_observation(year, series, cal, pre_days) for year in years]
+    table = []
+    failure = None
+    for year in range(first_target - window_len, last_target + 1):
+        try:
+            table.append(yearly_observation(year, series, cal, pre_days))
+        except Exception as exc:
+            if year < first_target:
+                raise
+            failure = exc
+            break
+    del series
     design = [design_row(obs.slope_a, obs.intercept_b, obs.jump_delta) for obs in table]
-    fits = window_fits(design, window_len, years[0])
+    fits = window_fits(design, window_len, first_target - window_len)
     rows = []
     models = []
-    for target in range(first_target, last_target + 1):
-        model = _model(table[-window_len:], next(fits))
-        obs = yearly_observation(target, series, cal, pre_days)
-        table.append(obs)
-        design.append(design_row(obs.slope_a, obs.intercept_b, obs.jump_delta))
+    for start, target in enumerate(range(first_target, last_target + 1)):
+        model = _model(table[start:start + window_len], next(fits))
+        if start + window_len == len(table):  # the target's own extraction failed
+            raise failure
+        obs = table[start + window_len]
         predicted, estimate = _forecast(model, obs.slope_a, obs.intercept_b, obs.post_offsets)
         realized = obs.jump_delta
         error = predicted - realized

@@ -1,8 +1,9 @@
 """Shared fixture builders for the test suite."""
 
 import math
+import operator
 import random
-from datetime import timedelta
+from datetime import date, timedelta
 
 from xmasjump import (
     DailyRateSeries,
@@ -10,11 +11,22 @@ from xmasjump import (
     SyntheticSpec,
     generate_synthetic_series,
 )
+from xmasjump.data_io import (
+    _FIRST,
+    _ROW,
+    _TENOR_COMMENT,
+    CSV_HEADER,
+    _check_tenor_label,
+    _finite,
+    _row_problem,
+)
 from xmasjump.errors import (
     DomainError,
+    DuplicateDate,
     IncompleteWindow,
     InsufficientData,
     MissingFixing,
+    ParseError,
     RankDeficient,
     TooFewRows,
 )
@@ -26,6 +38,7 @@ from xmasjump.market_calendar import (
     PRE_WINDOW_MIN,
     banking_days,
     event_date,
+    is_plain_date_type,
 )
 from xmasjump.regression_core import (
     MIN_DESIGN_ROWS,
@@ -256,3 +269,85 @@ def _reference_back_substitute(r, rhs):
         tail = math.fsum(r[i][j] * x[j] for j in range(i + 1, n))
         x[i] = (rhs[i] - tail) / r[i][i]
     return x
+
+
+# --- the whole-text parser and the list-based series checks -----------------
+# ``parse_rate_series`` as it was when it split the whole text at once, and
+# the checks ``DailyRateSeries`` made over lists of its dates and rates: the
+# oracles of the piecewise parser and of the one-dict constructor, which must
+# give the same series, or the same error with the same message.
+
+
+def reference_parse_rate_series(text):
+    """``parse_rate_series`` over ``text.splitlines()`` in one list."""
+    rows = []
+    seen_header = False
+    tenor_label = ""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        row = _ROW.fullmatch(raw)
+        if row is not None and seen_header:
+            date_text, rate_text = row.groups()
+            try:
+                day = date.fromisoformat(date_text)
+                rate = float(rate_text)
+            except ValueError:
+                raise ParseError(lineno, _row_problem(f"{date_text},{rate_text}")) from None
+            if not math.isfinite(rate):
+                raise ParseError(lineno, f"rate {rate_text!r} overflows")
+            rows.append((day, rate))
+            continue
+        stripped = raw.strip()
+        if stripped.startswith("#"):
+            match = _TENOR_COMMENT.match(stripped)
+            if match:
+                tenor_label = match.group(1)
+            continue
+        line = stripped.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if seen_header:
+            raise ParseError(lineno, _row_problem(line))
+        if line.replace(" ", "").lower() != CSV_HEADER:
+            raise ParseError(lineno, f"expected header {CSV_HEADER!r}, got {line!r}")
+        seen_header = True
+    if not seen_header:
+        raise ParseError(None, f"missing {CSV_HEADER!r} header")
+    rows.sort(key=_FIRST)
+    if not all(map(operator.lt, map(_FIRST, rows), map(_FIRST, rows[1:]))):
+        neighbours = zip(rows, rows[1:])
+        raise DuplicateDate(next(d for (d, _), (e, _) in neighbours if d == e))
+    return DailyRateSeries(tuple(rows), tenor_label)
+
+
+def reference_series_error(entries, label=""):
+    """The message of the DomainError ``DailyRateSeries(entries, label)``
+    raises, from its checks over lists of the dates and the rates; None
+    when it accepts them."""
+    try:
+        _check_tenor_label(label)
+    except DomainError as exc:
+        return str(exc)
+    try:
+        entries = tuple(entries)
+    except TypeError:
+        return f"entries must be (date, rate) pairs, got {entries!r}"
+    try:
+        dates = [d for d, _ in entries]
+    except (TypeError, ValueError):
+        bad = next(e for e in entries if type(e) not in (tuple, list) or len(e) != 2)
+        return f"entries must be (date, rate) pairs, got {bad!r}"
+    rates = [r for _, r in entries]
+    if not all(map(is_plain_date_type, set(map(type, dates)))):
+        bad = next(d for d in dates if not is_plain_date_type(type(d)))
+        return f"fixing dates must be datetime.date, got {bad!r}"
+    if set(map(type, entries)) != {tuple} or set(map(type, rates)) != {float}:
+        rates = list(map(_finite, rates))
+        if None in rates:
+            day, rate = entries[rates.index(None)]
+            return f"rate on {day.isoformat()} must be a finite real number, got {rate!r}"
+    if not all(map(math.isfinite, rates)):
+        bad = next(d for d, r in zip(dates, rates) if not math.isfinite(r))
+        return f"rate on {bad.isoformat()} is not finite"
+    if not all(map(operator.lt, dates, dates[1:])):
+        return "fixing dates must be strictly increasing"
+    return None

@@ -592,6 +592,25 @@ def test_backtest_peaks_at_its_parse(tmp_path, capsys):
     assert backtest_peak <= 1.15 * predict_peak, peaks
 
 
+def test_parse_peaks_near_its_series(tmp_path, capsys):
+    # The parse holds one piece's lines at a time, not the whole text's,
+    # next to the text its caller holds and the rows it builds.
+    spec = write_spec(tmp_path / "spec.json", 1900, 2100, noise=0.01)
+    data = tmp_path / "rates.csv"
+    assert main(["generate", "--spec", str(spec), "--out", str(data)]) == EXIT_OK
+    capsys.readouterr()
+    text = data.read_text(encoding="utf-8")
+    parse_rate_series(text)  # a first run, so that lazy imports and caches are filled
+    tracemalloc.start()
+    try:
+        series = parse_rate_series(text)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(series) > 5000
+    assert peak <= 1.25 * size, (peak, size)
+
+
 class TestClosedOutput:
     """Output that cannot be written: a reader that stops early is not a
     data error, a full device is."""

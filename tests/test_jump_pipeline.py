@@ -3,11 +3,12 @@
 import json
 import math
 import random
+import weakref
 from datetime import date
 
 import pytest
 
-from helpers import constant_jump, linear_series, planted_series
+from helpers import constant_jump, distinct_trends, linear_series, planted_series
 from xmasjump import (
     BacktestRow,
     DailyRateSeries,
@@ -21,7 +22,14 @@ from xmasjump import (
     predict_next,
     yearly_observation,
 )
-from xmasjump.errors import DomainError, IncompleteWindow, InsufficientData, WindowTooShort
+from xmasjump.errors import (
+    DomainError,
+    IncompleteWindow,
+    InsufficientData,
+    MissingFixing,
+    RankDeficient,
+    WindowTooShort,
+)
 from xmasjump.jump_pipeline import _forecast
 from xmasjump.market_calendar import post_window_offsets
 from xmasjump.regression_core import MIN_DESIGN_ROWS, bilinear_surface, fit_intercept_fixed_slope
@@ -265,6 +273,29 @@ class TestBacktest:
         for target, model in zip(range(2015, 2019), report.models):
             assert model == fit_window_model(target - 15, target - 1, series, cal)
 
+    def test_a_temporary_series_is_freed_before_the_fits(self, planted, cal, monkeypatch):
+        class Tracked(DailyRateSeries):  # without __slots__, so it takes weak references
+            pass
+
+        references = []
+
+        def temporary():
+            series = Tracked(planted[0].entries)
+            references.append(weakref.ref(series))
+            return series
+
+        alive_at_fits = []
+        model = jump_pipeline._model
+
+        def recording(observations, fit):
+            alive_at_fits.append(references[0]() is not None)
+            return model(observations, fit)
+
+        monkeypatch.setattr(jump_pipeline, "_model", recording)
+        report = backtest(temporary(), cal, 2015, 2018)
+        assert report == backtest(planted[0], cal, 2015, 2018)
+        assert alive_at_fits[:4] == [False] * 4
+
     @pytest.mark.parametrize("window_len", [5, 7, 15])
     def test_every_model_is_its_window_fit(self, cal, window_len):
         # The walk's windows start 1975-2004 at most, so each length crosses
@@ -296,6 +327,55 @@ class TestBacktest:
         for row in report.rows:
             assert row.error == row.predicted_jump - row.realized_jump
             assert abs(row.error) < 0.05
+
+
+def without_fixing(series, day):
+    """``series`` with the fixing of ``day`` dropped."""
+    assert series.rate_on(day) is not None
+    return DailyRateSeries(tuple(e for e in series.entries if e[0] != day), series.tenor_label)
+
+
+class TestBacktestFirstError:
+    """Every year is extracted before any model is fitted, yet each input
+    reports the error a walk that fits each target's model before it
+    extracts the target reports first."""
+
+    @pytest.fixture()
+    def fitted_targets(self, monkeypatch):
+        targets = []
+        model = jump_pipeline._model
+
+        def recording(observations, fit):
+            targets.append(observations[-1].year + 1)
+            return model(observations, fit)
+
+        monkeypatch.setattr(jump_pipeline, "_model", recording)
+        return targets
+
+    def test_a_window_year_error_comes_before_any_fit(self, planted, cal, fitted_targets):
+        series = without_fixing(planted[0], date(2001, 12, 20))
+        with pytest.raises(MissingFixing, match="^no fixing on banking day 2001-12-20$"):
+            backtest(series, cal, 2015, 2018)
+        assert fitted_targets == []
+
+    def test_a_failing_fit_comes_before_its_target_year_error(self, cal, fitted_targets):
+        # The window of 2006, 2001-2005, holds only three distinct trends.
+        trends = distinct_trends(2000, 2008)
+        trends[2004] = trends[2005] = trends[2003]
+        spec = SyntheticSpec(trends, constant_jump(0.25))
+        series = generate_synthetic_series(spec, trends, cal)
+        assert backtest(series, cal, 2005, 2005, window_len=5).rows
+        fitted_targets.clear()
+        series = without_fixing(series, date(2006, 12, 20))
+        with pytest.raises(RankDeficient, match="^design matrix is numerically rank-deficient$"):
+            backtest(series, cal, 2005, 2008, window_len=5)
+        assert fitted_targets == [2005]  # 2006's fit raised before its model was built
+
+    def test_a_target_year_error_comes_after_its_fit(self, planted, cal, fitted_targets):
+        series = without_fixing(planted[0], date(2013, 12, 20))
+        with pytest.raises(MissingFixing, match="^no fixing on banking day 2013-12-20$"):
+            backtest(series, cal, 2010, 2016, window_len=5)
+        assert fitted_targets == [2010, 2011, 2012, 2013]
 
 
 class TestBacktestRow:

@@ -18,7 +18,10 @@ the constructors of the input records, given any arguments. The
 banking-day walks over day ordinals agree with a day-by-day reference, and
 a calendar's closed days of a year are the days ``is_holiday`` names.
 The CLI's JSON writer prints what ``json.dumps(value, indent=2)`` prints,
-and writes each record as it writes the record's ``to_dict()``.
+and writes each record as it writes the record's ``to_dict()``, also when
+it writes a record or a dict in pieces. The parser that splits its text a
+piece at a time parses as the whole-text parser does, and the series
+constructor rejects what the list-based checks reject, with their message.
 The fit of a ``window_fits`` window numbered from any year fails exactly
 when its Householder reference fails, with the same error, and where both
 succeed both meet the accuracy contract of ``exact_oracle``, as do the
@@ -35,7 +38,7 @@ import pickle
 import pkgutil
 import random
 import re
-from datetime import date
+from datetime import date, datetime
 from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
@@ -60,9 +63,11 @@ from helpers import (
     distinct_trends,
     reference_banking_days,
     reference_fit_bilinear,
+    reference_parse_rate_series,
     reference_post_window,
     reference_post_window_offsets,
     reference_pre_window,
+    reference_series_error,
     walk_fit,
 )
 from xmasjump import (
@@ -77,6 +82,7 @@ from xmasjump import (
     YearObservation,
     backtest,
     calendar_from_lines,
+    data_io,
     generate_synthetic_series,
     jump_pipeline,
     parse_rate_series,
@@ -86,8 +92,8 @@ from xmasjump import (
     synthetic_spec_from_json,
     yearly_observation,
 )
-from xmasjump.cli import _json_text
-from xmasjump.errors import DuplicateDate
+from xmasjump.cli import _json_pieces, _json_text
+from xmasjump.errors import DomainError, DuplicateDate
 from xmasjump.market_calendar import banking_days, post_window, post_window_offsets, pre_window
 from xmasjump.record import Record
 from xmasjump.stat_inference import CoefficientInference, inference_for_fit
@@ -332,6 +338,119 @@ def test_a_repeated_row_is_a_duplicate_date(entries, line_end, data):
     assert exc_info.value.fixing_date == repeated[0]
 
 
+# --- the piecewise parser and the one-dict series against their references --
+
+# Every line break ``str.splitlines`` knows, and \x1f, which it does not.
+any_line_ends = st.sampled_from(
+    ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\x1f"]
+)
+# Dates from a short span, so that the drawn dates repeat.
+near_dates = st.dates(min_value=date(2018, 12, 20), max_value=date(2018, 12, 31))
+
+
+@st.composite
+def rate_texts(draw):
+    """A header or none, then rows of distinct dates or with one repeated,
+    comments, blank lines and at most one odd line, such as a second header
+    or arbitrary short text; each line followed by a line break, most often
+    ``\\n`` or ``\\r\\n``, or by ``\\x1f``, which joins it to the next."""
+    head = draw(st.sampled_from(["date,rate", "# tenor: SYN", " Date , Rate # note", ""]))
+    days = draw(st.lists(st.dates(date(2018, 1, 1), date(2019, 12, 31)), unique=True, max_size=8))
+    if days and draw(st.booleans()):
+        days.append(draw(st.sampled_from(days)))
+    lines = [f"{day.isoformat()},{draw(st.sampled_from(['2.70', ' -0.5 ', '1e-3#n']))}"
+             for day in days]
+    for _ in range(draw(st.integers(0, 3))):
+        filler = draw(st.sampled_from(["", "# tenor: EUR", "#", "# date,rate", "  "]))
+        lines.insert(draw(st.integers(0, len(lines))), filler)
+    if draw(st.booleans()):
+        odd = draw(st.sampled_from(["date,rate", "2018-12-24,1e999", "2018-02-30,1", "x"])
+                   | st.text(max_size=6))
+        lines.insert(draw(st.integers(0, len(lines))), odd)
+    line_ends = st.sampled_from(["\n", "\r\n"]) | any_line_ends
+    ends = [draw(line_ends) for _ in range(len(lines) + 1)]
+    tail = draw(st.sampled_from(["", "\r", "\n"]))
+    return "".join(map(str.__add__, [head, *lines], ends)) + tail
+
+
+def outcome(fn, *args):
+    """What ``fn`` returns, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except XmasJumpError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("piece_chars", [1, 2, 7, data_io._PIECE_CHARS])
+@settings(max_examples=150, deadline=None)
+@given(text=rate_texts())
+@example(text="date,rate\r\n2018-12-24,2.70\r\n# tenor: A\r\n2018-12-27,2.5\r\n")
+def test_piecewise_parse_matches_the_whole_text_parse(piece_chars, text):
+    # With small pieces, the search for a piece's end starts inside rows,
+    # comments and \r\n pairs.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data_io, "_PIECE_CHARS", piece_chars)
+        assert outcome(parse_rate_series, text) == outcome(reference_parse_rate_series, text)
+
+
+series_dates = (
+    near_dates
+    | st.datetimes(min_value=datetime(2018, 12, 20), max_value=datetime(2018, 12, 31))
+    | st.lists(st.integers(0, 9), max_size=2)  # unhashable
+    | st.sampled_from(["2018-12-24", None, 20181224])
+)
+series_rates = (
+    st.floats(min_value=-10.0, max_value=10.0)
+    | st.sampled_from([math.nan, math.inf, -math.inf, True, False, "2.5", None, 3, Fraction(1, 3)])
+)
+series_pairs = st.tuples(series_dates, series_rates)
+series_pairs = series_pairs | series_pairs.map(list)
+non_pairs = (
+    st.tuples(near_dates)
+    | st.tuples(near_dates, series_rates, series_rates)
+    | st.sampled_from([None, 7, "ab", "abc", ()])
+)
+
+
+@st.composite
+def odd_entries(draw):
+    """(date, float) pairs, in date order or not, with up to two other
+    entries among them: pairs of other types or values, and non-pairs."""
+    days = draw(st.lists(near_dates, unique=True, max_size=5))
+    if draw(st.booleans()):
+        days.sort()
+    entries = [(day, draw(st.floats(-10.0, 10.0))) for day in days]
+    for _ in range(draw(st.integers(0, 2))):
+        odd = st.tuples(near_dates, series_rates) | series_pairs | non_pairs
+        entries.insert(draw(st.integers(0, len(entries))), draw(odd))
+    return tuple(entries)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    entries=odd_entries() | st.sampled_from([None, 5]),
+    label=st.sampled_from(["", "SYN", " SYN", "a\nb", 5]),
+)
+@example(entries=((date(2018, 12, 20), 1.0), ([2018, 12], 1.0)), label="")
+@example(entries=((date(2018, 12, 20), 1.0), (date(2018, 12, 21), -math.inf)), label="")
+@example(entries=((date(2018, 12, 20), True), (date(2018, 12, 21), math.nan)), label="")
+@example(entries=((date(2018, 12, 21), 1.0), (date(2018, 12, 20), "2.5")), label="")
+@example(entries=((date(2018, 12, 21), 1.0), (date(2018, 12, 20), 1.0)), label="")
+@example(entries=((date(2018, 12, 20), 1.0), [date(2018, 12, 20), 2]), label="")
+@example(entries=((date(2018, 12, 20), 1.0), (date(2018, 12, 21),)), label="")
+def test_series_checks_match_the_list_checks(entries, label):
+    expected = reference_series_error(entries, label)
+    try:
+        series = DailyRateSeries(entries, label)
+    except DomainError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
+        assert series.entries == tuple(map(tuple, entries))
+        assert {type(value) for entry in series.entries for value in entry} <= {date, float}
+        assert series._by_date == dict(series.entries)
+
+
 # --- fuzzing: only XmasJumpError subclasses escape -------------------------
 
 
@@ -364,7 +483,16 @@ def texts_from(fragments):
             "_",
             "\n",
             "\r\n",
+            "\r",
+            "\v",
+            "\f",
+            "\x1c",
+            "\x1d",
+            "\x1e",
+            "\x1f",
+            "\x85",
             "\u2028",
+            "\u2029",
             " ",
         ]
     ),
@@ -533,14 +661,6 @@ window_lengths = st.sampled_from([15, 1, 400]) | st.integers(min_value=2, max_va
 
 def day_at(ordinal):
     return date.fromordinal(min(max(ordinal, 1), LAST_ORDINAL))
-
-
-def outcome(fn, *args):
-    """What ``fn`` returns, or the type and message of the error it raises."""
-    try:
-        return fn(*args)
-    except XmasJumpError as exc:
-        return type(exc), str(exc)
 
 
 @settings(max_examples=200, deadline=None)
@@ -773,6 +893,10 @@ def test_json_writer_writes_a_record_as_its_dict(record):
     assert text == json_text_or_type_error(record.to_dict())
     if type(record) in CLI_RECORDS:
         assert text == json.dumps(record.to_dict(), indent=2)
+        # the CLI writes its output in pieces, as a record or a dict of records
+        assert "".join(_json_pieces(record)) == text
+        both = {"record": record, "fields": record.to_dict()}
+        assert "".join(_json_pieces(both)) == _json_text(both)
 
 
 # --- the bilinear fit against its reference and the exact oracle ------------
