@@ -97,6 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fit-year", parents=[common], help="fit one year's trend and jump"
     )
     p.add_argument("year", type=int)
+    p.set_defaults(run=_cmd_fit_year)
 
     p = sub.add_parser(
         "backtest",
@@ -105,6 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("first_target", type=int)
     p.add_argument("last_target", type=int)
+    p.set_defaults(run=_cmd_backtest)
 
     p = sub.add_parser(
         "predict",
@@ -119,6 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="pin the fitting window, e.g. 2004-2018 (reuse an older model)",
     )
+    p.set_defaults(run=_cmd_predict)
 
     p = sub.add_parser("generate", help="write a deterministic synthetic fixture")
     p.add_argument("--spec", required=True, metavar="PATH", help="generator spec (JSON)")
@@ -129,6 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="holiday override file for banking-day layout",
     )
+    p.set_defaults(run=_cmd_generate)
     for command_parser in sub.choices.values():
         # errors found after parsing print the subcommand's usage line
         command_parser.set_defaults(command_parser=command_parser)
@@ -164,6 +168,7 @@ def _year_range(text: str) -> tuple[int, int]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    output = None  # the pieces of the command's text, once it has run
     try:
         args = parser.parse_args(argv)
         model_years = getattr(args, "model_years", None)
@@ -172,24 +177,14 @@ def main(argv: list[str] | None = None) -> int:
             args.command_parser.error(
                 f"--model-years must end before the target year {args.target_year}"
             )
-    except SystemExit as exc:  # argparse already printed its message
-        return int(exc.code or 0)
-    output = None  # the pieces of the command's text, once it has run
-    try:
         cal = _load_calendar(args)  # a bad calendar is reported before a missing data file
-        command = {
-            "generate": _cmd_generate,
-            "fit-year": _cmd_fit_year,
-            "backtest": _cmd_backtest,
-            "predict": _cmd_predict,
-        }[args.command]
-        output = command(args, cal)
+        output = args.run(args, cal)
         for piece in output:  # a json-like report is rendered as it is written
             sys.stdout.write(piece)
         sys.stdout.write("\n")
         sys.stdout.flush()  # so that a closed pipe or a full disk is reported here
         return EXIT_OK
-    except SystemExit as exc:  # parser.error() from _load_series
+    except SystemExit as exc:  # a usage error, which argparse has already printed
         return int(exc.code or 0)
     except (XmasJumpError, OSError, UnicodeError) as exc:
         if output is not None and isinstance(exc, OSError):
@@ -215,16 +210,16 @@ def _load_calendar(args) -> HolidayCalendar:
 
 
 def _read_text(path: str) -> str:
-    """The file's UTF-8 text; the file closes first, so parsing runs without its buffer."""
-    with open(path, encoding="utf-8") as file:
+    """The file's UTF-8 text, less a leading byte-order mark; the file closes
+    first, so parsing runs without its buffer."""
+    with open(path, encoding="utf-8-sig") as file:
         return file.read()
 
 
 def _json_text(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2)`` for the types records put in their dicts.
-
-    A record is written as ``_json_text(record.to_dict())`` would write it,
-    without building that dict.
+    """``json.dumps(value.to_dict(), indent=2)`` of a record, without
+    building that dict, and ``json.dumps(value, indent=2)`` of the values
+    records hold: a tuple, a str, an int, a float, a bool or None.
     """
     kind = type(value)  # exact types, so repr() is float.__repr__ or int.__repr__
     if kind is float:
@@ -232,10 +227,7 @@ def _json_text(value, indent: str = "\n") -> str:
             return repr(value)
         return "NaN" if value != value else "Infinity" if value > 0.0 else "-Infinity"
     inner = indent + "  "
-    if kind is dict:  # encode_basestring_ascii rejects a key that is not a str
-        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in value.items()]
-        brackets = "{}"
-    elif kind is list or kind is tuple:
+    if kind is tuple:
         items, brackets = [_json_text(item, inner) for item in value], "[]"
     elif kind is str:
         return encode_basestring_ascii(value)
@@ -255,9 +247,11 @@ def _json_text(value, indent: str = "\n") -> str:
 
 
 def _json_pieces(value) -> Iterator[str]:
-    """``_json_text(value)`` of a record or a dict, in pieces: one per field,
-    and one per element of a field that is a non-empty tuple, such as a
-    report's rows and models. Each piece is rendered when it is asked for.
+    """``_json_text(value)`` of a record in pieces: one per field, and one
+    per element of a field that is a non-empty tuple, such as a report's
+    rows and models. Each piece is rendered when it is asked for. A dict of
+    str keys to records, as ``predict`` writes its model and forecast, is
+    written as an object of those records in the same way.
     """
     if type(value) is dict:
         fields = [(f"{encode_basestring_ascii(k)}: ", v) for k, v in value.items()]

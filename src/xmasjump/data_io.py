@@ -25,6 +25,7 @@ import operator
 import re
 from collections.abc import Iterable, Iterator, Mapping
 from datetime import date
+from itertools import islice
 from reprlib import repr as _brief  # a value cut to a few levels and characters
 
 from .errors import DomainError, DuplicateDate, ParseError
@@ -215,10 +216,11 @@ def parse_rate_series(text: str) -> DailyRateSeries:
     if not seen_header:
         raise ParseError(None, f"missing {CSV_HEADER!r} header")
     rows.sort(key=_FIRST)  # a single pass when the rows are already in order
-    if not all(map(operator.lt, map(_FIRST, rows), map(_FIRST, rows[1:]))):
-        neighbours = zip(rows, rows[1:])
+    rows = tuple(rows)  # the list goes now, not while the series is built
+    if not all(map(operator.lt, map(_FIRST, rows), map(_FIRST, islice(rows, 1, None)))):
+        neighbours = zip(rows, islice(rows, 1, None))
         raise DuplicateDate(next(d for (d, _), (e, _) in neighbours if d == e))
-    return DailyRateSeries(tuple(rows), tenor_label)
+    return DailyRateSeries(rows, tenor_label)
 
 
 def _row_problem(line: str) -> str:

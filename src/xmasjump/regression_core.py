@@ -171,16 +171,13 @@ def window_fits(rows: Sequence[Sequence[float]], window_len: int, first: int = 0
     six row folds rather than ``window_len``. A window's fit depends only on
     its rows and on its first number modulo ``window_len``.
 
-    ``rows`` is read as a list that may grow between fits; the walk ends
-    when the next window is not complete. Raises TooFewRows when
-    ``window_len`` is below MIN_DESIGN_ROWS, and RankDeficient when
-    ``_finish`` finds a window's design rank-deficient.
+    Raises TooFewRows when ``window_len`` is below MIN_DESIGN_ROWS, and
+    RankDeficient when ``_finish`` finds a window's design rank-deficient.
     """
     if window_len < MIN_DESIGN_ROWS:
         raise TooFewRows(f"{window_len} design rows; need at least {MIN_DESIGN_ROWS}")
     boundary = None  # index of the first row of the head's block
-    start = 0
-    while start + window_len <= len(rows):
+    for start in range(len(rows) - window_len + 1):
         end = start + window_len
         split = -(first + start) % window_len  # rows in the tail
         if start + split != boundary:
@@ -192,5 +189,4 @@ def window_fits(rows: Sequence[Sequence[float]], window_len: int, first: int = 0
         else:
             _fold_row(head, rows[end - 1])
         yield _finish(_folded(head, tails[split]) if split else head, rows[start:end])
-        start += 1
 

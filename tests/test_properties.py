@@ -17,11 +17,12 @@ value or raise an ``XmasJumpError`` subclass, never anything else; so do
 the constructors of the input records, given any arguments. The
 banking-day walks over day ordinals agree with a day-by-day reference, and
 a calendar's closed days of a year are the days ``is_holiday`` names.
-The CLI's JSON writer prints what ``json.dumps(value, indent=2)`` prints,
-and writes each record as it writes the record's ``to_dict()``, also when
-it writes a record or a dict in pieces. The parser that splits its text a
-piece at a time parses as the whole-text parser does, and the series
-constructor rejects what the list-based checks reject, with their message.
+The CLI's JSON writer prints what ``json.dumps(value, indent=2)`` prints
+for scalars and tuples, and what it prints for a record's ``to_dict()``,
+also when it writes a record or two records in pieces. The parser that
+splits its text a piece at a time parses as the whole-text parser does,
+and the series constructor rejects what the list-based checks reject,
+with their message.
 The fit of a ``window_fits`` window numbered from any year fails exactly
 when its Householder reference fails, with the same error, and where both
 succeed both meet the accuracy contract of ``exact_oracle``, as do the
@@ -438,6 +439,7 @@ def odd_entries(draw):
 @example(entries=((date(2018, 12, 21), 1.0), (date(2018, 12, 20), 1.0)), label="")
 @example(entries=((date(2018, 12, 20), 1.0), [date(2018, 12, 20), 2]), label="")
 @example(entries=((date(2018, 12, 20), 1.0), (date(2018, 12, 21),)), label="")
+@example(entries=((date(2018, 12, 20), Fraction(1, 3)),), label="")
 def test_series_checks_match_the_list_checks(entries, label):
     expected = reference_series_error(entries, label)
     try:
@@ -446,7 +448,8 @@ def test_series_checks_match_the_list_checks(entries, label):
         assert str(exc) == expected
     else:
         assert expected is None
-        assert series.entries == tuple(map(tuple, entries))
+        # a rate that is not a float is rebuilt as one
+        assert series.entries == tuple((day, float(rate)) for day, rate in entries)
         assert {type(value) for entry in series.entries for value in entry} <= {date, float}
         assert series._by_date == dict(series.entries)
 
@@ -745,9 +748,7 @@ json_values = st.recursive(
     | st.integers(min_value=-(10**30), max_value=10**30)
     | json_floats
     | json_strings,
-    lambda children: st.lists(children, max_size=4)
-    | st.lists(children, max_size=4).map(tuple)
-    | st.dictionaries(json_strings, children, max_size=4),
+    lambda children: st.lists(children, max_size=4).map(tuple),
     max_leaves=20,
 )
 
@@ -764,8 +765,8 @@ class Colour(IntEnum):
 
 @pytest.mark.parametrize(
     "value",
-    [{1, 2}, Colour.RED, [1.0, Colour.RED], {"key": b"bytes"}, {1: "int key"}],
-    ids=["set", "int_enum", "nested_int_enum", "bytes_value", "int_key"],
+    [{1, 2}, Colour.RED, (1.0, Colour.RED), (b"bytes",), {1: "int key"}, {"key": 1.0}, [1.0]],
+    ids=["set", "int_enum", "nested_int_enum", "bytes_value", "int_key", "dict", "list"],
 )
 def test_json_writer_rejects_other_types(value):
     with pytest.raises(TypeError):
@@ -890,13 +891,15 @@ def json_text_or_type_error(value):
 ))
 def test_json_writer_writes_a_record_as_its_dict(record):
     text = json_text_or_type_error(record)
-    assert text == json_text_or_type_error(record.to_dict())
+    if type(record) not in CLI_RECORDS and text is TypeError:
+        return  # a series' dates, a calendar's frozenset, a spec's dict
+    assert text == json.dumps(record.to_dict(), indent=2)
     if type(record) in CLI_RECORDS:
-        assert text == json.dumps(record.to_dict(), indent=2)
-        # the CLI writes its output in pieces, as a record or a dict of records
+        # the CLI writes its output in pieces, as a record or as two records
         assert "".join(_json_pieces(record)) == text
-        both = {"record": record, "fields": record.to_dict()}
-        assert "".join(_json_pieces(both)) == _json_text(both)
+        both = {"model": record, "forecast": record}
+        expected = json.dumps({"model": record.to_dict(), "forecast": record.to_dict()}, indent=2)
+        assert "".join(_json_pieces(both)) == expected
 
 
 # --- the bilinear fit against its reference and the exact oracle ------------
@@ -1092,6 +1095,20 @@ def test_the_functions_the_tracer_wraps_stay():
         "regression_core.fit_bilinear",
         "regression_core.solve_linear_system",
     }
+
+
+def test_every_module_parses_as_the_oldest_python_promised():
+    """``pyproject.toml`` promises a minimum Python; every module of the
+    package must parse with that version's grammar, which ``except*`` would
+    not for 3.10. Library calls newer than that version are not caught."""
+    root = Path(__file__).resolve().parents[1]
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    [(major, minor)] = re.findall(r'requires-python = ">=(\d+)\.(\d+)"', pyproject)
+    modules = sorted((root / "src" / "xmasjump").glob("*.py"))
+    assert {path.stem for path in modules} >= {"cli", "data_io", "regression_core"}
+    for path in modules:
+        source = path.read_text(encoding="utf-8")
+        ast.parse(source, str(path), feature_version=(int(major), int(minor)))
 
 
 # --- the names README.md cites ---------------------------------------------

@@ -258,17 +258,6 @@ class TestFitBilinear:
                 alone = next(window_fits(rows[k : k + window_len], window_len, first + k))
                 assert fit == alone, (window_len, first, k)
 
-    def test_reads_rows_appended_between_fits(self):
-        rows = random_rows(random.Random(67), 20)
-        growing = rows[:7]
-        fits = window_fits(growing, 7, 2015)
-        walked = [next(fits)]
-        for row in rows[7:]:
-            growing.append(row)
-            walked.append(next(fits))
-        assert walked == list(window_fits(rows, 7, 2015))
-        assert next(fits, None) is None
-
     @pytest.mark.parametrize("window_len", [7, 15])
     def test_windows_share_their_folds(self, monkeypatch, window_len):
         # a walk that refolded each window from scratch would fold window_len rows per window
