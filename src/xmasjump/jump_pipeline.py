@@ -27,6 +27,7 @@ from .market_calendar import (
 from .regression_core import (
     MIN_DESIGN_ROWS,
     N_PARAMETERS,
+    _fsum,
     bilinear_surface,
     design_row,
     fit_intercept_fixed_slope,
@@ -164,7 +165,7 @@ def yearly_observation(
     post_offsets, post_rates, post_warning = post_window(year, series, cal)
     slope, intercept = fit_simple_ols(pre_offsets, pre_rates)
     post_intercept = fit_intercept_fixed_slope(post_offsets, post_rates, slope)
-    post_mean = math.fsum(post_rates) / len(post_rates)
+    post_mean = _fsum(post_rates) / len(post_rates)
     jump = post_intercept - intercept
     return YearObservation(year, slope, intercept, post_intercept, jump,
                            post_offsets, post_mean, pre_warning, post_warning)
@@ -219,11 +220,9 @@ def backtest(
     ``last_target`` is extracted once, in ascending order, before any model
     is fitted; the function then drops its reference to ``series``, so a
     series passed as a temporary is freed while the models are built.
-
-    An error met while extracting a year is raised where a walk that
-    extracts each target after fitting its model would meet it: at once for
-    a year of the first window, and for a target year right after that
-    target's model is fitted, so a fit that fails first is reported first.
+    An extraction error is raised where it is met, as in
+    ``fit_window_model``: a target year that cannot be extracted is
+    reported first, even when an earlier window's fit would fail.
 
     The models' fits come from one ``window_fits`` walk over the years'
     design rows, which shares factors between windows; a window's fit
@@ -233,30 +232,19 @@ def backtest(
     if last_target < first_target:
         raise DomainError("last_target precedes first_target")
     check_window_span(first_target - window_len, first_target - 1)
-    table = []
-    failure = None
-    for year in range(first_target - window_len, last_target + 1):
-        try:
-            table.append(yearly_observation(year, series, cal, pre_days))
-        except Exception as exc:
-            if year < first_target:
-                raise
-            failure = exc
-            break
+    years = range(first_target - window_len, last_target + 1)
+    table = [yearly_observation(y, series, cal, pre_days) for y in years]
     del series
     design = [design_row(obs.slope_a, obs.intercept_b, obs.jump_delta) for obs in table]
     fits = window_fits(design, window_len, first_target - window_len)
     rows = []
     models = []
-    for start, target in enumerate(range(first_target, last_target + 1)):
+    for start, obs in enumerate(table[window_len:]):
         model = _model(table[start:start + window_len], next(fits))
-        if start + window_len == len(table):  # the target's own extraction failed
-            raise failure
-        obs = table[start + window_len]
         predicted, estimate = _forecast(model, obs.slope_a, obs.intercept_b, obs.post_offsets)
         realized = obs.jump_delta
         error = predicted - realized
-        rows.append(BacktestRow(target, predicted, realized, estimate, obs.post_mean, error))
+        rows.append(BacktestRow(obs.year, predicted, realized, estimate, obs.post_mean, error))
         models.append(model)
     return BacktestReport(window_len, tuple(rows), tuple(models))
 
@@ -267,7 +255,7 @@ def _forecast(model: JumpModel, slope_a: float, intercept_b: float,
     model's jump, then the mean rate the trend alone implies over the post
     offsets, plus the jump."""
     predicted = bilinear_surface(model.coefficients, slope_a, intercept_b)
-    trend_mean = math.fsum(slope_a * x + intercept_b for x in post_offsets) / len(post_offsets)
+    trend_mean = _fsum(slope_a * x + intercept_b for x in post_offsets) / len(post_offsets)
     return predicted, trend_mean + predicted
 
 

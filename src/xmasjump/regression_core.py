@@ -3,13 +3,14 @@
 Everything here is a closed form or a small dense factorization over a
 handful of points, so plain 64-bit floats with exactly-rounded sums
 (``math.fsum``) are enough; results are bit-identical across runs and
-platforms.
+platforms. Every sum in the package is ``_fsum``'s, so input whose sums
+or squares pass the largest float is a DomainError, not an OverflowError.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import DegenerateDesign, DomainError, RankDeficient, TooFewRows
 
@@ -19,6 +20,15 @@ MIN_DESIGN_ROWS = 5
 # arithmetic is the pivot of the design with every column scaled to unit
 # norm: the square root of a 1e-12 relative pivot bound on X'X.
 RANK_TOLERANCE = 1e-6
+
+
+def _fsum(values: Iterable[float]) -> float:
+    """``math.fsum(values)``; a sum or a term past the largest float, or a
+    sum of both infinities, is a DomainError."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):  # ValueError: -inf + inf
+        raise DomainError("values too large: a sum overflows the float range") from None
 
 
 def fit_simple_ols(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
@@ -33,12 +43,12 @@ def fit_simple_ols(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, flo
         raise DomainError("xs and ys differ in length")
     if n < 2:
         raise DomainError("need at least two points to fit a line")
-    x_mean = math.fsum(xs) / n
-    y_mean = math.fsum(ys) / n
-    sxx = math.fsum((x - x_mean) ** 2 for x in xs)
+    x_mean = _fsum(xs) / n
+    y_mean = _fsum(ys) / n
+    sxx = _fsum((x - x_mean) ** 2 for x in xs)
     if sxx == 0.0:
         raise DegenerateDesign("all x values are identical")
-    sxy = math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+    sxy = _fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
     slope = sxy / sxx
     return slope, y_mean - slope * x_mean
 
@@ -56,7 +66,7 @@ def fit_intercept_fixed_slope(
         raise DomainError("xs and ys differ in length")
     if n == 0:
         raise DomainError("need at least one point")
-    return math.fsum(y - slope * x for x, y in zip(xs, ys)) / n
+    return _fsum(y - slope * x for x, y in zip(xs, ys)) / n
 
 
 def bilinear_surface(coefficients: Sequence[float], a: float, b: float) -> float:
@@ -140,7 +150,7 @@ def _finish(triangle: list, rows: Sequence[Sequence[float]]) -> tuple:
     b2 = (z2 - r23 * b3) / r22
     b1 = (z1 - r12 * b2 - r13 * b3) / r11
     b0 = (z0 - r01 * b1 - r02 * b2 - r03 * b3) / r00
-    rss = math.fsum([(b0 + b1 * a + b2 * b + b3 * ab - y) ** 2 for _, a, b, ab, y in rows])
+    rss = _fsum((b0 + b1 * a + b2 * b + b3 * ab - y) ** 2 for _, a, b, ab, y in rows)
     # R^-1 = U, upper triangular, one superdiagonal after another.
     u00, u11, u22, u33 = 1.0 / r00, 1.0 / r11, 1.0 / r22, 1.0 / r33
     u01, u12, u23 = -u00 * r01 * u11, -u11 * r12 * u22, -u22 * r23 * u33
@@ -149,8 +159,8 @@ def _finish(triangle: list, rows: Sequence[Sequence[float]]) -> tuple:
     # Squared row norms of U; fsum only where three or more terms meet, as a
     # float sum of two is already exactly rounded.
     variance_factors = (
-        math.fsum((u00 * u00, u01 * u01, u02 * u02, u03 * u03)),
-        math.fsum((u11 * u11, u12 * u12, u13 * u13)),
+        _fsum((u00 * u00, u01 * u01, u02 * u02, u03 * u03)),
+        _fsum((u11 * u11, u12 * u12, u13 * u13)),
         u22 * u22 + u23 * u23,
         u33 * u33,
     )

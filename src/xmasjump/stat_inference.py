@@ -12,7 +12,7 @@ from collections.abc import Sequence
 
 from .errors import DegenerateVariance, DomainError, TooFewRows
 from .record import Record, set_field
-from .regression_core import N_PARAMETERS
+from .regression_core import N_PARAMETERS, _fsum
 
 _LENTZ_EPS = 1e-14
 _LENTZ_TINY = 1e-300
@@ -180,8 +180,8 @@ def inference_for_fit(targets: Sequence[float], fit: tuple) -> tuple:
             f"{n} rows cannot support inference on {N_PARAMETERS} parameters"
         )
     df = n - N_PARAMETERS
-    target_mean = math.fsum(targets) / n
-    tss = math.fsum((t - target_mean) ** 2 for t in targets)
+    target_mean = _fsum(targets) / n
+    tss = _fsum((t - target_mean) ** 2 for t in targets)
     if tss == 0.0:
         raise DegenerateVariance("targets have zero variance")
     estimates, rss, variance_factors = fit

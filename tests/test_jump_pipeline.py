@@ -4,9 +4,11 @@ import json
 import math
 import random
 import weakref
-from datetime import date
+from datetime import date, timedelta
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from helpers import constant_jump, distinct_trends, linear_series, planted_series
 from xmasjump import (
@@ -31,7 +33,7 @@ from xmasjump.errors import (
     WindowTooShort,
 )
 from xmasjump.jump_pipeline import _forecast
-from xmasjump.market_calendar import post_window_offsets
+from xmasjump.market_calendar import post_window_offsets, pre_window
 from xmasjump.regression_core import MIN_DESIGN_ROWS, bilinear_surface, fit_intercept_fixed_slope
 
 # the published 2019 prediction surface, used as a hand-checkable model
@@ -336,9 +338,9 @@ def without_fixing(series, day):
 
 
 class TestBacktestFirstError:
-    """Every year is extracted before any model is fitted, yet each input
-    reports the error a walk that fits each target's model before it
-    extracts the target reports first."""
+    """Every year, each target year's included, is extracted before any
+    model is fitted, so an extraction error is reported before any fit,
+    even one that would fail."""
 
     @pytest.fixture()
     def fitted_targets(self, monkeypatch):
@@ -358,24 +360,46 @@ class TestBacktestFirstError:
             backtest(series, cal, 2015, 2018)
         assert fitted_targets == []
 
-    def test_a_failing_fit_comes_before_its_target_year_error(self, cal, fitted_targets):
+    def test_a_target_year_error_comes_before_a_failing_fit(self, cal, fitted_targets):
         # The window of 2006, 2001-2005, holds only three distinct trends.
         trends = distinct_trends(2000, 2008)
         trends[2004] = trends[2005] = trends[2003]
         spec = SyntheticSpec(trends, constant_jump(0.25))
         series = generate_synthetic_series(spec, trends, cal)
         assert backtest(series, cal, 2005, 2005, window_len=5).rows
+        with pytest.raises(RankDeficient, match="^design matrix is numerically rank-deficient$"):
+            backtest(series, cal, 2005, 2006, window_len=5)
         fitted_targets.clear()
         series = without_fixing(series, date(2006, 12, 20))
-        with pytest.raises(RankDeficient, match="^design matrix is numerically rank-deficient$"):
+        with pytest.raises(MissingFixing, match="^no fixing on banking day 2006-12-20$"):
             backtest(series, cal, 2005, 2008, window_len=5)
-        assert fitted_targets == [2005]  # 2006's fit raised before its model was built
+        assert fitted_targets == []
 
-    def test_a_target_year_error_comes_after_its_fit(self, planted, cal, fitted_targets):
+    def test_a_target_year_error_comes_before_any_fit(self, planted, cal, fitted_targets):
         series = without_fixing(planted[0], date(2013, 12, 20))
         with pytest.raises(MissingFixing, match="^no fixing on banking day 2013-12-20$"):
             backtest(series, cal, 2010, 2016, window_len=5)
-        assert fitted_targets == [2010, 2011, 2012, 2013]
+        assert fitted_targets == []
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(window_len=st.integers(min_value=5, max_value=8), data=st.data())
+    def test_a_missing_fixing_is_raised_before_any_fit(
+        self, planted, cal, fitted_targets, window_len, data
+    ):
+        first_target = data.draw(st.integers(1999 + window_len, 2019), label="first target")
+        last_target = data.draw(st.integers(first_target, 2019), label="last target")
+        year = data.draw(st.integers(first_target - window_len, last_target), label="year")
+        offsets, _, _ = pre_window(year, planted[0], cal)
+        day = date(year, 12, 25) + timedelta(days=data.draw(st.sampled_from(offsets)))
+        series = without_fixing(planted[0], day)
+        message = f"^no fixing on banking day {day.isoformat()}$"
+        fitted_targets.clear()
+        with pytest.raises(MissingFixing, match=message):
+            backtest(series, cal, first_target, last_target, window_len=window_len)
+        with pytest.raises(MissingFixing, match=message):
+            fit_window_model(first_target - window_len, last_target, series, cal)
+        assert fitted_targets == []
 
 
 class TestBacktestRow:

@@ -14,7 +14,9 @@ exactly ``v`` to every post-event rate. Serializing a series and parsing
 it back returns the same series, whatever the row order, comments, blank
 lines, spacing and line ends. The parsers, given any text, return a
 value or raise an ``XmasJumpError`` subclass, never anything else; so do
-the constructors of the input records, given any arguments. The
+the constructors of the input records, given any arguments. On the demo
+fixture with its rates scaled by any power of ten a float can hold, each
+data command prints its result or exits 1 with one error line. The
 banking-day walks over day ordinals agree with a day-by-day reference, and
 a calendar's closed days of a year are the days ``is_holiday`` names.
 The CLI's JSON writer prints what ``json.dumps(value, indent=2)`` prints
@@ -32,7 +34,9 @@ the contract. README.md names only functions and tests that exist.
 """
 
 import ast
+import contextlib
 import importlib
+import io
 import json
 import math
 import pickle
@@ -40,6 +44,7 @@ import pkgutil
 import random
 import re
 from datetime import date, datetime
+from decimal import Decimal
 from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
@@ -93,7 +98,7 @@ from xmasjump import (
     synthetic_spec_from_json,
     yearly_observation,
 )
-from xmasjump.cli import _json_pieces, _json_text
+from xmasjump.cli import _json_pieces, _json_text, main
 from xmasjump.errors import DomainError, DuplicateDate
 from xmasjump.market_calendar import banking_days, post_window, post_window_offsets, pre_window
 from xmasjump.record import Record
@@ -578,6 +583,45 @@ def test_fuzz_spec_then_generate(text):
         generate_synthetic_series(spec, years, cal)
     except XmasJumpError:
         pass
+
+
+DEMO_TEXT = (Path(__file__).resolve().parents[1] / "fixtures" / "demo_rates.csv").read_text()
+
+
+@pytest.fixture(scope="module")
+def scaled_demo(tmp_path_factory):
+    """``scaled_demo(k)``: the path of the demo fixture with every rate times
+    10**k, each rounded once from its exact decimal value."""
+    path = tmp_path_factory.mktemp("scaled") / "rates.csv"
+
+    def write(k):
+        lines = []
+        for line in DEMO_TEXT.splitlines():
+            day, _, rate = line.partition(",")
+            lines.append(f"{day},{Decimal(rate).scaleb(k)}" if day[:1].isdigit() else line)
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    return write
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(min_value=-320, max_value=307))
+@example(k=155)  # the fit's coefficients are NaN
+@example(k=156)  # the targets' squares pass the largest float
+@example(k=307)  # the sum of a pre-window's rates does
+def test_scaled_rates_fail_only_as_one_error_line(scaled_demo, k):
+    data = scaled_demo(k)
+    for argv in (["fit-year", "2019"], ["backtest", "2015", "2019"], ["predict", "2019"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--data", data])
+        if code == 0:
+            assert err.getvalue() == "", argv
+        else:
+            assert code == 1, argv
+            assert re.fullmatch("error: [^\n]*\n", err.getvalue()), (argv, err.getvalue())
+            assert out.getvalue() == "", argv
 
 
 # Hashable junk, then junk nested in tuples of any arity, lists and dicts.

@@ -282,3 +282,27 @@ class TestFitBilinear:
         rows = [design_row(0.01 * k, 1.0 + k, 0.1) for k in range(8)]
         with pytest.raises(TooFewRows, match=f"^{window_len} design rows; need at least 5$"):
             next(window_fits(rows, window_len))
+
+
+# Finite inputs whose sums, or whose squares' sums, pass the largest float.
+HUGE_ROWS = [
+    design_row(a, b, t)
+    for a, b, t in [(0.01, 1, 1e160), (-0.02, 2, -1e160), (0.03, 3, 1e160),
+                    (0.0, 4, -1e160), (0.02, 5, 1e160), (-0.01, 6, -1e160)]
+]
+
+
+@pytest.mark.parametrize(
+    "fit",
+    [
+        lambda: fit_simple_ols([0, 1, 2], [1e308, 1e308, 1e308]),
+        lambda: fit_simple_ols([0, 1, 2, 3], [-1e308, 0.0, 0.0, 1e308]),
+        lambda: fit_simple_ols([0, 1, 2, 3], [1.5e308, -1.5e308, -1.5e308, 1.5e308]),
+        lambda: fit_intercept_fixed_slope([0, 1], [1e308, 1e308], 0.0),
+        lambda: next(window_fits(HUGE_ROWS, len(HUGE_ROWS))),
+    ],
+    ids=["mean", "cross-products", "both-infinities", "fixed-slope", "window-rss"],
+)
+def test_a_sum_past_the_float_range_is_a_domain_error(fit):
+    with pytest.raises(DomainError, match="^values too large: a sum overflows the float range$"):
+        fit()

@@ -195,6 +195,11 @@ class TestInferenceForFit:
         with pytest.raises(DegenerateVariance):
             inference_for_fit([0.125] * 8, fit)
 
+    def test_targets_past_the_float_range_are_a_domain_error(self):
+        fit = ((0.0, 0.0, 0.0, 0.0), 1.0, (1.0, 1.0, 1.0, 1.0))
+        with pytest.raises(DomainError, match="^values too large: a sum overflows"):
+            inference_for_fit([1e160, -1e160] * 4, fit)
+
     def test_too_few_rows(self):
         fit = ((0.0, 0.0, 0.0, 0.0), 0.1, (1.0, 1.0, 1.0, 1.0))
         with pytest.raises(TooFewRows):
