@@ -25,7 +25,6 @@ import operator
 import re
 from collections.abc import Iterable, Iterator, Mapping
 from datetime import date
-from itertools import islice
 from reprlib import repr as _brief  # a value cut to a few levels and characters
 
 from .errors import DomainError, DuplicateDate, ParseError
@@ -42,10 +41,9 @@ _TENOR_COMMENT = re.compile(r"^#\s*tenor:\s*(.+?)\s*$")
 # that is not a decimal with an optional exponent (``1.2.3``, ``e5``), so
 # ``nan``, ``inf``, ``_`` and non-ASCII digits never become a rate.
 _ROW = re.compile(rf"\s*({ISO_DATE})\s*,\s*([0-9.eE+-]+)\s*(?:#.*)?")
-_FIRST = operator.itemgetter(0)
 # About how many characters ``parse_rate_series`` splits into lines at once;
 # the lines of one piece, as strings, take a few times the piece's size.
-_PIECE_CHARS = 1 << 14
+_PIECE_CHARS = 1 << 13
 
 GENERATION_START = (11, 25)  # rates are emitted from Nov 25 through Dec 31
 
@@ -88,12 +86,16 @@ def _check_tenor_label(label) -> None:
 class DailyRateSeries(Record):
     """Date-ordered banking-day fixings, rates in percent per annum.
 
-    ``entries`` are ``(date, rate)`` pairs; each rate is a finite real
-    number, neither text nor a bool. The tenor label is a single line
+    The series keeps one dict from each date to its rate, dates ascending.
+    ``entries``, its first field, is built from that dict when it is read:
+    a tuple of ``(date, rate)`` pairs, each rate a float. The constructor
+    takes such pairs, each rate a finite real number, neither text nor a
+    bool, and builds its own dict. The tenor label is a single line
     without surrounding whitespace, so that it survives serialization.
     """
 
-    __slots__ = ("entries", "tenor_label", "_by_date")
+    __slots__ = ("tenor_label", "_by_date")
+    _fields = ("entries", "tenor_label")
 
     def __init__(self, entries: Iterable[tuple[date, float]], tenor_label: str = ""):
         _check_tenor_label(tenor_label)
@@ -109,8 +111,8 @@ class DailyRateSeries(Record):
         if not all(map(is_plain_date_type, kinds)):
             bad = next(d for d, _ in entries if not is_plain_date_type(type(d)))
             raise DomainError(f"fixing dates must be datetime.date, got {bad!r}")
-        # Exact (date, float) tuples, as the parser and the generator build
-        # them, are kept; other pairs and rate types are rebuilt that way.
+        # Pairs of other types, or with rates of other types, are rebuilt as
+        # exact (date, float) tuples.
         if set(map(type, entries)) != {tuple} or {type(r) for _, r in entries} != {float}:
             entries = tuple(_finite_entry(day, rate) for day, rate in entries)
         else:
@@ -118,31 +120,70 @@ class DailyRateSeries(Record):
             if bad is not None:
                 raise DomainError(f"rate on {bad.isoformat()} is not finite")
         by_date = dict(entries)
-        later = iter(by_date)  # the dates from the second on
-        next(later, None)
-        if len(by_date) != len(entries) or not all(map(operator.lt, by_date, later)):
-            raise DomainError("fixing dates must be strictly increasing")
-        set_field(self, "entries", entries)
+        if len(by_date) != len(entries):
+            raise DomainError(_NOT_INCREASING)
+        _check_increasing(by_date)
         set_field(self, "tenor_label", tenor_label)
         set_field(self, "_by_date", by_date)
 
+    @property
+    def entries(self) -> tuple[tuple[date, float], ...]:
+        return tuple(self._by_date.items())
+
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._by_date)
 
     @property
     def first_date(self) -> date:
-        return self.entries[0][0]
+        return next(iter(self._by_date))
 
     @property
     def last_date(self) -> date:
-        return self.entries[-1][0]
+        return next(reversed(self._by_date))
 
     def covers(self, d: date) -> bool:
         """True when ``d`` lies inside the series' date span."""
-        return bool(self.entries) and self.first_date <= d <= self.last_date
+        return bool(self._by_date) and self.first_date <= d <= self.last_date
 
     def rate_on(self, d: date) -> float | None:
         return self._by_date.get(d)
+
+
+_NOT_INCREASING = "fixing dates must be strictly increasing"
+
+
+def _check_increasing(by_date: dict) -> None:
+    """Raise DomainError unless the dict's dates ascend in insertion order."""
+    later = iter(by_date)  # the dates from the second on
+    next(later, None)
+    if not all(map(operator.lt, by_date, later)):
+        raise DomainError(_NOT_INCREASING)
+
+
+def _series_of(by_date: dict[date, float], tenor_label: str) -> DailyRateSeries:
+    """A series that keeps ``by_date`` itself, not a copy of it.
+
+    The parse and the generator build their dicts for this and drop them
+    after, so no other holder of the dict is left. The constructor's checks
+    run as passes over the dict's dates and rates: plain dates, finite
+    floats, strictly increasing.
+    """
+    _check_tenor_label(tenor_label)
+    if not all(map(is_plain_date_type, set(map(type, by_date)))):
+        bad = next(d for d in by_date if not is_plain_date_type(type(d)))
+        raise DomainError(f"fixing dates must be datetime.date, got {bad!r}")
+    rates = by_date.values()
+    if not set(map(type, rates)) <= {float}:
+        bad = next(d for d, r in by_date.items() if type(r) is not float)
+        raise DomainError(f"rate on {bad.isoformat()} is not a float")
+    if not all(map(math.isfinite, rates)):
+        bad = next(d for d, r in by_date.items() if not math.isfinite(r))
+        raise DomainError(f"rate on {bad.isoformat()} is not finite")
+    _check_increasing(by_date)
+    series = DailyRateSeries.__new__(DailyRateSeries)
+    set_field(series, "tenor_label", tenor_label)
+    set_field(series, "_by_date", by_date)
+    return series
 
 
 def _finite_entry(day: date, rate) -> tuple[date, float]:
@@ -173,15 +214,20 @@ def parse_rate_series(text: str) -> DailyRateSeries:
 
     The text is split into lines one piece of about ``_PIECE_CHARS``
     characters at a time, so the parse never holds more than a piece's lines
-    next to the text and the rows. Each line is matched once against
-    ``_ROW``: a data row is converted where it stands; any other line is a
-    comment, a blank line, the header or an error. Tolerates blank lines and
-    ``#`` comments, rejects malformed rows with their line number, sorts by
-    date, then rejects duplicates. The tenor label is the last ``# tenor:``
-    comment's, else empty; relabel with
-    ``DailyRateSeries(series.entries, label)``.
+    next to the text and the series' dict. Each line is matched once against
+    ``_ROW``: a data row goes into the dict where it stands; any other line
+    is a comment, a blank line, the header or an error. Tolerates blank
+    lines and ``#`` comments and rejects malformed rows with their line
+    number. A repeated date is a DuplicateDate, the earliest such date. Rows
+    out of date order are sorted, after the text is let go; rows in order,
+    as ``serialize_rate_series`` writes them, become the series as they
+    are, without a copy. The tenor label is the last ``# tenor:`` comment's,
+    else empty; relabel with ``DailyRateSeries(series.entries, label)``.
     """
-    rows: list[tuple[date, float]] = []
+    by_date: dict[date, float] = {}
+    latest = date.min  # the latest date so far
+    in_order = True
+    repeated = []
     seen_header = False
     tenor_label = ""
     lineno = 0
@@ -197,7 +243,13 @@ def parse_rate_series(text: str) -> DailyRateSeries:
                     raise ParseError(lineno, _row_problem(f"{date_text},{rate_text}")) from None
                 if not math.isfinite(rate):
                     raise ParseError(lineno, f"rate {rate_text!r} overflows")
-                rows.append((day, rate))
+                if day > latest:
+                    latest = day
+                else:  # out of order, or repeated
+                    in_order = False
+                    if day in by_date:
+                        repeated.append(day)
+                by_date[day] = rate
                 continue
             stripped = raw.strip()
             if stripped.startswith("#"):
@@ -215,12 +267,12 @@ def parse_rate_series(text: str) -> DailyRateSeries:
             seen_header = True
     if not seen_header:
         raise ParseError(None, f"missing {CSV_HEADER!r} header")
-    rows.sort(key=_FIRST)  # a single pass when the rows are already in order
-    rows = tuple(rows)  # the list goes now, not while the series is built
-    if not all(map(operator.lt, map(_FIRST, rows), map(_FIRST, islice(rows, 1, None)))):
-        neighbours = zip(rows, islice(rows, 1, None))
-        raise DuplicateDate(next(d for (d, _), (e, _) in neighbours if d == e))
-    return DailyRateSeries(rows, tenor_label)
+    if repeated:
+        raise DuplicateDate(min(repeated))
+    if not in_order:
+        del text  # the sort's copies take its place
+        by_date = dict(sorted(by_date.items()))
+    return _series_of(by_date, tenor_label)
 
 
 def _row_problem(line: str) -> str:
@@ -245,8 +297,9 @@ def serialize_rate_series(series: DailyRateSeries) -> str:
     if series.tenor_label:
         lines.append(f"# tenor: {series.tenor_label}")
     lines.append(CSV_HEADER)
-    lines.extend(f"{d.isoformat()},{rate!r}" for d, rate in series.entries)
-    return "\n".join(lines) + "\n"
+    lines.extend(f"{d.isoformat()},{rate!r}" for d, rate in series._by_date.items())
+    lines.append("")  # so that the one join ends the last line too
+    return "\n".join(lines)
 
 
 class SyntheticSpec(Record):
@@ -325,7 +378,7 @@ def generate_synthetic_series(
     if missing:
         raise DomainError(f"no trend configured for years {missing}")
     uniforms = _lcg_uniforms(spec.seed)
-    entries = []
+    by_date = {}
     for year in year_list:
         slope, intercept = spec.year_trends[year]
         jump = bilinear_surface(spec.jump, slope, intercept)
@@ -337,8 +390,8 @@ def generate_synthetic_series(
             rate = slope * x + intercept + noise
             if x >= 1:
                 rate += jump
-            entries.append((d, rate))
-    return DailyRateSeries(tuple(entries), spec.tenor_label)
+            by_date[d] = rate
+    return _series_of(by_date, spec.tenor_label)
 
 
 def _object_without_repeats(pairs: list[tuple[str, object]]) -> dict:

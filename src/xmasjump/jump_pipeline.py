@@ -183,8 +183,19 @@ def fit_window_model(
     observations = [
         yearly_observation(y, series, cal, pre_days) for y in range(first_year, last_year + 1)
     ]
-    rows = [design_row(obs.slope_a, obs.intercept_b, obs.jump_delta) for obs in observations]
+    rows = _design_rows(observations)
     return _model(observations, next(window_fits(rows, len(rows), first_year)))
+
+
+def _design_rows(observations: Sequence[YearObservation]) -> list[tuple]:
+    """The observations' design rows; an overflow names its year."""
+    rows = []
+    for obs in observations:
+        try:
+            rows.append(design_row(obs.slope_a, obs.intercept_b, obs.jump_delta))
+        except DomainError as exc:
+            raise DomainError(f"{exc} in year {obs.year}") from None
+    return rows
 
 
 def check_window_span(first_year: int, last_year: int) -> None:
@@ -235,8 +246,7 @@ def backtest(
     years = range(first_target - window_len, last_target + 1)
     table = [yearly_observation(y, series, cal, pre_days) for y in years]
     del series
-    design = [design_row(obs.slope_a, obs.intercept_b, obs.jump_delta) for obs in table]
-    fits = window_fits(design, window_len, first_target - window_len)
+    fits = window_fits(_design_rows(table), window_len, first_target - window_len)
     rows = []
     models = []
     for start, obs in enumerate(table[window_len:]):

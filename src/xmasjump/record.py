@@ -8,14 +8,17 @@ class Record:
 
     The public names in a subclass's ``__slots__`` are its fields, in the
     order its ``__init__`` takes, validates and stores them with
-    ``set_field``; private slots hold derived state. Records are equal when
-    their types and fields are, hash by their fields, and refuse assignment.
+    ``set_field``; private slots hold derived state. A class whose field is
+    a property over private slots declares its fields as ``_fields``
+    instead, and a subclass keeps its base's. Records are equal when their
+    types and fields are, hash by their fields, and refuse assignment.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        if not hasattr(cls, "_fields"):  # declared in the class body, or a base's
+            cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         # field names are ASCII identifiers, so the JSON keys need no escaping
         cls._json_keys = tuple(f'"{name}": ' for name in cls._fields)
 

@@ -4,7 +4,8 @@ Everything here is a closed form or a small dense factorization over a
 handful of points, so plain 64-bit floats with exactly-rounded sums
 (``math.fsum``) are enough; results are bit-identical across runs and
 platforms. Every sum in the package is ``_fsum``'s, so input whose sums
-or squares pass the largest float is a DomainError, not an OverflowError.
+or squares pass the largest float is a DomainError, not an OverflowError;
+so is a year whose slope times intercept passes it in ``design_row``.
 """
 
 from __future__ import annotations
@@ -86,8 +87,12 @@ def bilinear_surface(coefficients: Sequence[float], a: float, b: float) -> float
 
 
 def design_row(a: float, b: float, target: float) -> tuple:
-    """The augmented design row ``(1, a, b, a*b, target)``."""
-    return (1.0, a, b, a * b, target)
+    """The augmented design row ``(1, a, b, a*b, target)``; an ``a*b`` past
+    the largest float is a DomainError, not an infinity the fit turns into NaN."""
+    product = a * b
+    if math.isinf(product):
+        raise DomainError("values too large: slope times intercept overflows the float range")
+    return (1.0, a, b, product, target)
 
 
 def _folded(rows, onto: list | None = None) -> list:

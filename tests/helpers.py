@@ -12,7 +12,6 @@ from xmasjump import (
     generate_synthetic_series,
 )
 from xmasjump.data_io import (
-    _FIRST,
     _ROW,
     _TENOR_COMMENT,
     CSV_HEADER,
@@ -47,6 +46,8 @@ from xmasjump.regression_core import (
     design_row,
     window_fits,
 )
+
+_FIRST = operator.itemgetter(0)
 
 
 def day_offset(d, year):

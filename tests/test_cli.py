@@ -629,6 +629,7 @@ def test_backtest_peaks_at_its_parse(tmp_path, capsys):
     peaks = []
     for argv in (["backtest", "1915", "2100", *options], ["predict", "2072", *options]):
         assert main(argv) == EXIT_OK  # a first run, so that lazy imports and caches are filled
+        capsys.readouterr()  # else the measured run counts the capture buffer regrowing
         tracemalloc.start()
         try:
             assert main(argv) == EXIT_OK
@@ -657,6 +658,26 @@ def test_parse_peaks_near_its_series(tmp_path, capsys):
         tracemalloc.stop()
     assert len(series) > 5000
     assert peak <= 1.15 * size, (peak, size)
+
+
+def test_a_parsed_series_stores_each_fixing_once(tmp_path, capsys):
+    # One dict from date to rate: a date, a float and a dict slot per
+    # fixing, about 85 bytes; a second copy of each fixing, as a
+    # (date, rate) pair, would pass 100.
+    spec = write_spec(tmp_path / "spec.json", 1900, 2100, noise=0.01)
+    data = tmp_path / "rates.csv"
+    assert main(["generate", "--spec", str(spec), "--out", str(data)]) == EXIT_OK
+    capsys.readouterr()
+    text = data.read_text(encoding="utf-8")
+    parse_rate_series(text)  # a first run, so that lazy imports and caches are filled
+    tracemalloc.start()
+    try:
+        series = parse_rate_series(text)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(series) > 5000
+    assert size <= 100 * len(series), size / len(series)
 
 
 class TestClosedOutput:

@@ -307,6 +307,12 @@ class TestGenerator:
         b = serialize_rate_series(generate_synthetic_series(spec, [2018], cal))
         assert a == b
 
+    def test_a_rate_past_the_float_range_is_a_domain_error(self, cal):
+        # Nov 26 is 29 days before Dec 25: 1e308 * -29 overflows
+        spec = SyntheticSpec(year_trends={2018: (1e308, 0.0)})
+        with pytest.raises(DomainError, match="^rate on 2018-11-26 is not finite$"):
+            generate_synthetic_series(spec, [2018], cal)
+
     def test_different_seeds_differ(self, cal):
         base = dict(
             year_trends={2018: (0.01, 2.5)},

@@ -624,6 +624,21 @@ def test_scaled_rates_fail_only_as_one_error_line(scaled_demo, k):
             assert out.getvalue() == "", argv
 
 
+def test_an_overflowing_design_row_is_one_error_naming_its_year(scaled_demo):
+    # at 10**155 a year's slope times its intercept passes the largest float;
+    # unchecked, the fit would carry that infinity into NaN coefficients
+    data = scaled_demo(155)
+    for argv in (["backtest", "2015", "2019"], ["predict", "2019"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main([*argv, "--data", data]) == 1
+        assert out.getvalue() == ""
+        assert err.getvalue() == (
+            "error: values too large: slope times intercept overflows the float range"
+            " in year 2004\n"
+        )
+
+
 # Hashable junk, then junk nested in tuples of any arity, lists and dicts.
 junk_atoms = (
     st.none()
