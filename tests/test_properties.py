@@ -387,7 +387,8 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-@pytest.mark.parametrize("piece_chars", [1, 2, 7, data_io._PIECE_CHARS])
+# The parser's own piece size, and a larger one that spans a whole small file.
+@pytest.mark.parametrize("piece_chars", [1, 2, 7, data_io._PIECE_CHARS, 1 << 14])
 @settings(max_examples=150, deadline=None)
 @given(text=rate_texts())
 @example(text="date,rate\r\n2018-12-24,2.70\r\n# tenor: A\r\n2018-12-27,2.5\r\n")
