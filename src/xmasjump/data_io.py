@@ -27,7 +27,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from datetime import date
 from reprlib import repr as _brief  # a value cut to a few levels and characters
 
-from .errors import DomainError, DuplicateDate, ParseError
+from .errors import DomainError, DuplicateDate, InsufficientData, ParseError
 from .market_calendar import (ISO_DATE, HolidayCalendar, banking_days, event_date,
                               is_plain_date_type, iso_date)
 from .record import Record, set_field
@@ -88,9 +88,9 @@ class DailyRateSeries(Record):
 
     The series keeps one dict from each date to its rate, dates ascending.
     ``entries``, its first field, is built from that dict when it is read:
-    a tuple of ``(date, rate)`` pairs, each rate a float. The constructor
-    takes such pairs, each rate a finite real number, neither text nor a
-    bool, and builds its own dict. The tenor label is a single line
+    a tuple of ``(date, rate)`` pairs, each rate a float. The constructor,
+    the one place that checks a series, takes such pairs, each rate a finite
+    real number, neither text nor a bool. The tenor label is one line
     without surrounding whitespace, so that it survives serialization.
     """
 
@@ -120,9 +120,10 @@ class DailyRateSeries(Record):
             if bad is not None:
                 raise DomainError(f"rate on {bad.isoformat()} is not finite")
         by_date = dict(entries)
-        if len(by_date) != len(entries):
-            raise DomainError(_NOT_INCREASING)
-        _check_increasing(by_date)
+        later = iter(by_date)  # the dates from the second on
+        next(later, None)
+        if len(by_date) != len(entries) or not all(map(operator.lt, by_date, later)):
+            raise DomainError("fixing dates must be strictly increasing")
         set_field(self, "tenor_label", tenor_label)
         set_field(self, "_by_date", by_date)
 
@@ -135,11 +136,11 @@ class DailyRateSeries(Record):
 
     @property
     def first_date(self) -> date:
-        return next(iter(self._by_date))
+        return _first(self._by_date)
 
     @property
     def last_date(self) -> date:
-        return next(reversed(self._by_date))
+        return _first(reversed(self._by_date))
 
     def covers(self, d: date) -> bool:
         """True when ``d`` lies inside the series' date span."""
@@ -149,37 +150,22 @@ class DailyRateSeries(Record):
         return self._by_date.get(d)
 
 
-_NOT_INCREASING = "fixing dates must be strictly increasing"
-
-
-def _check_increasing(by_date: dict) -> None:
-    """Raise DomainError unless the dict's dates ascend in insertion order."""
-    later = iter(by_date)  # the dates from the second on
-    next(later, None)
-    if not all(map(operator.lt, by_date, later)):
-        raise DomainError(_NOT_INCREASING)
+def _first(dates: Iterable[date]) -> date:
+    """The first of a series' ``dates``; InsufficientData when it has none."""
+    for day in dates:
+        return day
+    raise InsufficientData("series is empty")
 
 
 def _series_of(by_date: dict[date, float], tenor_label: str) -> DailyRateSeries:
-    """A series that keeps ``by_date`` itself, not a copy of it.
+    """A series that keeps ``by_date`` itself, with no copy and no check.
 
-    The parse and the generator build their dicts for this and drop them
-    after, so no other holder of the dict is left. The constructor's checks
-    run as passes over the dict's dates and rates: plain dates, finite
-    floats, strictly increasing.
+    Only for ``parse_rate_series`` and ``generate_synthetic_series``. Each
+    builds its dict from plain dates and finite floats, dates ascending (the
+    parse rejects overflows and repeats and sorts; the generator checks its
+    rates finite and walks its days in order), with a label that
+    ``_TENOR_COMMENT`` or ``SyntheticSpec`` made valid, and then drops it.
     """
-    _check_tenor_label(tenor_label)
-    if not all(map(is_plain_date_type, set(map(type, by_date)))):
-        bad = next(d for d in by_date if not is_plain_date_type(type(d)))
-        raise DomainError(f"fixing dates must be datetime.date, got {bad!r}")
-    rates = by_date.values()
-    if not set(map(type, rates)) <= {float}:
-        bad = next(d for d, r in by_date.items() if type(r) is not float)
-        raise DomainError(f"rate on {bad.isoformat()} is not a float")
-    if not all(map(math.isfinite, rates)):
-        bad = next(d for d, r in by_date.items() if not math.isfinite(r))
-        raise DomainError(f"rate on {bad.isoformat()} is not finite")
-    _check_increasing(by_date)
     series = DailyRateSeries.__new__(DailyRateSeries)
     set_field(series, "tenor_label", tenor_label)
     set_field(series, "_by_date", by_date)
@@ -216,13 +202,12 @@ def parse_rate_series(text: str) -> DailyRateSeries:
     characters at a time, so the parse never holds more than a piece's lines
     next to the text and the series' dict. Each line is matched once against
     ``_ROW``: a data row goes into the dict where it stands; any other line
-    is a comment, a blank line, the header or an error. Tolerates blank
-    lines and ``#`` comments and rejects malformed rows with their line
+    is a comment, a blank line, the header or an error, which names its line
     number. A repeated date is a DuplicateDate, the earliest such date. Rows
-    out of date order are sorted, after the text is let go; rows in order,
-    as ``serialize_rate_series`` writes them, become the series as they
-    are, without a copy. The tenor label is the last ``# tenor:`` comment's,
-    else empty; relabel with ``DailyRateSeries(series.entries, label)``.
+    out of date order are sorted, after the text is let go. Each row is
+    checked as it is read, so the series keeps the dict without a copy or a
+    second check. The tenor label is the last ``# tenor:`` comment's, else
+    empty; relabel with ``DailyRateSeries(series.entries, label)``.
     """
     by_date: dict[date, float] = {}
     latest = date.min  # the latest date so far
@@ -365,7 +350,8 @@ def generate_synthetic_series(
     Banking days before December 25 follow the year's linear trend; days
     after it additionally carry the planted jump. Noise is uniform in
     [-amplitude, amplitude] from the documented LCG stream. Each year must
-    be an ``int``, not a bool, a float or text.
+    be an ``int``, not a bool, a float or text. A rate that overflows is a
+    DomainError naming its date; the series keeps the dict without a copy.
     """
     years = list(years)
     bad = [y for y in years if type(y) is not int]
@@ -391,6 +377,9 @@ def generate_synthetic_series(
             if x >= 1:
                 rate += jump
             by_date[d] = rate
+    if not all(map(math.isfinite, by_date.values())):
+        bad = next(d for d, r in by_date.items() if not math.isfinite(r))
+        raise DomainError(f"rate on {bad.isoformat()} is not finite")
     return _series_of(by_date, spec.tenor_label)
 
 

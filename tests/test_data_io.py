@@ -17,7 +17,7 @@ from xmasjump import (
     serialize_rate_series,
     synthetic_spec_from_json,
 )
-from xmasjump.errors import DomainError, DuplicateDate, ParseError
+from xmasjump.errors import DomainError, DuplicateDate, InsufficientData, ParseError
 
 LCG_MULTIPLIER = 6364136223846793005
 LCG_INCREMENT = 1442695040888963407
@@ -191,6 +191,18 @@ class TestDailyRateSeriesValidation:
             DailyRateSeries(entries=((date(2018, 1, 2), math.nan),))
         with pytest.raises(DomainError):
             DailyRateSeries(entries=((date(2018, 1, 2), math.inf),))
+
+    @pytest.mark.parametrize(
+        "series", [DailyRateSeries([]), parse_rate_series("date,rate\n")], ids=["built", "parsed"]
+    )
+    @pytest.mark.parametrize("end", ["first_date", "last_date"])
+    def test_an_empty_series_has_no_first_or_last_date(self, series, end):
+        with pytest.raises(InsufficientData, match="^series is empty$"):
+            getattr(series, end)
+        # read inside a generator, a bare StopIteration would be a RuntimeError
+        with pytest.raises(InsufficientData, match="^series is empty$"):
+            list(getattr(series, end) for _ in range(1))
+        assert not series.covers(date(2018, 12, 24))
 
     @pytest.mark.parametrize("label", [" USD", "USD ", "a\nb", "a\rb", "a\u2028b"])
     def test_tenor_label_that_cannot_round_trip_rejected(self, label):

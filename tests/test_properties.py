@@ -257,6 +257,14 @@ def test_noise_moves_each_jump_within_its_weights_bound(trend_seed, noise_seed, 
         assert abs(moved - yearly_observation(year, clean, cal).jump_delta) <= bound
 
 
+def assert_constructor_accepts(series):
+    """``series``, made without the constructor's checks, passes them: the
+    constructor rebuilds it equal from its entries, each an exact
+    ``(date, float)`` pair."""
+    assert DailyRateSeries(series.entries, series.tenor_label) == series
+    assert all(type(day) is date and type(rate) is float for day, rate in series.entries)
+
+
 # --- a fixed jump is the constant surface ---------------------------------
 
 jump_values = st.floats(min_value=-1e6, max_value=1e6) | st.sampled_from([0.0, -0.0])
@@ -274,6 +282,7 @@ def test_fixed_jump_is_the_constant_surface(value, trend_seed, noise_seed):
 
     fixed = generated(jump={"fixed": value})
     constant = generated(jump={"coefficients": [value, 0, 0, 0]})
+    assert_constructor_accepts(fixed)
     assert serialize_rate_series(fixed) == serialize_rate_series(constant)
     for (day, rate), (_, base) in zip(fixed.entries, generated().entries, strict=True):
         assert rate == (base + value if day > date(day.year, 12, 25) else base)
@@ -392,12 +401,17 @@ def outcome(fn, *args):
 @settings(max_examples=150, deadline=None)
 @given(text=rate_texts())
 @example(text="date,rate\r\n2018-12-24,2.70\r\n# tenor: A\r\n2018-12-27,2.5\r\n")
+@example(text="date,rate\n2018-12-27,3\n2018-12-20,1e-3\n2018-12-24,2.70\n")
+@example(text="#tenor:\tUSD \u2002 2M\x1f\t\ndate,rate\n2018-12-24,2.70\n")
 def test_piecewise_parse_matches_the_whole_text_parse(piece_chars, text):
     # With small pieces, the search for a piece's end starts inside rows,
     # comments and \r\n pairs.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(data_io, "_PIECE_CHARS", piece_chars)
-        assert outcome(parse_rate_series, text) == outcome(reference_parse_rate_series, text)
+        parsed = outcome(parse_rate_series, text)
+        assert parsed == outcome(reference_parse_rate_series, text)
+    if isinstance(parsed, DailyRateSeries):
+        assert_constructor_accepts(parsed)
 
 
 series_dates = (
@@ -508,9 +522,10 @@ def texts_from(fragments):
 )
 def test_fuzz_parse_rate_series(text):
     try:
-        parse_rate_series(text)
+        series = parse_rate_series(text)
     except XmasJumpError:
-        pass
+        return
+    assert_constructor_accepts(series)
 
 
 @settings(max_examples=300, deadline=None)
@@ -581,9 +596,10 @@ def test_fuzz_spec_then_generate(text):
     cal = HolidayCalendar()
     try:
         spec, years = synthetic_spec_from_json(text)
-        generate_synthetic_series(spec, years, cal)
+        series = generate_synthetic_series(spec, years, cal)
     except XmasJumpError:
-        pass
+        return
+    assert_constructor_accepts(series)
 
 
 DEMO_TEXT = (Path(__file__).resolve().parents[1] / "fixtures" / "demo_rates.csv").read_text()
