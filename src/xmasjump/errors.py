@@ -46,7 +46,7 @@ class WindowTooShort(XmasJumpError):
 
 
 class IncompleteWindow(XmasJumpError):
-    """A year's pre-event window runs past the last fixing of the series."""
+    """A year's pre- or post-event window runs past the last fixing of the series."""
 
 
 class ParseError(XmasJumpError):

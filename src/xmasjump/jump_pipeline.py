@@ -14,11 +14,9 @@ import math
 from collections.abc import Sequence
 
 from .data_io import DailyRateSeries, _finite_tuple
-from .errors import DomainError, InsufficientData, WindowTooShort
+from .errors import DomainError, WindowTooShort
 from .market_calendar import (
     HolidayCalendar,
-    POST_WINDOW_MIN,
-    POST_WINDOW_TEXT,
     PRE_WINDOW_DAYS,
     post_window,
     post_window_offsets,
@@ -278,19 +276,16 @@ def predict_next(
 ) -> JumpForecast:
     """Predict the target year's jump from its pre-event window alone.
 
-    Runnable on or after the last pre-event banking day (before that,
-    ``pre_window`` raises IncompleteWindow); the post-event mean estimate
-    uses the calendar's banking-day offsets, so no post-event fixings are
-    needed; a calendar with fewer than ``POST_WINDOW_MIN`` of them is
-    InsufficientData, as it is for ``post_window``.
+    ``model`` must end before ``target_year``, or it would have seen its
+    answer: DomainError. Runnable on or after the last pre-event banking day
+    (before that, ``pre_window`` raises IncompleteWindow); the post-event
+    mean estimate uses the calendar's ``post_window_offsets``, so no
+    post-event fixings are needed.
     """
+    if model.window_years[1] >= target_year:
+        raise DomainError(f"model window {model.window_years[0]}-{model.window_years[1]}"
+                          f" must end before the target year {target_year}")
     offsets, rates, _ = pre_window(target_year, series, cal, n=pre_days)
     slope, intercept = fit_simple_ols(offsets, rates)
-    post_offsets = post_window_offsets(target_year, cal)
-    if len(post_offsets) < POST_WINDOW_MIN:
-        raise InsufficientData(
-            f"{len(post_offsets)} banking days with {POST_WINDOW_TEXT}"
-            f" after Dec 25 {target_year}"
-        )
-    predicted, estimate = _forecast(model, slope, intercept, post_offsets)
+    predicted, estimate = _forecast(model, slope, intercept, post_window_offsets(target_year, cal))
     return JumpForecast(target_year, slope, intercept, predicted, estimate)

@@ -205,13 +205,12 @@ def pre_window(
     """The last ``n`` banking-day fixings strictly before December 25.
 
     Returns ``(offsets, rates, warning)``, offsets in whole days from
-    December 25, ascending. Walks backward from December 24; every banking
-    day inside the series coverage must carry a rate (no interpolation).
-    Returns exactly ``n`` observations or raises: IncompleteWindow when a
-    banking day of the walk lies after the last fixing, InsufficientData
-    when the series does not reach back far enough, MissingFixing when a
-    covered banking day has no rate. With the default ``n``, ``warning``
-    flags a calendar span other than the nominal 21 days.
+    December 25, ascending. Walks backward from December 24 to the first
+    fixing, each banking day's rate from ``_fixing`` (no interpolation:
+    IncompleteWindow after the last fixing, MissingFixing for a gap).
+    Returns exactly ``n`` observations or raises InsufficientData when the
+    series does not reach back far enough. With the default ``n``,
+    ``warning`` flags a calendar span other than the nominal 21 days.
     """
     if n < PRE_WINDOW_MIN:
         raise DomainError(f"pre-window needs at least {PRE_WINDOW_MIN} banking days")
@@ -220,19 +219,10 @@ def pre_window(
             f"series is empty; need {n} fixings before Dec 25 {year}"
         )
     event = event_date(year).toordinal()
-    last = series.last_date.toordinal()
     picked: list[tuple[int, float]] = []
     for o in _banking(range(event - 1, series.first_date.toordinal() - 1, -1), cal):
-        d = date.fromordinal(o)
-        if o > last:
-            raise IncompleteWindow(
-                f"pre-window for {year} runs through {d.isoformat()},"
-                f" but the series ends at {series.last_date.isoformat()}"
-            )
-        rate = series.rate_on(d)
-        if rate is None:
-            raise MissingFixing(d)
-        picked.append((o - event, rate))
+        # only the first day met, the window's last, can lie past the series end
+        picked.append((o - event, _fixing(o, series, "pre", year, o)))
         if len(picked) == n:
             break
     else:
@@ -252,43 +242,52 @@ def pre_window(
 
 
 def post_window_offsets(year: int, cal: HolidayCalendar) -> tuple[int, ...]:
-    """The offsets of ``year``'s post-window banking days, ascending.
-
-    Needs no rate data, so it also serves prediction for years whose
-    post-event fixings do not exist yet.
+    """The offsets of ``year``'s post-window banking days, ascending; fewer
+    than ``POST_WINDOW_MIN`` is InsufficientData. Needs no rate data, so it
+    also serves prediction for years whose post-event fixings do not exist.
     """
     event = event_date(year).toordinal()
     ordinals = range(event + POST_WINDOW_OFFSETS.start, event + POST_WINDOW_OFFSETS.stop)
-    return tuple([o - event for o in _banking(ordinals, cal)])
+    offsets = tuple([o - event for o in _banking(ordinals, cal)])
+    if len(offsets) < POST_WINDOW_MIN:
+        raise InsufficientData(
+            f"{len(offsets)} banking days with {POST_WINDOW_TEXT} after Dec 25 {year}"
+        )
+    return offsets
 
 
 def post_window(year: int, series: "DailyRateSeries", cal: HolidayCalendar) -> tuple:
-    """All banking-day fixings at ``POST_WINDOW_OFFSETS`` after December 25.
-
-    Returns ``(offsets, rates, warning)`` like ``pre_window``. Nominally
-    three observations; any other count is returned with a warning. Fewer
-    than two is InsufficientData; a banking day inside the series coverage
-    without a rate is MissingFixing.
+    """The fixings on every day ``post_window_offsets`` gives, each rate from
+    ``_fixing``; ``(offsets, rates, warning)`` like ``pre_window``. Nominally
+    three observations; ``warning`` flags a calendar that gives another count.
     """
     offsets = post_window_offsets(year, cal)
     event = event_date(year).toordinal()
-    picked: list[tuple[int, float]] = []
-    for x in offsets:
-        d = date.fromordinal(event + x)
-        rate = series.rate_on(d)
-        if rate is not None:  # so d lies inside the series coverage
-            picked.append((x, rate))
-        elif series.covers(d):
-            raise MissingFixing(d)
-    if len(picked) < POST_WINDOW_MIN:
-        raise InsufficientData(
-            f"{len(picked)} banking-day fixings with {POST_WINDOW_TEXT} after"
-            f" Dec 25 {year}, need at least {POST_WINDOW_MIN}"
-        )
+    through = event + offsets[-1]
+    rates = tuple([_fixing(event + x, series, "post", year, through) for x in offsets])
     warning = None
-    if len(picked) != NOMINAL_POST_COUNT:
+    if len(offsets) != NOMINAL_POST_COUNT:
         warning = (
-            f"post-window has {len(picked)} observations,"
+            f"post-window has {len(offsets)} observations,"
             f" nominal {NOMINAL_POST_COUNT}"
         )
-    return tuple(x for x, _ in picked), tuple(r for _, r in picked), warning
+    return offsets, rates, warning
+
+
+def _fixing(o: int, series: "DailyRateSeries", window: str, year: int, through: int) -> float:
+    """The rate on banking day ordinal ``o`` of ``year``'s ``window`` ("pre" or
+    "post"), which ends on ordinal ``through``: IncompleteWindow after the
+    series' last fixing, InsufficientData before its first, else MissingFixing."""
+    d = date.fromordinal(o)
+    rate = series.rate_on(d)
+    if rate is not None:
+        return rate
+    if d > series.last_date:
+        raise IncompleteWindow(
+            f"{window}-window for {year} runs through {date.fromordinal(through).isoformat()},"
+            f" but the series ends at {series.last_date.isoformat()}"
+        )
+    if d < series.first_date:
+        raise InsufficientData(f"{window}-window for {year} needs {d.isoformat()}, but the"
+                               f" series starts at {series.first_date.isoformat()}")
+    raise MissingFixing(d)

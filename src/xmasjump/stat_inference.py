@@ -121,14 +121,13 @@ def student_t_two_sided_p(t: float, df: int) -> float:
     evaluated as the complement 1 - I_y(1/2, df/2) at y = t^2 / (df + t^2)
     instead: at large df, x rounds to 1 and the p-value would come out as
     exactly 1. For df > 1000 and 0 < t^2 < 16, I_y comes from the
-    continued fraction at y itself (see ``_DIRECT_T2_MAX``).
+    continued fraction at y itself (see ``_DIRECT_T2_MAX``). An infinite t
+    gives x = 0, so p = 0.
     """
     if df < 1:
         raise DomainError("degrees of freedom must be at least 1")
     if math.isnan(t):
         raise DomainError("t statistic is NaN")
-    if math.isinf(t):
-        return 0.0
     t2 = t * t
     h = df / 2.0
     if h > _HALF_STEP_SERIES_MIN and 0.0 < t2 < _DIRECT_T2_MAX:

@@ -171,32 +171,41 @@ def reference_pre_window(year, series, cal, n=PRE_WINDOW_DAYS):
 
 
 def reference_post_window_offsets(year, cal):
-    """Banking-day offsets of December 27-31 from December 25."""
+    """Banking-day offsets of December 27-31 from December 25; too few is
+    InsufficientData."""
     event = event_date(year)
     days = reference_banking_days(event + timedelta(days=2), event + timedelta(days=6), cal)
+    if len(days) < POST_WINDOW_MIN:
+        raise InsufficientData(f"{len(days)} banking days with offsets 2..6 after Dec 25 {year}")
     return tuple((d - event).days for d in days)
 
 
 def reference_post_window(year, series, cal):
-    """``post_window``: the covered post-event banking days and their rates."""
+    """``post_window``: every post-event banking day must carry a rate."""
     event = event_date(year)
-    picked = []
-    for x in reference_post_window_offsets(year, cal):
+    offsets = reference_post_window_offsets(year, cal)
+    if len(series) == 0:
+        raise InsufficientData("series is empty")
+    rates = []
+    for x in offsets:
         d = event + timedelta(days=x)
-        if series.covers(d):
-            rate = series.rate_on(d)
-            if rate is None:
-                raise MissingFixing(d)
-            picked.append((x, rate))
-    if len(picked) < POST_WINDOW_MIN:
-        raise InsufficientData(
-            f"{len(picked)} banking-day fixings with offsets 2..6 after"
-            f" Dec 25 {year}, need at least {POST_WINDOW_MIN}"
-        )
+        if d > series.last_date:
+            raise IncompleteWindow(
+                f"post-window for {year} runs through {event + timedelta(days=offsets[-1])},"
+                f" but the series ends at {series.last_date}"
+            )
+        if d < series.first_date:
+            raise InsufficientData(
+                f"post-window for {year} needs {d}, but the series starts at {series.first_date}"
+            )
+        rate = series.rate_on(d)
+        if rate is None:
+            raise MissingFixing(d)
+        rates.append(rate)
     warning = None
-    if len(picked) != NOMINAL_POST_COUNT:
-        warning = f"post-window has {len(picked)} observations, nominal {NOMINAL_POST_COUNT}"
-    return tuple(x for x, _ in picked), tuple(r for _, r in picked), warning
+    if len(offsets) != NOMINAL_POST_COUNT:
+        warning = f"post-window has {len(offsets)} observations, nominal {NOMINAL_POST_COUNT}"
+    return offsets, tuple(rates), warning
 
 
 # --- the bilinear fit and its Householder reference -------------------------

@@ -295,14 +295,7 @@ class TestPredictCommand:
             captured = capsys.readouterr()
             assert captured.out == ""
             errors.append(captured.err)
-        too_few_fixings = (
-            "error: 1 banking-day fixings with offsets 2..6 after Dec 25 2019, need at least 2\n"
-        )
-        assert errors == [
-            "error: 1 banking days with offsets 2..6 after Dec 25 2019\n",
-            too_few_fixings,
-            too_few_fixings,
-        ]
+        assert errors == ["error: 1 banking days with offsets 2..6 after Dec 25 2019\n"] * 3
 
     def test_truncated_series_same_error_for_backtest(self, tmp_path, fixture_csv, capsys):
         kept = [

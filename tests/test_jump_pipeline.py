@@ -439,8 +439,24 @@ class TestPredictNext:
         message = r"^1 banking days with offsets 2\.\.6 after Dec 25 2019$"
         with pytest.raises(InsufficientData, match=message):
             predict_next(series, closed, 2019, model)
-        with pytest.raises(InsufficientData, match=r"^1 banking-day fixings .* need at least 2$"):
+        with pytest.raises(InsufficientData, match=message):
             yearly_observation(2019, series, closed)
+    @pytest.mark.parametrize("target", [2019, 2010])
+    def test_model_that_saw_the_target_year_is_refused(self, planted, cal, target):
+        series, _ = planted
+        model = fit_window_model(2005, 2019, series, cal)
+        message = f"^model window 2005-2019 must end before the target year {target}$"
+        with pytest.raises(DomainError, match=message):
+            predict_next(series, cal, target, model)
+        # refused before any window is cut: an empty series would fail there
+        with pytest.raises(DomainError, match=message):
+            predict_next(DailyRateSeries(entries=()), cal, target, model)
+
+    def test_model_ending_the_year_before_the_target_is_accepted(self, planted, cal):
+        series, _ = planted
+        model = fit_window_model(2004, 2018, series, cal)
+        assert predict_next(series, cal, 2019, model).target_year == 2019
+
     def test_matches_planted_jump_from_pre_window_alone(self, cal):
         planted = (0.005, -9.0, -0.002, 2.0)
         series, trends = planted_series(2004, 2019, planted)

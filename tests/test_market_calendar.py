@@ -348,11 +348,24 @@ class TestPostWindow:
             post_window(2018, gappy, cal)
         assert exc_info.value.fixing_date == date(2018, 12, 28)
 
-    def test_truncated_coverage_returns_fewer_with_warning(self, cal):
+    def test_truncated_coverage_is_an_incomplete_window(self, cal):
         series = flat_series(date(2018, 11, 1), date(2018, 12, 29))
-        offsets, _, warning = post_window(2018, series, cal)
-        assert offsets == (2, 3)  # Dec 31 is beyond coverage
-        assert warning is not None
+        message = (
+            "^post-window for 2018 runs through 2018-12-31,"
+            " but the series ends at 2018-12-29$"
+        )
+        with pytest.raises(IncompleteWindow, match=message):
+            post_window(2018, series, cal)  # Dec 31 is beyond coverage
+
+    def test_day_before_the_first_fixing_is_insufficient(self, cal):
+        series = flat_series(date(2018, 12, 28), date(2019, 1, 31))
+        message = "^post-window for 2018 needs 2018-12-27, but the series starts at 2018-12-28$"
+        with pytest.raises(InsufficientData, match=message):
+            post_window(2018, series, cal)
+
+    def test_empty_series_is_insufficient(self, cal):
+        with pytest.raises(InsufficientData, match="^series is empty$"):
+            post_window(2018, DailyRateSeries(entries=()), cal)
 
     def test_offsets_helper_matches_window(self, cal):
         series = flat_series(date(2018, 11, 1), date(2018, 12, 31))

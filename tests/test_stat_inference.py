@@ -190,6 +190,17 @@ class TestInferenceForFit:
             if abs(ci.estimate) > 1e-6:
                 assert ci.p_value < 1e-12
 
+    def test_zero_standard_error_gives_an_infinite_or_zero_t(self):
+        fit = ((1.0, -1.0, 0.0, 0.5), 0.0, (1.0, 1.0, 1.0, 1.0))
+        inference, adjusted_r2 = inference_for_fit([0.0, 1.0, 2.0, 3.0, 5.0], fit)
+        assert adjusted_r2 == 1.0
+        assert [(ci.standard_error, ci.t_statistic, ci.p_value) for ci in inference] == [
+            (0.0, math.inf, 0.0),
+            (0.0, -math.inf, 0.0),
+            (0.0, 0.0, 1.0),
+            (0.0, math.inf, 0.0),
+        ]
+
     def test_constant_targets_degenerate(self):
         fit = ((0.125, 0.0, 0.0, 0.0), 0.0, (1.0, 1.0, 1.0, 1.0))
         with pytest.raises(DegenerateVariance):
