@@ -25,6 +25,7 @@ import operator
 import re
 from collections.abc import Iterable, Iterator, Mapping
 from datetime import date
+from itertools import islice
 from reprlib import repr as _brief  # a value cut to a few levels and characters
 
 from .errors import DomainError, DuplicateDate, InsufficientData, ParseError
@@ -41,9 +42,14 @@ _TENOR_COMMENT = re.compile(r"^#\s*tenor:\s*(.+?)\s*$")
 # that is not a decimal with an optional exponent (``1.2.3``, ``e5``), so
 # ``nan``, ``inf``, ``_`` and non-ASCII digits never become a rate.
 _ROW = re.compile(rf"\s*({ISO_DATE})\s*,\s*([0-9.eE+-]+)\s*(?:#.*)?")
+# A row as ``serialize_rate_series`` writes it, a whole line: no whitespace,
+# no comment. It has no group, so ``findall`` returns the lines themselves.
+_CANONICAL_ROW = re.compile(rf"^{ISO_DATE},[0-9.eE+-]+$", re.M)
+_DATE_TEXT = operator.itemgetter(slice(10))  # of a canonical row
+_RATE_TEXT = operator.itemgetter(slice(11, None))
 # About how many characters ``parse_rate_series`` splits into lines at once;
 # the lines of one piece, as strings, take a few times the piece's size.
-_PIECE_CHARS = 1 << 13
+_PIECE_CHARS = 1 << 12
 
 GENERATION_START = (11, 25)  # rates are emitted from Nov 25 through Dec 31
 
@@ -142,10 +148,6 @@ class DailyRateSeries(Record):
     def last_date(self) -> date:
         return _first(reversed(self._by_date))
 
-    def covers(self, d: date) -> bool:
-        """True when ``d`` lies inside the series' date span."""
-        return bool(self._by_date) and self.first_date <= d <= self.last_date
-
     def rate_on(self, d: date) -> float | None:
         return self._by_date.get(d)
 
@@ -195,19 +197,46 @@ def _pieces(text: str) -> Iterator[str]:
         start = end
 
 
+def _canonical_rows(piece: str, latest: date) -> tuple[list[date], list[float]] | None:
+    """The dates and rates of ``piece`` when each of its lines is a
+    ``_CANONICAL_ROW``, every date and rate converts, every rate is finite
+    and the dates ascend strictly from after ``latest``; else None.
+
+    The pattern matches at most once per ``"\\n"``-separated line and holds
+    no line break, so as many matches as such lines means that they are
+    the lines ``splitlines`` gives, each a whole row.
+    """
+    rows = _CANONICAL_ROW.findall(piece)
+    if len(rows) != piece.count("\n") + (not piece.endswith("\n")):
+        return None
+    try:
+        days = list(map(date.fromisoformat, map(_DATE_TEXT, rows)))
+        rates = list(map(float, map(_RATE_TEXT, rows)))
+    except ValueError:
+        return None
+    if (latest < days[0] and all(map(operator.lt, days, islice(days, 1, None)))
+            and all(map(math.isfinite, rates))):
+        return days, rates
+    return None
+
+
 def parse_rate_series(text: str) -> DailyRateSeries:
     """Parse delimited rate-series text into a DailyRateSeries.
 
     The text is split into lines one piece of about ``_PIECE_CHARS``
     characters at a time, so the parse never holds more than a piece's lines
-    next to the text and the series' dict. Each line is matched once against
-    ``_ROW``: a data row goes into the dict where it stands; any other line
-    is a comment, a blank line, the header or an error, which names its line
-    number. A repeated date is a DuplicateDate, the earliest such date. Rows
-    out of date order are sorted, after the text is let go. Each row is
-    checked as it is read, so the series keeps the dict without a copy or a
-    second check. The tenor label is the last ``# tenor:`` comment's, else
-    empty; relabel with ``DailyRateSeries(series.entries, label)``.
+    next to the text and the series' dict. A piece after the header whose
+    lines are all rows as ``serialize_rate_series`` writes them, in date
+    order after the rows before it, goes into the dict in bulk: a file as
+    ``generate`` writes it is read so, past its first piece. Any other piece
+    is read line by line, each line matched once against ``_ROW``: a data
+    row goes into the dict where it stands; any other line is a comment, a
+    blank line, the header or an error, which names its line number. A
+    repeated date is a DuplicateDate, the earliest such date. Rows out of
+    date order are sorted, after the text is let go. Each row is checked as
+    it is read, so the series keeps the dict without a copy or a second
+    check. The tenor label is the last ``# tenor:`` comment's, else empty;
+    relabel with ``DailyRateSeries(series.entries, label)``.
     """
     by_date: dict[date, float] = {}
     latest = date.min  # the latest date so far
@@ -217,6 +246,13 @@ def parse_rate_series(text: str) -> DailyRateSeries:
     tenor_label = ""
     lineno = 0
     for piece in _pieces(text):
+        bulk = _canonical_rows(piece, latest) if seen_header else None
+        if bulk is not None:
+            days, rates = bulk
+            by_date.update(zip(days, rates))
+            latest = days[-1]
+            lineno += len(days)
+            continue
         for lineno, raw in enumerate(piece.splitlines(), start=lineno + 1):
             row = _ROW.fullmatch(raw)
             if row is not None and seen_header:

@@ -202,7 +202,7 @@ class TestDailyRateSeriesValidation:
         # read inside a generator, a bare StopIteration would be a RuntimeError
         with pytest.raises(InsufficientData, match="^series is empty$"):
             list(getattr(series, end) for _ in range(1))
-        assert not series.covers(date(2018, 12, 24))
+        assert series.rate_on(date(2018, 12, 24)) is None
 
     @pytest.mark.parametrize("label", [" USD", "USD ", "a\nb", "a\rb", "a\u2028b"])
     def test_tenor_label_that_cannot_round_trip_rejected(self, label):
@@ -297,12 +297,10 @@ class TestDailyRateSeriesValidation:
         series = DailyRateSeries(entries=((d, 2.5) for d in dates))
         assert series.entries == ((date(2018, 1, 2), 2.5), (date(2018, 1, 3), 2.5))
 
-    def test_covers_and_lookup(self):
+    def test_lookup(self):
         series = DailyRateSeries(
             entries=((date(2018, 1, 2), 1.0), (date(2018, 1, 5), 2.0))
         )
-        assert series.covers(date(2018, 1, 3))
-        assert not series.covers(date(2018, 1, 6))
         assert series.rate_on(date(2018, 1, 5)) == 2.0
         assert series.rate_on(date(2018, 1, 3)) is None
 

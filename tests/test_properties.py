@@ -23,8 +23,10 @@ The CLI's JSON writer prints what ``json.dumps(value, indent=2)`` prints
 for scalars and tuples, and what it prints for a record's ``to_dict()``,
 also when it writes a record or two records in pieces. The parser that
 splits its text a piece at a time parses as the whole-text parser does,
-and the series constructor rejects what the list-based checks reject,
-with their message.
+also where it reads a piece of rows in bulk and one row of the text is
+wrong or out of place; every row ``serialize_rate_series`` writes is one
+that the bulk step takes. The series constructor rejects what the
+list-based checks reject, with their message.
 The fit of a ``window_fits`` window numbered from any year fails exactly
 when its Householder reference fails, with the same error, and where both
 succeed both meet the accuracy contract of ``exact_oracle``, as do the
@@ -426,6 +428,82 @@ def test_piecewise_parse_matches_the_whole_text_parse(piece_chars, text):
         assert parsed == outcome(reference_parse_rate_series, text)
     if isinstance(parsed, DailyRateSeries):
         assert_constructor_accepts(parsed)
+
+
+CORRUPTIONS = ["02-30", "1e999", "1.2.3", "moved", "repeated", "trailing space", "\r\n",
+               "blank line"]
+
+
+def corrupt(lines, at, how, data):
+    """Make the serialized data line at ``at`` wrong or not canonical, as
+    ``how`` names: a date or rate that does not convert, a rate that
+    overflows, the row moved or repeated, padding, a line end, a blank line."""
+    row = lines[at]
+    if how == "02-30":
+        lines[at] = row[:5] + how + row[10:]
+    elif how in ("1e999", "1.2.3"):
+        lines[at] = row[:11] + how
+    elif how == "moved":
+        del lines[at]
+        lines.insert(data.draw(st.integers(0, len(lines)).filter(lambda to: to != at)), row)
+    elif how == "repeated":
+        lines.insert(data.draw(st.integers(0, len(lines))), row)
+    elif how == "blank line":
+        lines.insert(at, "")
+    else:
+        lines[at] += {"trailing space": " ", "\r\n": "\r"}[how]
+
+
+# Enough rows that a serialized series spans several 256-character pieces.
+long_series_entries = st.lists(
+    st.tuples(st.dates(), st.floats(allow_nan=False, allow_infinity=False)),
+    min_size=40, max_size=80, unique_by=lambda entry: entry[0],
+).map(lambda entries: tuple(sorted(entries)))
+
+
+@pytest.mark.parametrize("piece_chars", [64, 256])
+@settings(max_examples=100, deadline=None)
+@given(entries=long_series_entries, how=st.sampled_from(CORRUPTIONS), data=st.data())
+def test_bulk_rows_parse_as_the_whole_text_parse(piece_chars, entries, how, data):
+    # Pieces small next to the text, so the header sits in an earlier piece
+    # and the pieces after it are read in bulk until one is not canonical.
+    head, *lines = serialize_rate_series(DailyRateSeries(entries)).splitlines()
+    at = data.draw(st.integers(0, len(lines) - 1), label="at")
+    corrupt(lines, at, how, data)
+    text = "\n".join([head, *lines, ""])
+    taken = []
+    canonical_rows = data_io._canonical_rows
+
+    def spy(piece, latest):
+        taken.append(canonical_rows(piece, latest))
+        return taken[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data_io, "_PIECE_CHARS", piece_chars)
+        patch.setattr(data_io, "_canonical_rows", spy)
+        assert outcome(parse_rate_series, text) == outcome(reference_parse_rate_series, text)
+        taken.clear()
+        parse_rate_series(serialize_rate_series(DailyRateSeries(entries)))
+    assert any(rows is not None for rows in taken)  # the uncorrupted text takes the bulk step
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=st.lists(
+    st.tuples(st.dates(max_value=date(999, 12, 31)) | st.dates(),
+              st.floats(allow_nan=False, allow_infinity=False)
+              | st.sampled_from([-0.0, 5e-324, -1.7976931348623157e308, 1e16, 1e-7])),
+    min_size=2, unique_by=lambda entry: entry[0],
+).map(sorted))
+def test_serialized_rows_are_canonical(entries):
+    # So a file the package writes is read in bulk past its first piece:
+    # here the rows after the first, as a piece that follows it.
+    head, *lines = serialize_rate_series(DailyRateSeries(entries)).splitlines()
+    assert head == "date,rate"
+    assert all(data_io._CANONICAL_ROW.fullmatch(line) for line in lines)
+    days, rates = data_io._canonical_rows("\n".join(lines[1:]) + "\n", entries[0][0])
+    assert list(zip(days, rates)) == entries[1:]
+    assert [math.copysign(1.0, rate) for rate in rates] == [
+        math.copysign(1.0, rate) for _, rate in entries[1:]]
 
 
 series_dates = (
