@@ -23,13 +23,15 @@ import json
 import math
 import operator
 import re
+from array import array
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Mapping
 from datetime import date
 from itertools import islice
 from reprlib import repr as _brief  # a value cut to a few levels and characters
 
 from .errors import DomainError, DuplicateDate, InsufficientData, ParseError
-from .market_calendar import (ISO_DATE, HolidayCalendar, banking_days, event_date,
+from .market_calendar import (ISO_DATE, HolidayCalendar, _banking, event_date,
                               is_plain_date_type, iso_date)
 from .record import Record, set_field
 from .regression_core import N_PARAMETERS, bilinear_surface
@@ -47,6 +49,9 @@ _ROW = re.compile(rf"\s*({ISO_DATE})\s*,\s*([0-9.eE+-]+)\s*(?:#.*)?")
 _CANONICAL_ROW = re.compile(rf"^{ISO_DATE},[0-9.eE+-]+$", re.M)
 _DATE_TEXT = operator.itemgetter(slice(10))  # of a canonical row
 _RATE_TEXT = operator.itemgetter(slice(11, None))
+# The array type code of a series' day ordinals: a C long, at least 32 bits,
+# holds every ordinal up to ``date.max``'s 3652059.
+_ORDINAL = "l"
 # About how many characters ``parse_rate_series`` splits into lines at once;
 # the lines of one piece, as strings, take a few times the piece's size.
 _PIECE_CHARS = 1 << 12
@@ -92,15 +97,18 @@ def _check_tenor_label(label) -> None:
 class DailyRateSeries(Record):
     """Date-ordered banking-day fixings, rates in percent per annum.
 
-    The series keeps one dict from each date to its rate, dates ascending.
-    ``entries``, its first field, is built from that dict when it is read:
-    a tuple of ``(date, rate)`` pairs, each rate a float. The constructor,
-    the one place that checks a series, takes such pairs, each rate a finite
-    real number, neither text nor a bool. The tenor label is one line
-    without surrounding whitespace, so that it survives serialization.
+    The series keeps two arrays, dates ascending: the day ordinals of its
+    fixings (``date.toordinal()``) and their rates, 16 bytes a fixing where
+    the item size of ``array("l")`` is 8. ``entries``, its first field, is
+    built from them when it is read: a tuple of ``(date, rate)`` pairs, each
+    date a plain ``date`` and each rate a float. The constructor, the one
+    place that checks a series, takes such pairs, each date a ``date`` or a
+    subclass other than ``datetime`` and each rate a finite real number,
+    neither text nor a bool. The tenor label is one line without surrounding
+    whitespace, so that it survives serialization.
     """
 
-    __slots__ = ("tenor_label", "_by_date")
+    __slots__ = ("tenor_label", "_ordinals", "_rates")
     _fields = ("entries", "tenor_label")
 
     def __init__(self, entries: Iterable[tuple[date, float]], tenor_label: str = ""):
@@ -125,52 +133,69 @@ class DailyRateSeries(Record):
             bad = next((d for d, r in entries if not math.isfinite(r)), None)
             if bad is not None:
                 raise DomainError(f"rate on {bad.isoformat()} is not finite")
-        by_date = dict(entries)
-        later = iter(by_date)  # the dates from the second on
-        next(later, None)
-        if len(by_date) != len(entries) or not all(map(operator.lt, by_date, later)):
+        ordinals = array(_ORDINAL, [d.toordinal() for d, _ in entries])
+        if not all(map(operator.lt, ordinals, islice(ordinals, 1, None))):
             raise DomainError("fixing dates must be strictly increasing")
         set_field(self, "tenor_label", tenor_label)
-        set_field(self, "_by_date", by_date)
+        set_field(self, "_ordinals", ordinals)
+        set_field(self, "_rates", array("d", [r for _, r in entries]))
 
     @property
     def entries(self) -> tuple[tuple[date, float], ...]:
-        return tuple(self._by_date.items())
+        return tuple(zip(map(date.fromordinal, self._ordinals), self._rates))
 
     def __len__(self) -> int:
-        return len(self._by_date)
+        return len(self._ordinals)
 
     @property
     def first_date(self) -> date:
-        return _first(self._by_date)
+        return self._date_at(0)
 
     @property
     def last_date(self) -> date:
-        return _first(reversed(self._by_date))
+        return self._date_at(-1)
+
+    def _date_at(self, i: int) -> date:
+        """The date of fixing ``i``; InsufficientData when there is none."""
+        if not self._ordinals:
+            raise InsufficientData("series is empty")
+        return date.fromordinal(self._ordinals[i])
 
     def rate_on(self, d: date) -> float | None:
-        return self._by_date.get(d)
+        """The rate on ``d``, found by bisection; None when the series has
+        no fixing that day or ``d`` is not a date (a ``datetime`` is not)."""
+        if not is_plain_date_type(type(d)):
+            return None
+        o = d.toordinal()
+        i = bisect_left(self._ordinals, o)
+        return self._rates[i] if i < len(self._ordinals) and self._ordinals[i] == o else None
+
+    def _run_rates(self, ordinals: list[int]) -> tuple[float, ...] | None:
+        """The rates on ``ordinals``, ascending and not empty, when they are
+        every fixing of the series from the first of them through the last;
+        else None. One bisection finds the run; the slices are compared as
+        arrays, since an array never equals a list."""
+        end = bisect_right(self._ordinals, ordinals[-1])
+        start = end - len(ordinals)
+        if start < 0 or self._ordinals[start:end] != array(_ORDINAL, ordinals):
+            return None
+        return tuple(self._rates[start:end])
 
 
-def _first(dates: Iterable[date]) -> date:
-    """The first of a series' ``dates``; InsufficientData when it has none."""
-    for day in dates:
-        return day
-    raise InsufficientData("series is empty")
-
-
-def _series_of(by_date: dict[date, float], tenor_label: str) -> DailyRateSeries:
-    """A series that keeps ``by_date`` itself, with no copy and no check.
+def _series_of(ordinals: array, rates: array, tenor_label: str) -> DailyRateSeries:
+    """A series that keeps the arrays ``ordinals`` and ``rates`` themselves,
+    with no copy and no check.
 
     Only for ``parse_rate_series`` and ``generate_synthetic_series``. Each
-    builds its dict from plain dates and finite floats, dates ascending (the
-    parse rejects overflows and repeats and sorts; the generator checks its
-    rates finite and walks its days in order), with a label that
-    ``_TENOR_COMMENT`` or ``SyntheticSpec`` made valid, and then drops it.
+    fills its arrays with ascending day ordinals and finite rates (the parse
+    rejects overflows and repeats and sorts; the generator checks its rates
+    finite and walks its days in order), with a label that
+    ``_TENOR_COMMENT`` or ``SyntheticSpec`` made valid, and then drops them.
     """
     series = DailyRateSeries.__new__(DailyRateSeries)
     set_field(series, "tenor_label", tenor_label)
-    set_field(series, "_by_date", by_date)
+    set_field(series, "_ordinals", ordinals)
+    set_field(series, "_rates", rates)
     return series
 
 
@@ -225,31 +250,33 @@ def parse_rate_series(text: str) -> DailyRateSeries:
 
     The text is split into lines one piece of about ``_PIECE_CHARS``
     characters at a time, so the parse never holds more than a piece's lines
-    next to the text and the series' dict. A piece after the header whose
-    lines are all rows as ``serialize_rate_series`` writes them, in date
-    order after the rows before it, goes into the dict in bulk: a file as
-    ``generate`` writes it is read so, past its first piece. Any other piece
-    is read line by line, each line matched once against ``_ROW``: a data
-    row goes into the dict where it stands; any other line is a comment, a
-    blank line, the header or an error, which names its line number. A
-    repeated date is a DuplicateDate, the earliest such date. Rows out of
-    date order are sorted, after the text is let go. Each row is checked as
-    it is read, so the series keeps the dict without a copy or a second
-    check. The tenor label is the last ``# tenor:`` comment's, else empty;
-    relabel with ``DailyRateSeries(series.entries, label)``.
+    next to the text and the series' two arrays, of day ordinals and of
+    rates. A piece after the header whose lines are all rows as
+    ``serialize_rate_series`` writes them, in date order after the rows
+    before it, goes into the arrays in bulk: a file as ``generate`` writes
+    it is read so, past its first piece. Any other piece is read line by
+    line, each line matched once against ``_ROW``: a data row is appended
+    to the arrays where it stands; any other line is a comment, a blank
+    line, the header or an error, which names its line number. Rows out of
+    date order are sorted once, after the text is let go; a date on two
+    rows is then a DuplicateDate, the earliest such date. Each row is
+    checked as it is read, so the series keeps the arrays without a copy or
+    a second check. The tenor label is the last ``# tenor:`` comment's,
+    else empty; relabel with ``DailyRateSeries(series.entries, label)``.
     """
-    by_date: dict[date, float] = {}
+    ordinals = array(_ORDINAL)
+    rates = array("d")
     latest = date.min  # the latest date so far
     in_order = True
-    repeated = []
     seen_header = False
     tenor_label = ""
     lineno = 0
     for piece in _pieces(text):
         bulk = _canonical_rows(piece, latest) if seen_header else None
         if bulk is not None:
-            days, rates = bulk
-            by_date.update(zip(days, rates))
+            days, piece_rates = bulk
+            ordinals.fromlist(list(map(date.toordinal, days)))
+            rates.fromlist(piece_rates)
             latest = days[-1]
             lineno += len(days)
             continue
@@ -268,9 +295,8 @@ def parse_rate_series(text: str) -> DailyRateSeries:
                     latest = day
                 else:  # out of order, or repeated
                     in_order = False
-                    if day in by_date:
-                        repeated.append(day)
-                by_date[day] = rate
+                ordinals.append(day.toordinal())
+                rates.append(rate)
                 continue
             stripped = raw.strip()
             if stripped.startswith("#"):
@@ -288,12 +314,15 @@ def parse_rate_series(text: str) -> DailyRateSeries:
             seen_header = True
     if not seen_header:
         raise ParseError(None, f"missing {CSV_HEADER!r} header")
-    if repeated:
-        raise DuplicateDate(min(repeated))
     if not in_order:
         del text  # the sort's copies take its place
-        by_date = dict(sorted(by_date.items()))
-    return _series_of(by_date, tenor_label)
+        order = sorted(range(len(ordinals)), key=ordinals.__getitem__)
+        ordinals = array(_ORDINAL, map(ordinals.__getitem__, order))
+        rates = array("d", map(rates.__getitem__, order))
+        for o, later in zip(ordinals, islice(ordinals, 1, None)):
+            if o == later:
+                raise DuplicateDate(date.fromordinal(o))
+    return _series_of(ordinals, rates, tenor_label)
 
 
 def _row_problem(line: str) -> str:
@@ -318,7 +347,8 @@ def serialize_rate_series(series: DailyRateSeries) -> str:
     if series.tenor_label:
         lines.append(f"# tenor: {series.tenor_label}")
     lines.append(CSV_HEADER)
-    lines.extend(f"{d.isoformat()},{rate!r}" for d, rate in series._by_date.items())
+    days = map(date.fromordinal, series._ordinals)
+    lines.extend(f"{d.isoformat()},{rate!r}" for d, rate in zip(days, series._rates))
     lines.append("")  # so that the one join ends the last line too
     return "\n".join(lines)
 
@@ -386,8 +416,11 @@ def generate_synthetic_series(
     Banking days before December 25 follow the year's linear trend; days
     after it additionally carry the planted jump. Noise is uniform in
     [-amplitude, amplitude] from the documented LCG stream. Each year must
-    be an ``int``, not a bool, a float or text. A rate that overflows is a
-    DomainError naming its date; the series keeps the dict without a copy.
+    be an ``int``, not a bool, a float or text. The banking days are walked
+    as day ordinals, which go into the series' array with their rates as
+    they are made, so no ``date`` is built for a fixing. A rate that
+    overflows is a DomainError naming its date; the series keeps the arrays
+    without a copy.
     """
     years = list(years)
     bad = [y for y in years if type(y) is not int]
@@ -400,23 +433,25 @@ def generate_synthetic_series(
     if missing:
         raise DomainError(f"no trend configured for years {missing}")
     uniforms = _lcg_uniforms(spec.seed)
-    by_date = {}
+    ordinals = array(_ORDINAL)
+    rates = array("d")
     for year in year_list:
         slope, intercept = spec.year_trends[year]
         jump = bilinear_surface(spec.jump, slope, intercept)
         event = event_date(year).toordinal()
-        start = date(year, *GENERATION_START)
-        for d in banking_days(start, date(year, 12, 31), cal):
-            x = d.toordinal() - event
+        days = range(date(year, *GENERATION_START).toordinal(), date(year, 12, 31).toordinal() + 1)
+        for o in _banking(days, cal):
+            x = o - event
             noise = spec.noise_amplitude * (2.0 * next(uniforms) - 1.0)
             rate = slope * x + intercept + noise
             if x >= 1:
                 rate += jump
-            by_date[d] = rate
-    if not all(map(math.isfinite, by_date.values())):
-        bad = next(d for d, r in by_date.items() if not math.isfinite(r))
-        raise DomainError(f"rate on {bad.isoformat()} is not finite")
-    return _series_of(by_date, spec.tenor_label)
+            ordinals.append(o)
+            rates.append(rate)
+    if not all(map(math.isfinite, rates)):
+        bad = next(o for o, r in zip(ordinals, rates) if not math.isfinite(r))
+        raise DomainError(f"rate on {date.fromordinal(bad).isoformat()} is not finite")
+    return _series_of(ordinals, rates, spec.tenor_label)
 
 
 def _object_without_repeats(pairs: list[tuple[str, object]]) -> dict:

@@ -6,7 +6,12 @@ Windows are walked over proleptic day ordinals (``date.toordinal()``): a
 day's weekday is ``(ordinal + 6) % 7``, and its holiday check is one set
 lookup of its day of the year among its year's closed days, so only a
 banking day the walk yields becomes a ``date``; window offsets are ordinal
-differences.
+differences. A series keeps its fixings as an array of day ordinals beside
+an array of rates, so a window whose banking days are exactly the series'
+fixings from its first day through its last takes its rates as one slice,
+found by one bisection; any other window, one with a gap, past an end of
+the series, or in a series that also holds other days, reads its rates day
+by day, which names the first fault the walk meets.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterator
 from datetime import MAXYEAR, MINYEAR, date, datetime
+from itertools import islice
 
 from .errors import DomainError, IncompleteWindow, InsufficientData, MissingFixing, ParseError
 from .record import Record, set_field
@@ -206,11 +212,14 @@ def pre_window(
 
     Returns ``(offsets, rates, warning)``, offsets in whole days from
     December 25, ascending. Walks backward from December 24 to the first
-    fixing, each banking day's rate from ``_fixing`` (no interpolation:
-    IncompleteWindow after the last fixing, MissingFixing for a gap).
-    Returns exactly ``n`` observations or raises InsufficientData when the
-    series does not reach back far enough. With the default ``n``,
-    ``warning`` flags a calendar span other than the nominal 21 days.
+    fixing for the window's ``n`` banking days; when the series holds
+    exactly those days from the first through the last, their rates are
+    one slice of it. Otherwise each banking day's rate comes from
+    ``_fixing``, latest first (no interpolation: IncompleteWindow after the
+    last fixing, MissingFixing for a gap), and the window must still hold
+    exactly ``n`` observations, else InsufficientData: the series does not
+    reach back far enough. With the default ``n``, ``warning`` flags a
+    calendar span other than the nominal 21 days.
     """
     if n < PRE_WINDOW_MIN:
         raise DomainError(f"pre-window needs at least {PRE_WINDOW_MIN} banking days")
@@ -219,18 +228,20 @@ def pre_window(
             f"series is empty; need {n} fixings before Dec 25 {year}"
         )
     event = event_date(year).toordinal()
-    picked: list[tuple[int, float]] = []
-    for o in _banking(range(event - 1, series.first_date.toordinal() - 1, -1), cal):
+    walk = _banking(range(event - 1, series.first_date.toordinal() - 1, -1), cal)
+    days = list(islice(walk, n))
+    days.reverse()
+    rates = series._run_rates(days) if len(days) == n else None
+    if rates is None:
         # only the first day met, the window's last, can lie past the series end
-        picked.append((o - event, _fixing(o, series, "pre", year, o)))
-        if len(picked) == n:
-            break
-    else:
-        raise InsufficientData(
-            f"only {len(picked)} banking-day fixings before Dec 25 {year},"
-            f" need {n}"
-        )
-    offsets, rates = zip(*reversed(picked))
+        picked = [_fixing(o, series, "pre", year, o) for o in reversed(days)]
+        if len(picked) < n:
+            raise InsufficientData(
+                f"only {len(picked)} banking-day fixings before Dec 25 {year},"
+                f" need {n}"
+            )
+        rates = tuple(reversed(picked))
+    offsets = tuple([o - event for o in days])
     warning = None
     span = -offsets[0]
     if n == PRE_WINDOW_DAYS and span != NOMINAL_PRE_SPAN_DAYS:
@@ -257,14 +268,18 @@ def post_window_offsets(year: int, cal: HolidayCalendar) -> tuple[int, ...]:
 
 
 def post_window(year: int, series: "DailyRateSeries", cal: HolidayCalendar) -> tuple:
-    """The fixings on every day ``post_window_offsets`` gives, each rate from
-    ``_fixing``; ``(offsets, rates, warning)`` like ``pre_window``. Nominally
-    three observations; ``warning`` flags a calendar that gives another count.
+    """The fixings on every day ``post_window_offsets`` gives, as one slice
+    of the series when it holds exactly those days from the first through
+    the last, else each rate from ``_fixing``; ``(offsets, rates, warning)``
+    like ``pre_window``. Nominally three observations; ``warning`` flags a
+    calendar that gives another count.
     """
     offsets = post_window_offsets(year, cal)
     event = event_date(year).toordinal()
-    through = event + offsets[-1]
-    rates = tuple([_fixing(event + x, series, "post", year, through) for x in offsets])
+    days = [event + x for x in offsets]
+    rates = series._run_rates(days)
+    if rates is None:
+        rates = tuple([_fixing(o, series, "post", year, days[-1]) for o in days])
     warning = None
     if len(offsets) != NOMINAL_POST_COUNT:
         warning = (

@@ -13,6 +13,8 @@ import pytest
 from helpers import distinct_trends
 from xmasjump import (
     backtest,
+    cli,
+    data_io,
     fit_window_model,
     parse_rate_series,
     predict_next,
@@ -612,31 +614,54 @@ class TestUtf8Files:
         assert outcomes[1] == outcomes[0]
 
 
-def test_backtest_peaks_at_its_parse(tmp_path, capsys):
-    # A backtest report is small next to its series: rendering it must not
-    # raise the peak much above predict's, which the parse sets.
+class CountingSink:
+    """A stdout that keeps the count of the characters written, not them."""
+
+    written = 0
+
+    def write(self, text):
+        self.written += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_rendering_a_backtest_adds_little_beyond_its_report(tmp_path, monkeypatch):
+    # A json-like report is written one row or model at a time: while it is
+    # written, the command holds little beyond the report itself, however
+    # many targets it has. The sink holds none of the written output.
     spec = write_spec(tmp_path / "spec.json", 1900, 2100, noise=0.01)
     data = tmp_path / "rates.csv"
     assert main(["generate", "--spec", str(spec), "--out", str(data)]) == EXIT_OK
-    options = ["--data", str(data), "--format", "json-like"]
-    peaks = []
-    for argv in (["backtest", "1915", "2100", *options], ["predict", "2072", *options]):
-        assert main(argv) == EXIT_OK  # a first run, so that lazy imports and caches are filled
-        capsys.readouterr()  # else the measured run counts the capture buffer regrowing
-        tracemalloc.start()
-        try:
-            assert main(argv) == EXIT_OK
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        capsys.readouterr()
-    backtest_peak, predict_peak = peaks
-    assert backtest_peak <= 1.15 * predict_peak, peaks
+    argv = ["backtest", "1915", "2100", "--data", str(data), "--format", "json-like"]
+    sink = CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(argv) == EXIT_OK  # a first run, so that lazy imports and caches are filled
+    held = []
+    json_pieces = cli._json_pieces
+
+    def reset_peak_then_render(report):
+        held.append(tracemalloc.get_traced_memory()[0])  # the report, and what main holds
+        tracemalloc.reset_peak()  # so that the peak is the rendering's
+        return json_pieces(report)
+
+    monkeypatch.setattr(cli, "_json_pieces", reset_peak_then_render)
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.written > 200_000  # the report's text, many times the bound below
+    assert peak - held[0] <= 16 * 1024, (peak, held)
 
 
 def test_parse_peaks_near_its_series(tmp_path, capsys):
-    # The parse holds one piece's lines at a time, not the whole text's,
-    # next to the text its caller holds and the rows it builds.
+    # The parse holds one piece's lines and rows at a time, not the whole
+    # text's, next to the text its caller holds and the arrays it builds:
+    # what it holds beyond the series it returns is bounded by the piece
+    # size, not by the file's.
     spec = write_spec(tmp_path / "spec.json", 1900, 2100, noise=0.01)
     data = tmp_path / "rates.csv"
     assert main(["generate", "--spec", str(spec), "--out", str(data)]) == EXIT_OK
@@ -650,13 +675,14 @@ def test_parse_peaks_near_its_series(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert len(series) > 5000
-    assert peak <= 1.15 * size, (peak, size)
+    assert len(text) > 32 * data_io._PIECE_CHARS
+    assert peak - size <= 16 * data_io._PIECE_CHARS, (peak, size)
 
 
 def test_a_parsed_series_stores_each_fixing_once(tmp_path, capsys):
-    # One dict from date to rate: a date, a float and a dict slot per
-    # fixing, about 85 bytes; a second copy of each fixing, as a
-    # (date, rate) pair, would pass 100.
+    # Two arrays, of day ordinals and of rates: 16 bytes per fixing where a
+    # C long is 8 bytes, plus the arrays' growth room. A dict from date to
+    # rate, about 85 bytes per fixing, would not pass 24.
     spec = write_spec(tmp_path / "spec.json", 1900, 2100, noise=0.01)
     data = tmp_path / "rates.csv"
     assert main(["generate", "--spec", str(spec), "--out", str(data)]) == EXIT_OK
@@ -670,7 +696,7 @@ def test_a_parsed_series_stores_each_fixing_once(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert len(series) > 5000
-    assert size <= 100 * len(series), size / len(series)
+    assert size <= 24 * len(series), size / len(series)
 
 
 class TestClosedOutput:

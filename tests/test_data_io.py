@@ -25,6 +25,10 @@ LCG_INCREMENT = 1442695040888963407
 _DEEP = "[" * 600 + "]" * 600
 
 
+class Day(date):
+    """A date subclass: a plain date to the series, with its type dropped."""
+
+
 def lcg_uniforms(seed: int, count: int) -> list[float]:
     """The documented noise stream, recomputed from the recurrence."""
     state = seed & ((1 << 64) - 1)
@@ -303,6 +307,30 @@ class TestDailyRateSeriesValidation:
         )
         assert series.rate_on(date(2018, 1, 5)) == 2.0
         assert series.rate_on(date(2018, 1, 3)) is None
+
+    @pytest.mark.parametrize(
+        "day", [datetime(2018, 12, 24), "2018-12-24", None, 20181224, 737052],
+        ids=["datetime", "text", "none", "integer", "ordinal"],
+    )
+    def test_lookup_of_what_is_not_a_date_finds_nothing(self, day):
+        # A datetime never equals a date, so it names no fixing, not even
+        # the one on its own day; nor does the day's ordinal.
+        series = DailyRateSeries(entries=((date(2018, 12, 24), 2.5),))
+        assert date(2018, 12, 24).toordinal() == 737052
+        assert series.rate_on(day) is None
+
+    def test_lookup_by_a_date_subclass(self):
+        series = DailyRateSeries(entries=((date(2018, 12, 24), 2.5),))
+        assert series.rate_on(Day(2018, 12, 24)) == 2.5
+        assert series.rate_on(Day(2018, 12, 21)) is None
+
+    def test_a_date_subclass_comes_back_as_a_plain_date(self):
+        # The series keeps day ordinals, so a fixing's date is rebuilt as a date.
+        series = DailyRateSeries(entries=((Day(2018, 12, 24), 2.5),))
+        assert series.entries == ((date(2018, 12, 24), 2.5),)
+        assert type(series.entries[0][0]) is date
+        assert type(series.first_date) is type(series.last_date) is date
+        assert series == DailyRateSeries(entries=((date(2018, 12, 24), 2.5),))
 
 
 class TestGenerator:

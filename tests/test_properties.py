@@ -17,8 +17,10 @@ value or raise an ``XmasJumpError`` subclass, never anything else; so do
 the constructors of the input records, given any arguments. On the demo
 fixture with its rates scaled by any power of ten a float can hold, each
 data command prints its result or exits 1 with one error line. The
-banking-day walks over day ordinals agree with a day-by-day reference, and
-a calendar's closed days of a year are the days ``is_holiday`` names.
+banking-day walks over day ordinals agree with a day-by-day reference, also
+where a series holds only banking days and a window that succeeds is one
+slice of it, and a calendar's closed days of a year are the days
+``is_holiday`` names.
 The CLI's JSON writer prints what ``json.dumps(value, indent=2)`` prints
 for scalars and tuples, and what it prints for a record's ``to_dict()``,
 also when it writes a record or two records in pieces. The parser that
@@ -93,6 +95,7 @@ from xmasjump import (
     data_io,
     generate_synthetic_series,
     jump_pipeline,
+    market_calendar,
     parse_rate_series,
     predict_next,
     regression_core,
@@ -563,7 +566,7 @@ def test_series_checks_match_the_list_checks(entries, label):
         # a rate that is not a float is rebuilt as one
         assert series.entries == tuple((day, float(rate)) for day, rate in entries)
         assert {type(value) for entry in series.entries for value in entry} <= {date, float}
-        assert series._by_date == dict(series.entries)
+        assert list(series._ordinals) == [day.toordinal() for day, _ in entries]
 
 
 # --- fuzzing: only XmasJumpError subclasses escape -------------------------
@@ -871,6 +874,50 @@ def test_ordinal_walks_match_the_day_by_day_reference(
     assert outcome(post_window, year, series, cal) == outcome(
         reference_post_window, year, series, cal
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    year=st.sampled_from([1, 2, 4, 9998, 9999]) | st.integers(min_value=1, max_value=9999),
+    recurring=st.frozensets(recurring_days, max_size=4),
+    one_offs=st.frozensets(closure_offsets, max_size=6),
+    late=st.integers(min_value=0, max_value=710),
+    cut=st.integers(min_value=0, max_value=46),
+    gaps=st.frozensets(st.integers(min_value=-60, max_value=6), max_size=2),
+    n=window_lengths,
+)
+def test_windows_of_a_banking_day_series_match_the_reference(
+    year, recurring, one_offs, late, cut, gaps, n
+):
+    # As above, but the series holds only the calendar's banking days, less
+    # the gaps and the cut, so a window that succeeds is one slice of it:
+    # no rate is read day by day. The every-day series above never slices.
+    event = date(year, 12, 25).toordinal()
+    cal = HolidayCalendar(holidays=recurring | {day_at(event + x) for x in one_offs})
+    first, last = day_at(event - 700 + late), day_at(event + 6 - cut)
+    gap_days = {day_at(event + x) for x in gaps}
+    series = DailyRateSeries(entries=tuple(
+        (d, (d.toordinal() % 97) / 8.0)
+        for d in reference_banking_days(first, last, cal) if d not in gap_days
+    ))
+    fixing = market_calendar._fixing
+    read = []
+
+    def spy(o, *args):
+        read.append(o)
+        return fixing(o, *args)
+
+    for window, reference, args in [
+        (pre_window, reference_pre_window, (year, series, cal, n)),
+        (post_window, reference_post_window, (year, series, cal)),
+    ]:
+        read.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(market_calendar, "_fixing", spy)
+            got = outcome(window, *args)
+        assert got == outcome(reference, *args)
+        failed = isinstance(got[0], type)  # (error type, message)
+        assert failed or read == []
 
 
 # One-off closures, as day offsets from January 1 of the drawn year: any day
