@@ -13,9 +13,11 @@ from collections.abc import Iterable, Iterator
 from json.encoder import encode_basestring_ascii
 
 from .data_io import (
+    _parse_pieces,
+    _read_pieces,
+    _serialized_pieces,
     generate_synthetic_series,
     parse_rate_series,
-    serialize_rate_series,
     synthetic_spec_from_json,
 )
 from .errors import WindowTooShort, XmasJumpError
@@ -197,10 +199,25 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _load_series(args):
+    """The series in ``--data`` or ``$XMASJUMP_DATA``, read and parsed a
+    piece at a time, so that the file's whole text is never held.
+
+    A file at fault is read again whole and that text parsed, so that the
+    error is the whole text's: a byte that is not UTF-8 anywhere in the file
+    comes before a bad row, with its position in the file, not in a piece.
+    A file that cannot seek, such as a pipe, is read whole at once.
+    """
     path = args.data or os.environ.get(DATA_ENV_VAR)
     if not path:
         args.command_parser.error(f"no data file: pass --data or set ${DATA_ENV_VAR}")
-    return parse_rate_series(_read_text(path))
+    with open(path, encoding="utf-8-sig") as file:
+        if file.seekable():
+            try:
+                return _parse_pieces(_read_pieces(file))
+            except (XmasJumpError, UnicodeDecodeError):
+                file.seek(0)
+        text = file.read()
+    return parse_rate_series(text)
 
 
 def _load_calendar(args) -> HolidayCalendar:
@@ -211,7 +228,8 @@ def _load_calendar(args) -> HolidayCalendar:
 
 def _read_text(path: str) -> str:
     """The file's UTF-8 text, less a leading byte-order mark; the file closes
-    first, so parsing runs without its buffer."""
+    first, so parsing runs without its buffer. For a calendar or a spec,
+    which are short; a series is read a piece at a time by ``_load_series``."""
     with open(path, encoding="utf-8-sig") as file:
         return file.read()
 
@@ -387,6 +405,13 @@ def _cmd_predict(args, cal) -> Iterable[str]:
 
 
 def _cmd_generate(args, cal) -> Iterable[str]:
+    """Write the spec's series to ``--out`` and return the summary.
+
+    The spec, the series and its tenor label, and the summary's encoding
+    are all checked before ``--out`` is opened, so a failure leaves it
+    untouched; after that only an OSError can fail the write. The text is
+    written a piece at a time and never built whole.
+    """
     spec, years = synthetic_spec_from_json(_read_text(args.spec))
     series = generate_synthetic_series(spec, years, cal)
     summary = _kv_text(
@@ -398,9 +423,8 @@ def _cmd_generate(args, cal) -> Iterable[str]:
         ]
     )
     _check_printable(summary)  # a failure must leave --out untouched
-    text = serialize_rate_series(series)  # before opening: no file buffer held meanwhile
     with open(args.out, "w", encoding="utf-8", newline="\n") as file:
-        file.write(text)
+        file.writelines(_serialized_pieces(series))
     return [summary]
 
 

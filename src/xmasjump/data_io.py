@@ -55,6 +55,9 @@ _ORDINAL = "l"
 # About how many characters ``parse_rate_series`` splits into lines at once;
 # the lines of one piece, as strings, take a few times the piece's size.
 _PIECE_CHARS = 1 << 12
+# How many rows ``_serialized_pieces`` renders at once: about 7.5 K
+# characters of rows as the generator writes them, 20 to 30 characters each.
+_WRITE_ROWS = 256
 
 GENERATION_START = (11, 25)  # rates are emitted from Nov 25 through Dec 31
 
@@ -86,12 +89,17 @@ def _finite_tuple(values, count: int) -> tuple[float, ...] | None:
 
 def _check_tenor_label(label) -> None:
     """Raise DomainError unless ``label`` is a string of one line without
-    surrounding whitespace, which survives serialization."""
+    surrounding whitespace that UTF-8 can encode, which survives
+    serialization and the file ``generate`` writes."""
     if not isinstance(label, str):
         raise DomainError(f"tenor_label must be a string, got {_brief(label)}")
     if label != label.strip() or len(label.splitlines()) > 1:
         raise DomainError(
             f"tenor label {_brief(label)} has surrounding whitespace or a line break")
+    try:
+        label.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate
+        raise DomainError(f"tenor label {_brief(label)} cannot be written as UTF-8") from None
 
 
 class DailyRateSeries(Record):
@@ -105,7 +113,7 @@ class DailyRateSeries(Record):
     place that checks a series, takes such pairs, each date a ``date`` or a
     subclass other than ``datetime`` and each rate a finite real number,
     neither text nor a bool. The tenor label is one line without surrounding
-    whitespace, so that it survives serialization.
+    whitespace that UTF-8 can encode, so that it survives serialization.
     """
 
     __slots__ = ("tenor_label", "_ordinals", "_rates")
@@ -190,7 +198,7 @@ def _series_of(ordinals: array, rates: array, tenor_label: str) -> DailyRateSeri
     fills its arrays with ascending day ordinals and finite rates (the parse
     rejects overflows and repeats and sorts; the generator checks its rates
     finite and walks its days in order), with a label that
-    ``_TENOR_COMMENT`` or ``SyntheticSpec`` made valid, and then drops them.
+    ``_check_tenor_label`` passed, and then drops them.
     """
     series = DailyRateSeries.__new__(DailyRateSeries)
     set_field(series, "tenor_label", tenor_label)
@@ -222,6 +230,24 @@ def _pieces(text: str) -> Iterator[str]:
         start = end
 
 
+def _read_pieces(file) -> Iterator[str]:
+    """The text of ``file``, open for reading text, in pieces that end as
+    ``_pieces`` ends them: just after a ``"\\n"`` or at the end of the file.
+    A piece is one read of ``_PIECE_CHARS`` characters up to its last
+    ``"\\n"``, after the unfinished line that the reads before it left; a
+    read without a ``"\\n"`` is added to that line."""
+    carry = ""
+    while chunk := file.read(_PIECE_CHARS):
+        end = chunk.rfind("\n") + 1
+        if end:
+            yield carry + chunk[:end]
+            carry = chunk[end:]
+        else:
+            carry += chunk
+    if carry:
+        yield carry
+
+
 def _canonical_rows(piece: str, latest: date) -> tuple[list[date], list[float]] | None:
     """The dates and rates of ``piece`` when each of its lines is a
     ``_CANONICAL_ROW``, every date and rate converts, every rate is finite
@@ -251,19 +277,27 @@ def parse_rate_series(text: str) -> DailyRateSeries:
     The text is split into lines one piece of about ``_PIECE_CHARS``
     characters at a time, so the parse never holds more than a piece's lines
     next to the text and the series' two arrays, of day ordinals and of
-    rates. A piece after the header whose lines are all rows as
-    ``serialize_rate_series`` writes them, in date order after the rows
-    before it, goes into the arrays in bulk: a file as ``generate`` writes
-    it is read so, past its first piece. Any other piece is read line by
-    line, each line matched once against ``_ROW``: a data row is appended
-    to the arrays where it stands; any other line is a comment, a blank
-    line, the header or an error, which names its line number. Rows out of
-    date order are sorted once, after the text is let go; a date on two
-    rows is then a DuplicateDate, the earliest such date. Each row is
-    checked as it is read, so the series keeps the arrays without a copy or
-    a second check. The tenor label is the last ``# tenor:`` comment's,
-    else empty; relabel with ``DailyRateSeries(series.entries, label)``.
+    rates. The CLI parses a file in the same pieces as it reads them, so
+    that it never holds the file's whole text. A piece after the header
+    whose lines are all rows as ``serialize_rate_series`` writes them, in
+    date order after the rows before it, goes into the arrays in bulk: a
+    file as ``generate`` writes it is read so, past its first piece. Any
+    other piece is read line by line, each line matched once against
+    ``_ROW``: a data row is appended to the arrays where it stands; any
+    other line is a comment, a blank line, the header or an error, which
+    names its line number. Rows out of date order are sorted once, at the
+    end; a date on two rows is then a DuplicateDate, the earliest such date.
+    Each row is checked as it is read, so the series keeps the arrays
+    without a copy or a second check. The tenor label is the last
+    ``# tenor:`` comment's, else empty, and a DomainError if UTF-8 cannot
+    encode it; relabel with ``DailyRateSeries(series.entries, label)``.
     """
+    return _parse_pieces(_pieces(text))
+
+
+def _parse_pieces(pieces: Iterable[str]) -> DailyRateSeries:
+    """``parse_rate_series`` of the text that ``pieces`` make up, each piece
+    ending just after a ``"\\n"`` or at the end of the text."""
     ordinals = array(_ORDINAL)
     rates = array("d")
     latest = date.min  # the latest date so far
@@ -271,7 +305,7 @@ def parse_rate_series(text: str) -> DailyRateSeries:
     seen_header = False
     tenor_label = ""
     lineno = 0
-    for piece in _pieces(text):
+    for piece in pieces:
         bulk = _canonical_rows(piece, latest) if seen_header else None
         if bulk is not None:
             days, piece_rates = bulk
@@ -315,13 +349,13 @@ def parse_rate_series(text: str) -> DailyRateSeries:
     if not seen_header:
         raise ParseError(None, f"missing {CSV_HEADER!r} header")
     if not in_order:
-        del text  # the sort's copies take its place
         order = sorted(range(len(ordinals)), key=ordinals.__getitem__)
         ordinals = array(_ORDINAL, map(ordinals.__getitem__, order))
         rates = array("d", map(rates.__getitem__, order))
         for o, later in zip(ordinals, islice(ordinals, 1, None)):
             if o == later:
                 raise DuplicateDate(date.fromordinal(o))
+    _check_tenor_label(tenor_label)  # the constructor's rule: a str may hold a lone surrogate
     return _series_of(ordinals, rates, tenor_label)
 
 
@@ -341,16 +375,24 @@ def _row_problem(line: str) -> str:
 def serialize_rate_series(series: DailyRateSeries) -> str:
     """Render a series back to the delimited text format.
 
-    Shortest round-trip float formatting, so parse(serialize(s)) == s.
+    Shortest round-trip float formatting, so parse(serialize(s)) == s. The
+    text is the join of ``_serialized_pieces(series)``, which the CLI writes
+    piece by piece instead, so that it never holds the whole text.
     """
-    lines = []
-    if series.tenor_label:
-        lines.append(f"# tenor: {series.tenor_label}")
-    lines.append(CSV_HEADER)
-    days = map(date.fromordinal, series._ordinals)
-    lines.extend(f"{d.isoformat()},{rate!r}" for d, rate in zip(days, series._rates))
-    lines.append("")  # so that the one join ends the last line too
-    return "\n".join(lines)
+    return "".join(_serialized_pieces(series))
+
+
+def _serialized_pieces(series: DailyRateSeries) -> Iterator[str]:
+    """The lines of ``serialize_rate_series(series)``, each ending in
+    ``"\\n"``: the header's as one piece, then the rows' ``_WRITE_ROWS`` at a
+    time."""
+    head = f"# tenor: {series.tenor_label}\n" if series.tenor_label else ""
+    yield head + CSV_HEADER + "\n"
+    ordinals, rates = series._ordinals, series._rates
+    for start in range(0, len(ordinals), _WRITE_ROWS):
+        days = map(date.fromordinal, ordinals[start:start + _WRITE_ROWS])
+        piece_rates = rates[start:start + _WRITE_ROWS]
+        yield "".join([f"{d.isoformat()},{rate!r}\n" for d, rate in zip(days, piece_rates)])
 
 
 class SyntheticSpec(Record):

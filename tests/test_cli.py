@@ -122,6 +122,39 @@ class TestGenerate:
         assert b"tenor    \\u20acSTR\n" in done.stdout
         assert parse_rate_series(out.read_text(encoding="utf-8")).tenor_label == "\u20acSTR"
 
+    @staticmethod
+    def surrogate_tenor_spec(path):
+        doc = json.loads((FIXTURES / "demo_spec.json").read_text())
+        path.write_text(json.dumps(dict(doc, tenor="\udcff")))  # as the escape "\\udcff"
+        return path
+
+    @pytest.mark.parametrize("existing", [None, b"previous\n"], ids=["absent", "present"])
+    def test_a_tenor_label_utf8_cannot_encode_leaves_the_output_untouched(
+        self, tmp_path, existing, monkeypatch, capsys
+    ):
+        # A lone surrogate passes a stdout that escapes it, and one without an
+        # encoding, but could not be written to --out: the spec is refused.
+        spec, out = self.surrogate_tenor_spec(tmp_path / "spec.json"), tmp_path / "out.csv"
+        if existing is not None:
+            out.write_bytes(existing)
+        argv = ["generate", "--spec", str(spec), "--out", str(out)]
+        done = subprocess.run(
+            [sys.executable, "-m", "xmasjump", *argv],
+            capture_output=True,
+            env=dict(os.environ, PYTHONIOENCODING="utf-8:surrogateescape"),
+        )
+        monkeypatch.setattr(sys, "stdout", CountingSink())  # no encoding
+        code = main(argv)
+        message = "error: tenor label '\\udcff' cannot be written as UTF-8\n"
+        assert (done.returncode, done.stdout, done.stderr) == (
+            EXIT_DATA_ERROR, b"", message.encode())
+        assert (code, sys.stdout.written, capsys.readouterr().err) == (
+            EXIT_DATA_ERROR, 0, message)
+        if existing is None:
+            assert not out.exists()
+        else:
+            assert out.read_bytes() == existing
+
     def test_stdout_without_an_encoding_takes_any_summary(self, tmp_path, monkeypatch):
         spec, out = self.euro_tenor_spec(tmp_path / "spec.json"), tmp_path / "out.csv"
         monkeypatch.setattr(sys, "stdout", io.StringIO())  # encoding None
@@ -414,6 +447,29 @@ class TestDemoFixture:
         assert main(argv + ["--data", str(DEMO_RATES), "--format", "json-like"]) == EXIT_OK
         assert capsys.readouterr().out == (GOLDEN / f"{golden}.json").read_text()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    def test_a_series_piped_in_reads_as_the_file_does(self, tmp_path):
+        # A pipe cannot seek, so its text is read whole: the output is the
+        # golden one, and a file at fault gives the error its path gives.
+        argv = [sys.executable, "-m", "xmasjump", "predict", "2019", "--model-years", "2004-2018"]
+        piped = subprocess.run(
+            argv + ["--data", "/dev/stdin"], input=DEMO_RATES.read_bytes(), capture_output=True
+        )
+        assert (piped.returncode, piped.stderr) == (EXIT_OK, b"")
+        assert piped.stdout == (GOLDEN / "demo_predict_2019_model_years_2004_2018.txt").read_bytes()
+        lines = DEMO_RATES.read_bytes().split(b"\n")
+        lines[5] = b"2000-02-30,1.0"  # a bad row, then a bad byte past the first 8 KiB
+        lines[-2] += b"\xff"
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\n".join(lines))
+        piped = subprocess.run(
+            argv + ["--data", "/dev/stdin"], input=bad.read_bytes(), capture_output=True
+        )
+        named = subprocess.run(argv + ["--data", str(bad)], capture_output=True)
+        assert piped.returncode == named.returncode == EXIT_DATA_ERROR
+        assert piped.stderr == named.stderr
+        assert piped.stderr.startswith(b"error: 'utf-8' codec can't decode byte 0xff in position ")
+
     def test_the_cli_module_runs_as_the_package_does(self):
         argv = ["fit-year", "2019", "--data", str(DEMO_RATES)]
         package, module = (
@@ -677,6 +733,65 @@ def test_parse_peaks_near_its_series(tmp_path, capsys):
     assert len(series) > 5000
     assert len(text) > 32 * data_io._PIECE_CHARS
     assert peak - size <= 16 * data_io._PIECE_CHARS, (peak, size)
+
+
+def test_loading_a_series_holds_little_beyond_it(tmp_path, monkeypatch):
+    # predict reads and parses its file a piece at a time: beyond the series
+    # it loads, it holds a few pieces' text and lines and the file's buffer,
+    # however long the file, and never the file's whole text or bytes.
+    spec = write_spec(tmp_path / "spec.json", 1900, 2100, noise=0.01)
+    data = tmp_path / "rates.csv"
+    monkeypatch.setattr(sys, "stdout", CountingSink())
+    assert main(["generate", "--spec", str(spec), "--out", str(data)]) == EXIT_OK
+    argv = ["predict", "2100", "--data", str(data)]
+    assert main(argv) == EXIT_OK  # a first run, so that lazy imports and caches are filled
+    loaded = []
+    load_series = cli._load_series
+
+    def reset_peak_then_load(args):
+        tracemalloc.reset_peak()  # so that the peak is the load's
+        series = load_series(args)
+        loaded.append(tracemalloc.get_traced_memory())  # the series and what main holds
+        return series
+
+    monkeypatch.setattr(cli, "_load_series", reset_peak_then_load)
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+    finally:
+        tracemalloc.stop()
+    ((size, peak),) = loaded
+    assert data.stat().st_size > 32 * data_io._PIECE_CHARS
+    assert peak - size <= 16 * data_io._PIECE_CHARS + io.DEFAULT_BUFFER_SIZE, (peak, size)
+
+
+def test_generate_holds_little_beyond_its_series_while_it_writes(tmp_path, monkeypatch):
+    # The file is written a few hundred rows at a time: beyond the series,
+    # generate holds a piece's rows and the file's buffer, however long the
+    # series, and never the file's whole text.
+    spec = write_spec(tmp_path / "spec.json", 1900, 2100, noise=0.01)
+    out = tmp_path / "rates.csv"
+    argv = ["generate", "--spec", str(spec), "--out", str(out)]
+    monkeypatch.setattr(sys, "stdout", CountingSink())
+    assert main(argv) == EXIT_OK  # a first run, so that lazy imports and caches are filled
+    held = []
+    generate = cli.generate_synthetic_series
+
+    def generate_then_reset_peak(*args):
+        series = generate(*args)
+        held.append(tracemalloc.get_traced_memory()[0])  # the series, and what main holds
+        tracemalloc.reset_peak()  # so that the peak is the writing's
+        return series
+
+    monkeypatch.setattr(cli, "generate_synthetic_series", generate_then_reset_peak)
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size > 32 * data_io._PIECE_CHARS
+    assert peak - held[0] <= 16 * data_io._PIECE_CHARS + io.DEFAULT_BUFFER_SIZE, (peak, held)
 
 
 def test_a_parsed_series_stores_each_fixing_once(tmp_path, capsys):

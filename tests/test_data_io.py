@@ -213,6 +213,19 @@ class TestDailyRateSeriesValidation:
         with pytest.raises(DomainError):
             DailyRateSeries(entries=(), tenor_label=label)
 
+    @pytest.mark.parametrize("label", ["\udcff", "USD\ud800"])
+    def test_tenor_label_that_utf8_cannot_encode_rejected(self, label):
+        # a lone surrogate: the label could not be written to a file
+        want = f"tenor label {label!r} cannot be written as UTF-8"
+        with pytest.raises(DomainError) as exc_info:
+            DailyRateSeries(entries=(), tenor_label=label)
+        assert str(exc_info.value) == want
+        # a parsed text may hold one too; its series is refused as the constructor's
+        text = f"# tenor: {label}\ndate,rate\n2018-12-24,2.70\n"
+        with pytest.raises(DomainError) as exc_info:
+            parse_rate_series(text)
+        assert str(exc_info.value) == want
+
     def test_datetime_rejected(self):
         with pytest.raises(DomainError):
             DailyRateSeries(entries=((datetime(2018, 1, 2, 12, 0), 1.0),))
@@ -478,7 +491,7 @@ class TestGenerator:
         with pytest.raises(DomainError, match="^jump coefficients must be 4 finite numbers"):
             SyntheticSpec(year_trends={2018: (0.0, 1.0)}, jump=coefficients)
 
-    @pytest.mark.parametrize("label", [5, None, " SYN", "SYN ", "a\nb"])
+    @pytest.mark.parametrize("label", [5, None, " SYN", "SYN ", "a\nb", "\udcff"])
     def test_tenor_label_checked_when_the_spec_is_built(self, label):
         # the series' rule and message, before any fixing is generated
         with pytest.raises(DomainError) as series_error:
@@ -645,9 +658,14 @@ class TestSyntheticSpecFromJson:
                 " or a line break",
             ),
             ('{"years": {"2004": [0, 1], "2004": [0, 2]}}', "repeated key '2004'"),
+            # a JSON escape can spell a lone surrogate, which UTF-8 cannot encode
+            (
+                '{"years": {"2018": [0, 1]}, "tenor": "\\udcff"}',
+                "tenor label '\\udcff' cannot be written as UTF-8",
+            ),
         ],
         ids=["key_spelling", "year_range", "short_trend", "text_seed", "padded_tenor",
-             "jump_shape_first", "deep_trend", "long_tenor", "repeated_key"],
+             "jump_shape_first", "deep_trend", "long_tenor", "repeated_key", "surrogate_tenor"],
     )
     def test_a_bad_value_reports_the_spec_field(self, text, message):
         with pytest.raises(ParseError) as exc_info:

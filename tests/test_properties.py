@@ -27,7 +27,9 @@ also when it writes a record or two records in pieces. The parser that
 splits its text a piece at a time parses as the whole-text parser does,
 also where it reads a piece of rows in bulk and one row of the text is
 wrong or out of place; every row ``serialize_rate_series`` writes is one
-that the bulk step takes. The series constructor rejects what the
+that the bulk step takes. The CLI's load of a series file, read and parsed
+a piece at a time, ends as the parse of the file's whole text does, from a
+file or a pipe, whatever its line ends, byte-order mark and bad bytes. The series constructor rejects what the
 list-based checks reject, with their message.
 The fit of a ``window_fits`` window numbered from any year fails exactly
 when its Householder reference fails, with the same error, and where both
@@ -37,6 +39,7 @@ backtest's own models; the standard errors and adjusted R^2 that
 the contract. README.md names only functions and tests that exist.
 """
 
+import argparse
 import ast
 import contextlib
 import importlib
@@ -92,6 +95,7 @@ from xmasjump import (
     YearObservation,
     backtest,
     calendar_from_lines,
+    cli,
     data_io,
     generate_synthetic_series,
     jump_pipeline,
@@ -411,7 +415,7 @@ def outcome(fn, *args):
     """What ``fn`` returns, or the type and message of the error it raises."""
     try:
         return fn(*args)
-    except XmasJumpError as exc:
+    except (XmasJumpError, UnicodeDecodeError) as exc:
         return type(exc), str(exc)
 
 
@@ -431,6 +435,77 @@ def test_piecewise_parse_matches_the_whole_text_parse(piece_chars, text):
         assert parsed == outcome(reference_parse_rate_series, text)
     if isinstance(parsed, DailyRateSeries):
         assert_constructor_accepts(parsed)
+
+
+class Unseekable(io.BytesIO):
+    """Bytes that, as from a pipe, cannot be read a second time."""
+
+    def seekable(self):
+        return False
+
+
+# Comment lines that put what follows them past the first 8 KiB the text
+# layer of a file decodes at once, so that a bad row before them is read
+# before a bad byte after them is decoded.
+PADDING = "# padding\n" * 1000
+
+
+@st.composite
+def rate_files(draw):
+    """A ``rate_texts`` text as a file's bytes: its ``"\\n"`` line ends
+    kept or made ``"\\r\\n"`` or a lone ``"\\r"``, ``PADDING`` after a line or
+    none, UTF-8 with a byte-order mark or without, and a byte that is not
+    UTF-8 inserted at any position or none."""
+    text = draw(rate_texts())
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    head = draw(st.sampled_from([b"", b"\xef\xbb\xbf"]))
+    if draw(st.booleans()):
+        at = draw(st.sampled_from([0] + [i + 1 for i, char in enumerate(text) if char == "\n"]))
+        head += (text[:at] + PADDING).replace("\n", newline).encode("utf-8")
+        text = text[at:]
+    data = head + text.replace("\n", newline).encode("utf-8")
+    if draw(st.booleans()):  # anywhere, or often just after the padding
+        at = draw(st.integers(0, len(data)) | st.integers(len(head), len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\x80", b"\xc3"])) + data[at:]
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=rate_files(),
+    piece_chars=st.integers(1, 64) | st.just(data_io._PIECE_CHARS),
+    seekable=st.booleans(),
+)
+@example(  # a bad row, then a bad byte past the first 8 KiB
+    data=f"date,rate\n2018-02-30,1\n{PADDING}2018-12-24,2.70\n".encode() + b"\xff\n",
+    piece_chars=7, seekable=True,
+)
+@example(data=b"\xef\xbb\xbfdate,rate\r2018-12-24,2.70\r", piece_chars=1, seekable=True)
+def test_streamed_load_matches_the_whole_text_parse(data, piece_chars, seekable, tmp_path_factory):
+    # The CLI reads a file and parses it a piece at a time; it must end as
+    # the parse of the file's whole text does, with the same series or the
+    # same error: a byte that is not UTF-8 anywhere before any bad row.
+    path = tmp_path_factory.getbasetemp() / "streamed.csv"
+    path.write_bytes(data)
+    whole_text_parses = []
+
+    def whole_text_parse(text):
+        whole_text_parses.append(len(text))
+        return parse_rate_series(text)
+
+    def pipe(file, encoding):
+        return io.TextIOWrapper(Unseekable(Path(file).read_bytes()), encoding=encoding)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data_io, "_PIECE_CHARS", piece_chars)
+        patch.setattr(cli, "parse_rate_series", whole_text_parse)
+        if not seekable:
+            patch.setattr(cli, "open", pipe, raising=False)
+        loaded = outcome(cli._load_series, argparse.Namespace(data=str(path)))
+    want = outcome(lambda: parse_rate_series(path.read_text(encoding="utf-8-sig")))
+    assert loaded == want
+    if isinstance(loaded, DailyRateSeries):  # read whole only from a pipe
+        assert len(whole_text_parses) == (not seekable)
 
 
 CORRUPTIONS = ["02-30", "1e999", "1.2.3", "moved", "repeated", "trailing space", "\r\n",
