@@ -52,6 +52,9 @@ _RATE_TEXT = operator.itemgetter(slice(11, None))
 # The array type code of a series' day ordinals: a C long, at least 32 bits,
 # holds every ordinal up to ``date.max``'s 3652059.
 _ORDINAL = "l"
+# The line breaks ``str.splitlines`` honours other than ``"\\n"``, with
+# which ``"\\r\\n"`` ends.
+_OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 # About how many characters ``parse_rate_series`` splits into lines at once;
 # the lines of one piece, as strings, take a few times the piece's size.
 _PIECE_CHARS = 1 << 12
@@ -216,32 +219,38 @@ def _finite_entry(day: date, rate) -> tuple[date, float]:
 
 
 def _pieces(text: str) -> Iterator[str]:
-    """``text`` cut into pieces of about ``_PIECE_CHARS`` characters, each
-    ending just after a ``"\\n"`` or at the end of the text.
-
-    Every ``"\\n"`` ends a line, alone or as the second half of ``"\\r\\n"``,
-    so no line or line break straddles two pieces: the pieces' lines, taken
-    in order, are ``text.splitlines()``.
-    """
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _PIECE_CHARS - 1) + 1 or len(text)
-        yield text[start:end]
-        start = end
+    """``text`` in the pieces ``_whole_lines`` makes of its slices of
+    ``_PIECE_CHARS`` characters."""
+    return _whole_lines(text[i:i + _PIECE_CHARS] for i in range(0, len(text), _PIECE_CHARS))
 
 
 def _read_pieces(file) -> Iterator[str]:
-    """The text of ``file``, open for reading text, in pieces that end as
-    ``_pieces`` ends them: just after a ``"\\n"`` or at the end of the file.
-    A piece is one read of ``_PIECE_CHARS`` characters up to its last
-    ``"\\n"``, after the unfinished line that the reads before it left; a
-    read without a ``"\\n"`` is added to that line."""
+    """The text of ``file``, open for reading text, in the pieces
+    ``_whole_lines`` makes of its reads of ``_PIECE_CHARS`` characters."""
+    return _whole_lines(iter(lambda: file.read(_PIECE_CHARS), ""))
+
+
+def _whole_lines(chunks: Iterable[str]) -> Iterator[str]:
+    """The text of ``chunks`` in pieces that each end just after a line
+    break ``str.splitlines`` honours, or at the end of the text: a piece is
+    a chunk up to its last line break, after the unfinished line that the
+    chunks before it left; a chunk without one is added to that line. A
+    ``"\\r"`` that ends a chunk is left to the next piece, which may start
+    with the ``"\\n"`` of its ``"\\r\\n"``. So no line or line break straddles
+    two pieces: the pieces' lines, taken in order, are the text's
+    ``splitlines()``.
+    """
     carry = ""
-    while chunk := file.read(_PIECE_CHARS):
-        end = chunk.rfind("\n") + 1
+    for chunk in chunks:
+        stop = len(chunk) - chunk.endswith("\r")
+        end = chunk.rfind("\n", 0, stop) + 1
+        if not chunk[end:stop].isprintable():  # no break is printable
+            end = max(end, *[chunk.rfind(other, end, stop) + 1 for other in _OTHER_BREAKS])
         if end:
-            yield carry + chunk[:end]
-            carry = chunk[end:]
+            piece, carry = carry + chunk[:end], chunk[end:]
+            del chunk  # held neither while the piece is parsed
+            yield piece
+            del piece  # nor, as the piece, while the next one is read
         else:
             carry += chunk
     if carry:
@@ -297,7 +306,7 @@ def parse_rate_series(text: str) -> DailyRateSeries:
 
 def _parse_pieces(pieces: Iterable[str]) -> DailyRateSeries:
     """``parse_rate_series`` of the text that ``pieces`` make up, each piece
-    ending just after a ``"\\n"`` or at the end of the text."""
+    ending just after a line break or at the end of the text."""
     ordinals = array(_ORDINAL)
     rates = array("d")
     latest = date.min  # the latest date so far
@@ -346,6 +355,7 @@ def _parse_pieces(pieces: Iterable[str]) -> DailyRateSeries:
             if line.replace(" ", "").lower() != CSV_HEADER:
                 raise ParseError(lineno, f"expected header {CSV_HEADER!r}, got {line!r}")
             seen_header = True
+        del piece  # not held while the next one is read: 2 bytes a character past Latin-1
     if not seen_header:
         raise ParseError(None, f"missing {CSV_HEADER!r} header")
     if not in_order:

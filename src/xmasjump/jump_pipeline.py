@@ -18,6 +18,7 @@ from .errors import DomainError, WindowTooShort
 from .market_calendar import (
     HolidayCalendar,
     PRE_WINDOW_DAYS,
+    _year_windows,
     post_window,
     post_window_offsets,
     pre_window,
@@ -33,7 +34,7 @@ from .regression_core import (
     window_fits,
 )
 from .record import Record, set_field
-from .stat_inference import CoefficientInference, inference_for_fit
+from .stat_inference import CoefficientInference, _inference, _StudentT
 
 # Years in a model's fitting window by default; one design row per year,
 # so the fewest allowed is the bilinear fit's minimum.
@@ -159,8 +160,14 @@ def yearly_observation(
     (the trend barely moves over a few days), re-fits the post-window
     intercept, and records the intercept difference as the jump.
     """
-    pre_offsets, pre_rates, pre_warning = pre_window(year, series, cal, n=pre_days)
-    post_offsets, post_rates, post_warning = post_window(year, series, cal)
+    pre = pre_window(year, series, cal, n=pre_days)
+    return _observation(year, pre, post_window(year, series, cal))
+
+
+def _observation(year: int, pre: tuple, post: tuple) -> YearObservation:
+    """``year``'s observation from its ``pre_window`` and ``post_window``."""
+    pre_offsets, pre_rates, pre_warning = pre
+    post_offsets, post_rates, post_warning = post
     slope, intercept = fit_simple_ols(pre_offsets, pre_rates)
     post_intercept = fit_intercept_fixed_slope(post_offsets, post_rates, slope)
     post_mean = _fsum(post_rates) / len(post_rates)
@@ -178,11 +185,18 @@ def fit_window_model(
 ) -> JumpModel:
     """Fit the bilinear jump surface over [first_year, last_year]."""
     check_window_span(first_year, last_year)
-    observations = [
-        yearly_observation(y, series, cal, pre_days) for y in range(first_year, last_year + 1)
-    ]
+    observations = _observations(range(first_year, last_year + 1), series, cal, pre_days)
     rows = _design_rows(observations)
-    return _model(observations, next(window_fits(rows, len(rows), first_year)))
+    fit = next(window_fits(rows, len(rows), first_year))
+    return _model(observations, fit, _StudentT(len(rows) - N_PARAMETERS))
+
+
+def _observations(years: range, series: DailyRateSeries, cal: HolidayCalendar,
+                  pre_days: int) -> list[YearObservation]:
+    """``yearly_observation`` of each of ``years``, in order, with their
+    windows cut by one ``_year_windows`` walk."""
+    windows = _year_windows(years, series, cal, pre_days)
+    return [_observation(year, *pair) for year, pair in zip(years, windows)]
 
 
 def _design_rows(observations: Sequence[YearObservation]) -> list[tuple]:
@@ -206,9 +220,12 @@ def check_window_span(first_year: int, last_year: int) -> None:
         )
 
 
-def _model(observations: Sequence[YearObservation], fit: tuple) -> JumpModel:
-    """The model of consecutive years' observations from their bilinear fit."""
-    inference, adjusted_r2 = inference_for_fit([obs.jump_delta for obs in observations], fit)
+def _model(observations: Sequence[YearObservation], fit: tuple,
+           student_t: _StudentT) -> JumpModel:
+    """The model of consecutive years' observations from their bilinear fit,
+    with p-values from ``student_t``, built for as many years less
+    ``N_PARAMETERS`` degrees of freedom."""
+    inference, adjusted_r2 = _inference([obs.jump_delta for obs in observations], fit, student_t)
     window_years = (observations[0].year, observations[-1].year)
     return JumpModel(window_years, fit[0], inference, adjusted_r2)
 
@@ -242,13 +259,14 @@ def backtest(
         raise DomainError("last_target precedes first_target")
     check_window_span(first_target - window_len, first_target - 1)
     years = range(first_target - window_len, last_target + 1)
-    table = [yearly_observation(y, series, cal, pre_days) for y in years]
+    table = _observations(years, series, cal, pre_days)
     del series
     fits = window_fits(_design_rows(table), window_len, first_target - window_len)
+    student_t = _StudentT(window_len - N_PARAMETERS)
     rows = []
     models = []
     for start, obs in enumerate(table[window_len:]):
-        model = _model(table[start:start + window_len], next(fits))
+        model = _model(table[start:start + window_len], next(fits), student_t)
         predicted, estimate = _forecast(model, obs.slope_a, obs.intercept_b, obs.post_offsets)
         realized = obs.jump_delta
         error = predicted - realized

@@ -46,19 +46,18 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
-    if x < (a + 1.0) / (a + b + 2.0):
-        return _lower_fraction(a, b, x)
-    return 1.0 - _beta_front(a, b, x) * _beta_continued_fraction(b, a, 1.0 - x) / b
+    return _incomplete_beta(_BetaFraction(a, b), _BetaFraction(b, a), x)
 
 
-def _beta_front(a: float, b: float, x: float) -> float:
-    """x^a (1 - x)^b / B(a, b), for 0 < x < 1."""
-    return math.exp(_log_inverse_beta(a, b) + a * math.log(x) + b * math.log1p(-x))
-
-
-def _lower_fraction(a: float, b: float, x: float) -> float:
-    """I_x(a, b) from the continued fraction at x itself, for 0 < x < 1."""
-    return _beta_front(a, b, x) * _beta_continued_fraction(a, b, x) / a
+def _incomplete_beta(ab: _BetaFraction, ba: _BetaFraction, x: float) -> float:
+    """I_x(a, b) for 0 <= x <= 1 from the fractions of (a, b) and (b, a)."""
+    if x == 0.0:
+        return 0.0
+    if x == 1.0:
+        return 1.0
+    if x < ab.switch:
+        return ab.lower(x)
+    return 1.0 - ab.front(x) * ba.fraction(1.0 - x) / ab.b
 
 
 def _log_inverse_beta(a: float, b: float) -> float:
@@ -78,40 +77,83 @@ def _log_inverse_beta(a: float, b: float) -> float:
     return math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
 
 
-def _beta_continued_fraction(a: float, b: float, x: float) -> float:
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _LENTZ_TINY:
-        d = _LENTZ_TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _LENTZ_MAX_ITER + 1):
+class _BetaFraction:
+    """The continued fraction of I_x(a, b) for one (a, b), with what every x
+    shares: -ln B(a, b), the switch point (a + 1) / (a + b + 2) and the
+    coefficients of the fraction's steps.
+
+    Step m's coefficients are m (b - m), (a - 1 + 2m)(a + 2m),
+    -(a + m)(a + b + m) and (a + 2m)(a + 1 + 2m), each product formed as
+    the plain loop forms it, so every step gives the same float. The table
+    grows only as far as a fraction has run; at df = 11 a Student-t
+    p-value needs at most 16 steps of the cap's 300.
+    """
+
+    __slots__ = ("a", "b", "switch", "_log_inverse_beta", "_qab", "_qap", "_steps")
+
+    def __init__(self, a: float, b: float):
+        self.a = a
+        self.b = b
+        self.switch = (a + 1.0) / (a + b + 2.0)
+        self._log_inverse_beta = _log_inverse_beta(a, b)
+        self._qab = a + b
+        self._qap = a + 1.0
+        self._steps: list[tuple[float, float, float, float]] = []
+
+    def front(self, x: float) -> float:
+        """x^a (1 - x)^b / B(a, b), for 0 < x < 1."""
+        return math.exp(self._log_inverse_beta + self.a * math.log(x)
+                        + self.b * math.log1p(-x))
+
+    def lower(self, x: float) -> float:
+        """I_x(a, b) from the continued fraction at x itself, for 0 < x < 1."""
+        return self.front(x) * self.fraction(x) / self.a
+
+    def fraction(self, x: float) -> float:
+        """The continued fraction at x, by modified Lentz."""
+        c = 1.0
+        d = 1.0 - self._qab * x / self._qap
+        if abs(d) < _LENTZ_TINY:
+            d = _LENTZ_TINY
+        d = 1.0 / d
+        h = d
+        steps = self._steps
+        done = 0
+        while True:
+            for even, even_divisor, odd, odd_divisor in steps[done:] if done else steps:
+                numerator = even * x / even_divisor
+                d = 1.0 + numerator * d
+                if abs(d) < _LENTZ_TINY:
+                    d = _LENTZ_TINY
+                c = 1.0 + numerator / c
+                if abs(c) < _LENTZ_TINY:
+                    c = _LENTZ_TINY
+                d = 1.0 / d
+                h *= d * c
+                numerator = odd * x / odd_divisor
+                d = 1.0 + numerator * d
+                if abs(d) < _LENTZ_TINY:
+                    d = _LENTZ_TINY
+                c = 1.0 + numerator / c
+                if abs(c) < _LENTZ_TINY:
+                    c = _LENTZ_TINY
+                d = 1.0 / d
+                step = d * c
+                h *= step
+                if abs(step - 1.0) < _LENTZ_EPS:
+                    return h
+            done = len(steps)
+            if done == _LENTZ_MAX_ITER:
+                return h
+            self._grow()
+
+    def _grow(self) -> None:
+        """Append the next step's coefficients to the table."""
+        a, b = self.a, self.b
+        m = len(self._steps) + 1
         m2 = 2 * m
-        numerator = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + numerator * d
-        if abs(d) < _LENTZ_TINY:
-            d = _LENTZ_TINY
-        c = 1.0 + numerator / c
-        if abs(c) < _LENTZ_TINY:
-            c = _LENTZ_TINY
-        d = 1.0 / d
-        h *= d * c
-        numerator = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + numerator * d
-        if abs(d) < _LENTZ_TINY:
-            d = _LENTZ_TINY
-        c = 1.0 + numerator / c
-        if abs(c) < _LENTZ_TINY:
-            c = _LENTZ_TINY
-        d = 1.0 / d
-        step = d * c
-        h *= step
-        if abs(step - 1.0) < _LENTZ_EPS:
-            break
-    return h
+        self._steps.append((m * (b - m), (a - 1.0 + m2) * (a + m2),
+                            -(a + m) * (self._qab + m), (a + m2) * (self._qap + m2)))
 
 
 def student_t_two_sided_p(t: float, df: int) -> float:
@@ -128,13 +170,33 @@ def student_t_two_sided_p(t: float, df: int) -> float:
         raise DomainError("degrees of freedom must be at least 1")
     if math.isnan(t):
         raise DomainError("t statistic is NaN")
-    t2 = t * t
-    h = df / 2.0
-    if h > _HALF_STEP_SERIES_MIN and 0.0 < t2 < _DIRECT_T2_MAX:
-        return 1.0 - _lower_fraction(0.5, h, t2 / (df + t2))
-    if t2 < df:
-        return 1.0 - regularized_incomplete_beta(0.5, h, t2 / (df + t2))
-    return regularized_incomplete_beta(h, 0.5, df / (df + t2))
+    return _StudentT(df).two_sided_p(t)
+
+
+class _StudentT:
+    """Student's t with ``df`` >= 1 degrees of freedom, built once for all
+    its p-values: the fractions of I(1/2, df/2) and I(df/2, 1/2)."""
+
+    __slots__ = ("df", "_direct", "_half_first", "_half_last")
+
+    def __init__(self, df: int):
+        h = df / 2.0
+        self.df = df
+        self._direct = h > _HALF_STEP_SERIES_MIN
+        self._half_first = _BetaFraction(0.5, h)
+        self._half_last = _BetaFraction(h, 0.5)
+
+    def two_sided_p(self, t: float) -> float:
+        """``student_t_two_sided_p(t, df)``."""
+        if math.isnan(t):
+            raise DomainError("t statistic is NaN")
+        df = self.df
+        t2 = t * t
+        if self._direct and 0.0 < t2 < _DIRECT_T2_MAX:
+            return 1.0 - self._half_first.lower(t2 / (df + t2))
+        if t2 < df:
+            return 1.0 - _incomplete_beta(self._half_first, self._half_last, t2 / (df + t2))
+        return _incomplete_beta(self._half_last, self._half_first, df / (df + t2))
 
 
 class CoefficientInference(Record):
@@ -178,7 +240,15 @@ def inference_for_fit(targets: Sequence[float], fit: tuple) -> tuple:
         raise TooFewRows(
             f"{n} rows cannot support inference on {N_PARAMETERS} parameters"
         )
-    df = n - N_PARAMETERS
+    return _inference(targets, fit, _StudentT(n - N_PARAMETERS))
+
+
+def _inference(targets: Sequence[float], fit: tuple, student_t: _StudentT) -> tuple:
+    """``inference_for_fit`` of more than ``N_PARAMETERS`` targets, whose
+    p-values come from ``student_t``, built for their n - 4 degrees of
+    freedom: a walk of many windows of one length builds it once."""
+    n = len(targets)
+    df = student_t.df
     target_mean = _fsum(targets) / n
     tss = _fsum((t - target_mean) ** 2 for t in targets)
     if tss == 0.0:
@@ -196,7 +266,7 @@ def inference_for_fit(targets: Sequence[float], fit: tuple) -> tuple:
             t_stat = -math.inf
         else:
             t_stat = 0.0
-        p = student_t_two_sided_p(t_stat, df)
+        p = student_t.two_sided_p(t_stat)
         coefficients.append(CoefficientInference(estimate, se, t_stat, p))
     r2 = 1.0 - rss / tss
     adjusted = 1.0 - (1.0 - r2) * (n - 1) / (n - N_PARAMETERS)

@@ -37,8 +37,6 @@ from the RSS and variance-factor contracts and the roundings of
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from xmasjump.regression_core import N_PARAMETERS
 
 UNIT_ROUNDOFF = 2.0**-53
@@ -138,6 +136,8 @@ def _inverse(matrix):
 def _conditioning(trends):
     """``(D, kappa, ||X D^-1||_2)``: the design's column norms, the condition
     number and the norm of the design with unit-norm columns."""
+    import numpy as np  # here, so that the other oracles import without it
+
     x = np.asarray(design_rows(trends))
     scales = np.linalg.norm(x, axis=0)
     scaled = x / scales

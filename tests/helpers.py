@@ -46,6 +46,14 @@ from xmasjump.regression_core import (
     design_row,
     window_fits,
 )
+from xmasjump.stat_inference import (
+    _DIRECT_T2_MAX,
+    _HALF_STEP_SERIES_MIN,
+    _LENTZ_EPS,
+    _LENTZ_MAX_ITER,
+    _LENTZ_TINY,
+    _log_inverse_beta,
+)
 
 _FIRST = operator.itemgetter(0)
 
@@ -206,6 +214,86 @@ def reference_post_window(year, series, cal):
     if len(offsets) != NOMINAL_POST_COUNT:
         warning = f"post-window has {len(offsets)} observations, nominal {NOMINAL_POST_COUNT}"
     return offsets, tuple(rates), warning
+
+
+# --- the Student-t p-value, one call at a time ------------------------------
+# ``student_t_two_sided_p`` as a chain of plain functions that build nothing
+# ahead: each continued-fraction step forms its coefficients inside the loop.
+# The per-df constants ``stat_inference`` builds once must give the same
+# floats, so the p-values are compared with ``==``.
+
+
+def reference_student_t_two_sided_p(t, df):
+    """P(|T| >= |t|), by the complement of I_y(1/2, df/2) for t^2 < df,
+    else by I_x(df/2, 1/2); I_y directly for df > 1000 and 0 < t^2 < 16."""
+    if df < 1:
+        raise DomainError("degrees of freedom must be at least 1")
+    if math.isnan(t):
+        raise DomainError("t statistic is NaN")
+    t2 = t * t
+    h = df / 2.0
+    if h > _HALF_STEP_SERIES_MIN and 0.0 < t2 < _DIRECT_T2_MAX:
+        return 1.0 - _reference_lower_fraction(0.5, h, t2 / (df + t2))
+    if t2 < df:
+        return 1.0 - reference_incomplete_beta(0.5, h, t2 / (df + t2))
+    return reference_incomplete_beta(h, 0.5, df / (df + t2))
+
+
+def reference_incomplete_beta(a, b, x):
+    """I_x(a, b) for a, b > 0 and 0 <= x <= 1, by the continued fraction at
+    x or, past (a + 1) / (a + b + 2), by the symmetry I_x(a, b) = 1 - I_{1-x}(b, a)."""
+    if x == 0.0:
+        return 0.0
+    if x == 1.0:
+        return 1.0
+    if x < (a + 1.0) / (a + b + 2.0):
+        return _reference_lower_fraction(a, b, x)
+    return 1.0 - _reference_front(a, b, x) * _reference_fraction(b, a, 1.0 - x) / b
+
+
+def _reference_front(a, b, x):
+    return math.exp(_log_inverse_beta(a, b) + a * math.log(x) + b * math.log1p(-x))
+
+
+def _reference_lower_fraction(a, b, x):
+    return _reference_front(a, b, x) * _reference_fraction(a, b, x) / a
+
+
+def _reference_fraction(a, b, x):
+    """The modified-Lentz continued fraction of I_x(a, b)."""
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < _LENTZ_TINY:
+        d = _LENTZ_TINY
+    d = 1.0 / d
+    h = d
+    for m in range(1, _LENTZ_MAX_ITER + 1):
+        m2 = 2 * m
+        numerator = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + numerator * d
+        if abs(d) < _LENTZ_TINY:
+            d = _LENTZ_TINY
+        c = 1.0 + numerator / c
+        if abs(c) < _LENTZ_TINY:
+            c = _LENTZ_TINY
+        d = 1.0 / d
+        h *= d * c
+        numerator = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + numerator * d
+        if abs(d) < _LENTZ_TINY:
+            d = _LENTZ_TINY
+        c = 1.0 + numerator / c
+        if abs(c) < _LENTZ_TINY:
+            c = _LENTZ_TINY
+        d = 1.0 / d
+        step = d * c
+        h *= step
+        if abs(step - 1.0) < _LENTZ_EPS:
+            break
+    return h
 
 
 # --- the bilinear fit and its Householder reference -------------------------

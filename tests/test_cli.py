@@ -739,10 +739,24 @@ def test_loading_a_series_holds_little_beyond_it(tmp_path, monkeypatch):
     # predict reads and parses its file a piece at a time: beyond the series
     # it loads, it holds a few pieces' text and lines and the file's buffer,
     # however long the file, and never the file's whole text or bytes.
+    assert_loads_a_piece_at_a_time(tmp_path, monkeypatch, "\n")
+
+
+def test_a_file_with_other_line_breaks_loads_a_piece_at_a_time(tmp_path, monkeypatch):
+    # Every line break that str.splitlines honours ends a piece, so a file
+    # whose lines end in U+2028 is not carried into one piece and held whole.
+    assert_loads_a_piece_at_a_time(tmp_path, monkeypatch, "\u2028")
+
+
+def assert_loads_a_piece_at_a_time(tmp_path, monkeypatch, line_end):
+    """``predict`` of a generated 201-year file, its lines ending in
+    ``line_end``, holds at most 16 pieces and a file buffer beyond the
+    series while it loads the file."""
     spec = write_spec(tmp_path / "spec.json", 1900, 2100, noise=0.01)
     data = tmp_path / "rates.csv"
     monkeypatch.setattr(sys, "stdout", CountingSink())
     assert main(["generate", "--spec", str(spec), "--out", str(data)]) == EXIT_OK
+    data.write_bytes(data.read_bytes().replace(b"\n", line_end.encode()))
     argv = ["predict", "2100", "--data", str(data)]
     assert main(argv) == EXIT_OK  # a first run, so that lazy imports and caches are filled
     loaded = []

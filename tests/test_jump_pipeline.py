@@ -263,13 +263,13 @@ class TestBacktest:
     def test_each_year_is_extracted_once(self, planted, cal, monkeypatch):
         series, _ = planted
         extracted = []
-        extract = jump_pipeline.yearly_observation
+        extract = jump_pipeline._observation
 
-        def counting(year, *args, **kwargs):
+        def counting(year, *args):
             extracted.append(year)
-            return extract(year, *args, **kwargs)
+            return extract(year, *args)
 
-        monkeypatch.setattr(jump_pipeline, "yearly_observation", counting)
+        monkeypatch.setattr(jump_pipeline, "_observation", counting)
         report = backtest(series, cal, 2015, 2018, window_len=15)
         assert extracted == list(range(2000, 2019))
         for target, model in zip(range(2015, 2019), report.models):
@@ -289,9 +289,9 @@ class TestBacktest:
         alive_at_fits = []
         model = jump_pipeline._model
 
-        def recording(observations, fit):
+        def recording(observations, *args):
             alive_at_fits.append(references[0]() is not None)
-            return model(observations, fit)
+            return model(observations, *args)
 
         monkeypatch.setattr(jump_pipeline, "_model", recording)
         report = backtest(temporary(), cal, 2015, 2018)
@@ -347,9 +347,9 @@ class TestBacktestFirstError:
         targets = []
         model = jump_pipeline._model
 
-        def recording(observations, fit):
+        def recording(observations, *args):
             targets.append(observations[-1].year + 1)
-            return model(observations, fit)
+            return model(observations, *args)
 
         monkeypatch.setattr(jump_pipeline, "_model", recording)
         return targets

@@ -20,11 +20,14 @@ data command prints its result or exits 1 with one error line. The
 banking-day walks over day ordinals agree with a day-by-day reference, also
 where a series holds only banking days and a window that succeeds is one
 slice of it, and a calendar's closed days of a year are the days
-``is_holiday`` names.
+``is_holiday`` names. The walk that cuts a span of years' windows from one
+window pattern per weekday, leap flag and closed days gives each year's
+own windows, or the first error they raise.
 The CLI's JSON writer prints what ``json.dumps(value, indent=2)`` prints
 for scalars and tuples, and what it prints for a record's ``to_dict()``,
 also when it writes a record or two records in pieces. The parser that
-splits its text a piece at a time parses as the whole-text parser does,
+splits its text a piece at a time, each piece ending after a line break,
+parses as the whole-text parser does,
 also where it reads a piece of rows in bulk and one row of the text is
 wrong or out of place; every row ``serialize_rate_series`` writes is one
 that the bulk step takes. The CLI's load of a series file, read and parsed
@@ -378,10 +381,10 @@ def test_a_repeated_row_is_a_duplicate_date(entries, line_end, data):
 
 # --- the piecewise parser and the one-dict series against their references --
 
-# Every line break ``str.splitlines`` knows, and \x1f, which it does not.
-any_line_ends = st.sampled_from(
-    ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\x1f"]
-)
+# Every line break ``str.splitlines`` knows.
+LINE_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+# The same, and \x1f, which it does not know.
+any_line_ends = st.sampled_from([*LINE_BREAKS, "\x1f"])
 # Dates from a short span, so that the drawn dates repeat.
 near_dates = st.dates(min_value=date(2018, 12, 20), max_value=date(2018, 12, 31))
 
@@ -437,6 +440,23 @@ def test_piecewise_parse_matches_the_whole_text_parse(piece_chars, text):
         assert_constructor_accepts(parsed)
 
 
+@pytest.mark.parametrize("piece_chars", [1, 2, 7, 64])
+@settings(max_examples=150, deadline=None)
+@given(text=rate_texts())
+@example(text="date,rate\r\n2018-12-24,2.70\r\n")
+@example(text="date,rate\u20282018-12-24,2.70\x85# tenor: A\r")
+def test_pieces_end_at_line_breaks(piece_chars, text):
+    # Cut from the text or read from a file that keeps its line ends, every
+    # piece ends after a line break, never inside "\r\n", or at the end.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data_io, "_PIECE_CHARS", piece_chars)
+        cut = list(data_io._pieces(text))
+        read = list(data_io._read_pieces(io.StringIO(text, newline="")))
+    for pieces in (cut, read):
+        assert "".join(pieces) == text
+        assert [line for piece in pieces for line in piece.splitlines()] == text.splitlines()
+
+
 class Unseekable(io.BytesIO):
     """Bytes that, as from a pipe, cannot be read a second time."""
 
@@ -453,11 +473,12 @@ PADDING = "# padding\n" * 1000
 @st.composite
 def rate_files(draw):
     """A ``rate_texts`` text as a file's bytes: its ``"\\n"`` line ends
-    kept or made ``"\\r\\n"`` or a lone ``"\\r"``, ``PADDING`` after a line or
-    none, UTF-8 with a byte-order mark or without, and a byte that is not
-    UTF-8 inserted at any position or none."""
+    kept or made ``"\\r\\n"`` or any other line break ``str.splitlines``
+    honours, ``PADDING`` after a line or none, UTF-8 with a byte-order mark
+    or without, and a byte that is not UTF-8 inserted at any position or
+    none."""
     text = draw(rate_texts())
-    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]) | st.sampled_from(LINE_BREAKS))
     head = draw(st.sampled_from([b"", b"\xef\xbb\xbf"]))
     if draw(st.booleans()):
         at = draw(st.sampled_from([0] + [i + 1 for i, char in enumerate(text) if char == "\n"]))
@@ -993,6 +1014,61 @@ def test_windows_of_a_banking_day_series_match_the_reference(
         assert got == outcome(reference, *args)
         failed = isinstance(got[0], type)  # (error type, message)
         assert failed or read == []
+
+
+# Days of a span of years, as (index of the year in the span, offset from
+# its December 25): from before the reach of an n = 400 window to Dec 31.
+span_days = st.tuples(st.integers(min_value=0, max_value=39),
+                      st.integers(min_value=-600, max_value=6)
+                      | st.integers(min_value=-30, max_value=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    first_year=st.sampled_from([1, 2, 1999, 9980]) | st.integers(min_value=1, max_value=9999),
+    span=st.integers(min_value=1, max_value=40),
+    recurring=st.frozensets(recurring_days, max_size=3),
+    one_offs=st.frozensets(span_days, max_size=6),
+    extras=st.frozensets(span_days, max_size=3),
+    gaps=st.frozensets(span_days, max_size=2),
+    late=st.integers(min_value=0, max_value=900),
+    cut=st.integers(min_value=0, max_value=8),
+    n=window_lengths,
+)
+# Dec 25 falls on a Tuesday in 2001 and in leap 2012. With Dec 26 2001 and
+# Dec 24 2012 closed, both years close days 359 and 360; the series' fixing
+# on Dec 24 2012 tempts a key without the leap flag to take 2001's pattern.
+@example(first_year=2001, span=12, recurring=frozenset(), one_offs={(0, 1), (11, -1)},
+         extras={(11, -1)}, gaps=frozenset(), late=0, cut=0, n=15)
+# 2001 and 2007 share a key, but 400 banking days reach back into 2000 and
+# 2006, and only 2006 closes Sep 1, on which the series has a fixing.
+@example(first_year=2001, span=7, recurring=frozenset(), one_offs={(5, -115)},
+         extras={(5, -115)}, gaps=frozenset(), late=0, cut=0, n=400)
+def test_year_windows_match_the_windows_of_each_year(
+    first_year, span, recurring, one_offs, extras, gaps, late, cut, n
+):
+    # The walk that stores each year's window pattern under its key and
+    # reuses it must give each year's pre_window and post_window, or raise
+    # the first error they raise, with its message: on series of banking
+    # days with gaps, fixings on other days, and either end cut.
+    years = range(first_year, min(first_year + span, 10000))
+
+    def day(index, offset):
+        return day_at(date(min(first_year + index, 9999), 12, 25).toordinal() + offset)
+    cal = HolidayCalendar(holidays=recurring | {day(*x) for x in one_offs})
+    first = day_at(date(first_year, 12, 25).toordinal() - 600 + late)
+    last = day_at(date(years[-1], 12, 31).toordinal() - cut)
+    held = (set(banking_days(first, last, cal)) | {day(*x) for x in extras}) - {
+        day(*x) for x in gaps}
+    series = DailyRateSeries(entries=tuple(
+        (d, (d.toordinal() % 97) / 8.0) for d in sorted(held) if first <= d <= last
+    ))
+    assert outcome(lambda: list(market_calendar._year_windows(years, series, cal, n))) == outcome(
+        lambda: [(pre_window(y, series, cal, n), post_window(y, series, cal)) for y in years]
+    )
+    assert outcome(jump_pipeline._observations, years, series, cal, n) == outcome(
+        lambda: [yearly_observation(y, series, cal, n) for y in years]
+    )
 
 
 # One-off closures, as day offsets from January 1 of the drawn year: any day

@@ -1,36 +1,47 @@
-"""Student-t machinery against closed forms, quadrature, and numpy."""
+"""Student-t machinery against closed forms, mpmath's quadrature and
+incomplete beta, the exact rational oracle, and, bit for bit, the plain
+p-value chain of ``helpers`` that forms each fraction step in its loop."""
 
 import math
 import random
 
 import mpmath
-import numpy as np
 import pytest
-from scipy import integrate, stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import walk_fit
+from exact_oracle import _target_moments, exact_bilinear, exact_inference
+from helpers import reference_incomplete_beta, reference_student_t_two_sided_p, walk_fit
 from xmasjump.errors import DegenerateVariance, DomainError, TooFewRows
 from xmasjump.stat_inference import (
+    _DIRECT_T2_MAX,
+    _HALF_STEP_SERIES_MIN,
     CoefficientInference,
+    _StudentT,
     inference_for_fit,
     regularized_incomplete_beta,
     student_t_two_sided_p,
 )
 
 
-def t_density(u: float, df: int) -> float:
-    """Student-t density written out directly (quadrature oracle)."""
-    log_norm = (
-        math.lgamma((df + 1) / 2.0)
-        - math.lgamma(df / 2.0)
-        - 0.5 * math.log(df * math.pi)
-    )
-    return math.exp(log_norm - (df + 1) / 2.0 * math.log(1.0 + u * u / df))
+def t_density(u, df: int):
+    """Student-t density written out directly (quadrature oracle), in
+    mpmath at its working precision."""
+    half = mpmath.mpf(df + 1) / 2
+    norm = mpmath.gamma(half) / (mpmath.gamma(mpmath.mpf(df) / 2) * mpmath.sqrt(df * mpmath.pi))
+    return norm * (1 + u * u / df) ** -half
 
 
 def two_sided_p_by_quadrature(t: float, df: int) -> float:
-    tail, _ = integrate.quad(t_density, abs(t), math.inf, args=(df,))
-    return 2.0 * tail
+    with mpmath.workdps(30):
+        return float(2 * mpmath.quad(lambda u: t_density(u, df), [abs(t), mpmath.inf]))
+
+
+def two_sided_p_by_betainc(t: float, df: int):
+    """I_x(df/2, 1/2) at x = df / (df + t^2), at 50 digits."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(df) / (df + mpmath.mpf(t) ** 2)
+        return mpmath.betainc(mpmath.mpf(df) / 2, 0.5, 0, x, regularized=True)
 
 
 def incomplete_beta_integer_oracle(a: int, b: int, x: float) -> float:
@@ -129,9 +140,10 @@ class TestStudentTTwoSidedP:
 
     def test_matches_scipy_at_large_df(self):
         # t^2 / df this small rounds df / (df + t^2) to 1, so the p-value
-        # has to come from the complementary tail.
+        # has to come from the complementary tail. (The name is from the
+        # first oracle, scipy's t.sf.)
         for t, df in ((1e-6, 10**7), (1e-6, 10**8)):
-            want = 2.0 * stats.t.sf(t, df)
+            want = two_sided_p_by_betainc(t, df)
             assert abs(student_t_two_sided_p(t, df) - want) < 1e-12
 
     @pytest.mark.parametrize("df", [10**4, 10**5, 10**6, 10**7, 10**8])
@@ -140,14 +152,97 @@ class TestStudentTTwoSidedP:
         # lgamma(df/2 + 1/2) - lgamma(df/2) cancels at large df, and so does
         # the continued fraction evaluated near x = 1; the p-value must not
         # inherit either error.
-        with mpmath.workdps(50):
-            x = mpmath.mpf(df) / (df + mpmath.mpf(t) ** 2)
-            want = mpmath.betainc(mpmath.mpf(df) / 2, 0.5, 0, x, regularized=True)
-            assert abs(student_t_two_sided_p(t, df) - want) < 1e-12
+        want = two_sided_p_by_betainc(t, df)
+        assert abs(student_t_two_sided_p(t, df) - want) < 1e-12
 
     def test_df_below_one_rejected(self):
         with pytest.raises(DomainError):
             student_t_two_sided_p(1.0, 0)
+
+
+# t statistics across the float range, both sides of the switch at t^2 = df,
+# and below t^2 = 16, where a df over 1000 takes the fraction at y directly.
+special_t = st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, 5e-324, -1e-310, 2.2e-308, 1e-160, 1e300, -1e300,
+     3.9999999999999996, 4.0, 4.000000000000001]
+)
+degrees_of_freedom = (
+    st.sampled_from([1, 2, 11, 999, 1000, 1001, 1002, 2000, 10**4, 10**8])
+    | st.integers(min_value=1, max_value=2000)
+    | st.integers(min_value=10**4, max_value=10**8)
+)
+
+
+@st.composite
+def t_statistics(draw, df):
+    near_switch = st.floats(min_value=0.0, max_value=2.0).map(lambda f: f * math.sqrt(df))
+    t = draw(st.floats(allow_nan=False) | special_t | near_switch
+             | st.floats(min_value=0.0, max_value=4.5))
+    return -t if draw(st.booleans()) else t
+
+
+def p_outcome(fn, *args):
+    """What ``fn`` returns, or the type and message of the error it raises.
+    On the direct path (df > 1000), a t so small that y = t^2 / (df + t^2)
+    underflows to 0 makes math.log(0) raise ValueError, in both chains."""
+    try:
+        return fn(*args)
+    except (DomainError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestBitForBit:
+    """The p-values with the per-df constants built ahead are the floats
+    the plain chain in ``helpers`` gives, to the last bit."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(data=st.data(), df=degrees_of_freedom)
+    def test_a_p_value_matches_the_plain_chain(self, data, df):
+        t = data.draw(t_statistics(df))
+        assert p_outcome(student_t_two_sided_p, t, df) == p_outcome(
+            reference_student_t_two_sided_p, t, df
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), df=degrees_of_freedom)
+    def test_one_student_t_gives_every_p_value_of_a_walk(self, data, df):
+        # One object serves many t in any order, its step table grown by
+        # whichever fraction ran furthest so far.
+        ts = data.draw(st.lists(t_statistics(df), min_size=1, max_size=12))
+        student_t = _StudentT(df)
+        assert [p_outcome(student_t.two_sided_p, t) for t in ts] == [
+            p_outcome(reference_student_t_two_sided_p, t, df) for t in ts
+        ]
+
+    def test_every_branch_at_every_df_band(self):
+        # Each df and t of this grid, which covers both sides of t^2 = df,
+        # the direct fraction below t^2 = 16 at df > 1000, t = 0, an
+        # infinite t and subnormals.
+        branches = set()
+        for df in (1, 2, 3, 11, 30, 999, 1000, 1001, 1002, 2000, 10**4, 10**6, 10**8):
+            student_t = _StudentT(df)
+            root = math.sqrt(df)
+            grid = [0.0, 5e-324, 1e-300, 1e-160, 1e-8, 0.5, 1.0, 2.201, 3.99, 4.0, 4.01, 10.0,
+                    1e300, math.inf, root * 0.999, root, root * 1.001, 2.0 * root]
+            for t in grid + [-t for t in grid]:
+                want = p_outcome(reference_student_t_two_sided_p, t, df)
+                assert p_outcome(student_t_two_sided_p, t, df) == want, (t, df)
+                assert p_outcome(student_t.two_sided_p, t) == want, (t, df)
+                t2 = t * t
+                if df / 2.0 > _HALF_STEP_SERIES_MIN and 0.0 < t2 < _DIRECT_T2_MAX:
+                    branches.add("direct")
+                else:
+                    branches.add("complement" if t2 < df else "upper tail")
+        assert branches == {"direct", "complement", "upper tail"}
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        a=st.floats(min_value=1e-3, max_value=1e3) | st.integers(min_value=1, max_value=12),
+        b=st.floats(min_value=1e-3, max_value=1e3) | st.integers(min_value=1, max_value=12),
+        x=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_the_incomplete_beta_matches_the_plain_chain(self, a, b, x):
+        assert regularized_incomplete_beta(a, b, x) == reference_incomplete_beta(a, b, x)
 
 
 class TestCoefficientInference:
@@ -218,15 +313,15 @@ class TestInferenceForFit:
 
     @pytest.mark.parametrize("seed", [11, 12, 13, 29, 47, 101])
     def test_standard_errors_match_numpy_closed_form(self, seed):
+        # The closed form sqrt(s^2 diag((X'X)^-1)) from the exact rational
+        # normal equations. (The name is from the first oracle, numpy's
+        # solve and inv.)
         pairs, targets = self._noisy_design(seed=seed)
         inference, _ = inference_for_fit(targets, walk_fit(pairs, targets))
-        x = np.asarray([(1.0, a, b, a * b) for a, b in pairs])
-        y = np.asarray(targets)
-        beta = np.linalg.solve(x.T @ x, x.T @ y)
-        rss = float(((x @ beta - y) ** 2).sum())
-        n = len(targets)
-        s2 = rss / (n - 4)
-        se_ref = np.sqrt(s2 * np.diag(np.linalg.inv(x.T @ x)))
+        exact_fit = exact_bilinear(pairs, targets)
+        se_squared, _ = exact_inference(targets, exact_fit)
+        beta = [float(b) for b in exact_fit[0]]
+        se_ref = [math.sqrt(v) for v in se_squared]
         for ci, se, b_ref in zip(inference, se_ref, beta):
             assert abs(ci.standard_error - se) < 1e-9 * max(1.0, se)
             assert abs(ci.t_statistic - b_ref / se) < 1e-6 * max(1.0, abs(b_ref / se))
@@ -236,8 +331,7 @@ class TestInferenceForFit:
         pairs, targets = self._noisy_design(seed=29)
         fit = walk_fit(pairs, targets)
         _, adjusted_r2 = inference_for_fit(targets, fit)
-        y = np.asarray(targets)
-        tss = float(((y - y.mean()) ** 2).sum())
+        tss = float(_target_moments(targets)[1])
         r2 = 1.0 - fit[1] / tss
         n = len(targets)
         want = 1.0 - (1.0 - r2) * (n - 1) / (n - 4)
