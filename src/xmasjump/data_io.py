@@ -31,7 +31,7 @@ from itertools import islice
 from reprlib import repr as _brief  # a value cut to a few levels and characters
 
 from .errors import DomainError, DuplicateDate, InsufficientData, ParseError
-from .market_calendar import (ISO_DATE, HolidayCalendar, _banking, event_date,
+from .market_calendar import (ISO_DATE, HolidayCalendar, _banking, _calendar_key, event_date,
                               is_plain_date_type, iso_date)
 from .record import Record, set_field
 from .regression_core import N_PARAMETERS, bilinear_surface
@@ -67,6 +67,7 @@ GENERATION_START = (11, 25)  # rates are emitted from Nov 25 through Dec 31
 _LCG_MULTIPLIER = 6364136223846793005
 _LCG_INCREMENT = 1442695040888963407
 _LCG_MASK = (1 << 64) - 1
+_LCG_SPAN = float(1 << 53)  # a state's top 53 bits over this are a uniform in [0, 1)
 
 
 def _finite(value) -> float | None:
@@ -264,8 +265,13 @@ def _canonical_rows(piece: str, latest: date) -> tuple[list[date], list[float]] 
 
     The pattern matches at most once per ``"\\n"``-separated line and holds
     no line break, so as many matches as such lines means that they are
-    the lines ``splitlines`` gives, each a whole row.
+    the lines ``splitlines`` gives, each a whole row. A piece with a
+    ``"\\r"`` is matched with its ``"\\r\\n"`` line ends made ``"\\n"``, so
+    that a file with those line ends is read in bulk too; a lone ``"\\r"``
+    stays inside a ``"\\n"``-separated line, which then fails the pattern.
     """
+    if "\r" in piece:
+        piece = piece.replace("\r\n", "\n")
     rows = _CANONICAL_ROW.findall(piece)
     if len(rows) != piece.count("\n") + (not piece.endswith("\n")):
         return None
@@ -290,16 +296,16 @@ def parse_rate_series(text: str) -> DailyRateSeries:
     that it never holds the file's whole text. A piece after the header
     whose lines are all rows as ``serialize_rate_series`` writes them, in
     date order after the rows before it, goes into the arrays in bulk: a
-    file as ``generate`` writes it is read so, past its first piece. Any
-    other piece is read line by line, each line matched once against
-    ``_ROW``: a data row is appended to the arrays where it stands; any
-    other line is a comment, a blank line, the header or an error, which
-    names its line number. Rows out of date order are sorted once, at the
-    end; a date on two rows is then a DuplicateDate, the earliest such date.
-    Each row is checked as it is read, so the series keeps the arrays
-    without a copy or a second check. The tenor label is the last
-    ``# tenor:`` comment's, else empty, and a DomainError if UTF-8 cannot
-    encode it; relabel with ``DailyRateSeries(series.entries, label)``.
+    file as ``generate`` writes it, with ``"\\n"`` or ``"\\r\\n"`` line ends,
+    is read so, past its first piece. Any other piece is read line by line,
+    each line matched once against ``_ROW``: a data row is appended to the
+    arrays where it stands; any other line is a comment, a blank line, the
+    header or an error, which names its line number. Rows out of date order
+    are sorted once, at the end; a date on two rows is then a DuplicateDate,
+    the earliest such date. Each row is checked as it is read, so the series
+    keeps the arrays without a copy or a second check. The tenor label is
+    the last ``# tenor:`` comment's, else empty, and a DomainError if UTF-8
+    cannot encode it; relabel with ``DailyRateSeries(series.entries, label)``.
     """
     return _parse_pieces(_pieces(text))
 
@@ -395,14 +401,19 @@ def serialize_rate_series(series: DailyRateSeries) -> str:
 def _serialized_pieces(series: DailyRateSeries) -> Iterator[str]:
     """The lines of ``serialize_rate_series(series)``, each ending in
     ``"\\n"``: the header's as one piece, then the rows' ``_WRITE_ROWS`` at a
-    time."""
+    time. A piece of rows is one ``%`` format of a list that interleaves the
+    rows' ISO dates with their rates, each rate written by ``%r``, its
+    ``repr``."""
     head = f"# tenor: {series.tenor_label}\n" if series.tenor_label else ""
     yield head + CSV_HEADER + "\n"
     ordinals, rates = series._ordinals, series._rates
     for start in range(0, len(ordinals), _WRITE_ROWS):
-        days = map(date.fromordinal, ordinals[start:start + _WRITE_ROWS])
-        piece_rates = rates[start:start + _WRITE_ROWS]
-        yield "".join([f"{d.isoformat()},{rate!r}\n" for d, rate in zip(days, piece_rates)])
+        stop = start + _WRITE_ROWS
+        piece_rates = rates[start:stop]
+        fields = [None] * (2 * len(piece_rates))
+        fields[::2] = map(date.isoformat, map(date.fromordinal, ordinals[start:stop]))
+        fields[1::2] = piece_rates
+        yield "%s,%r\n" * len(piece_rates) % tuple(fields)
 
 
 class SyntheticSpec(Record):
@@ -452,14 +463,6 @@ class SyntheticSpec(Record):
         set_field(self, "tenor_label", tenor_label)
 
 
-def _lcg_uniforms(seed: int) -> Iterator[float]:
-    """The documented 64-bit LCG's stream: one uniform in [0, 1) per draw."""
-    state = seed & _LCG_MASK
-    while True:
-        state = (_LCG_MULTIPLIER * state + _LCG_INCREMENT) & _LCG_MASK
-        yield (state >> 11) / float(1 << 53)
-
-
 def generate_synthetic_series(
     spec: SyntheticSpec, years: Iterable[int], cal: HolidayCalendar
 ) -> DailyRateSeries:
@@ -467,12 +470,15 @@ def generate_synthetic_series(
 
     Banking days before December 25 follow the year's linear trend; days
     after it additionally carry the planted jump. Noise is uniform in
-    [-amplitude, amplitude] from the documented LCG stream. Each year must
-    be an ``int``, not a bool, a float or text. The banking days are walked
-    as day ordinals, which go into the series' array with their rates as
-    they are made, so no ``date`` is built for a fixing. A rate that
-    overflows is a DomainError naming its date; the series keeps the arrays
-    without a copy.
+    [-amplitude, amplitude] from the documented LCG stream, stepped inline
+    one draw per fixing. Each year must be an ``int``, not a bool, a float
+    or text. The span lies inside its year, so its banking days, as offsets
+    from December 25, are fixed by the year's ``_calendar_key``: the first
+    year of a key walks the calendar, and the later ones reuse its offsets,
+    kept only for the call. The days go into the series' array as day
+    ordinals, a year at a time, so no ``date`` is built for a fixing. A
+    rate that overflows is a DomainError naming its date; the series keeps
+    the arrays without a copy.
     """
     years = list(years)
     bad = [y for y in years if type(y) is not int]
@@ -484,22 +490,28 @@ def generate_synthetic_series(
     missing = [y for y in year_list if y not in spec.year_trends]
     if missing:
         raise DomainError(f"no trend configured for years {missing}")
-    uniforms = _lcg_uniforms(spec.seed)
+    amplitude = spec.noise_amplitude
+    state = spec.seed & _LCG_MASK
+    patterns: dict[tuple, list[int]] = {}  # calendar key -> offsets from Dec 25
     ordinals = array(_ORDINAL)
     rates = array("d")
+    append = rates.append
     for year in year_list:
         slope, intercept = spec.year_trends[year]
         jump = bilinear_surface(spec.jump, slope, intercept)
         event = event_date(year).toordinal()
-        days = range(date(year, *GENERATION_START).toordinal(), date(year, 12, 31).toordinal() + 1)
-        for o in _banking(days, cal):
-            x = o - event
-            noise = spec.noise_amplitude * (2.0 * next(uniforms) - 1.0)
-            rate = slope * x + intercept + noise
+        key = _calendar_key(year, cal)
+        offsets = patterns.get(key)
+        if offsets is None:
+            days = range(date(year, *GENERATION_START).toordinal(), event + 7)  # through Dec 31
+            offsets = patterns[key] = [o - event for o in _banking(days, cal)]
+        ordinals.extend([event + x for x in offsets])
+        for x in offsets:
+            state = (_LCG_MULTIPLIER * state + _LCG_INCREMENT) & _LCG_MASK
+            rate = slope * x + intercept + amplitude * (2.0 * ((state >> 11) / _LCG_SPAN) - 1.0)
             if x >= 1:
                 rate += jump
-            ordinals.append(o)
-            rates.append(rate)
+            append(rate)
     if not all(map(math.isfinite, rates)):
         bad = next(o for o, r in zip(ordinals, rates) if not math.isfinite(r))
         raise DomainError(f"rate on {date.fromordinal(bad).isoformat()} is not finite")

@@ -289,31 +289,38 @@ def post_window(year: int, series: "DailyRateSeries", cal: HolidayCalendar) -> t
     return offsets, rates, warning
 
 
+def _calendar_key(year: int, cal: HolidayCalendar) -> tuple:
+    """What fixes the banking days of ``year``, one ``datetime.date`` can
+    hold, as offsets from its December 25: the weekday of that day, whether
+    the year is a leap year and ``cal.closed_days(year)``. Years of one key
+    have the same banking days from January 1 through December 31 at the
+    same offsets, so a walk of many years walks each key's days once."""
+    return date(year, 12, 25).weekday(), _is_leap(year), cal.closed_days(year)
+
+
 def _year_windows(years: range, series: "DailyRateSeries", cal: HolidayCalendar,
                   n: int) -> Iterator[tuple[tuple, tuple]]:
     """``(pre_window(year, series, cal, n), post_window(year, series, cal))``
     for each year of ``years`` in turn, walking the calendar once per
     pattern instead of once per year.
 
-    A year's banking days from January 1 through December 31 follow from
-    the weekday of its December 25, whether it is a leap year and its
-    ``cal.closed_days``. So a pre window inside its own year, and the post
-    window, have the same offsets and warnings in every year of one such
-    key. The first year of a key walks the calendar and stores them; a
-    later year reuses them when the series holds exactly each window's
-    days from its first through its last, so that both rates come as one
-    slice. Then the window's first day is a fixing, and the walk back to
-    the series' first fixing would have found the same days. Any other
-    year, or a year a window cannot be read from, goes through
-    ``pre_window`` and then ``post_window``, which raise what they raise.
-    The patterns live only as long as the walk.
+    A pre window inside its own year, and the post window, have the same
+    offsets and warnings in every year of one ``_calendar_key``. The first
+    year of a key walks the calendar and stores them; a later year reuses
+    them when the series holds exactly each window's days from its first
+    through its last, so that both rates come as one slice. Then the
+    window's first day is a fixing, and the walk back to the series' first
+    fixing would have found the same days. Any other year, or a year a
+    window cannot be read from, goes through ``pre_window`` and then
+    ``post_window``, which raise what they raise. The patterns live only as
+    long as the walk.
     """
     patterns: dict[tuple, tuple] = {}
     for year in years:
         key = None
         if MINYEAR <= year <= MAXYEAR:
             event = date(year, 12, 25).toordinal()
-            key = ((event + 6) % 7, _is_leap(year), cal.closed_days(year))
+            key = _calendar_key(year, cal)
             pattern = patterns.get(key)
             if pattern is not None:
                 pre_offsets, pre_warning, post_offsets, post_warning = pattern

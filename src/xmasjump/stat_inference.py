@@ -163,8 +163,9 @@ def student_t_two_sided_p(t: float, df: int) -> float:
     evaluated as the complement 1 - I_y(1/2, df/2) at y = t^2 / (df + t^2)
     instead: at large df, x rounds to 1 and the p-value would come out as
     exactly 1. For df > 1000 and 0 < t^2 < 16, I_y comes from the
-    continued fraction at y itself (see ``_DIRECT_T2_MAX``). An infinite t
-    gives x = 0, so p = 0.
+    continued fraction at y itself (see ``_DIRECT_T2_MAX``); a y that
+    underflows to 0 gives p = 1, as I_0 = 0. An infinite t gives x = 0, so
+    p = 0.
     """
     if df < 1:
         raise DomainError("degrees of freedom must be at least 1")
@@ -193,7 +194,8 @@ class _StudentT:
         df = self.df
         t2 = t * t
         if self._direct and 0.0 < t2 < _DIRECT_T2_MAX:
-            return 1.0 - self._half_first.lower(t2 / (df + t2))
+            y = t2 / (df + t2)
+            return 1.0 - self._half_first.lower(y) if y else 1.0  # I_0 = 0
         if t2 < df:
             return 1.0 - _incomplete_beta(self._half_first, self._half_last, t2 / (df + t2))
         return _incomplete_beta(self._half_last, self._half_first, df / (df + t2))

@@ -15,6 +15,8 @@ The oracle solves the normal equations of the design rows ``[1, a, b, a*b]``
 in ``fractions.Fraction``, so its beta, RSS and diag((X'X)^-1) carry no
 rounding at all. The rows are the ones the kernel regresses on: ``a*b`` is
 the float product, the same rounded number the kernel sees.
+``exact_least_squares`` does the same for any design rows, such as a
+line's ``[1, x]``.
 
 The contract, with u = 2^-53, D the diagonal of the design's column norms,
 kappa = kappa_2(X D^-1) and eta = ||r|| / (||X D^-1||_2 * ||D beta||):
@@ -104,9 +106,15 @@ def design_rows(trends):
 def exact_bilinear(trends, targets):
     """``(beta, rss, variance_factors)`` as Fractions, from the exact normal
     equations X'X beta = X'y; raises ZeroDivisionError when X'X is singular."""
-    rows = [[Fraction(x) for x in row] for row in design_rows(trends)]
+    return exact_least_squares(design_rows(trends), targets)
+
+
+def exact_least_squares(rows, targets):
+    """``exact_bilinear`` for any design: the float rows X, each of the same
+    length, regressed on the float targets y."""
+    rows = [[Fraction(x) for x in row] for row in rows]
     ys = [Fraction(y) for y in targets]
-    n = N_PARAMETERS
+    n = len(rows[0])
     gram = [[sum(row[i] * row[j] for row in rows) for j in range(n)] for i in range(n)]
     moments = [sum(row[i] * y for row, y in zip(rows, ys)) for i in range(n)]
     inverse = _inverse(gram)

@@ -11,10 +11,15 @@ from xmasjump import (
     SyntheticSpec,
     generate_synthetic_series,
 )
+from xmasjump import data_io
 from xmasjump.data_io import (
+    _LCG_INCREMENT,
+    _LCG_MASK,
+    _LCG_MULTIPLIER,
     _ROW,
     _TENOR_COMMENT,
     CSV_HEADER,
+    GENERATION_START,
     _check_tenor_label,
     _finite,
     _row_problem,
@@ -35,6 +40,7 @@ from xmasjump.market_calendar import (
     POST_WINDOW_MIN,
     PRE_WINDOW_DAYS,
     PRE_WINDOW_MIN,
+    _banking,
     banking_days,
     event_date,
     is_plain_date_type,
@@ -43,6 +49,7 @@ from xmasjump.regression_core import (
     MIN_DESIGN_ROWS,
     N_PARAMETERS,
     RANK_TOLERANCE,
+    bilinear_surface,
     design_row,
     window_fits,
 )
@@ -449,3 +456,66 @@ def reference_series_error(entries, label=""):
     if not all(map(operator.lt, dates, dates[1:])):
         return "fixing dates must be strictly increasing"
     return None
+
+
+# --- the writer as it was before its pattern table and one-call pieces ------
+# The generator that walked every year's days through ``_banking`` and drew
+# each noise value with ``next()`` on a generator of the LCG's uniforms, and
+# the serializer that formatted each row with its own f-string: the oracles
+# of ``generate_synthetic_series`` and ``_serialized_pieces``, which must
+# give the same arrays, the same text in the same pieces and the same errors.
+
+
+def reference_lcg_uniforms(seed):
+    """The documented 64-bit LCG's stream: one uniform in [0, 1) per draw."""
+    state = seed & _LCG_MASK
+    while True:
+        state = (_LCG_MULTIPLIER * state + _LCG_INCREMENT) & _LCG_MASK
+        yield (state >> 11) / float(1 << 53)
+
+
+def reference_generate(spec, years, cal):
+    """``(ordinals, rates)`` of ``generate_synthetic_series(spec, years,
+    cal)`` as two lists, every year's banking days walked day by day."""
+    years = list(years)
+    bad = [y for y in years if type(y) is not int]
+    if bad:
+        raise DomainError(f"years must be integers, got {bad[0]!r}")
+    year_list = sorted(set(years))
+    if not year_list:
+        raise DomainError("year range is empty")
+    missing = [y for y in year_list if y not in spec.year_trends]
+    if missing:
+        raise DomainError(f"no trend configured for years {missing}")
+    uniforms = reference_lcg_uniforms(spec.seed)
+    ordinals, rates = [], []
+    for year in year_list:
+        slope, intercept = spec.year_trends[year]
+        jump = bilinear_surface(spec.jump, slope, intercept)
+        event = event_date(year).toordinal()
+        days = range(date(year, *GENERATION_START).toordinal(), date(year, 12, 31).toordinal() + 1)
+        for o in _banking(days, cal):
+            x = o - event
+            noise = spec.noise_amplitude * (2.0 * next(uniforms) - 1.0)
+            rate = slope * x + intercept + noise
+            if x >= 1:
+                rate += jump
+            ordinals.append(o)
+            rates.append(rate)
+    if not all(map(math.isfinite, rates)):
+        bad = next(o for o, r in zip(ordinals, rates) if not math.isfinite(r))
+        raise DomainError(f"rate on {date.fromordinal(bad).isoformat()} is not finite")
+    return ordinals, rates
+
+
+def reference_serialized_pieces(series):
+    """``_serialized_pieces(series)``, each row formatted by its own f-string,
+    in pieces of ``data_io._WRITE_ROWS`` rows as it is when called."""
+    rows = data_io._WRITE_ROWS
+    head = f"# tenor: {series.tenor_label}\n" if series.tenor_label else ""
+    yield head + CSV_HEADER + "\n"
+    ordinals, rates = series._ordinals, series._rates
+    for start in range(0, len(ordinals), rows):
+        days = map(date.fromordinal, ordinals[start:start + rows])
+        piece_rates = rates[start:start + rows]
+        yield "".join([f"{d.isoformat()},{rate!r}\n" for d, rate in zip(days, piece_rates)])

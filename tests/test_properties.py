@@ -30,7 +30,10 @@ splits its text a piece at a time, each piece ending after a line break,
 parses as the whole-text parser does,
 also where it reads a piece of rows in bulk and one row of the text is
 wrong or out of place; every row ``serialize_rate_series`` writes is one
-that the bulk step takes. The CLI's load of a series file, read and parsed
+that the bulk step takes, with ``"\\n"`` or ``"\\r\\n"`` line ends. The
+generator and the serializer give, bit for bit, the arrays, pieces and
+errors of the writer that walked every year's days and formatted every row
+on its own. The CLI's load of a series file, read and parsed
 a piece at a time, ends as the parse of the file's whole text does, from a
 file or a pipe, whatever its line ends, byte-order mark and bad bytes. The series constructor rejects what the
 list-based checks reject, with their message.
@@ -79,10 +82,12 @@ from helpers import (
     distinct_trends,
     reference_banking_days,
     reference_fit_bilinear,
+    reference_generate,
     reference_parse_rate_series,
     reference_post_window,
     reference_post_window_offsets,
     reference_pre_window,
+    reference_serialized_pieces,
     reference_series_error,
     walk_fit,
 )
@@ -111,7 +116,7 @@ from xmasjump import (
     yearly_observation,
 )
 from xmasjump.cli import _json_pieces, _json_text, main
-from xmasjump.errors import DomainError, DuplicateDate, IncompleteWindow
+from xmasjump.errors import DomainError, DuplicateDate, IncompleteWindow, ParseError
 from xmasjump.market_calendar import banking_days, post_window, post_window_offsets, pre_window
 from xmasjump.record import Record
 from xmasjump.stat_inference import CoefficientInference, inference_for_fit
@@ -530,13 +535,14 @@ def test_streamed_load_matches_the_whole_text_parse(data, piece_chars, seekable,
 
 
 CORRUPTIONS = ["02-30", "1e999", "1.2.3", "moved", "repeated", "trailing space", "\r\n",
-               "blank line"]
+               "lone \r", "blank line"]
 
 
 def corrupt(lines, at, how, data):
     """Make the serialized data line at ``at`` wrong or not canonical, as
     ``how`` names: a date or rate that does not convert, a rate that
-    overflows, the row moved or repeated, padding, a line end, a blank line."""
+    overflows, the row moved or repeated, padding, a line end, a line break
+    of its own before it, a blank line."""
     row = lines[at]
     if how == "02-30":
         lines[at] = row[:5] + how + row[10:]
@@ -549,6 +555,8 @@ def corrupt(lines, at, how, data):
         lines.insert(data.draw(st.integers(0, len(lines))), row)
     elif how == "blank line":
         lines.insert(at, "")
+    elif how == "lone \r":
+        lines[at] = "\r" + row
     else:
         lines[at] += {"trailing space": " ", "\r\n": "\r"}[how]
 
@@ -565,11 +573,13 @@ long_series_entries = st.lists(
 @given(entries=long_series_entries, how=st.sampled_from(CORRUPTIONS), data=st.data())
 def test_bulk_rows_parse_as_the_whole_text_parse(piece_chars, entries, how, data):
     # Pieces small next to the text, so the header sits in an earlier piece
-    # and the pieces after it are read in bulk until one is not canonical.
+    # and the pieces after it are read in bulk until one is not canonical,
+    # with "\n" or "\r\n" line ends.
     head, *lines = serialize_rate_series(DailyRateSeries(entries)).splitlines()
     at = data.draw(st.integers(0, len(lines) - 1), label="at")
     corrupt(lines, at, how, data)
-    text = "\n".join([head, *lines, ""])
+    line_end = data.draw(line_ends, label="line end")
+    text = line_end.join([head, *lines, ""])
     taken = []
     canonical_rows = data_io._canonical_rows
 
@@ -582,8 +592,45 @@ def test_bulk_rows_parse_as_the_whole_text_parse(piece_chars, entries, how, data
         patch.setattr(data_io, "_canonical_rows", spy)
         assert outcome(parse_rate_series, text) == outcome(reference_parse_rate_series, text)
         taken.clear()
-        parse_rate_series(serialize_rate_series(DailyRateSeries(entries)))
+        parse_rate_series(serialize_rate_series(DailyRateSeries(entries)).replace("\n", line_end))
     assert any(rows is not None for rows in taken)  # the uncorrupted text takes the bulk step
+
+
+@pytest.mark.parametrize("piece_chars", [64, 256])
+@settings(max_examples=50, deadline=None)
+@given(entries=long_series_entries, label=tenor_labels)
+def test_text_with_crlf_line_ends_parses_in_bulk(piece_chars, entries, label):
+    # Every piece after the header's is read in bulk, to the series that the
+    # same text with "\n" line ends gives.
+    series = DailyRateSeries(entries, label)
+    text = serialize_rate_series(series)
+    taken = []
+    canonical_rows = data_io._canonical_rows
+
+    def spy(piece, latest):
+        taken.append(canonical_rows(piece, latest))
+        return taken[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data_io, "_PIECE_CHARS", piece_chars)
+        patch.setattr(data_io, "_canonical_rows", spy)
+        assert parse_rate_series(text.replace("\n", "\r\n")) == series
+    assert taken and all(rows is not None for rows in taken)
+
+
+@pytest.mark.parametrize("piece_chars", [16, 64])
+@pytest.mark.parametrize("line_break", ["\r\r\n", "\r\n\r\n", "\n\r\n", "\r\n\n", "\r"])
+def test_a_bad_row_after_crlf_rows_names_its_line(piece_chars, line_break):
+    # Pieces of "\r\n" rows read in bulk count the lines splitlines counts,
+    # also past another line break among them.
+    rows = [f"2018-12-{day:02d},{day / 8}" for day in range(1, 29)]
+    text = "\r\n".join(["date,rate", *rows[:10]]) + line_break + "\r\n".join(
+        [*rows[10:], "2018-12-32,1", ""])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data_io, "_PIECE_CHARS", piece_chars)
+        parsed = outcome(parse_rate_series, text)
+    assert parsed == outcome(reference_parse_rate_series, text)
+    assert parsed[0] is ParseError
 
 
 @settings(max_examples=200, deadline=None)
@@ -1097,6 +1144,83 @@ def test_closed_days_are_the_holidays(year, recurring, one_offs):
     for other in (same, restored):
         assert other == cal and hash(other) == hash(cal)
         assert all(other.closed_days(y) == cal.closed_days(y) for y in years)
+
+
+# --- the writer, bit for bit against the one before its pattern table -------
+
+# Closures on weekdays between Nov 25 and Dec 31 in some years, and Feb 29,
+# which moves every later day of the year in leap years.
+writer_closures = st.sampled_from(
+    [(2, 29), (11, 25), (11, 30), (12, 1), (12, 24), (12, 26), (12, 27), (12, 31)]
+) | st.tuples(st.just(12), st.integers(min_value=1, max_value=31))
+writer_floats = st.floats(min_value=-1e3, max_value=1e3) | st.sampled_from([0.0, -0.0, 5e-324])
+# The a*b coefficient of a jump surface: -1e307 overflows the jump of most
+# years, 1e300 none.
+writer_cross_terms = writer_floats | st.sampled_from([1e300, -1e307])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    first_year=st.sampled_from([1, 1896, 1999, 2001, 9990])
+    | st.integers(min_value=1, max_value=9999),
+    span=st.integers(min_value=1, max_value=30),
+    gaps=st.frozensets(st.integers(min_value=0, max_value=29), max_size=12),
+    recurring=st.frozensets(writer_closures, max_size=3),
+    one_offs=st.frozensets(st.tuples(st.integers(min_value=0, max_value=29),
+                                     st.integers(min_value=-30, max_value=6)), max_size=4),
+    trends=st.lists(st.tuples(writer_floats, writer_floats), min_size=30, max_size=30),
+    jump=st.tuples(writer_floats, writer_floats, writer_floats, writer_cross_terms),
+    amplitude=st.sampled_from([0.0, 0.01, 5e-324]) | st.floats(min_value=0.0, max_value=1e6),
+    seed=st.sampled_from([-1, 0, 2**64 - 1, 2**64, -(2**64) - 3])
+    | st.integers(min_value=-(2**70), max_value=2**70),
+    descending=st.booleans(),
+)
+# Dec 25 falls on a Tuesday in 2001 and in leap 2012. With Dec 26 2001 and
+# Dec 24 2012 closed, both years close days 359 and 360, so a pattern key
+# without the leap flag would give 2012 the banking day Dec 24 of 2001.
+@example(first_year=2001, span=12, gaps=frozenset(range(1, 11)), recurring=frozenset(),
+         one_offs={(0, 1), (11, -1)}, trends=[(0.01, 2.0)] * 30, jump=(0.25, 0.0, 0.0, 0.0),
+         amplitude=0.01, seed=7, descending=False)
+# The second year's post-event rates overflow: the error names the first.
+@example(first_year=2003, span=3, gaps=frozenset(), recurring=frozenset(), one_offs=frozenset(),
+         trends=[(0.01, 2.0), (0.01, 1e308)] + [(0.01, 2.0)] * 28, jump=(1e308, 0.0, 0.0, 0.0),
+         amplitude=0.0, seed=0, descending=True)
+def test_generated_series_and_its_text_match_the_day_by_day_writer(
+    first_year, span, gaps, recurring, one_offs, trends, jump, amplitude, seed, descending
+):
+    # Each calendar pattern's offsets walked once and reused, the LCG stepped
+    # inline and each piece formatted in one call must give the arrays, the
+    # pieces and the errors of the writer that did each of these per day.
+    years = [y for i, y in enumerate(range(first_year, min(first_year + span, 10000)))
+             if i not in gaps or i == 0]
+    cal = HolidayCalendar(holidays=recurring | {
+        day_at(date(min(first_year + i, 9999), 12, 25).toordinal() + x) for i, x in one_offs})
+    spec = SyntheticSpec(dict(zip(years, trends)), jump, amplitude, seed)
+    given_years = years[::-1] + years[:1] if descending else years  # order and repeats ignored
+    got = outcome(generate_synthetic_series, spec, given_years, cal)
+    want = outcome(reference_generate, spec, given_years, cal)
+    if not isinstance(got, DailyRateSeries):
+        assert got == want
+        return
+    ordinals, rates = want
+    assert list(got._ordinals) == ordinals
+    assert list(map(float.hex, got._rates)) == list(map(float.hex, rates))  # -0.0 too
+    pieces = list(data_io._serialized_pieces(got))
+    assert pieces == list(reference_serialized_pieces(got))
+    assert serialize_rate_series(got) == "".join(pieces)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, data_io._WRITE_ROWS])
+@settings(max_examples=100, deadline=None)
+@given(entries=series_entries | long_series_entries, label=tenor_labels)
+def test_serialized_pieces_match_the_row_by_row_writer(rows, entries, label):
+    # Any rates, -0.0, subnormals and the largest floats among them, each
+    # written as its repr, in pieces of any number of rows.
+    series = DailyRateSeries(entries, label)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data_io, "_WRITE_ROWS", rows)
+        assert list(data_io._serialized_pieces(series)) == list(
+            reference_serialized_pieces(series))
 
 
 # --- the JSON writer ---------------------------------------------------------

@@ -1,11 +1,12 @@
-"""Regression machinery against hand-worked values and numpy oracles."""
+"""Regression machinery against hand-worked values and the exact rational
+least squares of ``exact_oracle``."""
 
 import math
 import random
 
-import numpy as np
 import pytest
 
+from exact_oracle import design_rows, exact_bilinear, exact_least_squares
 from helpers import line_value, walk_fit
 from xmasjump import regression_core
 from xmasjump.errors import DegenerateDesign, DomainError, RankDeficient, TooFewRows
@@ -15,11 +16,6 @@ from xmasjump.regression_core import (
     fit_simple_ols,
     window_fits,
 )
-
-
-def bilinear_rows(pairs):
-    """The design rows ``[1, a, b, a*b]`` that a bilinear fit regresses on."""
-    return np.asarray([(1.0, a, b, a * b) for a, b in pairs])
 
 
 def random_rows(rng, count):
@@ -72,6 +68,7 @@ class TestFitSimpleOls:
             fit_simple_ols([1, 2], [1.0])
 
     def test_matches_numpy_lstsq(self):
+        # The oracle is ``exact_least_squares``, in Fractions, not numpy.
         rng = random.Random(101)
         for _ in range(200):
             n = rng.randint(2, 12)
@@ -80,8 +77,8 @@ class TestFitSimpleOls:
                 xs = [rng.uniform(-25, 5) for _ in range(n)]
             ys = [rng.uniform(0, 6) for _ in range(n)]
             slope, intercept = fit_simple_ols(xs, ys)
-            design = np.column_stack([np.ones(n), np.asarray(xs)])
-            (b_ref, a_ref), *_ = np.linalg.lstsq(design, np.asarray(ys), rcond=None)
+            (b_ref, a_ref), _, _ = exact_least_squares([(1.0, x) for x in xs], ys)
+            b_ref, a_ref = float(b_ref), float(a_ref)
             assert abs(slope - a_ref) < 1e-9 * max(1.0, abs(a_ref))
             assert abs(intercept - b_ref) < 1e-9 * max(1.0, abs(b_ref))
 
@@ -147,11 +144,9 @@ class TestFitInterceptFixedSlope:
             ys = [rng.uniform(0, 6) for _ in xs]
             slope = rng.uniform(-0.1, 0.1)
             value = fit_intercept_fixed_slope(xs, ys, slope)
-            shifted = np.asarray(ys) - slope * np.asarray(xs)
-            (b_ref,), *_ = np.linalg.lstsq(
-                np.ones((k, 1)), shifted, rcond=None
-            )
-            assert abs(value - b_ref) < 1e-12
+            shifted = [y - slope * x for x, y in zip(xs, ys)]
+            (b_ref,), _, _ = exact_least_squares([(1.0,)] * k, shifted)
+            assert abs(value - float(b_ref)) < 1e-12
 
 
 class TestFitBilinear:
@@ -205,33 +200,42 @@ class TestFitBilinear:
         pairs = [(rng.uniform(-0.03, 0.03), rng.uniform(0.2, 6.0)) for _ in range(count)]
         return pairs, [rng.uniform(-0.2, 0.2) for _ in range(count)]
 
+    @staticmethod
+    def _exact_windows(pairs, targets, window_len):
+        """The exact coefficients and variance factors of each window k of
+        the walk, each as a list of floats."""
+        windows = []
+        for k in range(len(pairs) - window_len + 1):
+            window = slice(k, k + window_len)
+            beta, _, factors = exact_bilinear(pairs[window], targets[window])
+            windows.append((list(map(float, beta)), list(map(float, factors))))
+        return windows
+
     def test_variance_factors_match_numpy_inverse_gram(self):
+        # The oracle is ``exact_bilinear``'s (X'X)^-1, in Fractions, not numpy.
         rng = random.Random(53)
         for _ in range(50):
             window_len = rng.randint(6, 20)
             pairs, targets = self._walk_data(rng, window_len)
-            x = bilinear_rows(pairs)
+            exact = self._exact_windows(pairs, targets, window_len)
             for first, k, (_, _, variance_factors) in walked_windows(pairs, targets, window_len):
-                window = x[k : k + window_len]
-                ref = np.diag(np.linalg.inv(window.T @ window))
-                for got, want in zip(variance_factors, ref):
+                for got, want in zip(variance_factors, exact[k][1]):
                     assert abs(got - want) < 1e-8 * max(1.0, abs(want)), (first, k)
 
     def test_matches_numpy_lstsq_on_noisy_targets(self):
+        # The oracle is ``exact_bilinear``, in Fractions, not numpy.
         rng = random.Random(31)
         for _ in range(50):
             window_len = rng.randint(6, 20)
             pairs, targets = self._walk_data(rng, window_len)
-            x = bilinear_rows(pairs)
+            exact = self._exact_windows(pairs, targets, window_len)
             for first, k, (coefficients, _, _) in walked_windows(pairs, targets, window_len):
-                y = np.asarray(targets[k : k + window_len])
-                ref, *_ = np.linalg.lstsq(x[k : k + window_len], y, rcond=None)
-                for got, want in zip(coefficients, ref):
+                for got, want in zip(coefficients, exact[k][0]):
                     assert abs(got - want) < 1e-8 * max(1.0, abs(want)), (first, k)
 
     def test_residual_orthogonal_to_columns(self):
         pairs, targets = self._walk_data(random.Random(41), 15)
-        x = bilinear_rows(pairs).tolist()
+        x = design_rows(pairs)
         for first, k, (coefficients, rss, _) in walked_windows(pairs, targets, 15):
             rows, window_targets = x[k : k + 15], targets[k : k + 15]
             residuals = [

@@ -182,13 +182,22 @@ def t_statistics(draw, df):
 
 
 def p_outcome(fn, *args):
-    """What ``fn`` returns, or the type and message of the error it raises.
-    On the direct path (df > 1000), a t so small that y = t^2 / (df + t^2)
-    underflows to 0 makes math.log(0) raise ValueError, in both chains."""
+    """What ``fn`` returns, or the type and message of the DomainError it raises."""
     try:
         return fn(*args)
-    except (DomainError, ValueError) as exc:
+    except DomainError as exc:
         return type(exc), str(exc)
+
+
+def reference_outcome(t, df):
+    """``p_outcome`` of the plain chain where it returns a float or raises a
+    DomainError. On the direct path (df > 1000), a t so small that
+    y = t^2 / (df + t^2) underflows to 0 makes the chain take math.log(0),
+    which raises ValueError; the p-value there is 1, as I_0 = 0."""
+    try:
+        return p_outcome(reference_student_t_two_sided_p, t, df)
+    except ValueError:
+        return 1.0
 
 
 class TestBitForBit:
@@ -199,9 +208,7 @@ class TestBitForBit:
     @given(data=st.data(), df=degrees_of_freedom)
     def test_a_p_value_matches_the_plain_chain(self, data, df):
         t = data.draw(t_statistics(df))
-        assert p_outcome(student_t_two_sided_p, t, df) == p_outcome(
-            reference_student_t_two_sided_p, t, df
-        )
+        assert p_outcome(student_t_two_sided_p, t, df) == reference_outcome(t, df)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), df=degrees_of_freedom)
@@ -211,7 +218,7 @@ class TestBitForBit:
         ts = data.draw(st.lists(t_statistics(df), min_size=1, max_size=12))
         student_t = _StudentT(df)
         assert [p_outcome(student_t.two_sided_p, t) for t in ts] == [
-            p_outcome(reference_student_t_two_sided_p, t, df) for t in ts
+            reference_outcome(t, df) for t in ts
         ]
 
     def test_every_branch_at_every_df_band(self):
@@ -225,7 +232,7 @@ class TestBitForBit:
             grid = [0.0, 5e-324, 1e-300, 1e-160, 1e-8, 0.5, 1.0, 2.201, 3.99, 4.0, 4.01, 10.0,
                     1e300, math.inf, root * 0.999, root, root * 1.001, 2.0 * root]
             for t in grid + [-t for t in grid]:
-                want = p_outcome(reference_student_t_two_sided_p, t, df)
+                want = reference_outcome(t, df)
                 assert p_outcome(student_t_two_sided_p, t, df) == want, (t, df)
                 assert p_outcome(student_t.two_sided_p, t) == want, (t, df)
                 t2 = t * t
@@ -234,6 +241,15 @@ class TestBitForBit:
                 else:
                     branches.add("complement" if t2 < df else "upper tail")
         assert branches == {"direct", "complement", "upper tail"}
+
+    @pytest.mark.parametrize("df", [1001, 2000, 10**4, 10**8])
+    @pytest.mark.parametrize("t", [1e-160, -1e-160, 3e-162])
+    def test_a_t_whose_y_underflows_gives_one(self, t, df):
+        # Past df = 1000 the direct path takes I_y at y = t^2 / (df + t^2).
+        # t^2 is subnormal, and y is 0 but for t = +-1e-160 at df 1001 and
+        # 2000. I_0 = 0, so p = 1, not a math domain error.
+        assert student_t_two_sided_p(t, df) == 1.0
+        assert _StudentT(df).two_sided_p(t) == 1.0
 
     @settings(max_examples=500, deadline=None)
     @given(
