@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 data or calendar error, 2 usage error, 141 closed pipe.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from collections.abc import Iterable, Iterator
@@ -234,57 +235,133 @@ def _read_text(path: str) -> str:
         return file.read()
 
 
-def _json_text(value, indent: str = "\n") -> str:
+_NUMBERS = frozenset((int, float))  # the leaves that %r writes as JSON when finite
+
+
+class _JsonText(str):
+    """A leaf's JSON text, which ``%r`` writes as it is."""
+
+    __slots__ = ()
+    __repr__ = str.__str__
+
+
+def _json_text(value, indent: str = "\n", templates: dict | None = None) -> str:
     """``json.dumps(value.to_dict(), indent=2)`` of a record, without
     building that dict, and ``json.dumps(value, indent=2)`` of the values
     records hold: a tuple, a str, an int, a float, a bool or None.
+
+    A record or a tuple is written as one ``template % leaves``: the
+    template is its text with a ``%r`` in each leaf's place, made once per
+    shape and indent and kept in ``templates`` (a dict that the caller
+    keeps for one output, else one for this call), and the leaves are its
+    scalars in order. A leaf that ``%r`` does not write as JSON (a
+    non-finite float, a str, a bool, None) is swapped for its JSON text.
     """
     kind = type(value)  # exact types, so repr() is float.__repr__ or int.__repr__
     if kind is float:
         if value - value == 0.0:  # finite
             return repr(value)
         return "NaN" if value != value else "Infinity" if value > 0.0 else "-Infinity"
-    inner = indent + "  "
-    if kind is tuple:
-        items, brackets = [_json_text(item, inner) for item in value], "[]"
-    elif kind is str:
+    if kind is tuple or isinstance(value, Record):
+        leaves = []
+        key = indent, _shape(value, leaves)
+        if templates is None:
+            templates = {}
+        entry = templates.get(key)
+        if entry is None:  # plain: every leaf is an int or a float
+            plain = _NUMBERS.issuperset(map(type, leaves))
+            entry = templates[key] = _template(value, indent), plain
+        template, plain = entry
+        try:
+            if plain and all(map(math.isfinite, leaves)):
+                return template % tuple(leaves)
+        except OverflowError:  # an int past the float range, which %r writes as it is
+            pass
+        return template % tuple(map(_json_leaf, leaves))
+    if kind is str:
         return encode_basestring_ascii(value)
-    elif kind is int:
+    if kind is int:
         return repr(value)
-    elif kind is bool or value is None:  # by identity, as 1 == True
+    if kind is bool or value is None:  # by identity, as 1 == True
         return "true" if value is True else "false" if value is False else "null"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _shape(value, leaves: list):
+    """Append the leaves of a tuple or record to ``leaves``, in order, and
+    return its shape: the record's type or the tuple's length, alone when
+    every item is an int or a float, else followed by each item's shape,
+    which for a leaf is its type."""
+    if type(value) is tuple:
+        items, head = value, len(value)
+    else:
+        items, head = value._astuple(), type(value)
+    if _NUMBERS.issuperset(map(type, items)):
+        leaves += items
+        return head
+    shape = [head]
+    for item in items:
+        kind = type(item)
+        if kind is tuple or isinstance(item, Record):
+            flat = item if kind is tuple else item._astuple()
+            if _NUMBERS.issuperset(map(type, flat)):  # as the call below would find
+                leaves += flat
+                shape.append(len(flat) if kind is tuple else kind)
+            else:
+                shape.append(_shape(item, leaves))
+        else:
+            leaves.append(item)
+            shape.append(kind)
+    return tuple(shape)
+
+
+def _template(value, indent: str) -> str:
+    """The text ``_json_text`` writes for a tuple or record, with ``%r`` in
+    place of each leaf."""
+    inner = indent + "  "
+    if type(value) is tuple:
+        items, brackets = [_template(item, inner) for item in value], "[]"
     elif isinstance(value, Record):
-        items = [key + _json_text(getattr(value, name), inner)
-                 for key, name in zip(value._json_keys, value._fields)]
+        items = [key + _template(item, inner)
+                 for key, item in zip(value._json_keys, value._astuple())]
         brackets = "{}"
     else:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        return "%r"
     if not items:
         return brackets
     return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
 
 
+def _json_leaf(value):
+    """``value`` if ``%r`` writes it as JSON, else its JSON text."""
+    if type(value) is int or type(value) is float and value - value == 0.0:
+        return value
+    return _JsonText(_json_text(value))
+
+
 def _json_pieces(value) -> Iterator[str]:
     """``_json_text(value)`` of a record in pieces: one per field, and one
     per element of a field that is a non-empty tuple, such as a report's
-    rows and models. Each piece is rendered when it is asked for. A dict of
-    str keys to records, as ``predict`` writes its model and forecast, is
-    written as an object of those records in the same way.
+    rows and models. Each piece is rendered when it is asked for, from
+    templates kept for this call alone. A dict of str keys to records, as
+    ``predict`` writes its model and forecast, is written as an object of
+    those records in the same way.
     """
     if type(value) is dict:
         fields = [(f"{encode_basestring_ascii(k)}: ", v) for k, v in value.items()]
     else:
-        fields = [(key, getattr(value, name)) for key, name in zip(value._json_keys, value._fields)]
+        fields = list(zip(value._json_keys, value._astuple()))
+    templates = {}
     separator = "{\n  "
     for key, field in fields:
         if type(field) is tuple and field:
             opening = separator + key + "["
             for item in field:
-                yield opening + "\n    " + _json_text(item, "\n    ")
+                yield opening + "\n    " + _json_text(item, "\n    ", templates)
                 opening = ","
             yield "\n  ]"
         else:
-            yield separator + key + _json_text(field, "\n  ")
+            yield separator + key + _json_text(field, "\n  ", templates)
         separator = ",\n  "
     yield "\n}"
 

@@ -1,5 +1,7 @@
 """The immutable record base shared by every result type of the package."""
 
+from operator import attrgetter
+
 set_field = object.__setattr__  # how a record's __init__ stores each field
 
 
@@ -10,8 +12,9 @@ class Record:
     order its ``__init__`` takes, validates and stores them with
     ``set_field``; private slots hold derived state. A class whose field is
     a property over private slots declares its fields as ``_fields``
-    instead, and a subclass keeps its base's. Records are equal when their
-    types and fields are, hash by their fields, and refuse assignment.
+    instead, and a subclass keeps its base's. ``_astuple()`` gives the
+    fields' values in order. Records are equal when their types and fields
+    are, hash by their fields, and refuse assignment.
     """
 
     __slots__ = ()
@@ -21,9 +24,11 @@ class Record:
             cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         # field names are ASCII identifiers, so the JSON keys need no escaping
         cls._json_keys = tuple(f'"{name}": ' for name in cls._fields)
-
-    def _astuple(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+        values = attrgetter(*cls._fields)  # a tuple for two names or more
+        if len(cls._fields) > 1:
+            cls._astuple = lambda self: values(self)
+        else:
+            cls._astuple = lambda self: (values(self),)
 
     def to_dict(self) -> dict:
         """Field name to value, in declared order, as JSON reads it back:

@@ -108,28 +108,57 @@ def _folded(rows, onto: list | None = None) -> list:
 
 
 def _fold_row(triangle: list, row: Sequence[float]) -> None:
-    """Rotate one augmented row into ``triangle``, in place.
+    """Rotate one augmented row into ``triangle``, in place; ``row`` is
+    left as it is.
 
     One Givens rotation per nonzero entry among the row's first
     N_PARAMETERS, its radius from ``math.hypot``, so every diagonal of R
     stays >= 0. An entry that is already zero needs no rotation, so a row of
     another triangle folds in without rotating its leading zeros.
+
+    Written out for the 4 x 5 triangle, as ``_finish`` reads it, with the
+    row unpacked rather than copied: rotation i takes ``c = r_ii / radius``
+    and ``s = x_i / radius``, then for each later column j, with ``r_ij``
+    and ``x_j`` as they were before it, sets ``r_ij = c*r_ij + s*x_j`` and
+    then ``x_j = c*x_j - s*r_ij``. These are the operations, in the order,
+    of one loop over i and j, so every triangle is the same to the bit.
     """
-    x = list(row)
-    for i, r in enumerate(triangle):
-        xi = x[i]
-        if xi == 0.0:
-            continue
-        ri = r[i]
-        radius = math.hypot(ri, xi)
-        c = ri / radius
-        s = xi / radius
-        r[i] = radius
-        for j in range(i + 1, N_PARAMETERS + 1):
-            rj = r[j]
-            xj = x[j]
-            r[j] = c * rj + s * xj
-            x[j] = c * xj - s * rj
+    r0, r1, r2, r3 = triangle
+    x0, x1, x2, x3, x4 = row
+    if x0 != 0.0:
+        d, a1, a2, a3, a4 = r0
+        radius = math.hypot(d, x0)
+        c = d / radius
+        s = x0 / radius
+        r0[0] = radius
+        r0[1], x1 = c * a1 + s * x1, c * x1 - s * a1
+        r0[2], x2 = c * a2 + s * x2, c * x2 - s * a2
+        r0[3], x3 = c * a3 + s * x3, c * x3 - s * a3
+        r0[4], x4 = c * a4 + s * x4, c * x4 - s * a4
+    if x1 != 0.0:
+        _, d, a2, a3, a4 = r1
+        radius = math.hypot(d, x1)
+        c = d / radius
+        s = x1 / radius
+        r1[1] = radius
+        r1[2], x2 = c * a2 + s * x2, c * x2 - s * a2
+        r1[3], x3 = c * a3 + s * x3, c * x3 - s * a3
+        r1[4], x4 = c * a4 + s * x4, c * x4 - s * a4
+    if x2 != 0.0:
+        _, _, d, a3, a4 = r2
+        radius = math.hypot(d, x2)
+        c = d / radius
+        s = x2 / radius
+        r2[2] = radius
+        r2[3], x3 = c * a3 + s * x3, c * x3 - s * a3
+        r2[4], x4 = c * a4 + s * x4, c * x4 - s * a4
+    if x3 != 0.0:
+        _, _, _, d, a4 = r3
+        radius = math.hypot(d, x3)
+        c = d / radius
+        s = x3 / radius
+        r3[3] = radius
+        r3[4] = c * a4 + s * x4  # x4's own update, the residual, is not kept
 
 
 def _finish(triangle: list, rows: Sequence[Sequence[float]]) -> tuple:

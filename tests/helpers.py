@@ -303,6 +303,32 @@ def _reference_fraction(a, b, x):
     return h
 
 
+# --- the Givens rotation with its loops -------------------------------------
+# ``_fold_row`` as it was before it was written out for the 4 x 5 triangle:
+# a loop over the triangle's rows and, inside it, over the later columns, on
+# a list copy of the row. The written-out kernel must leave every triangle
+# the same to the bit.
+
+
+def reference_fold_row(triangle, row):
+    """Rotate one augmented row into ``triangle``, in place."""
+    x = list(row)
+    for i, r in enumerate(triangle):
+        xi = x[i]
+        if xi == 0.0:
+            continue
+        ri = r[i]
+        radius = math.hypot(ri, xi)
+        c = ri / radius
+        s = xi / radius
+        r[i] = radius
+        for j in range(i + 1, N_PARAMETERS + 1):
+            rj = r[j]
+            xj = x[j]
+            r[j] = c * rj + s * xj
+            x[j] = c * xj - s * rj
+
+
 # --- the bilinear fit and its Householder reference -------------------------
 # ``walk_fit`` is the fit of one ``window_fits`` window over all the rows.
 # ``reference_fit_bilinear`` is the same fit as one Householder QR of the

@@ -63,7 +63,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import xmasjump
@@ -562,14 +562,17 @@ def corrupt(lines, at, how, data):
 
 
 # Enough rows that a serialized series spans several 256-character pieces.
+# A property over them that fails prints its draw unshrunk: shrinking 40-80
+# rows of any dates and floats can take minutes while its memory grows.
 long_series_entries = st.lists(
     st.tuples(st.dates(), st.floats(allow_nan=False, allow_infinity=False)),
     min_size=40, max_size=80, unique_by=lambda entry: entry[0],
 ).map(lambda entries: tuple(sorted(entries)))
+UNSHRUNK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
 
 
 @pytest.mark.parametrize("piece_chars", [64, 256])
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, phases=UNSHRUNK)
 @given(entries=long_series_entries, how=st.sampled_from(CORRUPTIONS), data=st.data())
 def test_bulk_rows_parse_as_the_whole_text_parse(piece_chars, entries, how, data):
     # Pieces small next to the text, so the header sits in an earlier piece
@@ -597,7 +600,7 @@ def test_bulk_rows_parse_as_the_whole_text_parse(piece_chars, entries, how, data
 
 
 @pytest.mark.parametrize("piece_chars", [64, 256])
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None, phases=UNSHRUNK)
 @given(entries=long_series_entries, label=tenor_labels)
 def test_text_with_crlf_line_ends_parses_in_bulk(piece_chars, entries, label):
     # Every piece after the header's is read in bulk, to the series that the
@@ -1211,7 +1214,7 @@ def test_generated_series_and_its_text_match_the_day_by_day_writer(
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, data_io._WRITE_ROWS])
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, phases=UNSHRUNK)
 @given(entries=series_entries | long_series_entries, label=tenor_labels)
 def test_serialized_pieces_match_the_row_by_row_writer(rows, entries, label):
     # Any rates, -0.0, subnormals and the largest floats among them, each
@@ -1358,6 +1361,32 @@ def test_every_record_type_has_values():
     assert CLI_RECORDS < set(RECORD_VALUES)
 
 
+# A report whose models hold 4, 0 and 2 inferences, so that three shapes of
+# one record type meet in one output, with a NaN adjusted R^2, infinite t
+# statistics and a -0.0 among them.
+MIXED_REPORT = BacktestReport(
+    15,
+    (
+        BacktestRow(2016, 0.5, 0.25, 2.75, 2.5, 0.25),
+        BacktestRow(2017, -0.125, 0.0625, 3.0, 3.1875, -0.1875),
+        BacktestRow(2018, 0.0, -0.0, 1.5, 1.5, 0.0),
+    ),
+    (
+        JumpModel((2001, 2015), (0.005, -9.0, -0.002, 2.0), (
+            CoefficientInference(0.005, 0.0025, 2.0, 0.07),
+            CoefficientInference(-9.0, 3.0, -3.0, 0.01),
+            CoefficientInference(-0.002, 0.001, -2.0, 0.07),
+            CoefficientInference(2.0, 0.5, 4.0, 0.002),
+        ), 0.75),
+        JumpModel((2002, 2016), (0.0, 0.0, 0.0, 0.0), (), math.nan),
+        JumpModel((2003, 2017), (1.0, -1.0, 0.0, 0.5), (
+            CoefficientInference(1.0, 0.0, math.inf, 0.0),
+            CoefficientInference(-1.0, 0.0, -math.inf, 0.0),
+        ), 1.0),
+    ),
+)
+
+
 def json_text_or_type_error(value):
     try:
         return _json_text(value)
@@ -1381,6 +1410,7 @@ def json_text_or_type_error(value):
 @example(record=YearObservation(
     2019, 0.5, 2.5, 2.25, -0.25, (2,), 2.3, "pre \u00e9t\u00e9 \"short\"", "post\nshort"
 ))
+@example(record=MIXED_REPORT)
 def test_json_writer_writes_a_record_as_its_dict(record):
     text = json_text_or_type_error(record)
     if type(record) not in CLI_RECORDS and text is TypeError:
@@ -1392,6 +1422,21 @@ def test_json_writer_writes_a_record_as_its_dict(record):
         both = {"model": record, "forecast": record}
         expected = json.dumps({"model": record.to_dict(), "forecast": record.to_dict()}, indent=2)
         assert "".join(_json_pieces(both)) == expected
+
+
+def test_one_output_writes_records_of_one_type_and_several_shapes():
+    # Tuple fields of different lengths, and text where None was, each need
+    # their own template within one _json_pieces call.
+    short = YearObservation(2019, 0.5, 2.5, 2.25, -0.25, (2,), 2.3)
+    value = {
+        "short": short,
+        "long": YearObservation(2018, 0.5, 2.5, 2.25, -0.25, (2, 5, 6), 2.3),
+        "again": short,
+        "warned": YearObservation(2017, 0.5, 2.5, 2.25, -0.25, (2,), 2.3, None, "short"),
+        "empty": YearObservation(2016, 0.5, 2.5, 2.25, -0.25, (), math.inf),
+    }
+    expected = json.dumps({key: record.to_dict() for key, record in value.items()}, indent=2)
+    assert "".join(_json_pieces(value)) == expected
 
 
 # --- the bilinear fit against its reference and the exact oracle ------------

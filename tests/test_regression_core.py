@@ -1,13 +1,16 @@
 """Regression machinery against hand-worked values and the exact rational
-least squares of ``exact_oracle``."""
+least squares of ``exact_oracle``; the written-out Givens rotation against
+its looped form, bit for bit."""
 
 import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from exact_oracle import design_rows, exact_bilinear, exact_least_squares
-from helpers import line_value, walk_fit
+from helpers import line_value, reference_fold_row, walk_fit
 from xmasjump import regression_core
 from xmasjump.errors import DegenerateDesign, DomainError, RankDeficient, TooFewRows
 from xmasjump.regression_core import (
@@ -286,6 +289,52 @@ class TestFitBilinear:
         rows = [design_row(0.01 * k, 1.0 + k, 0.1) for k in range(8)]
         with pytest.raises(TooFewRows, match=f"^{window_len} design rows; need at least 5$"):
             next(window_fits(rows, window_len))
+
+
+# Entries at the edges of the float range: signed zeros, subnormals, the
+# smallest normal, 1e+-300, the infinities and NaN, beside any float.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300,
+               1e300, -1e300, 1.0, -1.0, math.inf, -math.inf, math.nan]
+edge_floats = st.sampled_from(EDGE_FLOATS) | st.floats()
+
+
+@st.composite
+def augmented_rows(draw):
+    """A row of N_PARAMETERS + 1 floats whose first k entries are zeros of
+    either sign, as in a row of another triangle or a design with a zero."""
+    row = draw(st.lists(edge_floats, min_size=5, max_size=5))
+    leading = draw(st.integers(0, 4))
+    row[:leading] = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=leading,
+                                  max_size=leading))
+    return tuple(row)
+
+
+@st.composite
+def triangles(draw):
+    """Zeros, or a drawn upper-trapezoidal 4 x 5 triangle."""
+    if draw(st.booleans()):
+        return [[0.0] * 5 for _ in range(4)]
+    return [[0.0] * i + draw(st.lists(edge_floats, min_size=5 - i, max_size=5 - i))
+            for i in range(4)]
+
+
+def bits(triangle):
+    return [[value.hex() for value in r] for r in triangle]  # so that -0.0 counts
+
+
+@settings(max_examples=500, deadline=None)
+@given(triangle=triangles(), rows=st.lists(augmented_rows(), min_size=1, max_size=6))
+@example(triangle=[[0.0] * 5 for _ in range(4)],
+         rows=[(1.0, 0.02, 3.5, 0.07, 0.01), (1.0, -0.01, 2.5, -0.025, -0.02)])
+@example(triangle=[[0.0] * 5 for _ in range(4)],
+         rows=[(0.0, -0.0, 5e-324, 1e300, math.nan), (1e-300, math.inf, -0.0, 1.0, -1e300)])
+def test_written_out_rotation_matches_the_loops_bit_for_bit(triangle, rows):
+    folded = [r[:] for r in triangle]
+    reference = [r[:] for r in triangle]
+    for row in rows:
+        regression_core._fold_row(folded, row)
+        reference_fold_row(reference, row)
+    assert bits(folded) == bits(reference)
 
 
 # Finite inputs whose sums, or whose squares' sums, pass the largest float.
