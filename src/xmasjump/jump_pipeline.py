@@ -19,7 +19,6 @@ from .market_calendar import (
     HolidayCalendar,
     PRE_WINDOW_DAYS,
     _year_windows,
-    post_window,
     post_window_offsets,
     pre_window,
 )
@@ -158,10 +157,10 @@ def yearly_observation(
 
     Fits the pre-window line, holds its slope fixed across the holiday
     (the trend barely moves over a few days), re-fits the post-window
-    intercept, and records the intercept difference as the jump.
+    intercept, and records the intercept difference as the jump. The
+    windows are cut by the walk that ``backtest`` cuts its years with.
     """
-    pre = pre_window(year, series, cal, n=pre_days)
-    return _observation(year, pre, post_window(year, series, cal))
+    return _observations(range(year, year + 1), series, cal, pre_days)[0]
 
 
 def _observation(year: int, pre: tuple, post: tuple) -> YearObservation:
@@ -193,8 +192,8 @@ def fit_window_model(
 
 def _observations(years: range, series: DailyRateSeries, cal: HolidayCalendar,
                   pre_days: int) -> list[YearObservation]:
-    """``yearly_observation`` of each of ``years``, in order, with their
-    windows cut by one ``_year_windows`` walk."""
+    """The observation of each of ``years``, in order, with their windows
+    cut by one ``_year_windows`` walk."""
     windows = _year_windows(years, series, cal, pre_days)
     return [_observation(year, *pair) for year, pair in zip(years, windows)]
 

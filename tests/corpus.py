@@ -25,6 +25,7 @@ import random
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from xmasjump import cli
 from xmasjump.data_io import SyntheticSpec, generate_synthetic_series, serialize_rate_series
@@ -233,29 +234,15 @@ def write_inputs() -> None:
         Path(name).write_bytes(text.encode("utf-8"))
 
 
-@contextlib.contextmanager
-def _fixed_environment():
-    """No ``$XMASJUMP_DATA``, and an 80-column terminal for argparse's usage."""
-    saved = {name: os.environ.get(name) for name in (cli.DATA_ENV_VAR, "COLUMNS")}
-    os.environ.pop(cli.DATA_ENV_VAR, None)
-    os.environ["COLUMNS"] = "80"
-    try:
-        yield
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-
-
 def run_case(case: str) -> str:
     """The SHA-256 of ``case``'s exit code, stdout, stderr and written file,
-    run in process in the working directory."""
+    run in process in the working directory, with no ``$XMASJUMP_DATA`` and
+    an 80-column terminal for argparse's usage lines."""
     argv = case.split()
     stdout, stderr = io.StringIO(), io.StringIO()
-    with _fixed_environment(), contextlib.redirect_stdout(stdout), \
+    with mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stdout(stdout), \
             contextlib.redirect_stderr(stderr):
+        os.environ.pop(cli.DATA_ENV_VAR, None)
         code = cli.main(argv)
     out = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
     written = out.read_bytes() if out is not None and out.exists() else b""

@@ -143,13 +143,36 @@ def _inverse(matrix):
 
 def _conditioning(trends):
     """``(D, kappa, ||X D^-1||_2)``: the design's column norms, the condition
-    number and the norm of the design with unit-norm columns."""
-    import numpy as np  # here, so that the other oracles import without it
+    number and the norm of the design with unit-norm columns.
 
-    x = np.asarray(design_rows(trends))
-    scales = np.linalg.norm(x, axis=0)
-    scaled = x / scales
-    return scales, float(np.linalg.cond(scaled)), float(np.linalg.norm(scaled, 2))
+    With G = D^-1 X'X D^-1, the Gram matrix of X D^-1, ||X D^-1||_2^2 is
+    G's largest eigenvalue, and kappa^2 is that times the largest eigenvalue
+    of G^-1 = D (X'X)^-1 D. Both matrices are built from the exact X'X and
+    its exact inverse at 30 digits; ``mpmath.eigsy`` finds a largest
+    eigenvalue to about as many digits, however large kappa is.
+    """
+    import mpmath  # here, so that the other oracles import without it
+
+    def number(value):
+        return mpmath.mpf(value.numerator) / value.denominator
+
+    rows = [[Fraction(x) for x in row] for row in design_rows(trends)]
+    n = len(rows[0])
+    gram = [[sum(row[i] * row[j] for row in rows) for j in range(n)] for i in range(n)]
+    inverse = _inverse(gram)
+    with mpmath.workdps(30):
+        scales = [mpmath.sqrt(number(gram[i][i])) for i in range(n)]
+
+        def largest_eigenvalue(matrix, power):
+            """The largest eigenvalue of D^power M D^power, M ``matrix``."""
+            scaled = mpmath.matrix(
+                [[number(matrix[i][j]) * (scales[i] * scales[j]) ** power for j in range(n)]
+                 for i in range(n)])
+            return max(mpmath.eigsy(scaled, eigvals_only=True))
+
+        gram_top = largest_eigenvalue(gram, -1)
+        kappa = mpmath.sqrt(gram_top * largest_eigenvalue(inverse, 1))
+        return [float(s) for s in scales], float(kappa), float(mpmath.sqrt(gram_top))
 
 
 def contract_constants(trends, targets, fit):

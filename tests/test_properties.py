@@ -1100,7 +1100,11 @@ def test_year_windows_match_the_windows_of_each_year(
     # The walk that stores each year's window pattern under its key and
     # reuses it must give each year's pre_window and post_window, or raise
     # the first error they raise, with its message: on series of banking
-    # days with gaps, fixings on other days, and either end cut.
+    # days with gaps, fixings on other days, and either end cut. The second
+    # assertion holds the walk over all the years against yearly_observation
+    # of each year alone. That is a walk of one year, which has no pattern
+    # to reuse, so it cuts through pre_window and then post_window: it is
+    # still the independent path.
     years = range(first_year, min(first_year + span, 10000))
 
     def day(index, offset):
