@@ -4,14 +4,11 @@ fixture generation.
 Exit codes: 0 success, 1 data or calendar error, 2 usage error, 141 closed pipe.
 """
 
-from __future__ import annotations
-
 import argparse
 import math
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from json.encoder import encode_basestring_ascii
 
 from .data_io import (
     _parse_pieces,
@@ -278,7 +275,9 @@ def _json_text(value, indent: str = "\n", templates: dict | None = None) -> str:
         except OverflowError:  # an int past the float range, which %r writes as it is
             pass
         return template % tuple(map(_json_leaf, leaves))
-    if kind is str:
+    if kind is str:  # the one escaped leaf, so json loads here, on first use
+        from json.encoder import encode_basestring_ascii
+
         return encode_basestring_ascii(value)
     if kind is int:
         return repr(value)
@@ -345,10 +344,11 @@ def _json_pieces(value) -> Iterator[str]:
     rows and models. Each piece is rendered when it is asked for, from
     templates kept for this call alone. A dict of str keys to records, as
     ``predict`` writes its model and forecast, is written as an object of
-    those records in the same way.
+    those records in the same way. Its keys, like a record's field names in
+    ``Record._json_keys``, are ASCII identifiers and are written unescaped.
     """
     if type(value) is dict:
-        fields = [(f"{encode_basestring_ascii(k)}: ", v) for k, v in value.items()]
+        fields = [(f'"{key}": ', item) for key, item in value.items()]
     else:
         fields = list(zip(value._json_keys, value._astuple()))
     templates = {}

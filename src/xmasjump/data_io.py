@@ -17,9 +17,6 @@ state(0) is the seed reduced mod 2^64. Draws advance year by year
 one draw per generated fixing, including when the amplitude is zero.
 """
 
-from __future__ import annotations
-
-import json
 import math
 import operator
 import re
@@ -544,6 +541,8 @@ def synthetic_spec_from_json(text: str) -> tuple[SyntheticSpec, list[int]]:
     key, and each year key is its year's canonical ASCII spelling. Every
     value is checked by ``SyntheticSpec``, whose message becomes a ParseError.
     """
+    import json  # here, so that only ``generate`` pays for loading it
+
     try:
         doc = json.loads(text, object_pairs_hook=_object_without_repeats)
     except json.JSONDecodeError as exc:

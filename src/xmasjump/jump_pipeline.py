@@ -8,8 +8,6 @@ those jumps on each year's (slope, intercept) with a bilinear surface and
 predicts the next year's jump from its pre-event trend alone.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Sequence
 

@@ -14,8 +14,6 @@ the series, or in a series that also holds other days, reads its rates day
 by day, which names the first fault the walk meets.
 """
 
-from __future__ import annotations
-
 import re
 from collections.abc import Iterator
 from datetime import MAXYEAR, MINYEAR, date, datetime

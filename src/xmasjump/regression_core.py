@@ -8,8 +8,6 @@ or squares pass the largest float is a DomainError, not an OverflowError;
 so is a year whose slope times intercept passes it in ``design_row``.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Iterable, Sequence
 

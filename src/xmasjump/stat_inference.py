@@ -5,8 +5,6 @@ regularized incomplete beta function, evaluated with a modified-Lentz
 continued fraction. No external numerics libraries.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Sequence
 
@@ -36,16 +34,20 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     Continued-fraction evaluation (modified Lentz, 1e-14 convergence
     threshold, 300-term cap); the symmetry I_x(a,b) = 1 - I_{1-x}(b,a)
     keeps the fraction in its fast-converging region. Absolute error is
-    well below 1e-12 for moderate (a, b).
+    well below 1e-12 for moderate (a, b). An (a, b) so large that lgamma or
+    the fraction's front factor overflows is a DomainError.
     """
-    if not (a > 0.0 and b > 0.0):
-        raise DomainError("a and b must be positive")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise DomainError("a and b must be positive and finite")
     if not 0.0 <= x <= 1.0:
         raise DomainError("x must lie in [0, 1]")
-    return _incomplete_beta(_BetaFraction(a, b), _BetaFraction(b, a), x)
+    try:
+        return _incomplete_beta(_BetaFraction(a, b), _BetaFraction(b, a), x)
+    except OverflowError:  # lgamma above a + b of about 2.56e305, or exp in front()
+        raise DomainError("a and b too large: the incomplete beta overflows") from None
 
 
-def _incomplete_beta(ab: _BetaFraction, ba: _BetaFraction, x: float) -> float:
+def _incomplete_beta(ab: "_BetaFraction", ba: "_BetaFraction", x: float) -> float:
     """I_x(a, b) for 0 <= x <= 1 from the fractions of (a, b) and (b, a)."""
     if x == 0.0:
         return 0.0

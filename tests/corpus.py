@@ -15,8 +15,6 @@ them, and ``test_corpus.py`` compares every case against it.
 A change that rewrites the digest file names the ids that changed and why.
 """
 
-from __future__ import annotations
-
 import contextlib
 import hashlib
 import io
@@ -126,6 +124,7 @@ SERIES = {
     "crlf.csv": _line_ends("\r\n"),
     "u2028.csv": _line_ends("\u2028", every=5),
     "bad-byte.latin1": _comment_before("2024-12-02", "source: café"),
+    "bom.csv": lambda lines: ["\ufeff" + lines[0]] + lines[1:],  # a byte-order mark
 }
 
 CALENDARS = {
@@ -142,6 +141,7 @@ SPECS = {
     "fixed.json": '{"jump": {"fixed": 0.25}, "years": {"1999": [0.01, 1.0], "2000": [-0.003, 2.7]}}',
     "bad-year.json": '{"years": {"02001": [0.01, 1.0]}}',
 }
+SPECS["bom.json"] = "\ufeff" + SPECS["fixed.json"]  # a byte-order mark
 
 
 def _fit_year_cases() -> list[str]:
@@ -220,6 +220,12 @@ CASES = _fit_year_cases() + [
     "generate --spec bad-year.json --out bad-year.csv",
     "generate --spec missing.json --out missing.csv",
     "generate --spec small.json --out bad-calendar.csv --calendar bad.cal",
+    # a leading byte-order mark is dropped: each output is its unmarked case's
+    "backtest 2010 2025 --data bom.csv",
+    "backtest 2010 2025 --data bom.csv --format json-like",
+    "predict 2025 --data bom.csv",
+    "predict 2025 --data bom.csv --format json-like",
+    "generate --spec bom.json --out fixed.csv",
 ]
 
 

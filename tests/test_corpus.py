@@ -14,3 +14,12 @@ def test_corpus_outputs_are_unchanged(tmp_path, monkeypatch):
     assert list(recorded) == corpus.CASES
     changed = [case for case in corpus.CASES if corpus.run_case(case) != recorded[case]]
     assert changed == []
+
+
+def test_a_byte_order_mark_changes_no_output():
+    recorded = corpus.recorded()
+    marked = [case for case in corpus.CASES if "bom." in case]
+    assert len(marked) == 5
+    for case in marked:
+        unmarked = case.replace("bom.csv", "base.csv").replace("bom.json", "fixed.json")
+        assert recorded[case] == recorded[unmarked], case

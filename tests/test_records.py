@@ -200,9 +200,9 @@ def test_wrongly_typed_argument_is_a_domain_error_naming_it(cls, args, kwargs, f
 
 
 def test_importing_the_cli_loads_no_heavy_modules():
-    """``dataclasses`` (with ``inspect``, ``ast``), ``pathlib`` and ``typing``
-    stay out of a fresh interpreter's start-up; modules are counted, not
-    timed, so the check cannot flake."""
+    """``dataclasses`` (with ``inspect``, ``ast``), ``pathlib``, ``typing``,
+    ``json`` and ``__future__`` stay out of a fresh interpreter's start-up;
+    modules are counted, not timed, so the check cannot flake."""
     package_root = str(Path(xmasjump.__file__).resolve().parents[1])
     code = (
         f"import sys; sys.path.insert(0, {package_root!r}); import xmasjump.cli;"
@@ -213,4 +213,39 @@ def test_importing_the_cli_loads_no_heavy_modules():
     )
     loaded = set(done.stdout.split())
     assert "xmasjump.cli" in loaded
-    assert loaded.isdisjoint({"dataclasses", "pathlib", "typing", "inspect"})
+    assert loaded.isdisjoint({"dataclasses", "pathlib", "typing", "inspect", "json",
+                              "__future__"})
+
+
+def test_only_generate_loads_json(tmp_path):
+    """In a fresh interpreter, ``backtest`` and ``predict`` in both formats
+    run without loading ``json``; ``generate``, which parses a JSON spec,
+    loads it and still works."""
+    package_root = str(Path(xmasjump.__file__).resolve().parents[1])
+    fixtures = Path(package_root).parent / "fixtures"
+    data = ["--data", str(fixtures / "demo_rates.csv")]
+    runs = [
+        [command, *years, *data, "--format", fmt]
+        for command, years in (("backtest", ["2015", "2018"]), ("predict", ["2019"]))
+        for fmt in ("table", "json-like")
+    ]
+    generate = ["generate", "--spec", str(fixtures / "demo_spec.json"),
+                "--out", str(tmp_path / "out.csv")]
+    code = f"""
+import contextlib, io, sys
+sys.path.insert(0, {package_root!r})
+from xmasjump import cli
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(argv)
+
+codes = [run(argv) for argv in {runs!r}]
+loaded = "json" in sys.modules
+print((codes, loaded, run({generate!r}), "json" in sys.modules))
+"""
+    done = subprocess.run(
+        [sys.executable, "-E", "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "([0, 0, 0, 0], False, 0, True)"
+    assert (tmp_path / "out.csv").stat().st_size > 0

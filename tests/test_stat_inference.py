@@ -90,6 +90,19 @@ class TestRegularizedIncompleteBeta:
         with pytest.raises(DomainError):
             regularized_incomplete_beta(1.0, 1.0, 1.5)
 
+    @pytest.mark.parametrize("a, b", [(1e306, 1.0), (1.0, 1e306), (1.5e305, 1.5e305),
+                                      (1.7e308, 1.7e308)])
+    @pytest.mark.parametrize("x", [0.0, 0.5, 1.0])
+    def test_arguments_past_the_lgamma_range_are_domain_errors(self, a, b, x):
+        # lgamma(a + b) overflows above about 2.56e305, at every x
+        with pytest.raises(DomainError, match="too large: the incomplete beta overflows"):
+            regularized_incomplete_beta(a, b, x)
+
+    @pytest.mark.parametrize("a, b", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)])
+    def test_infinite_or_nan_arguments_are_domain_errors(self, a, b):
+        with pytest.raises(DomainError, match="positive and finite"):
+            regularized_incomplete_beta(a, b, 0.5)
+
 
 class TestStudentTTwoSidedP:
     def test_center(self):
