@@ -46,9 +46,10 @@ _ROW = re.compile(rf"\s*({ISO_DATE})\s*,\s*([0-9.eE+-]+)\s*(?:#.*)?")
 _CANONICAL_ROW = re.compile(rf"^{ISO_DATE},[0-9.eE+-]+$", re.M)
 _DATE_TEXT = operator.itemgetter(slice(10))  # of a canonical row
 _RATE_TEXT = operator.itemgetter(slice(11, None))
-# The array type code of a series' day ordinals: a C long, at least 32 bits,
-# holds every ordinal up to ``date.max``'s 3652059.
-_ORDINAL = "l"
+# The array type code of a series' day ordinals: a C int, which CPython needs
+# to hold 32 bits, holds every ordinal up to ``date.max``'s 3652059, in 4
+# bytes where a C long takes 8 (64-bit Linux and macOS).
+_ORDINAL = "i"
 # The line breaks ``str.splitlines`` honours other than ``"\\n"``, with
 # which ``"\\r\\n"`` ends.
 _OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
@@ -107,8 +108,8 @@ class DailyRateSeries(Record):
     """Date-ordered banking-day fixings, rates in percent per annum.
 
     The series keeps two arrays, dates ascending: the day ordinals of its
-    fixings (``date.toordinal()``) and their rates, 16 bytes a fixing where
-    the item size of ``array("l")`` is 8. ``entries``, its first field, is
+    fixings (``date.toordinal()``) and their rates, 12 bytes a fixing: 4 for
+    a C int ordinal and 8 for a double. ``entries``, its first field, is
     built from them when it is read: a tuple of ``(date, rate)`` pairs, each
     date a plain ``date`` and each rate a float. The constructor, the one
     place that checks a series, takes such pairs, each date a ``date`` or a
@@ -255,10 +256,12 @@ def _whole_lines(chunks: Iterable[str]) -> Iterator[str]:
         yield carry
 
 
-def _canonical_rows(piece: str, latest: date) -> tuple[list[date], list[float]] | None:
-    """The dates and rates of ``piece`` when each of its lines is a
+def _canonical_rows(piece: str, latest: int) -> tuple[list[int], list[float]] | None:
+    """The day ordinals and rates of ``piece`` when each of its lines is a
     ``_CANONICAL_ROW``, every date and rate converts, every rate is finite
-    and the dates ascend strictly from after ``latest``; else None.
+    and the ordinals ascend strictly from after ``latest``, an ordinal; else
+    None. Each date is built and turned into its ordinal in turn, so no
+    list of ``date`` objects is held.
 
     The pattern matches at most once per ``"\\n"``-separated line and holds
     no line break, so as many matches as such lines means that they are
@@ -273,13 +276,13 @@ def _canonical_rows(piece: str, latest: date) -> tuple[list[date], list[float]] 
     if len(rows) != piece.count("\n") + (not piece.endswith("\n")):
         return None
     try:
-        days = list(map(date.fromisoformat, map(_DATE_TEXT, rows)))
+        ordinals = list(map(date.toordinal, map(date.fromisoformat, map(_DATE_TEXT, rows))))
         rates = list(map(float, map(_RATE_TEXT, rows)))
     except ValueError:
         return None
-    if (latest < days[0] and all(map(operator.lt, days, islice(days, 1, None)))
+    if (latest < ordinals[0] and all(map(operator.lt, ordinals, islice(ordinals, 1, None)))
             and all(map(math.isfinite, rates))):
-        return days, rates
+        return ordinals, rates
     return None
 
 
@@ -312,7 +315,7 @@ def _parse_pieces(pieces: Iterable[str]) -> DailyRateSeries:
     ending just after a line break or at the end of the text."""
     ordinals = array(_ORDINAL)
     rates = array("d")
-    latest = date.min  # the latest date so far
+    latest = 0  # the latest day ordinal so far; every date's is at least 1
     in_order = True
     seen_header = False
     tenor_label = ""
@@ -320,11 +323,11 @@ def _parse_pieces(pieces: Iterable[str]) -> DailyRateSeries:
     for piece in pieces:
         bulk = _canonical_rows(piece, latest) if seen_header else None
         if bulk is not None:
-            days, piece_rates = bulk
-            ordinals.fromlist(list(map(date.toordinal, days)))
-            rates.fromlist(piece_rates)
-            latest = days[-1]
-            lineno += len(days)
+            ordinals.fromlist(bulk[0])
+            rates.fromlist(bulk[1])
+            latest = ordinals[-1]
+            lineno += len(bulk[0])
+            del piece, bulk  # neither held while the next piece is read
             continue
         for lineno, raw in enumerate(piece.splitlines(), start=lineno + 1):
             row = _ROW.fullmatch(raw)
@@ -337,11 +340,12 @@ def _parse_pieces(pieces: Iterable[str]) -> DailyRateSeries:
                     raise ParseError(lineno, _row_problem(f"{date_text},{rate_text}")) from None
                 if not math.isfinite(rate):
                     raise ParseError(lineno, f"rate {rate_text!r} overflows")
-                if day > latest:
-                    latest = day
+                ordinal = day.toordinal()
+                if ordinal > latest:
+                    latest = ordinal
                 else:  # out of order, or repeated
                     in_order = False
-                ordinals.append(day.toordinal())
+                ordinals.append(ordinal)
                 rates.append(rate)
                 continue
             stripped = raw.strip()

@@ -6,6 +6,7 @@ continued fraction. No external numerics libraries.
 """
 
 import math
+import sys
 from collections.abc import Sequence
 
 from .errors import DegenerateVariance, DomainError, TooFewRows
@@ -26,6 +27,9 @@ _LGAMMA_HALF = math.lgamma(0.5)
 # its usual switch point near t^2 = 3: the flipped fraction, evaluated
 # near x = 1 with a = df/2 large, cancels in every other step.
 _DIRECT_T2_MAX = 16.0
+# The largest relative error that ``regularized_incomplete_beta`` lets
+# rounding give its front factor, as ``_log_inverse_beta`` estimates it.
+_FRONT_ERROR_MAX = 1e-10
 
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
@@ -33,18 +37,34 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 
     Continued-fraction evaluation (modified Lentz, 1e-14 convergence
     threshold, 300-term cap); the symmetry I_x(a,b) = 1 - I_{1-x}(b,a)
-    keeps the fraction in its fast-converging region. Absolute error is
-    well below 1e-12 for moderate (a, b). An (a, b) so large that lgamma or
-    the fraction's front factor overflows is a DomainError.
+    keeps the fraction in its fast-converging region. An (a, b) so large
+    that lgamma overflows is a DomainError.
+
+    The fraction is scaled by the front factor x^a (1 - x)^b / B(a, b), the
+    exp of a sum that holds lgamma(a + b), lgamma(a) and lgamma(b), which
+    cancel. The sum's rounding error is of the order of 2^-52 times the
+    sum of their magnitudes, and the front carries it as a relative error.
+    Where that estimate exceeds ``_FRONT_ERROR_MAX`` = 1e-10 (a = b above
+    about 1.28e4; a or b above about 2.47e4, whatever the other), the
+    result means less and less: (1e20, 1e20, 0.5) would give 1.0, not 0.5.
+    Such an (a, b) is a DomainError at every x strictly between 0 and 1;
+    at x = 0 and x = 1 no front is formed, and I_0 = 0 and I_1 = 1 stay
+    exact. Within the bound the absolute error stays below 1e-10 (checked
+    against mpmath at the bound). Where one of a, b is 1/2 and the other
+    above 500, -ln B(a, b) comes from a series of small terms instead of
+    lgamma, so the bound does not limit that b or a.
     """
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):
         raise DomainError("a and b must be positive and finite")
     if not 0.0 <= x <= 1.0:
         raise DomainError("x must lie in [0, 1]")
     try:
-        return _incomplete_beta(_BetaFraction(a, b), _BetaFraction(b, a), x)
-    except OverflowError:  # lgamma above a + b of about 2.56e305, or exp in front()
+        ab, ba = _BetaFraction(a, b), _BetaFraction(b, a)
+    except OverflowError:  # lgamma above a + b of about 2.56e305
         raise DomainError("a and b too large: the incomplete beta overflows") from None
+    if 0.0 < x < 1.0 and ab.front_error > _FRONT_ERROR_MAX:
+        raise DomainError("a and b too large: rounding in ln B(a, b) swamps the incomplete beta")
+    return _incomplete_beta(ab, ba, x)
 
 
 def _incomplete_beta(ab: "_BetaFraction", ba: "_BetaFraction", x: float) -> float:
@@ -58,27 +78,33 @@ def _incomplete_beta(ab: "_BetaFraction", ba: "_BetaFraction", x: float) -> floa
     return 1.0 - ab.front(x) * ba.fraction(1.0 - x) / ab.b
 
 
-def _log_inverse_beta(a: float, b: float) -> float:
-    """-ln B(a, b) = lgamma(a + b) - lgamma(a) - lgamma(b).
+def _log_inverse_beta(a: float, b: float) -> tuple[float, float]:
+    """-ln B(a, b) = lgamma(a + b) - lgamma(a) - lgamma(b), and an estimate
+    of the relative error that rounding it gives the front factor: the
+    float spacing at 1 times the magnitudes of the three lgamma terms.
 
     When one argument is 1/2 and the other, h, exceeds
     ``_HALF_STEP_SERIES_MIN``, lgamma(h + 1/2) - lgamma(h) is summed from
     its asymptotic expansion in 1/h (the Bernoulli-polynomial form of
     Stirling's series) instead of as a difference of two large numbers.
+    Its terms stay below 20, and the estimate is 0.
     """
     h = max(a, b)
     if min(a, b) == 0.5 and h > _HALF_STEP_SERIES_MIN:
         # 1/2 ln h - 1/(8h) + 1/(192h^3) - 1/(640h^5) + 17/(14336h^7)
         r = 1.0 / (h * h)
         series = r * (1.0 / 192.0 - r * (1.0 / 640.0 - r * 17.0 / 14336.0))
-        return 0.5 * math.log(h) + (series - 1.0 / 8.0) / h - _LGAMMA_HALF
-    return math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+        return 0.5 * math.log(h) + (series - 1.0 / 8.0) / h - _LGAMMA_HALF, 0.0
+    whole, first, second = math.lgamma(a + b), math.lgamma(a), math.lgamma(b)
+    return (whole - first - second,
+            sys.float_info.epsilon * (abs(whole) + abs(first) + abs(second)))
 
 
 class _BetaFraction:
     """The continued fraction of I_x(a, b) for one (a, b), with what every x
-    shares: -ln B(a, b), the switch point (a + 1) / (a + b + 2) and the
-    coefficients of the fraction's steps.
+    shares: -ln B(a, b) with the relative error its rounding gives the
+    front, the switch point (a + 1) / (a + b + 2) and the coefficients of
+    the fraction's steps.
 
     Step m's coefficients are m (b - m), (a - 1 + 2m)(a + 2m),
     -(a + m)(a + b + m) and (a + 2m)(a + 1 + 2m), each product formed as
@@ -87,13 +113,14 @@ class _BetaFraction:
     p-value needs at most 16 steps of the cap's 300.
     """
 
-    __slots__ = ("a", "b", "switch", "_log_inverse_beta", "_qab", "_qap", "_steps")
+    __slots__ = ("a", "b", "switch", "front_error", "_log_inverse_beta", "_qab", "_qap",
+                 "_steps")
 
     def __init__(self, a: float, b: float):
         self.a = a
         self.b = b
         self.switch = (a + 1.0) / (a + b + 2.0)
-        self._log_inverse_beta = _log_inverse_beta(a, b)
+        self._log_inverse_beta, self.front_error = _log_inverse_beta(a, b)
         self._qab = a + b
         self._qap = a + 1.0
         self._steps: list[tuple[float, float, float, float]] = []
@@ -167,7 +194,11 @@ def student_t_two_sided_p(t: float, df: int) -> float:
     """
     if df < 1:
         raise DomainError("degrees of freedom must be at least 1")
-    return _StudentT(df).two_sided_p(t)
+    try:
+        student_t = _StudentT(df)
+    except OverflowError:  # an int past the float range
+        raise DomainError("degrees of freedom too large: past the float range") from None
+    return student_t.two_sided_p(t)
 
 
 class _StudentT:

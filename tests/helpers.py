@@ -259,7 +259,7 @@ def reference_incomplete_beta(a, b, x):
 
 
 def _reference_front(a, b, x):
-    return math.exp(_log_inverse_beta(a, b) + a * math.log(x) + b * math.log1p(-x))
+    return math.exp(_log_inverse_beta(a, b)[0] + a * math.log(x) + b * math.log1p(-x))
 
 
 def _reference_lower_fraction(a, b, x):

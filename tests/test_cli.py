@@ -717,7 +717,9 @@ def test_parse_peaks_near_its_series(tmp_path, capsys):
     # The parse holds one piece's lines and rows at a time, not the whole
     # text's, next to the text its caller holds and the arrays it builds:
     # what it holds beyond the series it returns is bounded by the piece
-    # size, not by the file's.
+    # size, not by the file's. The bulk step turns each row's date straight
+    # into its day ordinal and drops a piece's lists before it reads the
+    # next, so 8 pieces' worth is enough.
     spec = write_spec(tmp_path / "spec.json", 1900, 2100, noise=0.01)
     data = tmp_path / "rates.csv"
     assert main(["generate", "--spec", str(spec), "--out", str(data)]) == EXIT_OK
@@ -732,26 +734,28 @@ def test_parse_peaks_near_its_series(tmp_path, capsys):
         tracemalloc.stop()
     assert len(series) > 5000
     assert len(text) > 32 * data_io._PIECE_CHARS
-    assert peak - size <= 16 * data_io._PIECE_CHARS, (peak, size)
+    assert peak - size <= 8 * data_io._PIECE_CHARS, (peak, size)
 
 
 def test_loading_a_series_holds_little_beyond_it(tmp_path, monkeypatch):
     # predict reads and parses its file a piece at a time: beyond the series
     # it loads, it holds a few pieces' text and lines and the file's buffer,
-    # however long the file, and never the file's whole text or bytes.
-    assert_loads_a_piece_at_a_time(tmp_path, monkeypatch, "\n")
+    # however long the file, and never the file's whole text or bytes. Its
+    # pieces are read in bulk, one at a time, so 11 pieces' worth is enough.
+    assert_loads_a_piece_at_a_time(tmp_path, monkeypatch, "\n", 11)
 
 
 def test_a_file_with_other_line_breaks_loads_a_piece_at_a_time(tmp_path, monkeypatch):
     # Every line break that str.splitlines honours ends a piece, so a file
     # whose lines end in U+2028 is not carried into one piece and held whole.
-    assert_loads_a_piece_at_a_time(tmp_path, monkeypatch, "\u2028")
+    # Its pieces are read line by line, 2 bytes a character.
+    assert_loads_a_piece_at_a_time(tmp_path, monkeypatch, "\u2028", 16)
 
 
-def assert_loads_a_piece_at_a_time(tmp_path, monkeypatch, line_end):
+def assert_loads_a_piece_at_a_time(tmp_path, monkeypatch, line_end, pieces):
     """``predict`` of a generated 201-year file, its lines ending in
-    ``line_end``, holds at most 16 pieces and a file buffer beyond the
-    series while it loads the file."""
+    ``line_end``, holds at most ``pieces`` pieces' worth of characters and a
+    file buffer beyond the series while it loads the file."""
     spec = write_spec(tmp_path / "spec.json", 1900, 2100, noise=0.01)
     data = tmp_path / "rates.csv"
     monkeypatch.setattr(sys, "stdout", CountingSink())
@@ -776,7 +780,7 @@ def assert_loads_a_piece_at_a_time(tmp_path, monkeypatch, line_end):
         tracemalloc.stop()
     ((size, peak),) = loaded
     assert data.stat().st_size > 32 * data_io._PIECE_CHARS
-    assert peak - size <= 16 * data_io._PIECE_CHARS + io.DEFAULT_BUFFER_SIZE, (peak, size)
+    assert peak - size <= pieces * data_io._PIECE_CHARS + io.DEFAULT_BUFFER_SIZE, (peak, size)
 
 
 def test_generate_holds_little_beyond_its_series_while_it_writes(tmp_path, monkeypatch):
@@ -809,9 +813,10 @@ def test_generate_holds_little_beyond_its_series_while_it_writes(tmp_path, monke
 
 
 def test_a_parsed_series_stores_each_fixing_once(tmp_path, capsys):
-    # Two arrays, of day ordinals and of rates: 16 bytes per fixing where a
-    # C long is 8 bytes, plus the arrays' growth room. A dict from date to
-    # rate, about 85 bytes per fixing, would not pass 24.
+    # Two arrays, of day ordinals and of rates: 12 bytes per fixing, a 4-byte
+    # C int and an 8-byte double, plus the arrays' growth room. Ordinals kept
+    # as 8-byte C longs, 17 bytes per fixing, would not pass 14, nor would a
+    # dict from date to rate, about 85.
     spec = write_spec(tmp_path / "spec.json", 1900, 2100, noise=0.01)
     data = tmp_path / "rates.csv"
     assert main(["generate", "--spec", str(spec), "--out", str(data)]) == EXIT_OK
@@ -825,7 +830,7 @@ def test_a_parsed_series_stores_each_fixing_once(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert len(series) > 5000
-    assert size <= 24 * len(series), size / len(series)
+    assert size <= 14 * len(series), size / len(series)
 
 
 class TestClosedOutput:

@@ -2,6 +2,7 @@
 
 import math
 import random
+from array import array
 from datetime import date, datetime
 from decimal import Decimal
 
@@ -12,6 +13,7 @@ from xmasjump import (
     DailyRateSeries,
     HolidayCalendar,
     SyntheticSpec,
+    data_io,
     generate_synthetic_series,
     parse_rate_series,
     serialize_rate_series,
@@ -178,6 +180,15 @@ class TestSerializeRoundTrip:
 
 
 class TestDailyRateSeriesValidation:
+    def test_the_ordinal_array_holds_every_date(self):
+        # A series keeps its days as items of type code ``_ORDINAL``: the
+        # latest date's ordinal fits, and the earliest and latest dates come
+        # back from a series built or parsed.
+        assert array(data_io._ORDINAL, [date.max.toordinal()])[0] == date.max.toordinal()
+        entries = ((date.min, 1.0), (date.max, 2.0))
+        assert DailyRateSeries(entries).entries == entries
+        assert parse_rate_series("date,rate\n0001-01-01,1.0\n9999-12-31,2.0\n").entries == entries
+
     def test_decreasing_dates_rejected(self):
         with pytest.raises(DomainError):
             DailyRateSeries(

@@ -649,8 +649,9 @@ def test_serialized_rows_are_canonical(entries):
     head, *lines = serialize_rate_series(DailyRateSeries(entries)).splitlines()
     assert head == "date,rate"
     assert all(data_io._CANONICAL_ROW.fullmatch(line) for line in lines)
-    days, rates = data_io._canonical_rows("\n".join(lines[1:]) + "\n", entries[0][0])
-    assert list(zip(days, rates)) == entries[1:]
+    ordinals, rates = data_io._canonical_rows("\n".join(lines[1:]) + "\n",
+                                              entries[0][0].toordinal())
+    assert list(zip(map(date.fromordinal, ordinals), rates)) == entries[1:]
     assert [math.copysign(1.0, rate) for rate in rates] == [
         math.copysign(1.0, rate) for _, rate in entries[1:]]
 

@@ -44,6 +44,35 @@ def two_sided_p_by_betainc(t: float, df: int):
         return mpmath.betainc(mpmath.mpf(df) / 2, 0.5, 0, x, regularized=True)
 
 
+def incomplete_beta_by_series(a: float, b: float, x: float) -> float:
+    """I_x(a, b) at 40 digits, from its hypergeometric series on the side of
+    the mean where it converges fast: I_x(a, b) = x^a (1 - x)^b
+    2F1(a + b, 1; a + 1; x) / (a B(a, b)). mpmath's own ``betainc`` does not
+    converge for a and b in the ten thousands."""
+    with mpmath.workdps(40):
+        a, b, x = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(x)
+        flip = x > (a + 1) / (a + b + 2)
+        if flip:
+            a, b, x = b, a, 1 - x
+        front = mpmath.exp(a * mpmath.log(x) + b * mpmath.log1p(-x)) / (a * mpmath.beta(a, b))
+        value = front * mpmath.hyp2f1(a + b, 1, a + 1, x, maxterms=10**6)
+        return float(1 - value if flip else value)
+
+
+def largest_within_the_rounding_bound(ratio: float) -> float:
+    """The largest b, to 1e-12 relative, for which ``regularized_incomplete_beta``
+    accepts (ratio * b, b)."""
+    low, high = 1e-3, 1e6  # accepted, refused
+    while high / low > 1.0 + 1e-12:
+        middle = math.sqrt(low * high)
+        try:
+            regularized_incomplete_beta(ratio * middle, middle, 0.5)
+            low = middle
+        except DomainError:
+            high = middle
+    return low
+
+
 def incomplete_beta_integer_oracle(a: int, b: int, x: float) -> float:
     """Binomial tail closed form, valid for integer a, b."""
     n = a + b - 1
@@ -102,6 +131,45 @@ class TestRegularizedIncompleteBeta:
     def test_infinite_or_nan_arguments_are_domain_errors(self, a, b):
         with pytest.raises(DomainError, match="positive and finite"):
             regularized_incomplete_beta(a, b, 0.5)
+
+    @pytest.mark.parametrize("a, b", [(1e20, 1e20), (1e305, 1e305), (1.0, 1e10), (2.5e4, 1.0),
+                                      (1.3e4, 1.3e4)])
+    @pytest.mark.parametrize("x", [1e-300, 0.25, 0.5, 0.75, 1.0 - 2.0**-53])
+    def test_arguments_whose_rounding_swamps_the_result_are_domain_errors(self, a, b, x):
+        # (1e20, 1e20, 0.5) gave 1.0 (exact: 0.5) and (1e305, 1e305, 0.5) NaN:
+        # the lgamma terms of -ln B(a, b) are too large for their sum to be
+        # trusted, at any x inside (0, 1)
+        with pytest.raises(DomainError, match="rounding in ln B"):
+            regularized_incomplete_beta(a, b, x)
+
+    @pytest.mark.parametrize("a, b", [(1e20, 1e20), (1e305, 1e305), (1.0, 1e10), (2.5e4, 1.0)])
+    def test_the_ends_stay_exact_past_the_rounding_bound(self, a, b):
+        # x = 0 and x = 1 form no front, so no rounding reaches them
+        assert regularized_incomplete_beta(a, b, 0.0) == 0.0
+        assert regularized_incomplete_beta(a, b, 1.0) == 1.0
+
+    @pytest.mark.parametrize("ratio", [1.0, 3.0, 100.0, 1e4, 1e6])
+    def test_within_1e_10_of_mpmath_at_the_rounding_bound(self, ratio):
+        # The largest (a, b) = (ratio * b, b) that the bound lets through,
+        # across the bulk of the distribution and both tails: the error is
+        # within the 1e-10 the docstring states. Just past them is an error.
+        b = largest_within_the_rounding_bound(ratio)
+        a = ratio * b
+        mean = a / (a + b)
+        sd = math.sqrt(a * b / (a + b + 1.0)) / (a + b)
+        for k in (-6.0, -1.0, -0.3, 0.0, 0.3, 1.0, 6.0):
+            x = min(max(mean + k * sd, 1e-300), 1.0 - 2.0**-53)
+            want = incomplete_beta_by_series(a, b, x)
+            assert abs(regularized_incomplete_beta(a, b, x) - want) < 1e-10, (a, b, x)
+        with pytest.raises(DomainError, match="rounding in ln B"):
+            regularized_incomplete_beta(a * 1.001, b * 1.001, mean)
+
+    def test_a_half_and_a_large_parameter_are_not_bounded(self):
+        # -ln B(1/2, h) for h above 500 is summed from its series, whose
+        # terms are small, so the bound lets it through.
+        for a, b, x in ((0.5, 1e8, 1e-8), (1e8, 0.5, 1.0 - 1e-8)):
+            want = incomplete_beta_by_series(a, b, x)
+            assert abs(regularized_incomplete_beta(a, b, x) - want) < 1e-12, (a, b, x)
 
 
 class TestStudentTTwoSidedP:
@@ -171,6 +239,11 @@ class TestStudentTTwoSidedP:
     def test_df_below_one_rejected(self):
         with pytest.raises(DomainError):
             student_t_two_sided_p(1.0, 0)
+
+    def test_df_past_the_float_range_rejected(self):
+        # df / 2.0 overflowed, an OverflowError out of the constructor
+        with pytest.raises(DomainError, match="degrees of freedom too large"):
+            student_t_two_sided_p(1.0, 10**400)
 
 
 # t statistics across the float range, both sides of the switch at t^2 = df,
