@@ -24,7 +24,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Mapping
 from datetime import date
-from itertools import islice
+from itertools import islice, repeat
 from reprlib import repr as _brief  # a value cut to a few levels and characters
 
 from .errors import DomainError, DuplicateDate, InsufficientData, ParseError
@@ -56,9 +56,13 @@ _OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 # About how many characters ``parse_rate_series`` splits into lines at once;
 # the lines of one piece, as strings, take a few times the piece's size.
 _PIECE_CHARS = 1 << 12
-# How many rows ``_serialized_pieces`` renders at once: about 7.5 K
-# characters of rows as the generator writes them, 20 to 30 characters each.
-_WRITE_ROWS = 256
+# How many rows the row templates of one ``_serialized_pieces`` call hold at
+# most, 14 characters and a key's offset each: about 28 KB. The table is
+# emptied when a new template would pass it, so a series whose every year
+# lays out its days in its own way holds no more.
+_TEMPLATE_ROWS = 512
+# In a row template, where the year's text goes.
+_YEAR_SLOT = "YYYY"
 
 GENERATION_START = (11, 25)  # rates are emitted from Nov 25 through Dec 31
 
@@ -393,28 +397,49 @@ def serialize_rate_series(series: DailyRateSeries) -> str:
     """Render a series back to the delimited text format.
 
     Shortest round-trip float formatting, so parse(serialize(s)) == s. The
-    text is the join of ``_serialized_pieces(series)``, which the CLI writes
-    piece by piece instead, so that it never holds the whole text.
+    text is the join of ``_serialized_pieces(series)``, a piece per year,
+    which the CLI writes piece by piece instead, so that it never holds the
+    whole text.
     """
     return "".join(_serialized_pieces(series))
 
 
 def _serialized_pieces(series: DailyRateSeries) -> Iterator[str]:
     """The lines of ``serialize_rate_series(series)``, each ending in
-    ``"\\n"``: the header's as one piece, then the rows' ``_WRITE_ROWS`` at a
-    time. A piece of rows is one ``%`` format of a list that interleaves the
-    rows' ISO dates with their rates, each rate written by ``%r``, its
-    ``repr``."""
+    ``"\\n"``: the header's as one piece, then the rows of each year as one.
+
+    A year's rows are one ``%`` format of a row template, ``"YYYY-MM-DD,%r\\n"``
+    for each of its days, each rate written by ``%r``, its ``repr``. A day's
+    ``MM-DD`` is fixed by its offset from January 1 and whether the year is
+    a leap year, so years that lay out their days alike share a template:
+    it is built once, from the first such year's dates, and each year puts
+    its own text, zero-padded to four digits as ``date.isoformat`` pads it,
+    in the year's place. One bisection finds a year's rows. The templates
+    are kept for the call only, ``_TEMPLATE_ROWS`` rows of them at most.
+    """
     head = f"# tenor: {series.tenor_label}\n" if series.tenor_label else ""
     yield head + CSV_HEADER + "\n"
     ordinals, rates = series._ordinals, series._rates
-    for start in range(0, len(ordinals), _WRITE_ROWS):
-        stop = start + _WRITE_ROWS
-        piece_rates = rates[start:stop]
-        fields = [None] * (2 * len(piece_rates))
-        fields[::2] = map(date.isoformat, map(date.fromordinal, ordinals[start:stop]))
-        fields[1::2] = piece_rates
-        yield "%s,%r\n" * len(piece_rates) % tuple(fields)
+    templates: dict[tuple, str] = {}  # (last day, day offsets) from Jan 1 -> template
+    held = 0  # rows of the templates held
+    start = 0
+    while start < len(ordinals):
+        year = date.fromordinal(ordinals[start]).year
+        first = date(year, 1, 1).toordinal()
+        last = date(year, 12, 31).toordinal()
+        stop = bisect_right(ordinals, last, start)
+        days = ordinals[start:stop]
+        key = (last - first, *map(operator.sub, days, repeat(first)))
+        template = templates.get(key)
+        if template is None:
+            held += len(days)
+            if held > _TEMPLATE_ROWS:
+                templates.clear()
+                held = len(days)
+            template = templates[key] = "".join(
+                [f"{_YEAR_SLOT}{d.isoformat()[4:]},%r\n" for d in map(date.fromordinal, days)])
+        yield template.replace(_YEAR_SLOT, "%04d" % year) % tuple(rates[start:stop])
+        start = stop
 
 
 class SyntheticSpec(Record):

@@ -30,6 +30,24 @@ _DIRECT_T2_MAX = 16.0
 # The largest relative error that ``regularized_incomplete_beta`` lets
 # rounding give its front factor, as ``_log_inverse_beta`` estimates it.
 _FRONT_ERROR_MAX = 1e-10
+# The largest a + b that ``regularized_incomplete_beta`` takes, just below
+# where lgamma overflows, at about 2.56e305. Where -ln B(a, b) comes from
+# the half-step series instead, it keeps the fraction's coefficients, at
+# most about 300 (a + b) there, finite.
+_SUM_MAX = 2.55e305
+# The largest first parameter p of the fraction that
+# ``regularized_incomplete_beta`` runs at 0 < x < 1. A large p lets it run
+# near 1, where rounding, of 1 - x or in its first step, moves the result
+# by up to about p times 2^-52; the bound keeps that within 1e-10. Against
+# mpmath the largest error seen was about 7e-18 p, 6.8e-10 at p = 1e8; from
+# p near 1.34e154 the fraction's coefficients overflow and it gives NaN.
+_FIRST_PARAMETER_MAX = _FRONT_ERROR_MAX / sys.float_info.epsilon
+# The largest df ``student_t_two_sided_p`` takes. Past the direct path, at
+# t^2 >= 16, the fraction runs at 1 - y, y = t^2 / (df + t^2), whose
+# rounding the p-value carries about linearly in df: against mpmath at 40
+# digits, the largest error seen was 2.7e-11 at df = 1e10, 1.1e-9 at 1e12,
+# and the p-value came out negative at 1e18 and NaN from about 1e200.
+_DF_MAX = 1e10
 
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
@@ -37,8 +55,8 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 
     Continued-fraction evaluation (modified Lentz, 1e-14 convergence
     threshold, 300-term cap); the symmetry I_x(a,b) = 1 - I_{1-x}(b,a)
-    keeps the fraction in its fast-converging region. An (a, b) so large
-    that lgamma overflows is a DomainError.
+    keeps the fraction in its fast-converging region. An a + b so large
+    that lgamma overflows, above ``_SUM_MAX``, is a DomainError.
 
     The fraction is scaled by the front factor x^a (1 - x)^b / B(a, b), the
     exp of a sum that holds lgamma(a + b), lgamma(a) and lgamma(b), which
@@ -52,18 +70,25 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     exact. Within the bound the absolute error stays below 1e-10 (checked
     against mpmath at the bound). Where one of a, b is 1/2 and the other
     above 500, -ln B(a, b) comes from a series of small terms instead of
-    lgamma, so the bound does not limit that b or a.
+    lgamma, so the bound does not limit that b or a, but another does: the
+    fraction that runs, that of (a, b) at x below the switch and that of
+    (b, a) at 1 - x above it, may have a first parameter of at most
+    ``_FIRST_PARAMETER_MAX``, about 4.5e5, at 0 < x < 1. Past it, (0.5,
+    1e8, 1.6e-8) was 6.8e-10 off, and (0.5, 1e300, 0.5) gave NaN.
     """
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):
         raise DomainError("a and b must be positive and finite")
     if not 0.0 <= x <= 1.0:
         raise DomainError("x must lie in [0, 1]")
-    try:
-        ab, ba = _BetaFraction(a, b), _BetaFraction(b, a)
-    except OverflowError:  # lgamma above a + b of about 2.56e305
-        raise DomainError("a and b too large: the incomplete beta overflows") from None
-    if 0.0 < x < 1.0 and ab.front_error > _FRONT_ERROR_MAX:
-        raise DomainError("a and b too large: rounding in ln B(a, b) swamps the incomplete beta")
+    if a + b > _SUM_MAX:
+        raise DomainError("a and b too large: the incomplete beta overflows")
+    ab, ba = _BetaFraction(a, b), _BetaFraction(b, a)
+    if 0.0 < x < 1.0:
+        if ab.front_error > _FRONT_ERROR_MAX:
+            raise DomainError(
+                "a and b too large: rounding in ln B(a, b) swamps the incomplete beta")
+        if (a if x < ab.switch else b) > _FIRST_PARAMETER_MAX:
+            raise DomainError("a or b too large: rounding near 1 swamps the incomplete beta")
     return _incomplete_beta(ab, ba, x)
 
 
@@ -191,14 +216,18 @@ def student_t_two_sided_p(t: float, df: int) -> float:
     continued fraction at y itself (see ``_DIRECT_T2_MAX``); a y that
     underflows to 0 gives p = 1, as I_0 = 0. An infinite t gives x = 0, so
     p = 0.
+
+    A df below 1, NaN or above ``_DF_MAX`` = 1e10, infinite or an int past
+    the float range among them, is a DomainError: up to that bound the
+    p-value stays within 1e-10 of the exact one.
     """
     if df < 1:
         raise DomainError("degrees of freedom must be at least 1")
-    try:
-        student_t = _StudentT(df)
-    except OverflowError:  # an int past the float range
-        raise DomainError("degrees of freedom too large: past the float range") from None
-    return student_t.two_sided_p(t)
+    if df != df:
+        raise DomainError("degrees of freedom is NaN")
+    if df > _DF_MAX:
+        raise DomainError(f"degrees of freedom too large: above {_DF_MAX:g}")
+    return _StudentT(df).two_sided_p(t)
 
 
 class _StudentT:

@@ -131,6 +131,9 @@ CALENDARS = {
     # one-off closures: 2012's post window keeps one day, 2015's three of four
     "closures.cal": "2010-12-23\n2012-12-28\n2012-12-31\n2015-12-28\n2019-12-24\n2020-12-10\n",
     "bad.cal": "2019-12-24\nnot a date\n",
+    # one-off closures at both ends of the date range, a different day in
+    # each year, so that no two years lay out their banking days alike
+    "edges.cal": "0001-11-26\n0002-12-24\n0003-12-27\n9997-11-25\n9998-12-28\n9999-12-31\n",
 }
 
 SPECS = {
@@ -140,6 +143,12 @@ SPECS = {
                   ' "2003": [0.017, 0.9], "2004": [-0.002, 4.2]}}',
     "fixed.json": '{"jump": {"fixed": 0.25}, "years": {"1999": [0.01, 1.0], "2000": [-0.003, 2.7]}}',
     "bad-year.json": '{"years": {"02001": [0.01, 1.0]}}',
+    # the first years, written zero-padded, and the last, through date.max
+    "first-years.json": '{"seed": 9, "noise": 0.01, "jump": {"fixed": 0.2},'
+                        ' "years": {"1": [0.01, 1.5], "2": [-0.02, 2.5], "3": [0.003, 3.5]}}',
+    "last-years.json": '{"seed": 10, "noise": 0.01, "jump": {"fixed": -0.1},'
+                       ' "years": {"9997": [0.01, 1.5], "9998": [-0.02, 2.5],'
+                       ' "9999": [0.003, 3.5]}}',
 }
 SPECS["bom.json"] = "\ufeff" + SPECS["fixed.json"]  # a byte-order mark
 
@@ -220,6 +229,10 @@ CASES = _fit_year_cases() + [
     "generate --spec bad-year.json --out bad-year.csv",
     "generate --spec missing.json --out missing.csv",
     "generate --spec small.json --out bad-calendar.csv --calendar bad.cal",
+    "generate --spec first-years.json --out first-years.csv",
+    "generate --spec last-years.json --out last-years.csv",
+    "generate --spec first-years.json --out first-closures.csv --calendar edges.cal",
+    "generate --spec last-years.json --out last-closures.csv --calendar edges.cal",
     # a leading byte-order mark is dropped: each output is its unmarked case's
     "backtest 2010 2025 --data bom.csv",
     "backtest 2010 2025 --data bom.csv --format json-like",

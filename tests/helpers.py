@@ -4,6 +4,7 @@ import math
 import operator
 import random
 from datetime import date, timedelta
+from itertools import groupby
 
 from xmasjump import (
     DailyRateSeries,
@@ -11,7 +12,6 @@ from xmasjump import (
     SyntheticSpec,
     generate_synthetic_series,
 )
-from xmasjump import data_io
 from xmasjump.data_io import (
     _LCG_INCREMENT,
     _LCG_MASK,
@@ -484,7 +484,7 @@ def reference_series_error(entries, label=""):
     return None
 
 
-# --- the writer as it was before its pattern table and one-call pieces ------
+# --- the writer as it was before its pattern tables and row templates ------
 # The generator that walked every year's days through ``_banking`` and drew
 # each noise value with ``next()`` on a generator of the LCG's uniforms, and
 # the serializer that formatted each row with its own f-string: the oracles
@@ -536,12 +536,9 @@ def reference_generate(spec, years, cal):
 
 def reference_serialized_pieces(series):
     """``_serialized_pieces(series)``, each row formatted by its own f-string,
-    in pieces of ``data_io._WRITE_ROWS`` rows as it is when called."""
-    rows = data_io._WRITE_ROWS
+    the header in one piece and the rows of each year in one."""
     head = f"# tenor: {series.tenor_label}\n" if series.tenor_label else ""
     yield head + CSV_HEADER + "\n"
-    ordinals, rates = series._ordinals, series._rates
-    for start in range(0, len(ordinals), rows):
-        days = map(date.fromordinal, ordinals[start:start + rows])
-        piece_rates = rates[start:start + rows]
-        yield "".join([f"{d.isoformat()},{rate!r}\n" for d, rate in zip(days, piece_rates)])
+    days = map(date.fromordinal, series._ordinals)
+    for _, rows in groupby(zip(days, series._rates), key=lambda row: row[0].year):
+        yield "".join([f"{d.isoformat()},{rate!r}\n" for d, rate in rows])

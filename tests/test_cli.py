@@ -1,17 +1,20 @@
 """Command-line behavior: rendering, exit codes, round-trips."""
 
+import calendar
 import io
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from datetime import date
 from pathlib import Path
 
 import pytest
 
 from helpers import distinct_trends
 from xmasjump import (
+    HolidayCalendar,
     backtest,
     cli,
     data_io,
@@ -21,6 +24,7 @@ from xmasjump import (
     yearly_observation,
 )
 from xmasjump.cli import EXIT_BROKEN_PIPE, EXIT_DATA_ERROR, EXIT_OK, EXIT_USAGE, main
+from xmasjump.market_calendar import banking_days
 
 PLANTED = (0.005, -9.0, -0.002, 2.0)
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -783,13 +787,39 @@ def assert_loads_a_piece_at_a_time(tmp_path, monkeypatch, line_end, pieces):
     assert peak - size <= pieces * data_io._PIECE_CHARS + io.DEFAULT_BUFFER_SIZE, (peak, size)
 
 
-def test_generate_holds_little_beyond_its_series_while_it_writes(tmp_path, monkeypatch):
-    # The file is written a few hundred rows at a time: beyond the series,
-    # generate holds a piece's rows and the file's buffer, however long the
-    # series, and never the file's whole text.
+def closures_of_a_pattern_per_year(first_year, last_year):
+    """One-off closures, one banking day of Nov 25 - Dec 31 in each year, that
+    leave each year banking days on days of the year no other year has."""
+    cal = HolidayCalendar()
+    seen, closures = set(), []
+    for year in range(first_year, last_year + 1):
+        days = banking_days(date(year, 11, 25), date(year, 12, 31), cal)
+        for closed in days:
+            pattern = (calendar.isleap(year),
+                       *[d.timetuple().tm_yday for d in days if d != closed])
+            if pattern not in seen:
+                break
+        seen.add(pattern)
+        closures.append(closed.isoformat())
+    assert len(seen) == last_year - first_year + 1
+    return closures
+
+
+@pytest.mark.parametrize("pattern_per_year", [False, True])
+def test_generate_holds_little_beyond_its_series_while_it_writes(
+        tmp_path, monkeypatch, pattern_per_year):
+    # The file is written a year at a time: beyond the series, generate
+    # holds a piece's rows, its bounded row templates and the file's buffer,
+    # however long the series, and never the file's whole text. With a
+    # closure in every year, no two of the 201 years share a template.
     spec = write_spec(tmp_path / "spec.json", 1900, 2100, noise=0.01)
     out = tmp_path / "rates.csv"
     argv = ["generate", "--spec", str(spec), "--out", str(out)]
+    if pattern_per_year:
+        closures = tmp_path / "closures.cal"
+        closures.write_text("\n".join(["--12-25", "--12-26", "--01-01",
+                                       *closures_of_a_pattern_per_year(1900, 2100)]))
+        argv += ["--calendar", str(closures)]
     monkeypatch.setattr(sys, "stdout", CountingSink())
     assert main(argv) == EXIT_OK  # a first run, so that lazy imports and caches are filled
     held = []

@@ -8,7 +8,8 @@ from decimal import Decimal
 
 import pytest
 
-from helpers import constant_jump, day_offset, reference_banking_days
+from helpers import (constant_jump, day_offset, reference_banking_days,
+                     reference_serialized_pieces)
 from xmasjump import (
     DailyRateSeries,
     HolidayCalendar,
@@ -177,6 +178,47 @@ class TestSerializeRoundTrip:
         series = DailyRateSeries(entries=((date(2018, 1, 2), 0.1 + 0.2),))
         reparsed = parse_rate_series(serialize_rate_series(series))
         assert reparsed.rate_on(date(2018, 1, 2)) == 0.1 + 0.2
+
+
+class TestSerializeEdges:
+    """The writer's text at the edges of its row templates, a year to a
+    piece: days whose dates a leap day moves, years that ``isoformat`` pads
+    with zeros and the last day a ``date`` holds, each against the writer
+    that formats every row with its own f-string."""
+
+    @pytest.mark.parametrize("days, text", [
+        # the same days of the year, 59 and 60, name other dates in leap years
+        ([date(1900, 2, 28), date(1900, 3, 1), date(2000, 2, 28), date(2000, 2, 29),
+          date(2004, 2, 28), date(2004, 2, 29), date(2005, 2, 28), date(2005, 3, 1)],
+         "1900-02-28 1900-03-01 2000-02-28 2000-02-29 2004-02-28 2004-02-29"
+         " 2005-02-28 2005-03-01"),
+        ([date(2000, 2, 29), date(2000, 3, 1), date(2004, 3, 1), date(2004, 3, 2),
+          date(2005, 3, 1), date(2005, 3, 2)],
+         "2000-02-29 2000-03-01 2004-03-01 2004-03-02 2005-03-01 2005-03-02"),
+        ([date(1, 1, 1), date(1, 12, 31), date(2, 1, 1)], "0001-01-01 0001-12-31 0002-01-01"),
+        ([date(999, 2, 28), date(999, 3, 1), date(1000, 1, 1)],
+         "0999-02-28 0999-03-01 1000-01-01"),
+        ([date(9998, 12, 31), date(9999, 1, 1), date(9999, 12, 31)],
+         "9998-12-31 9999-01-01 9999-12-31"),
+        ([date(9999, 12, 31)], "9999-12-31"),
+    ], ids=["leap-day", "after-leap-day", "year-1", "year-999", "year-9999", "one-fixing"])
+    def test_rows_match_the_row_by_row_writer(self, days, text):
+        rates = [0.1 * (i + 1) for i in range(len(days))]
+        series = DailyRateSeries(zip(days, rates), "SYN")
+        pieces = list(data_io._serialized_pieces(series))
+        assert pieces == list(reference_serialized_pieces(series))
+        assert len(pieces) == 1 + len({d.year for d in days})
+        rows = serialize_rate_series(series).splitlines()
+        assert rows[:2] == ["# tenor: SYN", "date,rate"]
+        assert rows[2:] == [f"{d},{r!r}" for d, r in zip(text.split(), rates)]
+
+    @pytest.mark.parametrize("label, text", [("", "date,rate\n"),
+                                             ("SYN", "# tenor: SYN\ndate,rate\n")])
+    def test_no_fixings_is_the_header_alone(self, label, text):
+        series = DailyRateSeries((), label)
+        assert list(data_io._serialized_pieces(series)) == [text]
+        assert list(reference_serialized_pieces(series)) == [text]
+        assert parse_rate_series(text) == series
 
 
 class TestDailyRateSeriesValidation:

@@ -1218,15 +1218,40 @@ def test_generated_series_and_its_text_match_the_day_by_day_writer(
     assert serialize_rate_series(got) == "".join(pieces)
 
 
-@pytest.mark.parametrize("rows", [1, 2, 3, data_io._WRITE_ROWS])
+# Rows on the same days of the year in several years, leap and common, so
+# that years share row templates: from 59 days after January 1 on (March 1
+# in a common year, February 29 in a leap one) an offset names another date
+# in a leap year, and 365 exists only there.
+def days_of_years(years, offsets):
+    """The days ``offsets`` after January 1 of each of ``years`` that lie in
+    that year, ascending."""
+    return [date.fromordinal(date(year, 1, 1).toordinal() + x)
+            for year in sorted(years) for x in sorted(offsets)
+            if date(year, 1, 1).toordinal() + x <= date(year, 12, 31).toordinal()]
+
+
+patterned_series_entries = st.builds(
+    lambda years, offsets, rates: tuple(zip(days_of_years(years, offsets), rates)),
+    st.frozensets(st.sampled_from([1, 4, 999, 1900, 2000, 2001, 2004, 2005, 2012, 9999])
+                  | st.integers(min_value=1, max_value=9999), min_size=1, max_size=8),
+    st.frozensets(st.sampled_from([0, 58, 59, 60, 364, 365]) | st.integers(0, 365),
+                  min_size=1, max_size=6),
+    st.lists(writer_floats, min_size=48, max_size=48),
+)
+
+
+@pytest.mark.parametrize("template_rows", [0, 1, 6, data_io._TEMPLATE_ROWS])
 @settings(max_examples=100, deadline=None, phases=UNSHRUNK)
-@given(entries=series_entries | long_series_entries, label=tenor_labels)
-def test_serialized_pieces_match_the_row_by_row_writer(rows, entries, label):
+@given(entries=series_entries | long_series_entries | patterned_series_entries,
+       label=tenor_labels)
+def test_serialized_pieces_match_the_row_by_row_writer(template_rows, entries, label):
     # Any rates, -0.0, subnormals and the largest floats among them, each
-    # written as its repr, in pieces of any number of rows.
+    # written as its repr, a year to a piece, whether a year's template is
+    # new, shared with an earlier year or built again after the table was
+    # emptied, as it is before each new template when it may hold no row.
     series = DailyRateSeries(entries, label)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(data_io, "_WRITE_ROWS", rows)
+        patch.setattr(data_io, "_TEMPLATE_ROWS", template_rows)
         assert list(data_io._serialized_pieces(series)) == list(
             reference_serialized_pieces(series))
 

@@ -4,6 +4,7 @@ p-value chain of ``helpers`` that forms each fraction step in its loop."""
 
 import math
 import random
+import sys
 
 import mpmath
 import pytest
@@ -15,6 +16,7 @@ from helpers import reference_incomplete_beta, reference_student_t_two_sided_p, 
 from xmasjump.errors import DegenerateVariance, DomainError, TooFewRows
 from xmasjump.stat_inference import (
     _DIRECT_T2_MAX,
+    _FIRST_PARAMETER_MAX,
     _HALF_STEP_SERIES_MIN,
     CoefficientInference,
     _StudentT,
@@ -79,6 +81,12 @@ def incomplete_beta_integer_oracle(a: int, b: int, x: float) -> float:
     return math.fsum(
         math.comb(n, j) * x**j * (1 - x) ** (n - j) for j in range(a, n + 1)
     )
+
+
+# Any positive float, and the edges of the bounds on a + b and on the
+# first parameter of the fraction that runs.
+positive_parameters = st.floats(min_value=5e-324, max_value=sys.float_info.max) | st.sampled_from(
+    [0.5, 500.0, 501.0, 4.5e5, 1e154, 2.55e305, 2.56e305])
 
 
 class TestRegularizedIncompleteBeta:
@@ -172,6 +180,41 @@ class TestRegularizedIncompleteBeta:
             assert abs(regularized_incomplete_beta(a, b, x) - want) < 1e-12, (a, b, x)
 
 
+    @pytest.mark.parametrize("a, b", [(0.5, 1e300), (1e300, 0.5), (0.5, 1e8), (1e8, 0.5)])
+    @pytest.mark.parametrize("x", [0.25, 0.5, 0.75])
+    def test_a_fraction_run_near_1_with_a_huge_parameter_is_a_domain_error(self, a, b, x):
+        # (0.5, 1e300, 0.5) and (1e300, 0.5, 0.5) gave NaN: the fraction of
+        # (1e300, 0.5) runs, and its coefficients overflow
+        with pytest.raises(DomainError, match="rounding near 1"):
+            regularized_incomplete_beta(a, b, x)
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_within_1e_10_of_mpmath_at_the_first_parameter_bound(self, flip):
+        # The fraction of (h, 1/2) at the largest h the bound lets through,
+        # near 1: for (h, 1/2) below the switch, at x near 1, and for
+        # (1/2, h) above it, at 1 - x for x near 0. Just past h is an error.
+        h = _FIRST_PARAMETER_MAX
+        for c in (1.6, 3.0, 10.0, 50.0):  # h (1 - x) or h x; the switch is near 1.5
+            a, b, x = (0.5, h, c / h) if flip else (h, 0.5, 1.0 - c / h)
+            want = incomplete_beta_by_series(a, b, x)
+            assert abs(regularized_incomplete_beta(a, b, x) - want) < 1e-10, (a, b, x)
+        a, b = (0.5, 1.001 * h) if flip else (1.001 * h, 0.5)
+        with pytest.raises(DomainError, match="rounding near 1"):
+            regularized_incomplete_beta(a, b, x)
+
+    def test_a_huge_parameter_whose_fraction_runs_far_from_1_is_served(self):
+        # Below the switch the fraction of (1/2, 1e300) runs at x itself:
+        # I_x(1/2, b) is erf(sqrt(b x)) to within O(1/b)
+        assert regularized_incomplete_beta(0.5, 1e300, 1e-300) == pytest.approx(
+            math.erf(1.0), abs=1e-12)
+
+    @settings(max_examples=500, deadline=None)
+    @given(a=positive_parameters, b=positive_parameters, x=st.floats(min_value=0.0, max_value=1.0))
+    def test_never_nan(self, a, b, x):
+        value = p_outcome(regularized_incomplete_beta, a, b, x)
+        assert type(value) is tuple or value == value, (a, b, x, value)
+
+
 class TestStudentTTwoSidedP:
     def test_center(self):
         for df in (1, 5, 30):
@@ -244,6 +287,34 @@ class TestStudentTTwoSidedP:
         # df / 2.0 overflowed, an OverflowError out of the constructor
         with pytest.raises(DomainError, match="degrees of freedom too large"):
             student_t_two_sided_p(1.0, 10**400)
+
+    @pytest.mark.parametrize("df", [math.inf, math.nan])
+    @pytest.mark.parametrize("t", [1.0, 5.0, math.inf])
+    def test_df_that_is_not_a_finite_number_rejected(self, t, df):
+        # df = inf gave 1.0 for t = 1 and t = 5, and NaN for t = inf; df =
+        # NaN gave NaN
+        with pytest.raises(DomainError, match="degrees of freedom"):
+            student_t_two_sided_p(t, df)
+
+    @pytest.mark.parametrize("df", [1e10 * (1.0 + 2.0**-52), 10**10 + 1, 1e12, 1e100, 1e308])
+    def test_df_past_the_bound_rejected(self, df):
+        # (1.0, 1e308) and (5.0, 1e300) gave NaN, (5.0, 1e100) 1.2e198
+        with pytest.raises(DomainError, match="degrees of freedom too large"):
+            student_t_two_sided_p(5.0, df)
+
+    @pytest.mark.parametrize("t", [0.5, 2.0, 3.9, 4.0, 4.02, 5.0, 8.0])
+    def test_within_1e_10_of_mpmath_at_the_df_bound(self, t):
+        # Just past t^2 = 16 the fraction runs at 1 - y, whose rounding
+        # grows with df: 2.7e-11 at t = 4, the largest error seen
+        want = two_sided_p_by_betainc(t, 10**10)
+        assert abs(student_t_two_sided_p(t, 10**10) - want) < 1e-10
+
+    @settings(max_examples=500, deadline=None)
+    @given(t=st.floats(allow_nan=False),
+           df=st.floats(min_value=1.0, max_value=1e12) | st.floats(min_value=1.0))
+    def test_a_finite_df_gives_a_p_value_or_a_domain_error(self, t, df):
+        p = p_outcome(student_t_two_sided_p, t, df)
+        assert type(p) is tuple or 0.0 <= p <= 1.0, (t, df, p)
 
 
 # t statistics across the float range, both sides of the switch at t^2 = df,
